@@ -4,6 +4,7 @@ Path counts here are sized for CI speed; the heavy statistical checks at
 100k paths live in the acceptance suite.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -129,6 +130,39 @@ class TestExitTimes:
                         n_paths=16, t_grid=(0.0,), seed=1)
         with pytest.raises(AccuracyError):
             sample_exit_times(cfg)
+
+
+class TestGoldenStream:
+    """sha256 of sample_exit_times(...).tobytes() for three small bridge-on
+    runs, three 256-path chunks each (600 paths, dt=1e-3, seed 2024).
+
+    These freeze the documented Philox stream and the simulator's arithmetic:
+    a change that alters any exit time must announce it and re-freeze the
+    checksums.  The values were produced with numpy 2.4 on x86-64; a numpy
+    whose exp or sqrt rounds differently would change them too.
+    """
+
+    @staticmethod
+    def _digest(domain, start):
+        lam = principal_eigenvalue(domain)
+        cfg = SimConfig(domain=domain, start=start, dt=1e-3, n_paths=600,
+                        t_grid=default_t_grid(lam), seed=2024, chunk_size=256)
+        return hashlib.sha256(sample_exit_times(cfg).tobytes()).hexdigest()
+
+    def test_disc_from_center(self):
+        dom = SimDomain.ball(1.0, 2)
+        assert self._digest(dom, dom.center()) == (
+            "95a62c6e13065f8f23d9e985afd27b3a0df0c5deb212af42a7be74d60a87ac89")
+
+    def test_square_from_center(self):
+        dom = SimDomain.box((1.0, 1.0))
+        assert self._digest(dom, dom.center()) == (
+            "3a4f63048714608e4390f9f1be2f3381139c4a8c1e593c65fef9c35ac366dad6")
+
+    def test_square_off_center(self):
+        dom = SimDomain.box((1.0, 1.0))
+        assert self._digest(dom, off_center_start(dom)) == (
+            "a0f3f151bfdefd290061c0ad788936fa135981182503a22a0ebfa96dc8c9b547")
 
 
 class TestSurvival:
