@@ -42,8 +42,6 @@ from .montecarlo import (
     off_center_start,
     principal_eigenvalue,
     sample_exit_times,
-    split_chunks,
-    with_paths,
 )
 from .ratio import RatioBoundSpec, RatioKind, ratio_upper_bound
 from .specialfun import EvalResult, bessel_j, log_gamma
@@ -93,8 +91,6 @@ __all__ = [
     "principal_eigenvalue",
     "ratio_upper_bound",
     "sample_exit_times",
-    "split_chunks",
     "sweep",
-    "with_paths",
     "__version__",
 ]

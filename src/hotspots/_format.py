@@ -32,11 +32,6 @@ def round_sig_floor(x: float, n: int) -> float:
     return _round_sig(x, n, _FLOOR)
 
 
-def round_sig_half_up(x: float, n: int) -> float:
-    """Round x half-up to n significant figures (display rounding)."""
-    return _round_sig(x, n, _HALF_UP)
-
-
 def ceil_decimals(x: float, places: int) -> float:
     """Round x up (toward +inf) to the given number of decimal places."""
     with decimal.localcontext() as ctx:

@@ -27,17 +27,12 @@ _FEASIBLE_SCAN_CAP = 10 ** 6
 
 @dataclass(frozen=True)
 class AsymptoticParams:
-    """Family parameters at one dimension d.
-
-    beta (the exponent of d in a_d = k d^beta) is fixed at 1; constructing
-    any other value is rejected.
-    """
+    """Family parameters at one dimension d (a_d = k d; see module doc)."""
 
     d: int
     c: float = 1.0
     alpha: float = -0.5
     k: float = 0.125
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 5:
@@ -52,10 +47,6 @@ class AsymptoticParams:
             )
         if not self.k > 0.0:
             raise InfeasibleParameterError(f"k must be positive, got {self.k!r}")
-        if self.beta != 1.0:
-            raise InfeasibleParameterError(
-                "the exponent beta is fixed at 1; other values destroy the limit"
-            )
 
 
 def epsilon_d(c: float, alpha: float, d: int) -> float:

@@ -108,7 +108,11 @@ def bound_value(d: int, r: float, vkind: VKind, epsilon: float, a: float,
         )
     if not a >= 0.0:
         raise InfeasibleParameterError(f"a must be >= 0, got {a!r}")
-    lv = log_v(vkind, epsilon, d, table=vtable)
+    return _objective(r, epsilon, a, log_v(vkind, epsilon, d, table=vtable))
+
+
+def _objective(r: float, epsilon: float, a: float, lv: float) -> float:
+    """bound_value's arithmetic, given lv = ln V(epsilon, d)."""
     ra = r * a
     if ra > 700.0:
         raise InfeasibleParameterError("r*a too large; e^{ra} overflows")
@@ -146,18 +150,28 @@ def optimize_bound(query: BoundQuery) -> BoundResult:
     d = query.d
     evals = 0
 
-    def phi(eps: float) -> float:
+    def point(eps: float) -> tuple[float, float]:
+        """(a*(eps), objective at (eps, a*(eps)))."""
         nonlocal evals
         evals += 1
         lv = log_v(query.vkind, eps, d, table=query.vtable)
-        return bound_value(d, r, query.vkind, eps, optimal_a(eps, r, lv),
-                           vtable=query.vtable)
+        a = optimal_a(eps, r, lv)
+        return a, _objective(r, eps, a, lv)
+
+    def phi(eps: float) -> float:
+        return point(eps)[1]
 
     lo = _EPS_EDGE
     hi = 1.0 - r - _EPS_EDGE
+    custom = query.vkind is VKind.CUSTOM
+    if custom:
+        # log_v refuses to extrapolate a table, so search only its range
+        lo = max(lo, query.vtable[0][0])
+        hi = min(hi, query.vtable[-1][0])
     if hi <= lo:
         raise InfeasibleParameterError(
             f"feasible epsilon interval is empty for r={r:g}"
+            + (" inside the V table's epsilon range" if custom else "")
         )
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
@@ -172,10 +186,7 @@ def optimize_bound(query: BoundQuery) -> BoundResult:
             x2 = lo + _INV_PHI * (hi - lo)
             f2 = phi(x2)
     eps_star = 0.5 * (lo + hi)
-    lv = log_v(query.vkind, eps_star, d, table=query.vtable)
-    a_star = optimal_a(eps_star, r, lv)
-    best = bound_value(d, r, query.vkind, eps_star, a_star, vtable=query.vtable)
-    evals += 1
+    a_star, best = point(eps_star)
     return BoundResult(d=d, r=r, epsilon_star=eps_star, a_star=a_star,
                        bound=best, evaluations=evals, vkind=query.vkind)
 

@@ -22,7 +22,7 @@ import click
 
 from . import __version__
 from ._format import canonical_json, format_sig, payload_checksum
-from .asymptotic import AsymptoticParams, asymptotic_bound
+from .asymptotic import sweep
 from .bound import BoundQuery, optimize_bound
 from .errors import AccuracyError, InfeasibleParameterError
 from .montecarlo import (
@@ -33,6 +33,7 @@ from .montecarlo import (
     default_t_grid,
     estimate_survival,
     principal_eigenvalue,
+    sample_exit_times,
 )
 from .ratio import (
     RatioBoundSpec,
@@ -58,6 +59,10 @@ def _guard(fn: Callable) -> Callable:
             return fn(*args, **kwargs)
         except InfeasibleParameterError as exc:
             click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_INFEASIBLE)
+        except OverflowError as exc:
+            # a parameter so large that a float derived from it overflows
+            click.echo(f"error: parameter out of range: {exc}", err=True)
             sys.exit(EXIT_INFEASIBLE)
         except AccuracyError as exc:
             click.echo(f"accuracy error: {exc}", err=True)
@@ -107,7 +112,7 @@ def _parse_vfunction(spec: str) -> tuple[VKind, CustomTable | None]:
         path = spec.split(":", 1)[1]
         try:
             return VKind.CUSTOM, load_custom_table(path)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise click.UsageError(f"cannot read V table {path!r}: {exc}")
     try:
         kind = VKind(spec)
@@ -343,11 +348,8 @@ def asymptotic(dmin: int, dmax: int, points: int, c_param: float, alpha: float,
                fmt: str) -> None:
     """Evaluate the sqrt(e) family on a geometric grid of dimensions."""
     dims = _geometric_dims(dmin, dmax, points)
-    rows = [
-        {"d": d, "bound": asymptotic_bound(AsymptoticParams(d=d, c=c_param,
-                                                            alpha=alpha))}
-        for d in dims
-    ]
+    rows = [{"d": d, "bound": value}
+            for d, value in sweep(dims, c=c_param, alpha=alpha)]
     params = {"dmin": dmin, "dmax": dmax, "points": points, "c": c_param,
               "alpha": alpha, "k": 0.125, "beta": 1.0}
     if fmt == "json":
@@ -394,7 +396,10 @@ def verify_vbound(shape: str, radius: float, sides: str | None, dim: int,
     else:
         if sides is None:
             raise click.UsageError("box shape needs --sides")
-        side_vals = tuple(float(s) for s in sides.split(","))
+        try:
+            side_vals = tuple(float(s) for s in sides.split(","))
+        except ValueError:
+            raise click.UsageError(f"--sides must be comma-separated numbers, got {sides!r}")
         domain = SimDomain.box(side_vals)
         if domain.dim != dim:
             raise click.UsageError("--dim disagrees with the number of sides")
@@ -413,7 +418,7 @@ def verify_vbound(shape: str, radius: float, sides: str | None, dim: int,
         bridge_correction=bridge,
         chunk_size=chunk_size,
     )
-    estimate = estimate_survival(config)
+    estimate = estimate_survival(config, sample_exit_times(config))
     report = check_vbound(estimate, vkind, epsilon, lam, dim, vtable=vtable)
     result = {
         "fingerprint": estimate.config_fingerprint,

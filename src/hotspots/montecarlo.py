@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv
 
 from ._format import payload_checksum
 from .errors import AccuracyError, InfeasibleParameterError
@@ -214,25 +214,19 @@ def principal_eigenvalue(domain: SimDomain) -> float:
 
 
 def _chunk_exit_times(config: SimConfig, chunk_index: int,
-                      chunk_paths: int) -> np.ndarray:
+                      chunk_paths: int, max_steps: int) -> np.ndarray:
     """Exit times for one chunk of paths (the documented seed derivation).
 
     Chunk i draws from Philox(key=seed) jumped i times; within a chunk the
     draw order is one (alive, dim) normal block then one (alive,) uniform
-    block per step, with exited paths compacted away between steps.
+    block per step, with exited paths compacted away between steps.  The
+    start must lie strictly inside the domain.
     """
     rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(chunk_index))
     domain = config.domain
     dim = domain.dim
     dt = config.dt
     n = chunk_paths
-
-    if _start_distance(domain, config.start) <= 0.0:
-        return np.zeros(n, dtype=np.float64)
-
-    lam = principal_eigenvalue(domain)
-    t_cap = max(config.t_grid[-1] if config.t_grid else 0.0, _LAMBDA_T_CAP / lam)
-    max_steps = int(math.ceil(t_cap / dt)) + 1
 
     exit_times = np.full(n, np.nan, dtype=np.float64)
     alive = np.arange(n, dtype=np.int64)
@@ -253,35 +247,22 @@ def _chunk_exit_times(config: SimConfig, chunk_index: int,
         x_new = x + step_sd * rng.standard_normal((m, dim))
         u = rng.uniform(size=m)
 
+        # The bridge test also runs on rows that already exited, where it
+        # cannot change the outcome.  There the two distances sum to at most
+        # the step length sqrt(2 dt) |Z|, so the exponent is at most |Z|^2 / 2
+        # and cannot overflow.
         if is_ball:
-            rad_new = np.linalg.norm(x_new, axis=1)
-            dist_new = radius - rad_new
+            dist_new = radius - np.linalg.norm(x_new, axis=1)
             exited = dist_new <= 0.0
             if config.bridge_correction:
-                inside = ~exited
-                p_cross = np.exp(-dist_prev[inside] * dist_new[inside] / dt)
-                hit = np.zeros(m, dtype=bool)
-                hit[inside] = u[inside] < p_cross
-                exited |= hit
+                exited |= u < np.exp(-dist_prev * dist_new / dt)
         else:
-            low_new = x_new
-            high_new = sides[None, :] - x_new
-            exited = (low_new <= 0.0).any(axis=1) | (high_new <= 0.0).any(axis=1)
+            high_new = sides - x_new
+            exited = (x_new <= 0.0).any(axis=1) | (high_new <= 0.0).any(axis=1)
             if config.bridge_correction:
-                inside = ~exited
-                low_old = x[inside]
-                high_old = sides[None, :] - x[inside]
-                survive = np.ones(inside.sum(), dtype=np.float64)
-                for face_old, face_new in (
-                    (low_old, low_new[inside]),
-                    (high_old, high_new[inside]),
-                ):
-                    survive *= np.prod(
-                        1.0 - np.exp(-face_old * face_new / dt), axis=1
-                    )
-                hit = np.zeros(m, dtype=bool)
-                hit[inside] = u[inside] < 1.0 - survive
-                exited |= hit
+                survive = (np.prod(1.0 - np.exp(-x * x_new / dt), axis=1)
+                           * np.prod(1.0 - np.exp(-(sides - x) * high_new / dt), axis=1))
+                exited |= u < 1.0 - survive
 
         t_now = dt * (step + 1)
         exit_times[alive[exited]] = t_now
@@ -304,36 +285,45 @@ def sample_exit_times(config: SimConfig) -> np.ndarray:
 
     Paths are processed in chunks of config.chunk_size; results concatenate
     in chunk order, so the output is identical however chunks are scheduled.
+    A start on the boundary exits at t = 0.
     """
-    out = []
-    remaining = config.n_paths
-    chunk_index = 0
-    while remaining > 0:
-        take = min(config.chunk_size, remaining)
-        out.append(_chunk_exit_times(config, chunk_index, take))
-        remaining -= take
-        chunk_index += 1
-    return np.concatenate(out) if len(out) > 1 else out[0]
+    n, size = config.n_paths, config.chunk_size
+    if _start_distance(config.domain, config.start) <= 0.0:
+        return np.zeros(n, dtype=np.float64)
+    t_cap = max(config.t_grid[-1] if config.t_grid else 0.0,
+                _LAMBDA_T_CAP / principal_eigenvalue(config.domain))
+    max_steps = int(math.ceil(t_cap / config.dt)) + 1
+    return np.concatenate([
+        _chunk_exit_times(config, i, min(size, n - first), max_steps)
+        for i, first in enumerate(range(0, n, size))
+    ])
 
 
 def _clopper_pearson(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided 95% interval for each success count k out of n."""
     k = k.astype(np.float64)
-    with np.errstate(invalid="ignore"):
-        low = stats.beta.ppf(0.025, k, n - k + 1.0)
-        high = stats.beta.ppf(0.975, k + 1.0, n - k)
+    low = betaincinv(k, n - k + 1.0, 0.025)
+    high = betaincinv(k + 1.0, n - k, 0.975)
     low = np.where(k == 0, 0.0, low)
     high = np.where(k == n, 1.0, high)
     return low, high
 
 
-def estimate_survival(config: SimConfig) -> TailEstimate:
-    """Empirical survival curve over config.t_grid with 95% CP intervals."""
+def estimate_survival(config: SimConfig, tau: np.ndarray) -> TailEstimate:
+    """Empirical survival curve over config.t_grid with 95% CP intervals.
+
+    tau holds the config's exit times, as sample_exit_times(config) returns
+    them.
+    """
     if _start_distance(config.domain, config.start) <= 0.0:
         raise InfeasibleParameterError(
             "tail estimation needs a start strictly inside the domain"
         )
-    tau = sample_exit_times(config)
+    tau = np.asarray(tau, dtype=np.float64)
+    if tau.shape != (config.n_paths,):
+        raise InfeasibleParameterError(
+            f"expected {config.n_paths} exit times, got an array of shape {tau.shape}"
+        )
     grid = np.asarray(config.t_grid, dtype=np.float64)
     counts = (tau[:, None] > grid[None, :]).sum(axis=0)
     n = config.n_paths
@@ -358,8 +348,9 @@ def check_vbound(estimate: TailEstimate, vkind: VKind, epsilon: float,
     V(eps, dim) * exp(-(1-eps) * lambda_d * t).  The worst margin is the
     smallest bound - ci_low over the grid (negative means failure).
     """
-    if not (0.0 < epsilon <= 1.0):
-        raise InfeasibleParameterError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    if not (0.0 < epsilon < 1.0):
+        # at eps = 1 the bound V e^0 >= 1 holds for any estimate
+        raise InfeasibleParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if not lambda_d > 0.0:
         raise InfeasibleParameterError("lambda_d must be positive")
     lv = log_v(vkind, epsilon, dim, table=vtable)
@@ -409,21 +400,3 @@ def off_center_start(domain: SimDomain, offset_fraction: float = 0.5) -> tuple[f
         assert domain.sides is not None
         center[0] += 0.5 * offset_fraction * domain.sides[0]
     return tuple(center)
-
-
-def split_chunks(config: SimConfig) -> list[np.ndarray]:
-    """Per-chunk samples under the documented derivation (for verification)."""
-    out = []
-    remaining = config.n_paths
-    chunk_index = 0
-    while remaining > 0:
-        take = min(config.chunk_size, remaining)
-        out.append(_chunk_exit_times(config, chunk_index, take))
-        remaining -= take
-        chunk_index += 1
-    return out
-
-
-def with_paths(config: SimConfig, n_paths: int) -> SimConfig:
-    """A copy of config with a different path count (same everything else)."""
-    return replace(config, n_paths=n_paths)

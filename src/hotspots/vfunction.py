@@ -149,7 +149,7 @@ def load_custom_table(rows: Sequence[Sequence[str]] | str | os.PathLike) -> Cust
             )
         if not (0.0 < eps <= 1.0):
             raise InfeasibleParameterError(f"table epsilon out of (0, 1]: {eps!r}")
-        if lv < 0.0:
+        if not lv >= 0.0:
             raise InfeasibleParameterError(f"table log V must be >= 0, got {lv!r}")
         if table and eps <= table[-1][0]:
             raise InfeasibleParameterError("table epsilons must strictly increase")

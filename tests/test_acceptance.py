@@ -208,7 +208,7 @@ def test_criterion_6_monte_carlo_validates_v_bound():
     se = float(tau.std() / math.sqrt(len(tau)))
     mean_ok = abs(mean - 0.25) <= 3.0 * se
 
-    est = estimate_survival(cfg)
+    est = estimate_survival(cfg, tau)
     surv = np.asarray(est.survival)
     tail_ok = bool(np.all(np.diff(surv) <= 1e-15))
 

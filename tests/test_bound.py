@@ -149,6 +149,32 @@ class TestOptimize:
         assert res.bound > 1.0
         assert res.r == 0.3
 
+    def test_custom_table_bounds_the_epsilon_search(self):
+        # the table starts above 1e-6 and ends above 1 - r: golden section
+        # searches [0.1, 1 - r - 1e-6] instead of stepping outside the table
+        table = ((0.1, 1.0), (0.9, 2.0))
+        ratio = RatioBoundSpec(kind=RatioKind.CUSTOM, d=5, value=0.5)
+        res = optimize_bound(BoundQuery(d=5, ratio=ratio, vkind=VKind.CUSTOM,
+                                        vtable=table))
+        assert 0.1 <= res.epsilon_star <= 0.5
+        lv = log_v(VKind.CUSTOM, res.epsilon_star, 5, table=table)
+        assert res.bound == bound_value(5, 0.5, VKind.CUSTOM, res.epsilon_star,
+                                        optimal_a(res.epsilon_star, 0.5, lv),
+                                        vtable=table)
+        grid = [0.1 + 0.4 * i / 400 for i in range(400)]
+        grid_best = min(bound_value(5, 0.5, VKind.CUSTOM, e,
+                                    optimal_a(e, 0.5, log_v(VKind.CUSTOM, e, 5, table=table)),
+                                    vtable=table) for e in grid)
+        # the minimum sits on the table's first epsilon; golden section stops
+        # within its 1e-9 tolerance of it, where the objective's slope is ~10
+        assert res.bound <= grid_best + 1e-8
+
+    def test_custom_table_beyond_the_feasible_interval_is_infeasible(self):
+        ratio = RatioBoundSpec(kind=RatioKind.CUSTOM, d=5, value=0.95)
+        with pytest.raises(InfeasibleParameterError, match="V table"):
+            optimize_bound(BoundQuery(d=5, ratio=ratio, vkind=VKind.CUSTOM,
+                                      vtable=((0.1, 1.0), (0.9, 2.0))))
+
 
 class TestFiniteB:
     def test_b_equals_a_collapses_integral_term(self):

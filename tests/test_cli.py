@@ -6,10 +6,16 @@ import importlib.resources
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hotspots.cli as cli_mod
 from hotspots import AccuracyError, TailEstimate, VKind, log_v, optimal_a, bound_value
@@ -154,6 +160,14 @@ class TestBound:
         ref = json.loads(vogt.output)["result"]["bound"]
         assert got == pytest.approx(ref, abs=1e-3)
 
+    def test_custom_table_starting_above_zero(self, runner, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("0.1,1\n0.9,2\n")
+        res = runner.invoke(main, ["bound", "--dim", "5", "--ratio", "custom:0.5",
+                                   "--vfunction", f"custom:{path}", "--format", "json"])
+        assert res.exit_code == 0, res.output
+        assert 0.1 <= json.loads(res.output)["result"]["epsilon"] <= 0.5
+
     def test_infeasible_ratio_exit_three(self, runner):
         res = runner.invoke(main, ["bound", "--dim", "4", "--ratio", "4overd"])
         assert res.exit_code == 3
@@ -242,7 +256,7 @@ class TestVerifyVBound:
         fake = TailEstimate(t_grid=grid, survival=(1.0,) * 6,
                             ci_low=(0.99,) * 6, ci_high=(1.0,) * 6,
                             n_paths=1000, config_fingerprint="0" * 64)
-        monkeypatch.setattr(cli_mod, "estimate_survival", lambda cfg: fake)
+        monkeypatch.setattr(cli_mod, "estimate_survival", lambda cfg, tau: fake)
         res = runner.invoke(main, SMALL_MC)
         assert res.exit_code == 5
 
@@ -250,7 +264,7 @@ class TestVerifyVBound:
         def boom(cfg):
             raise AccuracyError("paths outlived the simulation horizon")
 
-        monkeypatch.setattr(cli_mod, "estimate_survival", boom)
+        monkeypatch.setattr(cli_mod, "sample_exit_times", boom)
         res = runner.invoke(main, SMALL_MC)
         assert res.exit_code == 4
         assert "accuracy" in res.output
@@ -262,9 +276,147 @@ class TestVerifyVBound:
                                     "1,1,1", "--dim", "2"]).exit_code == 2
         assert runner.invoke(main, ["verify-vbound", "--dim", "2", "--vfunction",
                                     "custom:whatever"]).exit_code == 2
+        assert runner.invoke(main, ["verify-vbound", "--shape", "box", "--sides",
+                                    "1,x", "--dim", "2"]).exit_code == 2
+
+    def test_vacuous_or_overflowing_v_exit_three(self, runner):
+        # eps = 1 makes the bound V e^0 >= 1, which no estimate can violate;
+        # eps = 1e-300 at d = 6 makes V overflow a float, and so does d = 10^400
+        for dim, eps in (("2", "1"), ("6", "1e-300"), (_HUGE, "0.5")):
+            res = runner.invoke(main, ["verify-vbound", "--dim", dim, "--paths", "100",
+                                       "--dt", "1e-3", "--epsilon", eps])
+            assert res.exit_code == 3, res.output
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second of cold start and nothing needs it
+    src = str(pathlib.Path(cli_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, hotspots.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_version_flag(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0
     assert "hotspots" in res.output
+
+
+# ---------------------------------------------------------------- exit codes
+
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
+
+_HUGE = "1" + "0" * 400  # an int no float can hold
+_ODD = ["x", "", "nan", "inf", "-inf", "1e-300", "1e308", "0", "-0", "-1", "1", "2", _HUGE]
+_NUMBER = st.one_of(st.sampled_from(_ODD), st.integers(-5, 300).map(str),
+                    st.floats(-1e3, 1e3).map(repr))
+_FORMAT = st.sampled_from(["text", "json", "csv", "yaml"])
+# V tables by name; the fixture below writes them into a temporary directory
+_V_TABLES = {
+    "good": "0.1,1\n0.9,2\n",
+    "wide": "".join(f"{k / 100},{k / 10}\n" for k in range(1, 101)),
+    "bad_row": "0.1,1,3\n0.5,2\n",
+    "text": "eps,logv\n0.5,2\n",
+    "one_row": "0.5,1\n",
+    "decreasing": "0.9,1\n0.1,2\n",
+    "negative": "0.1,-1\n0.9,2\n",
+    "nan": "0.1,nan\n0.9,2\n",
+    "binary": b"\xff\xfe\x00\x01",
+}
+
+
+def _vfunction(tables):
+    names = st.sampled_from(sorted(tables) + ["missing"])
+    return st.one_of(st.sampled_from(["vogt", "improved", "custom", "nope"]),
+                     names.map(lambda name: f"custom:{tables.get(name, '/no/such/file')}"))
+
+
+def _options(**strategies):
+    """argv fragments: a random subset of the given options, in random order."""
+    pairs = [st.tuples(st.just(flag), value) for flag, value in strategies.items()]
+    return st.lists(st.one_of(*pairs), max_size=len(pairs)).map(
+        lambda chosen: [word for pair in chosen for word in pair])
+
+
+def _argv(tables):
+    vfunction = _vfunction(tables)
+    dims = st.lists(st.one_of(st.integers(-2, 205).map(str), st.just(_HUGE)),
+                    max_size=3).map(",".join)
+    table = _options(**{"--dims": st.one_of(dims, st.sampled_from(["2,x", ""])),
+                        "--vfunction": vfunction, "--tolerance": _NUMBER,
+                        "--format": _FORMAT})
+    ratio = st.one_of(st.sampled_from(["bessel", "closed", "4overd", "custom", "nope"]),
+                      _NUMBER.map(lambda v: f"custom:{v}"))
+    bound = _options(**{"--dim": st.one_of(st.integers(-2, 210).map(str),
+                                           st.sampled_from(["10000000000", "1e3", _HUGE])),
+                        "--ratio": ratio, "--vfunction": vfunction,
+                        "--tolerance": _NUMBER, "--format": _FORMAT})
+    zeros = _options(**{"--nu": _NUMBER, "--dim": _NUMBER,
+                        "--family": st.sampled_from(["jzero", "proot", "nope"]),
+                        "--format": _FORMAT})
+    asymptotic = _options(**{"--dmin": _NUMBER, "--dmax": st.one_of(
+                                 _NUMBER, st.sampled_from(["100000000", "10000000000"])),
+                             "--points": st.integers(-2, 40).map(str),
+                             "--c": st.sampled_from(["1", "2", "0.5", "0", "-1", "nan", "x"]),
+                             "--alpha": st.sampled_from(["-0.5", "-0.6", "-0.99", "-1",
+                                                         "0", "nan"]),
+                             "--format": _FORMAT})
+    # Monte Carlo sizes stay small (paths <= 200, dt >= 1e-3, lengths <= 2,
+    # always given) so each run takes well under a second
+    side = st.sampled_from(["0.5", "1", "2", "0.3", "0", "-1", "nan", "inf", "x", ""])
+    verify = _options(**{
+        "--shape": st.sampled_from(["ball", "box", "nope"]),
+        "--radius": st.sampled_from(["0.5", "1", "2", "0", "-1", "nan", "inf", "x"]),
+        "--sides": st.lists(side, min_size=1, max_size=3).map(",".join),
+        "--epsilon": _NUMBER,
+        "--vfunction": vfunction,
+        "--seed": st.one_of(st.integers(-2, 2**64).map(str), st.just("x")),
+        "--grid-points": st.integers(-1, 40).map(str),
+        "--chunk-size": st.integers(-1, 300).map(str),
+        "--format": _FORMAT,
+    })
+    sizes = st.tuples(
+        st.one_of(st.integers(-1, 6), st.just(_HUGE)), st.integers(-2, 200),
+        st.one_of(st.floats(1e-3, 1.0), st.sampled_from(["0", "-1", "nan", "inf", "x"])),
+    ).map(lambda s: ["--dim", str(s[0]), "--paths", str(s[1]), "--dt", str(s[2])])
+    bridge = st.lists(st.sampled_from(["--bridge", "--no-bridge"]), max_size=1)
+    verify = st.tuples(sizes, verify, bridge).map(lambda parts: sum(parts, []))
+    return st.one_of(
+        table.map(lambda rest: ["table"] + rest),
+        bound.map(lambda rest: ["bound"] + rest),
+        zeros.map(lambda rest: ["zeros"] + rest),
+        asymptotic.map(lambda rest: ["asymptotic"] + rest),
+        verify.map(lambda rest: ["verify-vbound"] + rest),
+        st.sampled_from([[], ["--version"], ["--help"], ["nope"], ["bound", "--help"]]),
+    )
+
+
+@pytest.fixture(scope="module")
+def v_tables(tmp_path_factory):
+    root = tmp_path_factory.mktemp("vtables")
+    paths = {}
+    for name, body in _V_TABLES.items():
+        path = root / f"{name}.csv"
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body)
+        paths[name] = str(path)
+    return paths
+
+
+def test_every_argv_ends_in_a_documented_exit_code(v_tables):
+    runner = CliRunner()
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_argv(v_tables))
+    def run(argv):
+        res = runner.invoke(main, argv)
+        assert res.exit_code in DOCUMENTED_EXIT_CODES, (argv, res.exception, res.output)
+
+    run()

@@ -4,6 +4,7 @@ Path counts here are sized for CI speed; the heavy statistical checks at
 100k paths live in the acceptance suite.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -25,10 +26,8 @@ from hotspots import (
     off_center_start,
     principal_eigenvalue,
     sample_exit_times,
-    split_chunks,
-    with_paths,
 )
-from hotspots.montecarlo import _clopper_pearson
+from hotspots.montecarlo import _chunk_exit_times, _clopper_pearson
 
 
 def _ball_config(n_paths=20000, dt=1e-4, seed=42, radius=1.0, dim=2, **kw):
@@ -36,6 +35,10 @@ def _ball_config(n_paths=20000, dt=1e-4, seed=42, radius=1.0, dim=2, **kw):
     lam = principal_eigenvalue(dom)
     return SimConfig(domain=dom, start=dom.center(), dt=dt, n_paths=n_paths,
                      t_grid=default_t_grid(lam), seed=seed, **kw)
+
+
+def _survival(cfg):
+    return estimate_survival(cfg, sample_exit_times(cfg))
 
 
 class TestEigenvalue:
@@ -96,8 +99,9 @@ class TestExitTimes:
         # same seed and chunk layout: concatenated per-chunk samples must
         # reproduce the all-at-once sample exactly
         cfg = _ball_config(n_paths=5000, dt=1e-3, chunk_size=1024)
-        parts = split_chunks(cfg)
-        assert [len(p) for p in parts] == [1024, 1024, 1024, 1024, 904]
+        # the step cap only bounds the loop: one no path reaches changes nothing
+        parts = [_chunk_exit_times(cfg, i, take, max_steps=10**6)
+                 for i, take in enumerate([1024, 1024, 1024, 1024, 904])]
         assert np.array_equal(np.concatenate(parts), sample_exit_times(cfg))
 
     def test_bridge_correction_reduces_mean(self):
@@ -170,7 +174,7 @@ class TestSurvival:
         dom = SimDomain.ball(1.0, 2)
         cfg = SimConfig(domain=dom, start=dom.center(), dt=1e-3, n_paths=200,
                         t_grid=(0.0,), seed=2)
-        est = estimate_survival(cfg)
+        est = _survival(cfg)
         assert est.survival == (1.0,)
 
     def test_deep_tail_is_negligible(self):
@@ -178,22 +182,22 @@ class TestSurvival:
         lam = principal_eigenvalue(dom)
         cfg = SimConfig(domain=dom, start=dom.center(), dt=1e-3, n_paths=2000,
                         t_grid=(0.0, 10.0 / lam, 30.0 / lam), seed=9)
-        est = estimate_survival(cfg)
+        est = _survival(cfg)
         assert est.survival[-1] <= 1e-6
 
     def test_survival_nonincreasing(self):
-        est = estimate_survival(_ball_config(n_paths=4000, dt=1e-3))
+        est = _survival(_ball_config(n_paths=4000, dt=1e-3))
         surv = np.asarray(est.survival)
         assert np.all(np.diff(surv) <= 1e-15)
         assert all(lo <= s <= hi for lo, s, hi in
                    zip(est.ci_low, est.survival, est.ci_high))
 
     def test_center_start_dominates_off_center(self):
-        center = estimate_survival(_ball_config(n_paths=5000, dt=1e-3))
+        center = _survival(_ball_config(n_paths=5000, dt=1e-3))
         dom = SimDomain.ball(1.0, 2)
         off = SimConfig(domain=dom, start=off_center_start(dom), dt=1e-3,
                         n_paths=5000, t_grid=center.t_grid, seed=42)
-        off_est = estimate_survival(off)
+        off_est = _survival(off)
         for hi_c, lo_o in zip(center.ci_high, off_est.ci_low):
             assert hi_c >= lo_o
 
@@ -202,7 +206,14 @@ class TestSurvival:
         cfg = SimConfig(domain=dom, start=(0.0, 1.0), dt=1e-3, n_paths=100,
                         t_grid=(0.0,), seed=3)
         with pytest.raises(InfeasibleParameterError):
-            estimate_survival(cfg)
+            estimate_survival(cfg, sample_exit_times(cfg))
+
+    def test_exit_time_count_must_match(self):
+        cfg = _ball_config(n_paths=100, dt=1e-3)
+        tau = sample_exit_times(cfg)
+        for bad in (tau[:-1], np.concatenate([tau, tau]), tau.reshape(10, 10)):
+            with pytest.raises(InfeasibleParameterError):
+                estimate_survival(cfg, bad)
 
     def test_fingerprint_tracks_config(self):
         a = _ball_config(n_paths=100, dt=1e-3)
@@ -210,12 +221,12 @@ class TestSurvival:
         assert a.fingerprint() == a.fingerprint()
         assert a.fingerprint() != b.fingerprint()
         assert len(a.fingerprint()) == 64
-        assert with_paths(a, 200).fingerprint() != a.fingerprint()
+        assert dataclasses.replace(a, n_paths=200).fingerprint() != a.fingerprint()
 
 
 class TestVBound:
     def test_disc_passes_reference_epsilons(self):
-        est = estimate_survival(_ball_config(n_paths=10000))
+        est = _survival(_ball_config(n_paths=10000))
         lam = principal_eigenvalue(SimDomain.ball(1.0, 2))
         for eps in (0.25, 0.5, 0.75):
             for vkind in (VKind.VOGT, VKind.IMPROVED_VOGT):
@@ -224,7 +235,7 @@ class TestVBound:
                 assert rep.worst_margin >= 0.0
 
     def test_bound_curve_shape(self):
-        est = estimate_survival(_ball_config(n_paths=4000, dt=1e-3))
+        est = _survival(_ball_config(n_paths=4000, dt=1e-3))
         lam = principal_eigenvalue(SimDomain.ball(1.0, 2))
         rep = check_vbound(est, VKind.VOGT, 0.5, lam, 2)
         curve = np.asarray(rep.bound_curve)
@@ -244,6 +255,15 @@ class TestVBound:
         assert not rep.passed
         assert rep.worst_margin < 0.0
         assert rep.worst_index == 8
+
+    def test_epsilon_one_is_rejected(self):
+        # V e^0 >= 1 bounds every survival curve: the check would be vacuous
+        grid = (0.0, 1.0)
+        est = TailEstimate(t_grid=grid, survival=(1.0, 0.5), ci_low=(0.9, 0.4),
+                           ci_high=(1.0, 0.6), n_paths=10, config_fingerprint="0" * 64)
+        for eps in (1.0, 1.5, 0.0):
+            with pytest.raises(InfeasibleParameterError):
+                check_vbound(est, VKind.VOGT, eps, 5.7832, 2)
 
 
 class TestPlumbing:

@@ -135,6 +135,8 @@ class TestCustomTable:
         bad3.write_text("0.1,1.0\n")
         with pytest.raises(InfeasibleParameterError):
             load_custom_table(bad3)
+        with pytest.raises(InfeasibleParameterError):
+            load_custom_table([["0.1", "nan"], ["0.5", "1.0"]])
 
 
 def test_spec_dataclass_validates():
