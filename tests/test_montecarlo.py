@@ -99,7 +99,7 @@ class TestExitTimes:
         # same seed and chunk layout: concatenated per-chunk samples must
         # reproduce the all-at-once sample exactly
         cfg = _ball_config(n_paths=5000, dt=1e-3, chunk_size=1024)
-        # the step cap only bounds the loop: one no path reaches changes nothing
+        # the step cap only bounds the loop; a cap no path reaches changes nothing
         parts = [_chunk_exit_times(cfg, i, take, max_steps=10**6)
                  for i, take in enumerate([1024, 1024, 1024, 1024, 904])]
         assert np.array_equal(np.concatenate(parts), sample_exit_times(cfg))
