@@ -111,7 +111,7 @@ def test_nondefault_family():
 @pytest.mark.parametrize("kwargs", [
     {"d": 4}, {"d": 10, "c": 0.0}, {"d": 10, "c": -1.0},
     {"d": 10, "alpha": -0.4}, {"d": 10, "alpha": -1.0},
-    {"d": 10, "k": 0.0}, {"d": 10.5},
+    {"d": 10, "k": 0.0}, {"d": True}, {"d": 10.5},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(InfeasibleParameterError):
