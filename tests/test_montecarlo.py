@@ -137,8 +137,9 @@ class TestExitTimes:
 
 
 class TestGoldenStream:
-    """sha256 of sample_exit_times(...).tobytes() for three small bridge-on
-    runs, three 256-path chunks each (600 paths, dt=1e-3, seed 2024).
+    """sha256 of sample_exit_times(...).tobytes() for small runs, three
+    256-path chunks each (600 paths, dt=1e-3, seed 2024), bridge on unless
+    a case says otherwise.
 
     These freeze the documented Philox stream and the simulator's arithmetic:
     a change that alters any exit time must announce it and re-freeze the
@@ -147,10 +148,11 @@ class TestGoldenStream:
     """
 
     @staticmethod
-    def _digest(domain, start):
+    def _digest(domain, start, bridge=True):
         lam = principal_eigenvalue(domain)
         cfg = SimConfig(domain=domain, start=start, dt=1e-3, n_paths=600,
-                        t_grid=default_t_grid(lam), seed=2024, chunk_size=256)
+                        t_grid=default_t_grid(lam), seed=2024, chunk_size=256,
+                        bridge_correction=bridge)
         return hashlib.sha256(sample_exit_times(cfg).tobytes()).hexdigest()
 
     def test_disc_from_center(self):
@@ -167,6 +169,27 @@ class TestGoldenStream:
         dom = SimDomain.box((1.0, 1.0))
         assert self._digest(dom, off_center_start(dom)) == (
             "a0f3f151bfdefd290061c0ad788936fa135981182503a22a0ebfa96dc8c9b547")
+
+    def test_ball_d3_from_center(self):
+        # a sum of three squares: catches a reordered radius reduction
+        dom = SimDomain.ball(1.0, 3)
+        assert self._digest(dom, dom.center()) == (
+            "4cb69483acdeeb10100de9202464417d578ff35e95a4e14a4dde9a84186fcacc")
+
+    def test_cube_from_center(self):
+        dom = SimDomain.box((1.0, 1.0, 1.0))
+        assert self._digest(dom, dom.center()) == (
+            "8fddf3f795761a0be6f7d966adb6e7e5735918ba9af263ac4b2cdb3f6f009e29")
+
+    def test_square_without_bridge(self):
+        dom = SimDomain.box((1.0, 1.0))
+        assert self._digest(dom, dom.center(), bridge=False) == (
+            "ca4054b227c8ba18b0dec7eef93f6ebe64e91624fc2f8ce14adf5d4970b5978e")
+
+    def test_long_box_from_center(self):
+        dom = SimDomain.box((10.0, 1.0))
+        assert self._digest(dom, dom.center()) == (
+            "647f6487521e5786f1f5a48ef845faaf6f592ff2fd1d6f7f9712ef62021b5365")
 
 
 class TestSurvival:
