@@ -28,6 +28,7 @@ from .errors import AccuracyError, InfeasibleParameterError
 from .montecarlo import (
     SimConfig,
     SimDomain,
+    check_grid_dt,
     check_vbound,
     default_dt,
     default_t_grid,
@@ -408,6 +409,7 @@ def verify_vbound(shape: str, radius: float, sides: str | None, dim: int,
         raise click.UsageError("verify-vbound supports vogt|improved only")
     lam = principal_eigenvalue(domain)
     dt_val = default_dt(domain) if dt is None else dt
+    check_grid_dt(lam, grid_points, dt_val)
     config = SimConfig(
         domain=domain,
         start=domain.center(),

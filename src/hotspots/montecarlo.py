@@ -26,6 +26,7 @@ chunks are scheduled.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,9 @@ from .zeros import first_bessel_zero
 #: Simulation is cut off at lambda_D * t = 80; the chance any of n paths
 #: survives that long is ~ n * e^-80, i.e. never in practice.
 _LAMBDA_T_CAP = 80.0
+
+#: default_t_grid ends at lambda_D * t = 12.
+_GRID_DECAY = 12.0
 
 
 class DomainShape(enum.Enum):
@@ -190,12 +194,14 @@ def _start_distance(domain: SimDomain, point: tuple[float, ...]) -> float:
     return min(min(c, s - c) for c, s in zip(point, domain.sides))
 
 
+@functools.lru_cache(maxsize=64)
 def principal_eigenvalue(domain: SimDomain) -> float:
     """First Dirichlet eigenvalue of the (full) Laplacian on the domain.
 
     With the twice-speed convention the exit-time tail decays at exactly this
     rate.  Ball of radius R in dimension d: j_{d/2-1,1}^2 / R^2; box with
-    sides L: pi^2 * sum_i 1/L_i^2.
+    sides L: pi^2 * sum_i 1/L_i^2.  Cached, so a caller and sample_exit_times
+    share one Bessel root search.
 
     Examples
     --------
@@ -211,6 +217,59 @@ def principal_eigenvalue(domain: SimDomain) -> float:
     else:
         j = first_bessel_zero(0.5 * domain.dim - 1.0).value
     return (j / domain.radius) ** 2
+
+
+#: Bridge exponents are clamped here before exp: exp(-700) ~ 1e-304 is still
+#: a normal float, and exp of anything past the underflow threshold (~708) is
+#: an order of magnitude slower.
+_EXPONENT_CAP = 700.0
+
+
+def _crossing_probability(before: np.ndarray, after: np.ndarray,
+                          dt: float) -> np.ndarray:
+    """exp(-before * after / dt) with the exponent clamped at _EXPONENT_CAP.
+
+    For a box face 1 - p rounds to 1.0 once the exponent passes about 37.4,
+    so there the clamp changes nothing.  For the ball, u < p differs from the
+    unclamped test only when the uniform draw u is exactly 0.0, which has
+    probability 2^-53.
+    """
+    a = before * after
+    a /= dt
+    np.minimum(a, _EXPONENT_CAP, out=a)
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    return a
+
+
+def _row_sum_squares(a: np.ndarray) -> np.ndarray:
+    """add.reduce(a * a, axis=1), the sum np.linalg.norm takes a root of.
+
+    Below eight columns numpy adds a row left to right, and so does this
+    loop over the columns, which is several times faster than a reduction
+    along a short axis.  From eight columns on numpy sums in pairwise
+    blocks, so there the reduction itself is kept.
+    """
+    if a.shape[1] >= 8:
+        return np.add.reduce(a * a, axis=1)
+    col = a[:, 0]
+    out = col * col
+    for j in range(1, a.shape[1]):
+        col = a[:, j]
+        out += col * col
+    return out
+
+
+def _row_product(a: np.ndarray) -> np.ndarray:
+    """multiply.reduce(a, axis=1), one column at a time.
+
+    numpy multiplies a row left to right at any width, so the bits are the
+    same.
+    """
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        out *= a[:, j]
+    return out
 
 
 def _chunk_exit_times(config: SimConfig, chunk_index: int,
@@ -233,18 +292,28 @@ def _chunk_exit_times(config: SimConfig, chunk_index: int,
     x = np.broadcast_to(np.asarray(config.start, dtype=np.float64), (n, dim)).copy()
     step_sd = math.sqrt(2.0 * dt)
 
+    # gap: distance to the boundary, carried from step to step.  Ball: the
+    # radial distance R - |x|, shape (alive,).  Box: the distances to the
+    # high faces, sides - x, shape (alive, dim); x itself is the distance to
+    # the low faces.
     is_ball = domain.shape is DomainShape.BALL
     if is_ball:
         radius = float(domain.radius)  # type: ignore[arg-type]
-        dist_prev = radius - np.linalg.norm(x, axis=1)
+        gap = radius - np.sqrt(_row_sum_squares(x))
     else:
-        sides = np.asarray(domain.sides, dtype=np.float64)
+        # one row of sides per path: subtracting equal shapes runs as one
+        # flat loop, broadcasting a short row is several times slower
+        sides = np.broadcast_to(np.asarray(domain.sides, dtype=np.float64),
+                                (n, dim)).copy()
+        gap = sides - x
 
     for step in range(max_steps):
         if alive.size == 0:
             break
         m = alive.size
-        x_new = x + step_sd * rng.standard_normal((m, dim))
+        x_new = rng.standard_normal((m, dim))
+        x_new *= step_sd
+        x_new += x
         u = rng.uniform(size=m)
 
         # The bridge test also runs on rows that already exited, where it
@@ -252,25 +321,28 @@ def _chunk_exit_times(config: SimConfig, chunk_index: int,
         # the step length sqrt(2 dt) |Z|, so the exponent is at most |Z|^2 / 2
         # and cannot overflow.
         if is_ball:
-            dist_new = radius - np.linalg.norm(x_new, axis=1)
-            exited = dist_new <= 0.0
+            gap_new = radius - np.sqrt(_row_sum_squares(x_new))
+            exited = gap_new <= 0.0
             if config.bridge_correction:
-                exited |= u < np.exp(-dist_prev * dist_new / dt)
+                exited |= u < _crossing_probability(gap, gap_new, dt)
         else:
-            high_new = sides - x_new
-            exited = (x_new <= 0.0).any(axis=1) | (high_new <= 0.0).any(axis=1)
+            gap_new = sides[:m] - x_new
+            nearest = np.minimum(x_new, gap_new)
+            exited = nearest[:, 0] <= 0.0
+            for j in range(1, dim):
+                exited |= nearest[:, j] <= 0.0
             if config.bridge_correction:
-                survive = (np.prod(1.0 - np.exp(-x * x_new / dt), axis=1)
-                           * np.prod(1.0 - np.exp(-(sides - x) * high_new / dt), axis=1))
-                exited |= u < 1.0 - survive
+                low = _crossing_probability(x, x_new, dt)
+                np.subtract(1.0, low, out=low)
+                high = _crossing_probability(gap, gap_new, dt)
+                np.subtract(1.0, high, out=high)
+                exited |= u < 1.0 - _row_product(low) * _row_product(high)
 
-        t_now = dt * (step + 1)
-        exit_times[alive[exited]] = t_now
-        keep = ~exited
-        alive = alive[keep]
-        x = x_new[keep]
-        if is_ball:
-            dist_prev = dist_new[keep]
+        exit_times[alive[exited]] = dt * (step + 1)
+        keep = np.flatnonzero(~exited)
+        alive = alive.take(keep)
+        x = x_new.take(keep, axis=0)
+        gap = gap_new.take(keep, axis=0)
 
     if alive.size:
         raise AccuracyError(
@@ -375,8 +447,27 @@ def default_t_grid(lambda_d: float, points: int = 25) -> tuple[float, ...]:
     """Evenly spaced grid [0, 12/lambda_d]: survival decays to ~e^-12."""
     if points < 2:
         raise InfeasibleParameterError("need at least 2 grid points")
-    t_max = 12.0 / lambda_d
+    t_max = _GRID_DECAY / lambda_d
     return tuple(t_max * i / (points - 1) for i in range(points))
+
+
+def check_grid_dt(lambda_d: float, points: int, dt: float) -> None:
+    """Reject a dt that default_t_grid(lambda_d, points) cannot take, before
+    that grid is built.
+
+    SimConfig checks dt against the built grid; this check comes first, so a
+    huge point count fails at once instead of allocating its grid.  Its
+    limit is a hair looser than SimConfig's, whose check on the built grid
+    settles the cases within rounding of the limit.
+    """
+    if points < 2:
+        return
+    spacing = _GRID_DECAY / lambda_d / (points - 1)
+    if not 0.0 < dt <= spacing / 10.0 * (1.0 + 1e-9):
+        raise InfeasibleParameterError(
+            f"dt must be positive and at most one tenth of the t_grid spacing "
+            f"{spacing:.6g}, got {dt!r}"
+        )
 
 
 def default_dt(domain: SimDomain) -> float:

@@ -279,6 +279,35 @@ class TestVerifyVBound:
         assert runner.invoke(main, ["verify-vbound", "--shape", "box", "--sides",
                                     "1,x", "--dim", "2"]).exit_code == 2
 
+    def test_one_bessel_root_per_ball_run(self, runner, monkeypatch):
+        # the CLI and sample_exit_times both need lambda; one root search serves
+        import hotspots.montecarlo as mc
+        orders = []
+
+        def counting(nu):
+            orders.append(nu)
+            return real(nu)
+
+        real = mc.first_bessel_zero
+        monkeypatch.setattr(mc, "first_bessel_zero", counting)
+        mc.principal_eigenvalue.cache_clear()
+        res = runner.invoke(main, SMALL_MC)
+        assert res.exit_code == 0, res.output
+        assert orders == [0.0]
+
+    def test_oversized_grid_rejected_before_it_is_built(self, runner, monkeypatch):
+        # a billion grid points cannot fit any dt the run uses; the check must
+        # come before default_t_grid allocates them
+        built = []
+        monkeypatch.setattr(cli_mod, "default_t_grid",
+                            lambda lam, points: built.append(points))
+        for extra in ([], ["--dt", "-1"], ["--dt", "nan"]):
+            for count in ("1000000000", _HUGE):
+                res = runner.invoke(main, ["verify-vbound", "--dim", "2", "--paths",
+                                           "100", "--grid-points", count] + extra)
+                assert res.exit_code == 3, (count, extra, res.output)
+        assert built == []
+
     def test_vacuous_or_overflowing_v_exit_three(self, runner):
         # eps = 1 makes the bound V e^0 >= 1, which no estimate can violate;
         # eps = 1e-300 at d = 6 makes V overflow a float, and so does d = 10^400
@@ -366,7 +395,8 @@ def _argv(tables):
                                                          "0", "nan"]),
                              "--format": _FORMAT})
     # Monte Carlo sizes stay small (paths <= 200, dt >= 1e-3, lengths <= 2,
-    # always given) so each run takes well under a second
+    # always given) so each run takes well under a second; a huge grid count
+    # is rejected before its grid is built
     side = st.sampled_from(["0.5", "1", "2", "0.3", "0", "-1", "nan", "inf", "x", ""])
     verify = _options(**{
         "--shape": st.sampled_from(["ball", "box", "nope"]),
@@ -375,7 +405,8 @@ def _argv(tables):
         "--epsilon": _NUMBER,
         "--vfunction": vfunction,
         "--seed": st.one_of(st.integers(-2, 2**64).map(str), st.just("x")),
-        "--grid-points": st.integers(-1, 40).map(str),
+        "--grid-points": st.one_of(st.integers(-1, 40).map(str),
+                                   st.sampled_from(["1000000000", _HUGE])),
         "--chunk-size": st.integers(-1, 300).map(str),
         "--format": _FORMAT,
     })

@@ -27,7 +27,13 @@ from hotspots import (
     principal_eigenvalue,
     sample_exit_times,
 )
-from hotspots.montecarlo import _chunk_exit_times, _clopper_pearson
+from hotspots.montecarlo import (
+    _chunk_exit_times,
+    _clopper_pearson,
+    check_grid_dt,
+    _row_product,
+    _row_sum_squares,
+)
 
 
 def _ball_config(n_paths=20000, dt=1e-4, seed=42, radius=1.0, dim=2, **kw):
@@ -134,6 +140,56 @@ class TestExitTimes:
                         n_paths=16, t_grid=(0.0,), seed=1)
         with pytest.raises(AccuracyError):
             sample_exit_times(cfg)
+
+
+def test_grid_dt_check_agrees_with_sim_config():
+    # check_grid_dt runs before the grid exists; at the limit it must accept
+    # what SimConfig accepts, and reject just past it
+    dom = SimDomain.ball(1.0, 2)
+    lam = principal_eigenvalue(dom)
+    for points in (2, 3, 25, 1000):
+        grid = default_t_grid(lam, points)
+        limit = min(b - a for a, b in zip(grid, grid[1:])) / 10.0
+        check_grid_dt(lam, points, limit)
+        SimConfig(domain=dom, start=dom.center(), dt=limit, n_paths=1,
+                  t_grid=grid, seed=0)
+        for dt in (limit * (1.0 + 1e-6), 0.0, -limit, math.nan, math.inf):
+            with pytest.raises(InfeasibleParameterError):
+                check_grid_dt(lam, points, dt)
+            with pytest.raises(InfeasibleParameterError):
+                SimConfig(domain=dom, start=dom.center(), dt=dt, n_paths=1,
+                          t_grid=grid, seed=0)
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_row_reductions_match_numpy(self, dim):
+        # the column loops must give the bits of the numpy reductions they
+        # replace, at widths on both sides of numpy's pairwise block of 8
+        rng = np.random.default_rng(dim)
+        for m in (1, 5, 257):
+            a = rng.standard_normal((m, dim)) * 10.0 ** rng.integers(-4, 5, dim)
+            assert np.array_equal(np.sqrt(_row_sum_squares(a)),
+                                  np.linalg.norm(a, axis=1))
+            assert np.array_equal(_row_product(a), np.prod(a, axis=1))
+
+    @pytest.mark.parametrize("domain,off_center", [
+        (SimDomain.ball(1.0, 2), False),
+        (SimDomain.ball(1.0, 3), False),
+        (SimDomain.box((1.0, 1.0)), True),
+        (SimDomain.box((1.0, 1.0, 1.0)), False),
+    ], ids=["disc", "ball3", "square_off_center", "cube"])
+    def test_bridge_exponents_never_underflow(self, domain, off_center):
+        # far from the boundary the bridge exponent runs into the thousands;
+        # clamping it keeps exp out of its slow underflow path, and without
+        # the clamp numpy reports "underflow encountered in exp" here
+        lam = principal_eigenvalue(domain)
+        start = off_center_start(domain) if off_center else domain.center()
+        cfg = SimConfig(domain=domain, start=start, dt=1e-3, n_paths=200,
+                        t_grid=default_t_grid(lam), seed=5)
+        with np.errstate(all="raise"):
+            tau = sample_exit_times(cfg)
+        assert np.all(tau > 0.0)
 
 
 class TestGoldenStream:
