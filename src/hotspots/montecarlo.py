@@ -78,6 +78,8 @@ class SimDomain:
                 raise InfeasibleParameterError("box needs one side per dimension")
             if not all(0.0 < s < math.inf for s in self.sides):
                 raise InfeasibleParameterError("box sides must be positive and finite")
+            # a tuple keeps the domain hashable, as principal_eigenvalue's cache needs
+            object.__setattr__(self, "sides", tuple(self.sides))
 
     @classmethod
     def ball(cls, radius: float, dim: int) -> "SimDomain":

@@ -282,13 +282,13 @@ class TestVerifyVBound:
     def test_one_bessel_root_per_ball_run(self, runner, monkeypatch):
         # the CLI and sample_exit_times both need lambda; one root search serves
         import hotspots.montecarlo as mc
+        real = mc.first_bessel_zero
         orders = []
 
         def counting(nu):
             orders.append(nu)
             return real(nu)
 
-        real = mc.first_bessel_zero
         monkeypatch.setattr(mc, "first_bessel_zero", counting)
         mc.principal_eigenvalue.cache_clear()
         res = runner.invoke(main, SMALL_MC)

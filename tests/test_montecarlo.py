@@ -13,6 +13,7 @@ import pytest
 
 from hotspots import (
     AccuracyError,
+    DomainShape,
     InfeasibleParameterError,
     SimConfig,
     SimDomain,
@@ -66,6 +67,13 @@ class TestEigenvalue:
     def test_interval(self):
         lam = principal_eigenvalue(SimDomain.ball(1.0, 1))
         assert lam == pytest.approx((math.pi / 2.0) ** 2, rel=1e-12)
+
+    def test_box_sides_given_as_list(self):
+        # the eigenvalue is cached per domain, so a list of sides must still
+        # give a hashable domain
+        dom = SimDomain(shape=DomainShape.BOX, dim=2, sides=[2.0, 0.5])
+        assert dom.sides == (2.0, 0.5)
+        assert principal_eigenvalue(dom) == principal_eigenvalue(SimDomain.box((2.0, 0.5)))
 
     def test_box_scaling(self):
         lam = principal_eigenvalue(SimDomain.box((2.0, 0.5)))
