@@ -5,6 +5,7 @@ cross-checked against scipy.special.jv; the tolerances below leave room for
 the oracle's own last-digit noise.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hotspots import EvalResult, InfeasibleParameterError, bessel_j, log_gamma
+from hotspots.specialfun import _series_forecast
 
 # (nu, x, J_nu(x)) frozen at 20 significant digits.
 MPMATH_POINTS = [
@@ -146,3 +148,30 @@ class TestBesselAccuracy:
         r = bessel_j(120.0, 0.5)
         assert 0.0 <= r.value < 1e-260
         assert bessel_j(90.0, 5e-300).value == 0.0
+
+
+class TestGoldenGrid:
+    """sha256 over repr of bessel_j(nu, x).value and .est_abs_error on
+    nu = 0, 1.5, ..., 120 and x = 0.5, 1, ..., 140, in that order.
+
+    The grid crosses the turning point x ~ nu for every order, so it runs
+    both the ascending series and the Miller recurrence.  The digest freezes
+    both bit for bit; it was produced on x86-64 with CPython's libm.
+    """
+
+    NUS = [1.5 * i for i in range(81)]
+    XS = [0.5 * j for j in range(1, 281)]
+
+    def test_grid_hits_both_regimes(self):
+        series = sum(_series_forecast(nu, x)[1] <= 2e-14
+                     for nu in self.NUS for x in self.XS)
+        assert 0 < series < len(self.NUS) * len(self.XS)
+
+    def test_values_and_error_estimates(self):
+        h = hashlib.sha256()
+        for nu in self.NUS:
+            for x in self.XS:
+                r = bessel_j(nu, x)
+                h.update(f"{r.value!r}\n{r.est_abs_error!r}\n".encode())
+        assert h.hexdigest() == (
+            "2e8ba30b4ef12ae83b03d75e020479af7d060755090b12a5784a274e3943cb6c")

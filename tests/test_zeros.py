@@ -5,6 +5,8 @@ refinement of the p-root equation and are treated as exact for double
 comparisons.
 """
 
+import functools
+import hashlib
 import math
 
 import pytest
@@ -181,3 +183,54 @@ def test_record_validation_guards():
         BesselZeroRecord(nu=0.0, family=RootFamily.J_ZERO, value=2.4,
                          value_squared_up=5.9, value_squared_down=5.0,
                          residual=1e-3)
+
+
+def _digest(floats):
+    """sha256 over repr of each float, one per line."""
+    h = hashlib.sha256()
+    for v in floats:
+        h.update(f"{v!r}\n".encode())
+    return h.hexdigest()
+
+
+def _record_digest(records):
+    return _digest(
+        f
+        for rec in records
+        for f in (rec.value, rec.value_squared_up, rec.value_squared_down,
+                  rec.residual)
+    )
+
+
+TWENTIETHS = [k / 20 for k in range(2201)]  # nu = 0, 0.05, ..., 110
+
+
+@functools.cache
+def _twentieths_records():
+    return tuple(first_bessel_zero(nu) for nu in TWENTIETHS)
+
+
+class TestGoldenRecords:
+    """sha256 of every root record's value, value_squared_up,
+    value_squared_down and residual, in order.
+
+    These freeze the scan lattice, the bisection and the secant polish bit
+    for bit: a faster start or a leaner J that moves any root, error
+    estimate or directed square by one ulp changes a digest.  The values
+    were produced on x86-64 with CPython's libm; a platform whose lgamma,
+    exp or log rounds differently would change them too.
+    """
+
+    def test_j_zeros_by_dimension(self):
+        records = [first_bessel_zero(d / 2 - 1) for d in range(2, 201)]
+        assert _record_digest(records) == (
+            "5d864dc429023ecc9c4277491ce848e72a8e714358d7667d81d95da56299e386")
+
+    def test_p_roots_by_dimension(self):
+        records = [first_p_root(d) for d in range(2, 201)]
+        assert _record_digest(records) == (
+            "dd50fb00fe3990440d8a9852d921b44ae9ccebfe0d69c6e4e76a245fce6c05c6")
+
+    def test_j_zeros_on_twentieths(self):
+        assert _record_digest(_twentieths_records()) == (
+            "712de4e99b05e71e8d4a84be19a1c1d2c3cac1a5912f7212a59784621d4034ac")
