@@ -68,13 +68,20 @@ def is_feasible(c: float, alpha: float, d: int) -> bool:
 
 
 def feasible_threshold(c: float = 1.0, alpha: float = -0.5) -> int:
-    """Smallest d >= 5 with eps_d < 1 - 4/d (scan; capped at 10^6)."""
-    for d in range(5, _FEASIBLE_SCAN_CAP + 1):
-        if is_feasible(c, alpha, d):
-            return d
-    raise InfeasibleParameterError(
-        f"no feasible dimension up to {_FEASIBLE_SCAN_CAP} for c={c:g}, alpha={alpha:g}"
-    )
+    """Smallest d >= 5 with eps_d < 1 - 4/d (bisection; capped at 10^6)."""
+    if not is_feasible(c, alpha, _FEASIBLE_SCAN_CAP):
+        raise InfeasibleParameterError(
+            f"no feasible dimension up to {_FEASIBLE_SCAN_CAP} for c={c:g}, alpha={alpha:g}"
+        )
+    # alpha > -1: [d(1-eps_d)]' >= (u-1)^2(u+2)/u^3 >= 0, u = 1+c d^alpha; feasible <=> d(1-eps_d) > 4
+    infeasible, feasible = 4, _FEASIBLE_SCAN_CAP
+    while feasible - infeasible > 1:
+        mid = (infeasible + feasible) // 2
+        if is_feasible(c, alpha, mid):
+            feasible = mid
+        else:
+            infeasible = mid
+    return feasible
 
 
 def asymptotic_bound(params: AsymptoticParams) -> float:

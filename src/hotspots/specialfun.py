@@ -141,34 +141,33 @@ def _miller(nu: float, x: float) -> EvalResult:
 
     j_up = 0.0  # unnormalized J at order nu + m + 1
     j_cur = 1e-250  # unnormalized J at order nu + m
-    even_vals: dict[int, float] = {}
+    # even[k]: unnormalized J at order nu + 2k, for 2k <= m_top - 2
+    even = [0.0] * (m_top // 2)
     for m in range(m_top, 0, -1):
         mu = nu + m
         j_down = (2.0 * mu / x) * j_cur - j_up
         j_up, j_cur = j_cur, j_down
-        if abs(j_cur) > 1e250:
+        if j_cur > 1e250 or j_cur < -1e250:
             j_cur *= 1e-250
             j_up *= 1e-250
-            for key in even_vals:
-                even_vals[key] *= 1e-250
-        if (m - 1) % 2 == 0:
-            even_vals[m - 1] = j_cur
+            for k in range((m + 1) // 2, m_top // 2):  # the slots filled so far
+                even[k] *= 1e-250
+        if m % 2:
+            even[(m - 1) // 2] = j_cur
 
     # normalization: weights w_0 = Gamma(nu+1)-scaled to 1, w_1 = nu+2,
     # w_k = w_{k-1} (nu+2k)(nu+k-1) / ((nu+2k-2) k)
     w = 1.0
-    ssum = even_vals[0]
+    ssum = even[0]
     sabs = abs(ssum)
-    for k in range(1, m_top // 2 + 1):
+    for k in range(1, m_top // 2):
         if k == 1:
             w = nu + 2.0
         else:
             w = w * (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
-        v = even_vals.get(2 * k)
-        if v is not None:
-            t = w * v
-            ssum += t
-            sabs += abs(t)
+        t = w * even[k]
+        ssum += t
+        sabs += abs(t)
 
     log_pref = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
     ratio = j_cur / ssum

@@ -13,6 +13,7 @@ from hotspots import (
     log_v,
     sweep,
 )
+import hotspots.asymptotic as asymptotic_mod
 from hotspots.asymptotic import _one_minus_eps, epsilon_d, is_feasible
 
 SQRT_E = math.sqrt(math.e)
@@ -106,6 +107,44 @@ def test_nondefault_family():
     with pytest.raises(InfeasibleParameterError):
         asymptotic_bound(AsymptoticParams(d=t - 1, c=2.0, alpha=-0.6))
     assert asymptotic_bound(AsymptoticParams(d=t, c=2.0, alpha=-0.6)) > SQRT_E
+
+
+def _linear_threshold(c, alpha):
+    """The first feasible d by scanning d = 5, 6, ... up to the cap, or None."""
+    for d in range(5, asymptotic_mod._FEASIBLE_SCAN_CAP + 1):
+        if is_feasible(c, alpha, d):
+            return d
+    return None
+
+
+def _bisected_threshold(c, alpha):
+    try:
+        return feasible_threshold(c, alpha)
+    except InfeasibleParameterError as exc:
+        assert f"no feasible dimension up to {asymptotic_mod._FEASIBLE_SCAN_CAP}" in str(exc)
+        return None
+
+
+def test_threshold_bisection_matches_linear_scan(monkeypatch):
+    # a small cap keeps the scans cheap; 200 pairs, about a third infeasible
+    # up to the cap, a third feasible at d = 5 and the rest in between
+    monkeypatch.setattr(asymptotic_mod, "_FEASIBLE_SCAN_CAP", 5000)
+    alphas = [-0.99, -0.95, -0.9, -0.85, -0.8, -0.75, -0.7, -0.65, -0.6, -0.5]
+    outcomes = []
+    for i in range(20):
+        c = 0.02 * 2500.0 ** (i / 19)
+        for alpha in alphas:
+            expected = _linear_threshold(c, alpha)
+            assert _bisected_threshold(c, alpha) == expected, (c, alpha)
+            outcomes.append(expected)
+    assert outcomes.count(None) > 50 and outcomes.count(5) > 50
+    assert len(set(outcomes)) > 40
+
+
+@pytest.mark.parametrize("c,alpha", [(1.0, -0.5), (0.52, -0.9), (1.0, -0.99)])
+def test_threshold_bisection_at_full_cap(c, alpha):
+    # (0.52, -0.9) first becomes feasible near 7e5; (1, -0.99) never does
+    assert _bisected_threshold(c, alpha) == _linear_threshold(c, alpha)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -205,6 +205,14 @@ class TestAsymptotic:
                                    "--points", "3"])
         assert res.exit_code == 3
 
+    def test_no_feasible_dimension_exit_three(self, runner):
+        res = runner.invoke(main, ["asymptotic", "--alpha", "-0.99", "--dmin",
+                                   "183", "--dmax", "100000000"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: no feasible dimension up to 1000000 for c=1, alpha=-0.99\n")
+
     def test_csv(self, runner):
         res = runner.invoke(main, ["asymptotic", "--dmin", "10", "--dmax", "100",
                                    "--points", "4", "--format", "csv"])

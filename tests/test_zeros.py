@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hotspots.zeros as zeros_mod
 from hotspots import (
     AccuracyError,
     BesselZeroRecord,
@@ -22,6 +23,7 @@ from hotspots import (
     first_bessel_zero,
     first_p_root,
 )
+from hotspots.zeros import _jzero_scan_start
 
 J_ZERO_TRUTH = {
     0.0: 2.404825557695772768622,
@@ -234,3 +236,33 @@ class TestGoldenRecords:
     def test_j_zeros_on_twentieths(self):
         assert _record_digest(_twentieths_records()) == (
             "712de4e99b05e71e8d4a84be19a1c1d2c3cac1a5912f7212a59784621d4034ac")
+
+
+class TestQuWongStart:
+    """The j-zero scan skips the lattice points below the Qu-Wong bound."""
+
+    @pytest.fixture()
+    def j_calls(self, monkeypatch):
+        calls = [0]
+
+        def counting(nu, x):
+            calls[0] += 1
+            return bessel_j(nu, x)
+
+        monkeypatch.setattr(zeros_mod, "bessel_j", counting)
+        return calls
+
+    def test_few_j_evaluations_at_d200(self, j_calls):
+        first_bessel_zero(99.0)
+        assert j_calls[0] <= 30  # a scan from sqrt(2nu+2) takes 397
+
+    def test_few_j_evaluations_over_table_dimensions(self, j_calls):
+        for d in range(2, 201):
+            first_bessel_zero(d / 2 - 1)
+        assert j_calls[0] <= 6000  # 41706 from sqrt(2nu+2)
+
+    def test_start_is_below_the_root_and_j_is_positive_there(self):
+        for nu, rec in zip(TWENTIETHS, _twentieths_records()):
+            start = _jzero_scan_start(nu)
+            assert start < math.sqrt(rec.value_squared_down), nu
+            assert bessel_j(nu, start).value > 0.0, nu
