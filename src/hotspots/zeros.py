@@ -177,7 +177,7 @@ def _jzero_scan_start(nu: float) -> float:
     and the bracket, and hence the root, stays bit-identical.
     """
     start = max(1.0, math.sqrt(2.0 * nu + 2.0))
-    # constant rounded down; 1e-9 covers the rounding of ** (0 at nu = 0)
+    # constant rounded down; 1e-9 covers the rounding of **; the bound is 0 at nu = 0
     lower = nu + 1.855757 * nu ** (1.0 / 3.0) - 1e-9
     while start + _SCAN_STEP < lower:
         start += _SCAN_STEP
