@@ -45,7 +45,7 @@ from .montecarlo import (
 )
 from .ratio import RatioBoundSpec, RatioKind, ratio_upper_bound
 from .specialfun import EvalResult, bessel_j, log_gamma
-from .vfunction import VFunctionSpec, VKind, load_custom_table, log_v
+from .vfunction import VKind, load_custom_table, log_v
 from .zeros import BesselZeroRecord, RootFamily, first_bessel_zero, first_p_root
 
 __version__ = "0.1.0"
@@ -69,7 +69,6 @@ __all__ = [
     "SimDomain",
     "TailEstimate",
     "VBoundReport",
-    "VFunctionSpec",
     "VKind",
     "asymptotic_bound",
     "bessel_j",

@@ -404,7 +404,7 @@ def verify_vbound(shape: str, radius: float, sides: str | None, dim: int,
         domain = SimDomain.box(side_vals)
         if domain.dim != dim:
             raise click.UsageError("--dim disagrees with the number of sides")
-    vkind, vtable = _parse_vfunction(vfunction)
+    vkind, _ = _parse_vfunction(vfunction)
     if vkind is VKind.CUSTOM:
         raise click.UsageError("verify-vbound supports vogt|improved only")
     lam = principal_eigenvalue(domain)
@@ -421,7 +421,7 @@ def verify_vbound(shape: str, radius: float, sides: str | None, dim: int,
         chunk_size=chunk_size,
     )
     estimate = estimate_survival(config, sample_exit_times(config))
-    report = check_vbound(estimate, vkind, epsilon, lam, dim, vtable=vtable)
+    report = check_vbound(estimate, vkind, epsilon, lam, dim)
     result = {
         "fingerprint": estimate.config_fingerprint,
         "lambda": lam,

@@ -35,12 +35,16 @@ from scipy.special import betaincinv
 
 from ._format import payload_checksum
 from .errors import AccuracyError, InfeasibleParameterError
-from .vfunction import CustomTable, VKind, log_v
+from .vfunction import VKind, log_v
 from .zeros import first_bessel_zero
 
 #: Simulation is cut off at lambda_D * t = 80; the chance any of n paths
 #: survives that long is ~ n * e^-80, i.e. never in practice.
 _LAMBDA_T_CAP = 80.0
+
+#: Most time steps a path may take: about 1.4e-7 is the smallest dt on the
+#: unit disc, so a tiny dt fails at once instead of running for hours.
+_MAX_STEPS = 10 ** 8
 
 #: default_t_grid ends at lambda_D * t = 12.
 _GRID_DECAY = 12.0
@@ -180,10 +184,6 @@ class VBoundReport:
     passed: bool
     worst_margin: float
     worst_index: int
-    epsilon: float
-    vkind: VKind
-    lambda_d: float
-    dim: int
     bound_curve: tuple[float, ...]
 
 
@@ -359,14 +359,21 @@ def sample_exit_times(config: SimConfig) -> np.ndarray:
 
     Paths are processed in chunks of config.chunk_size; results concatenate
     in chunk order, so the output is identical however chunks are scheduled.
-    A start on the boundary exits at t = 0.
+    A start on the boundary exits at t = 0.  A dt that needs more than
+    _MAX_STEPS steps is rejected before the first chunk.
     """
     n, size = config.n_paths, config.chunk_size
     if _start_distance(config.domain, config.start) <= 0.0:
         return np.zeros(n, dtype=np.float64)
     t_cap = max(config.t_grid[-1] if config.t_grid else 0.0,
                 _LAMBDA_T_CAP / principal_eigenvalue(config.domain))
-    max_steps = int(math.ceil(t_cap / config.dt)) + 1
+    steps = t_cap / config.dt
+    if not steps <= _MAX_STEPS:
+        raise InfeasibleParameterError(
+            f"dt={config.dt!r} needs {steps:.3g} time steps; "
+            f"at most {_MAX_STEPS:.0e} are allowed"
+        )
+    max_steps = int(math.ceil(steps)) + 1
     return np.concatenate([
         _chunk_exit_times(config, i, min(size, n - first), max_steps)
         for i, first in enumerate(range(0, n, size))
@@ -414,8 +421,7 @@ def estimate_survival(config: SimConfig, tau: np.ndarray) -> TailEstimate:
 
 
 def check_vbound(estimate: TailEstimate, vkind: VKind, epsilon: float,
-                 lambda_d: float, dim: int,
-                 vtable: CustomTable | None = None) -> VBoundReport:
+                 lambda_d: float, dim: int) -> VBoundReport:
     """Compare the estimate's lower confidence limits against the V-bound.
 
     Passes iff no grid point's lower confidence limit exceeds
@@ -427,7 +433,7 @@ def check_vbound(estimate: TailEstimate, vkind: VKind, epsilon: float,
         raise InfeasibleParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if not lambda_d > 0.0:
         raise InfeasibleParameterError("lambda_d must be positive")
-    lv = log_v(vkind, epsilon, dim, table=vtable)
+    lv = log_v(vkind, epsilon, dim)
     rate = (1.0 - epsilon) * lambda_d
     bound = tuple(math.exp(lv - rate * t) for t in estimate.t_grid)
     margins = [b - lo for b, lo in zip(bound, estimate.ci_low)]
@@ -437,10 +443,6 @@ def check_vbound(estimate: TailEstimate, vkind: VKind, epsilon: float,
         passed=bool(worst >= 0.0),
         worst_margin=float(worst),
         worst_index=worst_index,
-        epsilon=epsilon,
-        vkind=vkind,
-        lambda_d=lambda_d,
-        dim=dim,
         bound_curve=bound,
     )
 

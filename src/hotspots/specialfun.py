@@ -63,7 +63,8 @@ def _series_forecast(nu: float, x: float) -> tuple[float, float]:
     eps * n_terms * prefactor * max_term.
     """
     z = 0.25 * x * x
-    log_pref = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
+    lg_nu1 = math.lgamma(nu + 1.0)
+    log_pref = nu * math.log(0.5 * x) - lg_nu1
     if z <= 1.0:
         # terms decay from the start; no hump
         return log_pref, math.exp(log_pref) * 40.0 * _EPS if log_pref > -700 else 0.0
@@ -72,7 +73,7 @@ def _series_forecast(nu: float, x: float) -> tuple[float, float]:
     log_tmax = (
         k_star * math.log(z)
         - math.lgamma(k_star + 1.0)
-        - (math.lgamma(nu + 1.0 + k_star) - math.lgamma(nu + 1.0))
+        - (math.lgamma(nu + 1.0 + k_star) - lg_nu1)
     )
     n_terms = k_star + 35.0
     log_err = log_pref + log_tmax + math.log(n_terms * _EPS)
@@ -131,8 +132,8 @@ def _neumann_ladder_top(nu: float, x: float) -> int:
         k += max(1, k // 8)
 
 
-def _miller(nu: float, x: float) -> EvalResult:
-    """Backward recurrence with generalized Neumann normalization."""
+def _miller(nu: float, x: float, log_pref: float) -> EvalResult:
+    """Backward recurrence with Neumann normalization; log_pref as for _series."""
     m_tail = _neumann_ladder_top(nu, x)
     m_seed = int(math.ceil(max(nu, x) + 6.0 * x ** (1.0 / 3.0) + 30.0 - nu))
     m_top = max(m_tail, m_seed)
@@ -169,7 +170,6 @@ def _miller(nu: float, x: float) -> EvalResult:
         ssum += t
         sabs += abs(t)
 
-    log_pref = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
     ratio = j_cur / ssum
     env_ratio = max(abs(j_cur), abs(j_up)) / abs(ssum)
     if log_pref < -700.0:
@@ -214,4 +214,4 @@ def bessel_j(nu: float, x: float) -> EvalResult:
     log_pref, forecast = _series_forecast(nu, x)
     if forecast <= 2e-14:
         return _series(nu, x, log_pref)
-    return _miller(nu, x)
+    return _miller(nu, x, log_pref)

@@ -20,7 +20,6 @@ import csv
 import enum
 import math
 import os
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InfeasibleParameterError
@@ -36,22 +35,6 @@ class VKind(enum.Enum):
     VOGT = "vogt"
     IMPROVED_VOGT = "improved"
     CUSTOM = "custom"
-
-
-@dataclass(frozen=True)
-class VFunctionSpec:
-    """A V-function evaluated at one (epsilon, d) point, in log space."""
-
-    kind: VKind
-    epsilon: float
-    d: int
-    log_value: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.log_value):
-            raise InfeasibleParameterError(
-                f"log V must be finite, got {self.log_value!r}"
-            )
 
 
 def _log_eps_factor(epsilon: float, d: float) -> float:

@@ -17,6 +17,7 @@ finite differences at every computed root.)
 Roots are bracketed by an upward scan in steps of 0.25, bisected, polished by
 secant, and finally rounded outward ("directed") so that the squared values
 bracket the true square: value_squared_down <= value^2 <= value_squared_up.
+Each value carries its evaluation error, so J is evaluated once per point.
 The j-zero scan skips, without evaluating J, the lattice points below the
 Qu-Wong lower bound j_{nu,1} > nu + 1.8557571 nu^{1/3}.  It stays on the
 lattice that starts at sqrt(2nu+2), so it brackets the root within five
@@ -76,33 +77,30 @@ class BesselZeroRecord:
 
 
 def _find_root(
-    f: Callable[[float], float],
-    noise_at: Callable[[float], float],
+    f: Callable[[float], tuple[float, float]],
     x_start: float,
     x_cap: float,
     what: str,
 ) -> tuple[float, float, float]:
     """Scan upward for the first sign change of f, bisect, then secant-polish.
 
-    Returns (root, residual, error_estimate).  f must be positive at x_start.
-    noise_at(x) bounds the absolute evaluation error of f near x; it widens
-    the error estimate so that regimes where f is cancellation-dominated
+    f(x) returns (value, abs_error), is positive at x_start, and the result
+    is (root, residual, error_estimate).  The error stored with the root
+    widens the estimate so that regimes where f is cancellation-dominated
     (both Bessel terms deep under their turning points) stay honest.
     """
     x0 = x_start
     f0 = f(x0)
-    if not f0 > 0.0:
+    if not f0[0] > 0.0:
         raise AccuracyError(
             f"{what}: defining function not positive at scan start x={x0:.6g}"
         )
-    x1 = x0
-    f1 = f0
     while True:
         x1 = x0 + _SCAN_STEP
         if x1 > x_cap:
             raise AccuracyError(f"{what}: no sign change up to x={x_cap:.6g}")
         f1 = f(x1)
-        if f1 <= 0.0:
+        if f1[0] <= 0.0:
             break
         x0, f0 = x1, f1
 
@@ -110,44 +108,44 @@ def _find_root(
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm > 0.0:
+        if fm[0] > 0.0:
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
 
     # chord slope over the bisection bracket: the function values here sit
     # far above evaluation noise, unlike late secant steps
-    slope_ref = (fhi - flo) / (hi - lo)
+    slope_ref = (fhi[0] - flo[0]) / (hi - lo)
 
-    # secant polish inside [lo, hi]
+    # secant polish inside [lo, hi]; fa, fb and best_f are (value, error)
     xa, fa = lo, flo
     xb, fb = hi, fhi
-    best_x, best_f = (xb, fb) if abs(fb) < abs(fa) else (xa, fa)
-    slope = (fb - fa) / (xb - xa)
+    best_x, best_f = (xb, fb) if abs(fb[0]) < abs(fa[0]) else (xa, fa)
     for _ in range(80):
-        denom = fb - fa
+        denom = fb[0] - fa[0]
         if denom == 0.0:
             break
-        x_new = xb - fb * (xb - xa) / denom
+        x_new = xb - fb[0] * (xb - xa) / denom
         if not (lo <= x_new <= hi):
             x_new = 0.5 * (lo + hi)
-        f_new = f(x_new)
-        if f_new > 0.0:
+        if x_new == xb:  # f(xb) is known and cannot improve best_f
+            break
+        f_new = fa if x_new == xa else f(x_new)  # a step can land back on xa
+        if f_new[0] > 0.0:
             lo = max(lo, x_new)
         else:
             hi = min(hi, x_new)
-        if abs(x_new - xb) > 0.0:
-            slope = (f_new - fb) / (x_new - xb)
         xa, fa = xb, fb
         xb, fb = x_new, f_new
-        if abs(fb) < abs(best_f):
+        if abs(fb[0]) < abs(best_f[0]):
             best_x, best_f = xb, fb
-        if abs(x_new - xa) <= _SECANT_TOL and abs(fb) <= abs(fa):
+        if abs(x_new - xa) <= _SECANT_TOL and abs(fb[0]) <= abs(fa[0]):
             break
 
     slope_mag = max(abs(slope_ref), 1e-300)
-    err = (abs(best_f) + 2.0 * noise_at(best_x)) / slope_mag + 4.0 * _EPS * best_x
-    return best_x, best_f, err
+    residual, noise = best_f
+    err = (abs(residual) + 2.0 * noise) / slope_mag + 4.0 * _EPS * best_x
+    return best_x, residual, err
 
 
 def _record(nu: float, family: RootFamily, root: float, residual: float,
@@ -198,15 +196,13 @@ def first_bessel_zero(nu: float) -> BesselZeroRecord:
             f"first_bessel_zero supports 0 <= nu <= 110, got {nu!r}"
         )
 
-    def f(x: float) -> float:
-        return bessel_j(nu, x).value
-
-    def noise(x: float) -> float:
-        return bessel_j(nu, x).est_abs_error
+    def f(x: float) -> tuple[float, float]:
+        r = bessel_j(nu, x)
+        return r.value, r.est_abs_error
 
     start = _jzero_scan_start(nu)
     cap = nu + 10.0 * max(1.0, nu) ** (1.0 / 3.0) + 6.0
-    root, residual, err = _find_root(f, noise, start, cap, f"j-zero nu={nu:g}")
+    root, residual, err = _find_root(f, start, cap, f"j-zero nu={nu:g}")
     return _record(nu, RootFamily.J_ZERO, root, residual, err)
 
 
@@ -222,15 +218,13 @@ def first_p_root(d: int) -> BesselZeroRecord:
         raise InfeasibleParameterError(f"first_p_root supports 2 <= d <= 200, got {d}")
     nu = 0.5 * d
 
-    def g(x: float) -> float:
-        return bessel_j(nu, x).value - x * bessel_j(nu + 1.0, x).value
-
-    def noise(x: float) -> float:
+    def g(x: float) -> tuple[float, float]:
         r1 = bessel_j(nu, x)
         r2 = bessel_j(nu + 1.0, x)
-        return r1.est_abs_error + x * r2.est_abs_error + _EPS * abs(x * r2.value)
+        return (r1.value - x * r2.value,
+                r1.est_abs_error + x * r2.est_abs_error + _EPS * abs(x * r2.value))
 
     start = max(1.0, math.sqrt(float(d)))
     cap = math.sqrt(d + 2.0) + 1.0  # p^2 < d + 2 (Szego)
-    root, residual, err = _find_root(g, noise, start, cap, f"p-root d={d}")
+    root, residual, err = _find_root(g, start, cap, f"p-root d={d}")
     return _record(nu, RootFamily.P_ROOT, root, residual, err)

@@ -316,6 +316,16 @@ class TestVerifyVBound:
                 assert res.exit_code == 3, (count, extra, res.output)
         assert built == []
 
+    def test_tiny_dt_exit_three_before_sampling(self, runner, monkeypatch):
+        # dt = 1e-9 on the unit disc needs about 1.4e10 steps: refused, not run
+        import hotspots.montecarlo as mc
+        chunks = []
+        monkeypatch.setattr(mc, "_chunk_exit_times", lambda *a: chunks.append(a))
+        res = runner.invoke(main, ["verify-vbound", "--dim", "2", "--paths", "10",
+                                   "--dt", "1e-9"])
+        assert res.exit_code == 3, res.output
+        assert chunks == []
+
     def test_vacuous_or_overflowing_v_exit_three(self, runner):
         # eps = 1 makes the bound V e^0 >= 1, which no estimate can violate;
         # eps = 1e-300 at d = 6 makes V overflow a float, and so does d = 10^400

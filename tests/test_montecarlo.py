@@ -149,6 +149,16 @@ class TestExitTimes:
         with pytest.raises(AccuracyError):
             sample_exit_times(cfg)
 
+    def test_step_cap_rejects_a_tiny_dt(self, monkeypatch):
+        import hotspots.montecarlo as mc
+        cfg = _ball_config(n_paths=10, dt=1e-3)
+        steps = 80.0 / principal_eigenvalue(cfg.domain) / cfg.dt  # about 13833
+        monkeypatch.setattr(mc, "_MAX_STEPS", math.floor(steps))
+        with pytest.raises(InfeasibleParameterError):
+            sample_exit_times(cfg)
+        monkeypatch.setattr(mc, "_MAX_STEPS", math.ceil(steps))
+        assert sample_exit_times(cfg).shape == (10,)
+
 
 def test_grid_dt_check_agrees_with_sim_config():
     # check_grid_dt runs before the grid exists; at the limit it must accept

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotspots import InfeasibleParameterError, VFunctionSpec, VKind, load_custom_table, log_v
+from hotspots import InfeasibleParameterError, VKind, load_custom_table, log_v
 
 
 def test_vogt_at_eps_one_is_fourth_root_of_two():
@@ -137,11 +137,3 @@ class TestCustomTable:
             load_custom_table(bad3)
         with pytest.raises(InfeasibleParameterError):
             load_custom_table([["0.1", "nan"], ["0.5", "1.0"]])
-
-
-def test_spec_dataclass_validates():
-    spec = VFunctionSpec(kind=VKind.VOGT, epsilon=0.5, d=3,
-                         log_value=log_v(VKind.VOGT, 0.5, 3))
-    assert spec.log_value > 0.0
-    with pytest.raises(InfeasibleParameterError):
-        VFunctionSpec(kind=VKind.VOGT, epsilon=0.5, d=3, log_value=math.inf)

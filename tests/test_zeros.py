@@ -238,19 +238,20 @@ class TestGoldenRecords:
             "712de4e99b05e71e8d4a84be19a1c1d2c3cac1a5912f7212a59784621d4034ac")
 
 
+@pytest.fixture()
+def j_calls(monkeypatch):
+    calls = [0]
+
+    def counting(nu, x):
+        calls[0] += 1
+        return bessel_j(nu, x)
+
+    monkeypatch.setattr(zeros_mod, "bessel_j", counting)
+    return calls
+
+
 class TestQuWongStart:
     """The j-zero scan skips the lattice points below the Qu-Wong bound."""
-
-    @pytest.fixture()
-    def j_calls(self, monkeypatch):
-        calls = [0]
-
-        def counting(nu, x):
-            calls[0] += 1
-            return bessel_j(nu, x)
-
-        monkeypatch.setattr(zeros_mod, "bessel_j", counting)
-        return calls
 
     def test_few_j_evaluations_at_d200(self, j_calls):
         first_bessel_zero(99.0)
@@ -266,3 +267,15 @@ class TestQuWongStart:
             start = _jzero_scan_start(nu)
             assert start < math.sqrt(rec.value_squared_down), nu
             assert bessel_j(nu, start).value > 0.0, nu
+
+
+class TestSingleEvaluation:
+    """Each value carries its error, so no point, the root included, is evaluated twice."""
+
+    def test_j_zero_d200(self, j_calls):
+        first_bessel_zero(99.0)
+        assert j_calls[0] == 22
+
+    def test_p_root_d200(self, j_calls):
+        first_p_root(200)
+        assert j_calls[0] == 46
