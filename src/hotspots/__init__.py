@@ -3,7 +3,7 @@
 Library layout:
 
 * specialfun — Bessel J_nu evaluation and log-gamma;
-* zeros — first Bessel zeros j_{nu,1} and p-roots with directed rounding;
+* zeros — first Bessel zeros j_{nu,1} and p-roots, squares proven by exact signs;
 * ratio — the ratio upper bound r(d) in its four kinds;
 * vfunction — Vogt / improved-Vogt exit-time prefactors, in log space;
 * bound — the two-parameter bound, its minimization, and the finite-horizon
@@ -44,7 +44,7 @@ from .montecarlo import (
     sample_exit_times,
 )
 from .ratio import RatioBoundSpec, RatioKind, ratio_upper_bound
-from .specialfun import EvalResult, bessel_j, log_gamma
+from .specialfun import bessel_j, log_gamma
 from .vfunction import VKind, load_custom_table, log_v
 from .zeros import BesselZeroRecord, RootFamily, first_bessel_zero, first_p_root
 
@@ -57,7 +57,6 @@ __all__ = [
     "BoundQuery",
     "BoundResult",
     "DomainShape",
-    "EvalResult",
     "FiniteBParams",
     "FiniteHorizonConstraintError",
     "HotspotsError",

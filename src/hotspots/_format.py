@@ -32,14 +32,6 @@ def round_sig_floor(x: float, n: int) -> float:
     return _round_sig(x, n, _FLOOR)
 
 
-def ceil_decimals(x: float, places: int) -> float:
-    """Round x up (toward +inf) to the given number of decimal places."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        quant = decimal.Decimal(1).scaleb(-places)
-        return float(decimal.Decimal(x).quantize(quant, rounding=_CEIL))
-
-
 def format_sig(x: float, n: int) -> str:
     """Display string at n significant figures, half-up, no exponent for
     magnitudes the tables use."""

@@ -296,7 +296,6 @@ def zeros(nu: float | None, family: str, dim: int | None, fmt: str) -> None:
         "value": record.value,
         "value_squared_up": record.value_squared_up,
         "value_squared_down": record.value_squared_down,
-        "residual": record.residual,
     }
     if fmt == "json":
         _emit_json("zeros", params, result)
@@ -307,8 +306,7 @@ def zeros(nu: float | None, family: str, dim: int | None, fmt: str) -> None:
         click.echo(
             f"family={record.family.value}  nu={record.nu:g}\n"
             f"value={record.value!r}\n"
-            f"value^2 in [{record.value_squared_down!r}, {record.value_squared_up!r}]\n"
-            f"residual={record.residual:.3e}"
+            f"value^2 in [{record.value_squared_down!r}, {record.value_squared_up!r}]"
         )
 
 
@@ -352,7 +350,7 @@ def asymptotic(dmin: int, dmax: int, points: int, c_param: float, alpha: float,
     rows = [{"d": d, "bound": value}
             for d, value in sweep(dims, c=c_param, alpha=alpha)]
     params = {"dmin": dmin, "dmax": dmax, "points": points, "c": c_param,
-              "alpha": alpha, "k": 0.125, "beta": 1.0}
+              "alpha": alpha, "k": 0.125}
     if fmt == "json":
         _emit_json("asymptotic", params, {"rows": rows})
     elif fmt == "csv":

@@ -14,10 +14,11 @@ class InfeasibleParameterError(HotspotsError):
 
 
 class AccuracyError(HotspotsError):
-    """An internal accuracy contract could not be met.
+    """A computed quantity could not be certified (CLI exit code 4).
 
-    Raised when a computed quantity fails its own residual or error-estimate
-    check (e.g. a root whose defining-function residual is too large).
+    Raised when a root search finds no sign change, or when the exact-sign
+    certificate of a root's directed squares still fails after its bracket
+    has been widened the allowed number of times.
     """
 
 

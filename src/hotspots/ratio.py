@@ -4,9 +4,10 @@ Four kinds are supported:
 
 * ``BESSEL_EXACT`` — r = p_{d/2,1}^2 / j_{d/2-1,1}^2 with safe directed
   rounding: the numerator square is rounded up to 5 significant figures, the
-  denominator square down to 5 significant figures, and the quotient up to 4
-  decimal places.  Every step moves the value upward, so the result is a
-  certified upper bound on the true ratio.
+  denominator square down to 5 significant figures, and their exact quotient
+  up to 4 decimal places.  The squares come from the proven directed squares
+  of the `zeros` records and every step moves the value upward, so the result
+  is a certified upper bound on the true ratio.
 * ``CLOSED_FORM`` — r = (4d+8) / (d(d+8)), valid for every d >= 2.
 * ``ASYMPTOTIC_4_OVER_D`` — r = 4/d, requires d >= 5 so that r < 1.
 * ``CUSTOM`` — a user-supplied value in (0, 1) for tailored domain classes.
@@ -14,10 +15,11 @@ Four kinds are supported:
 
 from __future__ import annotations
 
+import decimal
 import enum
 from dataclasses import dataclass
 
-from ._format import ceil_decimals, round_sig_ceil, round_sig_floor
+from ._format import round_sig_ceil, round_sig_floor
 from .errors import InfeasibleParameterError
 from .zeros import first_bessel_zero, first_p_root
 
@@ -55,7 +57,11 @@ def displayed_squares(p_record, j_record) -> tuple[float, float]:
 def bessel_exact_from_records(p_record, j_record) -> float:
     """Safe ratio from precomputed root records (see module doc)."""
     p2, j2 = displayed_squares(p_record, j_record)
-    return ceil_decimals(p2 / j2, 4)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ctx.rounding = decimal.ROUND_CEILING  # so no rounding step lowers r
+        quotient = decimal.Decimal(p2) / decimal.Decimal(j2)
+        return float(quotient.quantize(decimal.Decimal("0.0001")))
 
 
 def bessel_exact_value(d: int) -> float:

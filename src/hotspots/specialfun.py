@@ -1,13 +1,16 @@
 """Bessel functions of the first kind and log-gamma.
 
-Evaluation of J_nu(x) for real order 0 <= nu <= 120 accurate enough for
-root finding: the returned absolute-error estimate stays below
-1e-12 * max(1, |J_nu(x)|) on the bracketing ranges the `zeros` module uses.
+Evaluation of J_nu(x) for real order 0 <= nu <= 120 and x >= 0 to the value
+contract |error| <= 1e-12 |J_nu(x)| + 3e-14, which the test suite checks
+against mpmath and scipy.  |J_nu| <= 1, so the floor is relative to the
+function's scale; near a zero, or where J_nu is tiny, the relative error can
+be large.  Nothing certified rests on this contract: `zeros` proves its
+bounds in exact arithmetic and uses these values only to find roots.
 
 Two regimes are combined:
 
 * an ascending power series (log-space prefactor, Kahan-compensated sum)
-  wherever its own cancellation forecast certifies the target accuracy --
+  wherever its own cancellation forecast meets the target accuracy --
   in particular everywhere well below the turning point x ~ nu;
 * a Miller-type backward recurrence normalized by the generalized
   Neumann-series identity (x/2)^nu = sum_k (nu+2k) Gamma(nu+k)/k! J_{nu+2k}(x)
@@ -19,7 +22,6 @@ Two regimes are combined:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InfeasibleParameterError
 
@@ -30,14 +32,6 @@ MAX_ORDER = 120.0
 
 #: Largest supported log-gamma argument.
 MAX_LOG_GAMMA_ARG = 500.0
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """A function value together with a heuristic absolute-error estimate."""
-
-    value: float
-    est_abs_error: float
 
 
 def log_gamma(x: float) -> float:
@@ -80,34 +74,25 @@ def _series_forecast(nu: float, x: float) -> tuple[float, float]:
     return log_pref, math.exp(log_err) if log_err > -700 else 0.0
 
 
-def _series(nu: float, x: float, log_pref: float) -> EvalResult:
+def _series(nu: float, x: float, log_pref: float) -> float:
     """Ascending series sum_k (-1)^k z^k / (k! (nu+1)_k), Kahan-compensated."""
     z = 0.25 * x * x
     term = 1.0
     s = 1.0
     comp = 0.0
-    tmax = 1.0
     k = 0
     while True:
         k += 1
         term *= -z / (k * (nu + k))
-        at = abs(term)
-        if at > tmax:
-            tmax = at
         y = term - comp
         t = s + y
         comp = (t - s) - y
         s = t
-        if at <= 1e-18 * max(1.0, abs(s)) or k > 500:
+        if abs(term) <= 1e-18 * max(1.0, abs(s)) or k > 500:
             break
     if log_pref < -745.0:
-        return EvalResult(0.0, 5e-324)
-    pref = math.exp(log_pref)
-    value = pref * s
-    # the exponent itself is rounded, costing |log_pref| ulp of relative error
-    est = (pref * (k * _EPS * tmax + at)
-           + (2.0 + abs(log_pref)) * _EPS * abs(value))
-    return EvalResult(value, est)
+        return 0.0
+    return math.exp(log_pref) * s
 
 
 def _neumann_ladder_top(nu: float, x: float) -> int:
@@ -132,7 +117,7 @@ def _neumann_ladder_top(nu: float, x: float) -> int:
         k += max(1, k // 8)
 
 
-def _miller(nu: float, x: float, log_pref: float) -> EvalResult:
+def _miller(nu: float, x: float, log_pref: float) -> float:
     """Backward recurrence with Neumann normalization; log_pref as for _series."""
     m_tail = _neumann_ladder_top(nu, x)
     m_seed = int(math.ceil(max(nu, x) + 6.0 * x ** (1.0 / 3.0) + 30.0 - nu))
@@ -160,47 +145,28 @@ def _miller(nu: float, x: float, log_pref: float) -> EvalResult:
     # w_k = w_{k-1} (nu+2k)(nu+k-1) / ((nu+2k-2) k)
     w = 1.0
     ssum = even[0]
-    sabs = abs(ssum)
     for k in range(1, m_top // 2):
         if k == 1:
             w = nu + 2.0
         else:
             w = w * (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
-        t = w * even[k]
-        ssum += t
-        sabs += abs(t)
+        ssum += w * even[k]
 
-    ratio = j_cur / ssum
-    env_ratio = max(abs(j_cur), abs(j_up)) / abs(ssum)
-    if log_pref < -700.0:
-        if ratio == 0.0:
-            return EvalResult(0.0, 5e-324)
-        value = math.copysign(math.exp(log_pref + math.log(abs(ratio))), ratio)
-        envelope = abs(value)
-    else:
-        pref = math.exp(log_pref)
-        value = pref * ratio
-        envelope = pref * env_ratio
-    kappa = sabs / abs(ssum)
-    scale = max(envelope, abs(value))
-    est = max(_EPS * (2.0 * m_top + 20.0 * kappa) * scale, 4.0 * _EPS * scale)
-    est += abs(log_pref) * _EPS * scale  # exponent rounding, as in the series
-    return EvalResult(value, est)
+    # only a series forecast above 2e-14 leads here, so exp(log_pref) is normal
+    return math.exp(log_pref) * (j_cur / ssum)
 
 
-def bessel_j(nu: float, x: float) -> EvalResult:
-    """Evaluate J_nu(x) for 0 <= nu <= 120, x >= 0.
+def bessel_j(nu: float, x: float) -> float:
+    """Evaluate J_nu(x) for 0 <= nu <= 120, x >= 0 (see the module doc).
 
     Chooses the ascending series whenever its cancellation forecast meets the
-    accuracy target, otherwise the Miller backward recurrence.  The
-    est_abs_error field is a heuristic (not a rigorous enclosure) but is
-    validated empirically against independent oracles in the test suite.
+    accuracy target, otherwise the Miller backward recurrence.
 
     Examples
     --------
-    >>> abs(bessel_j(0.0, 0.0).value - 1.0) < 1e-15
-    True
-    >>> abs(bessel_j(0.5, math.pi).value) < 1e-12
+    >>> bessel_j(0.0, 0.0)
+    1.0
+    >>> abs(bessel_j(0.5, math.pi)) < 1e-12
     True
     """
     if math.isnan(nu) or nu < 0.0 or nu > MAX_ORDER:
@@ -210,7 +176,7 @@ def bessel_j(nu: float, x: float) -> EvalResult:
     if not math.isfinite(x) or x < 0.0:
         raise InfeasibleParameterError(f"bessel_j requires finite x >= 0, got {x!r}")
     if 0.5 * x == 0.0:  # includes subnormals whose halving underflows
-        return EvalResult(1.0 if nu == 0.0 else 0.0, 0.0)
+        return 1.0 if nu == 0.0 else 0.0
     log_pref, forecast = _series_forecast(nu, x)
     if forecast <= 2e-14:
         return _series(nu, x, log_pref)

@@ -1,28 +1,18 @@
-"""First Bessel zeros and p-roots with directed rounding.
+"""First Bessel zeros and p-roots, with certified directed squares.
 
-Two root families feed the ratio bound r(d):
+* ``j_{nu,1}``, the first positive zero of J_nu, and
+* ``p_{d/2,1}``, the first positive root of d/dx[x^{1-d/2} J_{d/2}(x)],
+  that is of J_nu(x) - x J_{nu+1}(x) with nu = d/2,
 
-* ``j_{nu,1}`` — the first positive zero of J_nu;
-* ``p_{d/2,1}`` — the first positive root of d/dx[x^{1-d/2} J_{d/2}(x)].
+are the first roots in z = x^2/4 of S(z) = sum_k w_k (-z)^k / (k! (nu+1)_k)
+times (x/2)^nu / Gamma(nu+1), with w_k = 1 and w_k = 2k+1 respectively.
 
-Using the derivative identity d/dx[x^{-nu} J_nu(x)] = -x^{-nu} J_{nu+1}(x)
-with nu = d/2,
-
-    d/dx[x^{1-d/2} J_{d/2}(x)] = x^{-d/2} (J_{d/2}(x) - x J_{d/2+1}(x)),
-
-so the p-root is the first positive solution of the reduced equation
-J_{d/2}(x) = x * J_{d/2+1}(x).  (The test suite re-verifies this reduction by
-finite differences at every computed root.)
-
-Roots are bracketed by an upward scan in steps of 0.25, bisected, polished by
-secant, and finally rounded outward ("directed") so that the squared values
-bracket the true square: value_squared_down <= value^2 <= value_squared_up.
-Each value carries its evaluation error, so J is evaluated once per point.
-The j-zero scan skips, without evaluating J, the lattice points below the
-Qu-Wong lower bound j_{nu,1} > nu + 1.8557571 nu^{1/3}.  It stays on the
-lattice that starts at sqrt(2nu+2), so it brackets the root within five
-scan steps instead of up to 416 and finds, bit for bit, the root a scan
-from sqrt(2nu+2) finds.
+An upward scan in steps of 0.25 brackets each root in floats, starting for
+the j-zero at the Qu-Wong bound j_{nu,1} > nu + 1.8557571 nu^{1/3}, and
+Brent's method (Algorithms for Minimization without Derivatives, 1973,
+ch. 4) solves it: on bessel_j for the j-zero, on S in floats for the p-root
+(for d <= 200 no term of S exceeds 1.5 near the root, so it does not cancel).
+`_exact_sign` then proves the directed squares in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -38,8 +28,10 @@ from .specialfun import bessel_j
 _EPS = 2.220446049250313e-16
 
 _SCAN_STEP = 0.25
-_BISECT_TOL = 1e-6
-_SECANT_TOL = 1e-12
+#: the directed squares sit on a grid of 2^-_GRID_BITS relative spacing
+_GRID_BITS = 44
+#: how often a failed sign may widen the bracket (16x each time)
+_WIDEN_TRIES = 4
 
 
 class RootFamily(enum.Enum):
@@ -53,8 +45,9 @@ class RootFamily(enum.Enum):
 class BesselZeroRecord:
     """A computed root with directed-rounding companions.
 
-    residual is the defining function evaluated at value (J_nu for J_ZERO,
-    the reduced equation for P_ROOT).
+    For J_ZERO both value_squared_down <= j^2 <= value_squared_up are proven.
+    For P_ROOT only p^2 <= value_squared_up is: the series changes sign
+    between the two squares, but nothing proves that root is the first.
     """
 
     nu: float
@@ -62,7 +55,6 @@ class BesselZeroRecord:
     value: float
     value_squared_up: float
     value_squared_down: float
-    residual: float
 
     def __post_init__(self) -> None:
         if not self.value > 0.0:
@@ -70,28 +62,101 @@ class BesselZeroRecord:
         sq = self.value * self.value
         if not (self.value_squared_down <= sq <= self.value_squared_up):
             raise AccuracyError("directed square interval does not contain value^2")
-        if abs(self.residual) > 1e-10:
-            raise AccuracyError(
-                f"residual {self.residual!r} exceeds the 1e-10 contract"
-            )
 
 
-def _find_root(
-    f: Callable[[float], tuple[float, float]],
-    x_start: float,
-    x_cap: float,
-    what: str,
-) -> tuple[float, float, float]:
-    """Scan upward for the first sign change of f, bisect, then secant-polish.
+def _exact_sign(nu: float, z, family: RootFamily) -> int:
+    """Exact sign of S(z) (module doc) for float or Fraction nu and z >= 0.
 
-    f(x) returns (value, abs_error), is positive at x_start, and the result
-    is (root, residual, error_estimate).  The error stored with the root
-    widens the estimate so that regimes where f is cancellation-dominated
-    (both Bessel terms deep under their turning points) stay honest.
+    With nu = p/q and z = a/b the term ratio is -A/q_k, A = aq, q_k = b k (p+kq).
+    A Horner recurrence on ints sums K terms as N/M.  Once the terms shrink,
+    the alternating tail is below the next term, so |N| q_{K+1} > w_{K+1}
+    A^{K+1} proves sign(N).  K doubles until it does; 0 means undecided.
     """
-    x0 = x_start
-    f0 = f(x0)
-    if not f0[0] > 0.0:
+    p, q = nu.as_integer_ratio()
+    a, b = z.as_integer_ratio()
+    big_a = a * q
+
+    def weight(k: int) -> int:
+        return 2 * k + 1 if family is RootFamily.P_ROOT else 1
+
+    def q_at(k: int) -> int:
+        return b * k * (p + k * q)
+
+    # first K whose terms have started to shrink and fall below e^-80
+    zf, term, n_terms = float(z), 1.0, 0
+    while not (n_terms * (nu + n_terms) > zf and term < 1e-35):
+        n_terms += 1
+        term *= zf / (n_terms * (nu + n_terms))
+    while n_terms <= 4096:
+        num, den = weight(n_terms), 1
+        for k in range(n_terms, 0, -1):
+            qk = q_at(k)
+            num = weight(k - 1) * qk * den - big_a * num
+            den *= qk
+        nxt = n_terms + 1
+        if (weight(nxt + 1) * big_a < weight(nxt) * q_at(nxt + 1)
+                and abs(num) * q_at(nxt) > weight(nxt) * big_a ** nxt):
+            return (num > 0) - (num < 0)
+        n_terms *= 2
+    return 0
+
+
+def _p_series(nu: float, z: float) -> float:
+    """Float sum_k (2k+1) (-z)^k / (k! (nu+1)_k), the p-root's equation."""
+    term = 1.0
+    s = 1.0
+    k = 0
+    while abs(term) * (2 * k + 1) > 1e-17 or k * (nu + k) <= z:
+        k += 1
+        term *= -z / (k * (nu + k))
+        s += (2 * k + 1) * term
+    return s
+
+
+def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
+           fb: float) -> float:
+    """Root of f in [a, b], where fa and fb differ in sign (Brent, ch. 4).
+
+    Inverse quadratic interpolation or secant steps, with a bisection step
+    whenever they fail to shrink the bracket fast enough.  Stops when the
+    bracket is 4 ulp wide or f vanishes; returns the end with the smaller |f|.
+    """
+    c, fc = a, fa
+    step = prev = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
+            c, fc = a, fa
+            step = prev = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * _EPS * abs(b)
+        half = 0.5 * (c - b)
+        if fb == 0.0 or abs(half) <= tol:
+            return b
+        if abs(prev) > tol and abs(fb) < abs(fa):
+            if a == c:  # secant
+                s = -fb * (b - a) / (fb - fa)
+            else:  # inverse quadratic interpolation
+                da = (fa - fb) / (a - b)
+                dc = (fc - fb) / (c - b)
+                s = -fb * (fc * dc - fa * da) / (dc * da * (fc - fa))
+            if 2.0 * abs(s) < min(abs(prev), 3.0 * abs(half) - tol):
+                prev, step = step, s
+            else:
+                prev = step = half
+        else:
+            prev = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = f(b)
+
+
+def _find_root(f: Callable[[float], float], x_start: float, x_cap: float,
+               what: str) -> float:
+    """First sign change of f above x_start, where f > 0, solved by Brent."""
+    x0, f0 = x_start, f(x_start)
+    if not f0 > 0.0:
         raise AccuracyError(
             f"{what}: defining function not positive at scan start x={x0:.6g}"
         )
@@ -100,68 +165,48 @@ def _find_root(
         if x1 > x_cap:
             raise AccuracyError(f"{what}: no sign change up to x={x_cap:.6g}")
         f1 = f(x1)
-        if f1[0] <= 0.0:
-            break
+        if f1 <= 0.0:
+            return _brent(f, x0, x1, f0, f1)
         x0, f0 = x1, f1
 
-    lo, flo, hi, fhi = x0, f0, x1, f1
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm[0] > 0.0:
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
 
-    # chord slope over the bisection bracket: the function values here sit
-    # far above evaluation noise, unlike late secant steps
-    slope_ref = (fhi[0] - flo[0]) / (hi - lo)
+def _first_zero_is_bracketed(nu: float, sq_up: float) -> bool:
+    """Whether a sign change of J_nu below sqrt(sq_up) must be its first zero.
 
-    # secant polish inside [lo, hi]; fa, fb and best_f are (value, error)
-    xa, fa = lo, flo
-    xb, fb = hi, fhi
-    best_x, best_f = (xb, fb) if abs(fb[0]) < abs(fa[0]) else (xa, fa)
-    for _ in range(80):
-        denom = fb[0] - fa[0]
-        if denom == 0.0:
-            break
-        x_new = xb - fb[0] * (xb - xa) / denom
-        if not (lo <= x_new <= hi):
-            x_new = 0.5 * (lo + hi)
-        if x_new == xb:  # f(xb) is known and cannot improve best_f
-            break
-        f_new = fa if x_new == xa else f(x_new)  # a step can land back on xa
-        if f_new[0] > 0.0:
-            lo = max(lo, x_new)
-        else:
-            hi = min(hi, x_new)
-        xa, fa = xb, fb
-        xb, fb = x_new, f_new
-        if abs(fb[0]) < abs(best_f[0]):
-            best_x, best_f = xb, fb
-        if abs(x_new - xa) <= _SECANT_TOL and abs(fb[0]) <= abs(fa[0]):
-            break
-
-    slope_mag = max(abs(slope_ref), 1e-300)
-    residual, noise = best_f
-    err = (abs(residual) + 2.0 * noise) / slope_mag + 4.0 * _EPS * best_x
-    return best_x, residual, err
+    Every zero exceeds L = max(Lorch sqrt((nu+1)(nu+5)), Qu-Wong), and by
+    Sturm comparison of sqrt(x) J_nu(x) with sin, zeros beyond L are at least
+    s = pi / sqrt(1 + max(0, 1/4-nu^2)/L^2) apart; so no earlier zero fits
+    if L > sqrt(sq_up) - s.  The 1e-9 slacks cover float rounding.
+    """
+    lower = max(math.sqrt((nu + 1.0) * (nu + 5.0)),
+                nu + 1.855757 * nu ** (1.0 / 3.0)) - 1e-9
+    spacing = math.pi / math.sqrt(1.0 + max(0.0, 0.25 - nu * nu) / (lower * lower))
+    return lower > math.sqrt(sq_up) + 1e-9 - spacing
 
 
-def _record(nu: float, family: RootFamily, root: float, residual: float,
-            err: float) -> BesselZeroRecord:
-    up_val = root + 2.0 * err
-    down_val = max(root - 2.0 * err, 0.0)
-    sq_up = math.nextafter(up_val * up_val, math.inf)
-    sq_down = math.nextafter(down_val * down_val, 0.0)
-    return BesselZeroRecord(
-        nu=nu,
-        family=family,
-        value=root,
-        value_squared_up=sq_up,
-        value_squared_down=sq_down,
-        residual=residual,
-    )
+def _record(nu: float, family: RootFamily, root: float) -> BesselZeroRecord:
+    """Directed squares on the 2^-44 grid around root^2, proven by exact signs.
+
+    S is positive at 0, so S(sq_up/4) < 0 puts the first root below sq_up;
+    S(sq_down/4) > 0 adds a root between the two, the first one for J by
+    `_first_zero_is_bracketed`.  A failed sign widens the bracket 16-fold.
+    """
+    sq = root * root
+    exp = math.frexp(sq)[1] - _GRID_BITS
+    grid = math.floor(math.ldexp(sq, -exp))
+    for tries in range(_WIDEN_TRIES):
+        margin = 2 * 16 ** tries
+        sq_down = math.ldexp(grid - margin, exp)
+        sq_up = math.ldexp(grid + 1 + margin, exp)
+        if (_exact_sign(nu, 0.25 * sq_up, family) < 0
+                and _exact_sign(nu, 0.25 * sq_down, family) > 0
+                and (family is RootFamily.P_ROOT
+                     or _first_zero_is_bracketed(nu, sq_up))):
+            return BesselZeroRecord(nu=nu, family=family, value=root,
+                                    value_squared_up=sq_up,
+                                    value_squared_down=sq_down)
+    raise AccuracyError(
+        f"{family.value} nu={nu:g}: no exact sign change around {root!r}")
 
 
 def _jzero_scan_start(nu: float) -> float:
@@ -170,9 +215,8 @@ def _jzero_scan_start(nu: float) -> float:
     Lorch: j^2 > d(d+8)/4 >= d with d = 2(nu+1), so sqrt(2nu+2) is below j.
     Qu and Wong (Trans. AMS 351 (1999) 2833-2859): j > nu + 1.8557571 nu^{1/3}
     for all nu > 0, so J_nu keeps its sign on every scan point below that.
-    The start advances by the scan's own += _SCAN_STEP additions, so every
-    point evaluated from there on is the float the full scan would evaluate
-    and the bracket, and hence the root, stays bit-identical.
+    The start advances by the scan's own += _SCAN_STEP additions, so the
+    scan stays on the lattice that starts at sqrt(2nu+2).
     """
     start = max(1.0, math.sqrt(2.0 * nu + 2.0))
     # constant rounded down; 1e-9 covers the rounding of **; the bound is 0 at nu = 0
@@ -195,15 +239,10 @@ def first_bessel_zero(nu: float) -> BesselZeroRecord:
         raise InfeasibleParameterError(
             f"first_bessel_zero supports 0 <= nu <= 110, got {nu!r}"
         )
-
-    def f(x: float) -> tuple[float, float]:
-        r = bessel_j(nu, x)
-        return r.value, r.est_abs_error
-
     start = _jzero_scan_start(nu)
     cap = nu + 10.0 * max(1.0, nu) ** (1.0 / 3.0) + 6.0
-    root, residual, err = _find_root(f, start, cap, f"j-zero nu={nu:g}")
-    return _record(nu, RootFamily.J_ZERO, root, residual, err)
+    root = _find_root(lambda x: bessel_j(nu, x), start, cap, f"j-zero nu={nu:g}")
+    return _record(nu, RootFamily.J_ZERO, root)
 
 
 def first_p_root(d: int) -> BesselZeroRecord:
@@ -217,14 +256,8 @@ def first_p_root(d: int) -> BesselZeroRecord:
     if d < 2 or d > 200:
         raise InfeasibleParameterError(f"first_p_root supports 2 <= d <= 200, got {d}")
     nu = 0.5 * d
-
-    def g(x: float) -> tuple[float, float]:
-        r1 = bessel_j(nu, x)
-        r2 = bessel_j(nu + 1.0, x)
-        return (r1.value - x * r2.value,
-                r1.est_abs_error + x * r2.est_abs_error + _EPS * abs(x * r2.value))
-
     start = max(1.0, math.sqrt(float(d)))
     cap = math.sqrt(d + 2.0) + 1.0  # p^2 < d + 2 (Szego)
-    root, residual, err = _find_root(g, start, cap, f"p-root d={d}")
-    return _record(nu, RootFamily.P_ROOT, root, residual, err)
+    root = _find_root(lambda x: _p_series(nu, 0.25 * x * x), start, cap,
+                      f"p-root d={d}")
+    return _record(nu, RootFamily.P_ROOT, root)

@@ -5,10 +5,12 @@ report.  Each body also prints a [PASS]/[FAIL] summary (visible with -rP or
 on failure) carrying the measured numbers.
 """
 
+import decimal
 import json
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 from click.testing import CliRunner
@@ -18,6 +20,7 @@ from hotspots import (
     BoundQuery,
     RatioBoundSpec,
     RatioKind,
+    RootFamily,
     SimConfig,
     SimDomain,
     VKind,
@@ -37,6 +40,8 @@ from hotspots import (
 )
 from hotspots.asymptotic import _one_minus_eps, epsilon_d
 from hotspots.cli import compute_table_rows, main
+from hotspots.ratio import bessel_exact_from_records, displayed_squares
+from hotspots.zeros import _exact_sign, _first_zero_is_bracketed
 
 # Reference table: d -> (p^2, j^2, r, epsilon, a, bound); thirty cells total.
 REFERENCE_TABLE = {
@@ -240,3 +245,58 @@ def test_criterion_7_byte_identical_reruns():
     checks = payload["manifest"]["output_checksum"]
     _report(7, ok, f"two verify-vbound runs with identical seed and chunking "
                    f"produced byte-identical JSON (checksum {checks[:16]}...)")
+
+
+def _bessel_cells():
+    """(d, p2_cell, j2_cell, r, the j record's value_squared_up) for d = 2..200."""
+    cells = []
+    for d in range(2, 201):
+        p_rec = first_p_root(d)
+        j_rec = first_bessel_zero(0.5 * d - 1.0)
+        p2, j2 = displayed_squares(p_rec, j_rec)
+        cells.append((d, Fraction(p2), Fraction(j2),
+                      Fraction(bessel_exact_from_records(p_rec, j_rec)),
+                      j_rec.value_squared_up))
+    return cells
+
+
+def _certified(d, p2, j2, r, j_up):
+    """Exact proof that p2 >= p^2, j2 <= j^2 and r >= p2 / j2.
+
+    p2: the p-series is negative at p2/4 and positive at 0.  j2: the J-series
+    is positive at j2/4 and negative at j_up/4, and no zero of J lies below
+    that sign change.
+    """
+    nu = 0.5 * d - 1.0
+    return (_exact_sign(0.5 * d, p2 / 4, RootFamily.P_ROOT) < 0
+            and _exact_sign(nu, j2 / 4, RootFamily.J_ZERO) > 0
+            and _exact_sign(nu, Fraction(j_up) / 4, RootFamily.J_ZERO) < 0
+            and _first_zero_is_bracketed(nu, j_up)
+            and r * j2 >= p2)
+
+
+def _unit(cell):
+    """One displayed unit (5 significant figures) of a table cell."""
+    return Fraction(10) ** (decimal.Decimal(float(cell)).adjusted() - 4)
+
+
+def test_criterion_8_bessel_cells_certified_exactly():
+    t0 = time.perf_counter()
+    cells = _bessel_cells()
+    failures = [cell[0] for cell in cells if not _certified(*cell)]
+    # moving any cell one displayed unit the unsafe way must break the proof
+    survivors = [
+        (d, which)
+        for d, p2, j2, r, j_up in cells
+        for which, moved in (("p2", (d, p2 - _unit(p2), j2, r, j_up)),
+                             ("j2", (d, p2, j2 + _unit(j2), r, j_up)),
+                             ("r", (d, p2, j2, r - Fraction(1, 10000), j_up)))
+        if _certified(*moved)
+    ]
+    elapsed = time.perf_counter() - t0
+    _report(8, not failures and not survivors,
+            f"d in [2,200]: p^2 <= p2 cell, j^2 >= j2 cell and r >= p2/j2 "
+            f"proven in exact arithmetic for all 199 rows; moving any cell one "
+            f"displayed unit the unsafe way breaks the proof ({elapsed:.1f}s)"
+            + (f"; uncertified {failures[:3]}" if failures else "")
+            + (f"; mutants certified {survivors[:3]}" if survivors else ""))

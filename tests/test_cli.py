@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hotspots.cli as cli_mod
+import hotspots.zeros as zeros_mod
 from hotspots import AccuracyError, TailEstimate, VKind, log_v, optimal_a, bound_value
 from hotspots._format import canonical_json
 from hotspots.cli import main
@@ -83,6 +84,12 @@ class TestZeros:
     def test_missing_selector_is_usage_error(self, runner):
         assert runner.invoke(main, ["zeros"]).exit_code == 2
         assert runner.invoke(main, ["zeros", "--family", "proot"]).exit_code == 2
+
+    def test_uncertified_root_exit_four(self, runner, monkeypatch):
+        monkeypatch.setattr(zeros_mod, "_exact_sign", lambda nu, z, family: 0)
+        res = runner.invoke(main, ["zeros", "--nu", "1"])
+        assert res.exit_code == 4
+        assert "no exact sign change" in res.stderr
 
 
 class TestTable:
@@ -199,6 +206,8 @@ class TestAsymptotic:
         ds = [row["d"] for row in rows]
         assert ds == sorted(set(ds))
         assert all(row["bound"] > math.sqrt(math.e) for row in rows)
+        assert sorted(payload["manifest"]["parameters"]) == [
+            "alpha", "c", "dmax", "dmin", "k", "points"]
 
     def test_infeasible_family_exit_three(self, runner):
         res = runner.invoke(main, ["asymptotic", "--dmin", "5", "--dmax", "9",

@@ -1,4 +1,4 @@
-"""First Bessel zeros and p-roots: frozen truths, directed intervals, bracketing.
+"""First Bessel zeros and p-roots: frozen truths, certified squares, bracketing.
 
 The 22-digit literals come from mpmath.besseljzero / a 40-digit Newton
 refinement of the p-root equation and are treated as exact for double
@@ -8,6 +8,7 @@ comparisons.
 import functools
 import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from hotspots import (
     first_bessel_zero,
     first_p_root,
 )
-from hotspots.zeros import _jzero_scan_start
+from hotspots.zeros import _exact_sign, _first_zero_is_bracketed, _jzero_scan_start
 
 J_ZERO_TRUTH = {
     0.0: 2.404825557695772768622,
@@ -91,24 +92,17 @@ def test_interval_contains_refined_truth():
 
     for nu in [0.0, 2.5, 30.0, 77.5]:
         rec = first_bessel_zero(nu)
-        t = refine(lambda x: bessel_j(nu, x).value, rec.value)
+        t = refine(lambda x: bessel_j(nu, x), rec.value)
         assert rec.value_squared_down <= t * t <= rec.value_squared_up
 
     for d in [2, 9, 121]:
         rec = first_p_root(d)
         half = 0.5 * d
         t = refine(
-            lambda x: bessel_j(half, x).value - x * bessel_j(half + 1.0, x).value,
+            lambda x: bessel_j(half, x) - x * bessel_j(half + 1.0, x),
             rec.value,
         )
         assert rec.value_squared_down <= t * t <= rec.value_squared_up
-
-
-def test_residual_contract():
-    for nu in [0.0, 0.5, 13.0, 110.0]:
-        assert abs(first_bessel_zero(nu).residual) <= 1e-10
-    for d in [2, 50, 200]:
-        assert abs(first_p_root(d).residual) <= 1e-10
 
 
 def test_first_zero_increases_with_order():
@@ -127,7 +121,7 @@ def test_p_root_is_stationary_point_of_scaled_bessel():
         expo = 1.0 - 0.5 * d
 
         def big_f(x):
-            return math.exp(expo * math.log(x)) * bessel_j(0.5 * d, x).value
+            return math.exp(expo * math.log(x)) * bessel_j(0.5 * d, x)
 
         h = 1e-5 * max(1.0, p)
         slope = (big_f(p + h) - big_f(p - h)) / (2.0 * h)
@@ -151,7 +145,6 @@ def test_record_invariants_hold_for_random_orders(nu):
     sq = rec.value * rec.value
     assert rec.value_squared_down <= sq <= rec.value_squared_up
     assert rec.value_squared_up - rec.value_squared_down <= 1e-8 * sq
-    assert abs(rec.residual) <= 1e-10
 
 
 @settings(max_examples=20, deadline=None)
@@ -160,7 +153,6 @@ def test_p_record_invariants_hold_for_random_dimensions(d):
     rec = first_p_root(d)
     sq = rec.value * rec.value
     assert rec.value_squared_down <= sq <= rec.value_squared_up
-    assert abs(rec.residual) <= 1e-10
     assert d < sq < d + 2.0  # Szego-type sandwich
 
 
@@ -179,12 +171,10 @@ def test_p_root_rejects_bad_dimensions(d):
 def test_record_validation_guards():
     with pytest.raises(AccuracyError):
         BesselZeroRecord(nu=0.0, family=RootFamily.J_ZERO, value=2.4,
-                         value_squared_up=5.0, value_squared_down=5.9,
-                         residual=0.0)
+                         value_squared_up=5.0, value_squared_down=5.9)
     with pytest.raises(AccuracyError):
-        BesselZeroRecord(nu=0.0, family=RootFamily.J_ZERO, value=2.4,
-                         value_squared_up=5.9, value_squared_down=5.0,
-                         residual=1e-3)
+        BesselZeroRecord(nu=0.0, family=RootFamily.J_ZERO, value=-2.4,
+                         value_squared_up=5.9, value_squared_down=5.0)
 
 
 def _digest(floats):
@@ -199,8 +189,7 @@ def _record_digest(records):
     return _digest(
         f
         for rec in records
-        for f in (rec.value, rec.value_squared_up, rec.value_squared_down,
-                  rec.residual)
+        for f in (rec.value, rec.value_squared_up, rec.value_squared_down)
     )
 
 
@@ -213,29 +202,29 @@ def _twentieths_records():
 
 
 class TestGoldenRecords:
-    """sha256 of every root record's value, value_squared_up,
-    value_squared_down and residual, in order.
+    """sha256 of every root record's value, value_squared_up and
+    value_squared_down, in order.
 
-    These freeze the scan lattice, the bisection and the secant polish bit
-    for bit: a faster start or a leaner J that moves any root, error
-    estimate or directed square by one ulp changes a digest.  The values
-    were produced on x86-64 with CPython's libm; a platform whose lgamma,
-    exp or log rounds differently would change them too.
+    These freeze the scan lattice, Brent's steps and the grid of certified
+    squares bit for bit: a faster start or a leaner J that moves any root or
+    directed square by one ulp changes a digest.  The values were produced
+    on x86-64 with CPython's libm; a platform whose lgamma, exp or log
+    rounds differently would change them too.
     """
 
     def test_j_zeros_by_dimension(self):
         records = [first_bessel_zero(d / 2 - 1) for d in range(2, 201)]
         assert _record_digest(records) == (
-            "5d864dc429023ecc9c4277491ce848e72a8e714358d7667d81d95da56299e386")
+            "bfab87f91cc522ea187312ed8679b8720f1f43497b1da5b8ae21a127711daef9")
 
     def test_p_roots_by_dimension(self):
         records = [first_p_root(d) for d in range(2, 201)]
         assert _record_digest(records) == (
-            "dd50fb00fe3990440d8a9852d921b44ae9ccebfe0d69c6e4e76a245fce6c05c6")
+            "ff56b2a61ea357667944c3a221dc0d7ef56eddb57e5b27c59467d2f6a83db969")
 
     def test_j_zeros_on_twentieths(self):
         assert _record_digest(_twentieths_records()) == (
-            "712de4e99b05e71e8d4a84be19a1c1d2c3cac1a5912f7212a59784621d4034ac")
+            "f346fa42c24d0e9bbe7166519a5f77cc954e71ddd20b31da49876a9f9ca43199")
 
 
 @pytest.fixture()
@@ -266,16 +255,84 @@ class TestQuWongStart:
         for nu, rec in zip(TWENTIETHS, _twentieths_records()):
             start = _jzero_scan_start(nu)
             assert start < math.sqrt(rec.value_squared_down), nu
-            assert bessel_j(nu, start).value > 0.0, nu
+            assert bessel_j(nu, start) > 0.0, nu
 
 
 class TestSingleEvaluation:
-    """Each value carries its error, so no point, the root included, is evaluated twice."""
+    """Brent's method takes few J evaluations; the p-root needs none."""
 
     def test_j_zero_d200(self, j_calls):
         first_bessel_zero(99.0)
-        assert j_calls[0] == 22
+        assert j_calls[0] == 7
 
     def test_p_root_d200(self, j_calls):
         first_p_root(200)
-        assert j_calls[0] == 46
+        assert j_calls[0] == 0
+
+
+class TestExactSign:
+    """Signs of the two series in exact arithmetic, and the records built on them."""
+
+    def test_half_order_brackets_pi(self):
+        # S_{1/2}(x^2/4) has the sign of sin(x); the 50-digit pair puts S near
+        # e^-115, below the e^-80 first guess, so the tail bound must extend K
+        pi_50 = "3.14159265358979323846264338327950288419716939937510"
+        for x, sign in [("3", 1), ("3.14159", 1), ("3.1416", -1), ("5", -1),
+                        ("6.28318", -1), ("6.2832", 1),
+                        (pi_50, 1), (pi_50 + "6", -1)]:
+            z = Fraction(x) ** 2 / 4
+            assert _exact_sign(0.5, z, RootFamily.J_ZERO) == sign, x
+
+    def test_p_series_brackets_first_maximum_of_j1(self):
+        # d = 2: the p-root is the first zero of J_1', 1.8411837813...
+        for x, sign in [("1.84118", 1), ("1.84119", -1)]:
+            z = Fraction(x) ** 2 / 4
+            assert _exact_sign(1.0, z, RootFamily.P_ROOT) == sign, x
+
+    def test_agrees_with_float_signs_away_from_zeros(self):
+        for nu in (0.0, 0.5, 7.0, 49.5):
+            for x in (0.5, 3.0, 11.0, 30.0, 60.0):
+                value = bessel_j(nu, x)
+                if abs(value) > 1e-6:
+                    z = 0.25 * x * x
+                    assert _exact_sign(nu, z, RootFamily.J_ZERO) == (
+                        1 if value > 0.0 else -1), (nu, x)
+
+    def test_p_roots_match_exact_bisection(self):
+        # bisect z between the certified squares down to adjacent floats
+        for d in (2, 3, 50, 163, 200):
+            rec = first_p_root(d)
+            lo, hi = 0.25 * rec.value_squared_down, 0.25 * rec.value_squared_up
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                if _exact_sign(rec.nu, mid, RootFamily.P_ROOT) > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            assert rec.value == pytest.approx(2.0 * math.sqrt(lo), rel=1e-15), d
+
+    def test_second_zero_is_not_taken_for_the_first(self):
+        # a sign change below j_{0,2} = 5.5200781 could hide j_{0,1} = 2.4048
+        assert _first_zero_is_bracketed(0.0, 2.41 ** 2)
+        assert not _first_zero_is_bracketed(0.0, 5.53 ** 2)
+
+    def test_failed_sign_widens_then_raises(self, monkeypatch):
+        narrow = first_bessel_zero(3.0)
+        undecided = [2]
+
+        def flaky(nu, z, family):
+            if undecided[0]:
+                undecided[0] -= 1
+                return 0
+            return _exact_sign(nu, z, family)
+
+        monkeypatch.setattr(zeros_mod, "_exact_sign", flaky)
+        wide = first_bessel_zero(3.0)
+        assert wide.value == narrow.value
+        assert wide.value_squared_down < narrow.value_squared_down
+        assert wide.value_squared_up > narrow.value_squared_up
+
+        monkeypatch.setattr(zeros_mod, "_exact_sign", lambda nu, z, family: 0)
+        with pytest.raises(AccuracyError):
+            first_bessel_zero(3.0)
+        with pytest.raises(AccuracyError):
+            first_p_root(7)
