@@ -4,9 +4,10 @@ Along the family
 
     eps_d = (1 + c d^alpha)^{-2},   a_d = k d,   r = 4/d,   V = Vogt,
 
-with c > 0, alpha in (-1, -1/2], k > 0, the bound converges to
-e^{4k} * (1 + something -> 0); at the optimal k = 1/8 the first factor is
-e^{1/2} exactly and the whole bound tends to sqrt(e) from above.
+with c > 0 and alpha in (-1, -1/2], the bound converges to
+e^{4k} * (1 + something -> 0).  k is fixed at its optimum 1/8 (`A_SLOPE`),
+where the first factor is e^{1/2} exactly and the whole bound tends to
+sqrt(e) from above.
 
 The exponent on d in a_d is fixed at 1: other exponents provably destroy the
 limit, so they are not exposed as parameters.  Everything is evaluated in log
@@ -24,15 +25,17 @@ from .vfunction import VKind, log_v
 
 _FEASIBLE_SCAN_CAP = 10 ** 6
 
+#: The slope k of a_d = k d; 4k = r a_d is exactly 1/2.
+A_SLOPE = 0.125
+
 
 @dataclass(frozen=True)
 class AsymptoticParams:
-    """Family parameters at one dimension d (a_d = k d; see module doc)."""
+    """Family parameters at one dimension d (a_d = A_SLOPE d; see module doc)."""
 
     d: int
     c: float = 1.0
     alpha: float = -0.5
-    k: float = 0.125
 
     def __post_init__(self) -> None:
         if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 5:
@@ -45,8 +48,6 @@ class AsymptoticParams:
             raise InfeasibleParameterError(
                 f"alpha must lie in (-1, -1/2], got {self.alpha!r}"
             )
-        if not self.k > 0.0:
-            raise InfeasibleParameterError(f"k must be positive, got {self.k!r}")
 
 
 def epsilon_d(c: float, alpha: float, d: int) -> float:
@@ -87,7 +88,7 @@ def feasible_threshold(c: float = 1.0, alpha: float = -0.5) -> int:
 def asymptotic_bound(params: AsymptoticParams) -> float:
     """Evaluate the bound at (eps_d, a_d) with r = 4/d and the Vogt V.
 
-    The first factor is computed as exp(4k) so that the k = 1/8 identity
+    The first factor is computed as exp(4 A_SLOPE) so that the identity
     e^{r a_d} = e^{1/2} holds to machine precision.
     """
     d = params.d
@@ -97,20 +98,20 @@ def asymptotic_bound(params: AsymptoticParams) -> float:
             f"eps_d >= 1 - 4/d at d={d}; the family is feasible from d={threshold}"
         )
     r = 4.0 / d
-    a = params.k * d
+    a = A_SLOPE * d
     eps = epsilon_d(params.c, params.alpha, d)
     one_minus = _one_minus_eps(params.c, params.alpha, d)
     rho = one_minus - r  # 1 - eps - r, both pieces modest
     lv = log_v(VKind.VOGT, eps, d)
-    ra = 4.0 * params.k  # r * a = (4/d)(k d), formed without d
+    ra = 4.0 * A_SLOPE  # r * a = (4/d)(k d), formed without d
     second = math.exp(ra + math.log(r) + lv - math.log(rho) - one_minus * a)
     return math.exp(ra) + second
 
 
-def sweep(d_list: list[int], c: float = 1.0, alpha: float = -0.5,
-          k: float = 0.125) -> list[tuple[int, float]]:
+def sweep(d_list: list[int], c: float = 1.0,
+          alpha: float = -0.5) -> list[tuple[int, float]]:
     """asymptotic_bound at each d in d_list, as (d, bound) pairs."""
     return [
-        (d, asymptotic_bound(AsymptoticParams(d=d, c=c, alpha=alpha, k=k)))
+        (d, asymptotic_bound(AsymptoticParams(d=d, c=c, alpha=alpha)))
         for d in d_list
     ]

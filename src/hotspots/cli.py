@@ -22,7 +22,7 @@ import click
 
 from . import __version__
 from ._format import canonical_json, format_sig, payload_checksum
-from .asymptotic import sweep
+from .asymptotic import A_SLOPE, sweep
 from .bound import BoundQuery, optimize_bound
 from .errors import AccuracyError, InfeasibleParameterError
 from .montecarlo import (
@@ -350,7 +350,7 @@ def asymptotic(dmin: int, dmax: int, points: int, c_param: float, alpha: float,
     rows = [{"d": d, "bound": value}
             for d, value in sweep(dims, c=c_param, alpha=alpha)]
     params = {"dmin": dmin, "dmax": dmax, "points": points, "c": c_param,
-              "alpha": alpha, "k": 0.125}
+              "alpha": alpha, "k": A_SLOPE}
     if fmt == "json":
         _emit_json("asymptotic", params, {"rows": rows})
     elif fmt == "csv":
@@ -391,6 +391,8 @@ def verify_vbound(shape: str, radius: float, sides: str | None, dim: int,
                   chunk_size: int, bridge: bool, fmt: str) -> None:
     """Monte Carlo check of survival against the V-bound (exit 5 on failure)."""
     if shape == "ball":
+        if sides is not None:
+            raise click.UsageError("ball shape takes --radius, not --sides")
         domain = SimDomain.ball(radius, dim)
     else:
         if sides is None:

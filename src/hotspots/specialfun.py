@@ -1,10 +1,10 @@
 """Bessel functions of the first kind and log-gamma.
 
-Evaluation of J_nu(x) for real order 0 <= nu <= 120 and x >= 0 to the value
-contract |error| <= 1e-12 |J_nu(x)| + 3e-14, which the test suite checks
-against mpmath and scipy.  |J_nu| <= 1, so the floor is relative to the
-function's scale; near a zero, or where J_nu is tiny, the relative error can
-be large.  Nothing certified rests on this contract: `zeros` proves its
+Evaluation of J_nu(x) for real order 0 <= nu <= 120 and 0 <= x <= MAX_ARG =
+700 to the value contract |error| <= 1e-12 |J_nu(x)| + 3e-14, which the test
+suite checks against mpmath and scipy.  |J_nu| <= 1, so the floor is
+relative to the function's scale; near a zero, or where J_nu is tiny, the
+relative error can be large.  Nothing certified rests on this contract: `zeros` proves its
 bounds in exact arithmetic and uses these values only to find roots.
 
 Two regimes are combined:
@@ -29,6 +29,11 @@ _EPS = 2.220446049250313e-16
 
 #: Largest supported order (covers dimension 200 zeros plus margin).
 MAX_ORDER = 120.0
+
+#: Largest supported argument of bessel_j.  Up to it the series' cancellation
+#: forecast stays below e^662 over the orders (exp overflows above e^709), and
+#: it covers the root search (x <= 164).
+MAX_ARG = 700.0
 
 #: Largest supported log-gamma argument.
 MAX_LOG_GAMMA_ARG = 500.0
@@ -157,7 +162,7 @@ def _miller(nu: float, x: float, log_pref: float) -> float:
 
 
 def bessel_j(nu: float, x: float) -> float:
-    """Evaluate J_nu(x) for 0 <= nu <= 120, x >= 0 (see the module doc).
+    """Evaluate J_nu(x) for 0 <= nu <= 120, 0 <= x <= 700 (see the module doc).
 
     Chooses the ascending series whenever its cancellation forecast meets the
     accuracy target, otherwise the Miller backward recurrence.
@@ -173,8 +178,10 @@ def bessel_j(nu: float, x: float) -> float:
         raise InfeasibleParameterError(
             f"bessel_j supports orders 0 <= nu <= {MAX_ORDER:g}, got {nu!r}"
         )
-    if not math.isfinite(x) or x < 0.0:
-        raise InfeasibleParameterError(f"bessel_j requires finite x >= 0, got {x!r}")
+    if not 0.0 <= x <= MAX_ARG:
+        raise InfeasibleParameterError(
+            f"bessel_j supports arguments 0 <= x <= {MAX_ARG:g}, got {x!r}"
+        )
     if 0.5 * x == 0.0:  # includes subnormals whose halving underflows
         return 1.0 if nu == 0.0 else 0.0
     log_pref, forecast = _series_forecast(nu, x)

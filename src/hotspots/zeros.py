@@ -25,13 +25,12 @@ from typing import Callable
 from .errors import AccuracyError, InfeasibleParameterError
 from .specialfun import bessel_j
 
-_EPS = 2.220446049250313e-16
-
 _SCAN_STEP = 0.25
 #: the directed squares sit on a grid of 2^-_GRID_BITS relative spacing
 _GRID_BITS = 44
 #: how often a failed sign may widen the bracket (16x each time)
 _WIDEN_TRIES = 4
+_SIGN_TERMS = 4096
 
 
 class RootFamily(enum.Enum):
@@ -67,37 +66,31 @@ class BesselZeroRecord:
 def _exact_sign(nu: float, z, family: RootFamily) -> int:
     """Exact sign of S(z) (module doc) for float or Fraction nu and z >= 0.
 
-    With nu = p/q and z = a/b the term ratio is -A/q_k, A = aq, q_k = b k (p+kq).
-    A Horner recurrence on ints sums K terms as N/M.  Once the terms shrink,
-    the alternating tail is below the next term, so |N| q_{K+1} > w_{K+1}
-    A^{K+1} proves sign(N).  K doubles until it does; 0 means undecided.
+    With nu = p/q, z = a/b, A = aq and q_k = b k (p+kq), terms 0..K sum to
+    N_K / (q_1 ... q_K), N_0 = 1, N_k = N_{k-1} q_k + w_k (-A)^k on ints.  Before
+    adding term k, sign(N_{k-1}) is proven once the terms shrink from k on
+    (w_{k+1} A < w_k q_{k+1}) and the alternating tail is below the partial sum
+    (|N_{k-1}| q_k > w_k A^k); 0 means undecided within _SIGN_TERMS terms.
+
+    >>> _exact_sign(0.5, 2.4674, RootFamily.J_ZERO)  # (pi/2)^2 = 2.46740110...
+    1
+    >>> _exact_sign(0.5, 2.4675, RootFamily.J_ZERO)
+    -1
     """
     p, q = nu.as_integer_ratio()
     a, b = z.as_integer_ratio()
     big_a = a * q
-
-    def weight(k: int) -> int:
-        return 2 * k + 1 if family is RootFamily.P_ROOT else 1
-
-    def q_at(k: int) -> int:
-        return b * k * (p + k * q)
-
-    # first K whose terms have started to shrink and fall below e^-80
-    zf, term, n_terms = float(z), 1.0, 0
-    while not (n_terms * (nu + n_terms) > zf and term < 1e-35):
-        n_terms += 1
-        term *= zf / (n_terms * (nu + n_terms))
-    while n_terms <= 4096:
-        num, den = weight(n_terms), 1
-        for k in range(n_terms, 0, -1):
-            qk = q_at(k)
-            num = weight(k - 1) * qk * den - big_a * num
-            den *= qk
-        nxt = n_terms + 1
-        if (weight(nxt + 1) * big_a < weight(nxt) * q_at(nxt + 1)
-                and abs(num) * q_at(nxt) > weight(nxt) * big_a ** nxt):
+    dw = 2 if family is RootFamily.P_ROOT else 0  # w_k = 1 + dw k
+    num, power, q_k = 1, 1, b * (p + q)
+    for k in range(1, _SIGN_TERMS + 2):
+        power *= big_a
+        w_k = 1 + dw * k
+        head, term = num * q_k, w_k * power
+        q_next = b * (k + 1) * (p + (k + 1) * q)
+        if (w_k + dw) * big_a < w_k * q_next and abs(head) > term:
             return (num > 0) - (num < 0)
-        n_terms *= 2
+        num = head - term if k % 2 else head + term
+        q_k = q_next
     return 0
 
 
@@ -130,7 +123,7 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b)
+        tol = 2.0 * math.ulp(1.0) * abs(b)
         half = 0.5 * (c - b)
         if fb == 0.0 or abs(half) <= tol:
             return b
@@ -170,6 +163,15 @@ def _find_root(f: Callable[[float], float], x_start: float, x_cap: float,
         x0, f0 = x1, f1
 
 
+def _qu_wong_lower(nu: float) -> float:
+    """A float below j_{nu,1} (Qu and Wong, Trans. AMS 351 (1999) 2833-2859).
+
+    j_{nu,1} > nu + 1.85575708... nu^{1/3}; the constant is rounded down so the
+    float stays below, and 1e-9 covers the rounding of ** and +.  0 at nu = 0.
+    """
+    return nu + 1.855757 * nu ** (1.0 / 3.0) - 1e-9
+
+
 def _first_zero_is_bracketed(nu: float, sq_up: float) -> bool:
     """Whether a sign change of J_nu below sqrt(sq_up) must be its first zero.
 
@@ -178,8 +180,7 @@ def _first_zero_is_bracketed(nu: float, sq_up: float) -> bool:
     s = pi / sqrt(1 + max(0, 1/4-nu^2)/L^2) apart; so no earlier zero fits
     if L > sqrt(sq_up) - s.  The 1e-9 slacks cover float rounding.
     """
-    lower = max(math.sqrt((nu + 1.0) * (nu + 5.0)),
-                nu + 1.855757 * nu ** (1.0 / 3.0)) - 1e-9
+    lower = max(math.sqrt((nu + 1.0) * (nu + 5.0)) - 1e-9, _qu_wong_lower(nu))
     spacing = math.pi / math.sqrt(1.0 + max(0.0, 0.25 - nu * nu) / (lower * lower))
     return lower > math.sqrt(sq_up) + 1e-9 - spacing
 
@@ -213,14 +214,12 @@ def _jzero_scan_start(nu: float) -> float:
     """Where the j-zero scan starts: the last lattice point below Qu-Wong.
 
     Lorch: j^2 > d(d+8)/4 >= d with d = 2(nu+1), so sqrt(2nu+2) is below j.
-    Qu and Wong (Trans. AMS 351 (1999) 2833-2859): j > nu + 1.8557571 nu^{1/3}
-    for all nu > 0, so J_nu keeps its sign on every scan point below that.
+    J_nu keeps its sign on every scan point below `_qu_wong_lower`.
     The start advances by the scan's own += _SCAN_STEP additions, so the
     scan stays on the lattice that starts at sqrt(2nu+2).
     """
     start = max(1.0, math.sqrt(2.0 * nu + 2.0))
-    # constant rounded down; 1e-9 covers the rounding of **; the bound is 0 at nu = 0
-    lower = nu + 1.855757 * nu ** (1.0 / 3.0) - 1e-9
+    lower = _qu_wong_lower(nu)
     while start + _SCAN_STEP < lower:
         start += _SCAN_STEP
     return start

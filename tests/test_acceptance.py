@@ -38,7 +38,7 @@ from hotspots import (
     ratio_upper_bound,
     sample_exit_times,
 )
-from hotspots.asymptotic import _one_minus_eps, epsilon_d
+from hotspots.asymptotic import A_SLOPE, _one_minus_eps, epsilon_d
 from hotspots.cli import compute_table_rows, main
 from hotspots.ratio import bessel_exact_from_records, displayed_squares
 from hotspots.zeros import _exact_sign, _first_zero_is_bracketed
@@ -192,7 +192,7 @@ def test_criterion_5_sqrt_e_family():
         eps = epsilon_d(p.c, p.alpha, d)
         one_minus = _one_minus_eps(p.c, p.alpha, d)
         second = math.exp(0.5 + math.log(4.0 / d) + log_v(VKind.VOGT, eps, d)
-                          - math.log(one_minus - 4.0 / d) - one_minus * p.k * d)
+                          - math.log(one_minus - 4.0 / d) - one_minus * A_SLOPE * d)
         exact = exact and asymptotic_bound(p) == math.exp(0.5) + second
 
     ok = above and within and exact

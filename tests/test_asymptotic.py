@@ -14,7 +14,7 @@ from hotspots import (
     sweep,
 )
 import hotspots.asymptotic as asymptotic_mod
-from hotspots.asymptotic import _one_minus_eps, epsilon_d, is_feasible
+from hotspots.asymptotic import A_SLOPE, _one_minus_eps, epsilon_d, is_feasible
 
 SQRT_E = math.sqrt(math.e)
 
@@ -23,12 +23,12 @@ def _second_term(params: AsymptoticParams) -> float:
     """Reconstruct the correction term (stable 1-eps form, as documented)."""
     d = params.d
     r = 4.0 / d
-    a = params.k * d
+    a = A_SLOPE * d
     eps = epsilon_d(params.c, params.alpha, d)
     one_minus = _one_minus_eps(params.c, params.alpha, d)
     rho = one_minus - r
     lv = log_v(VKind.VOGT, eps, d)
-    ra = 4.0 * params.k
+    ra = 4.0 * A_SLOPE
     return math.exp(ra + math.log(r) + lv - math.log(rho) - one_minus * a)
 
 
@@ -150,7 +150,7 @@ def test_threshold_bisection_at_full_cap(c, alpha):
 @pytest.mark.parametrize("kwargs", [
     {"d": 4}, {"d": 10, "c": 0.0}, {"d": 10, "c": -1.0},
     {"d": 10, "alpha": -0.4}, {"d": 10, "alpha": -1.0},
-    {"d": 10, "k": 0.0}, {"d": True}, {"d": 10.5},
+    {"d": 10, "alpha": math.nan}, {"d": True}, {"d": 10.5},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(InfeasibleParameterError):

@@ -296,6 +296,13 @@ class TestVerifyVBound:
         assert runner.invoke(main, ["verify-vbound", "--shape", "box", "--sides",
                                     "1,x", "--dim", "2"]).exit_code == 2
 
+    def test_ball_rejects_sides(self, runner):
+        # no side is used, so the manifest must not record any
+        res = runner.invoke(main, ["verify-vbound", "--shape", "ball", "--dim", "2",
+                                   "--sides", "1,2,3"])
+        assert res.exit_code == 2
+        assert "--sides" in res.output
+
     def test_one_bessel_root_per_ball_run(self, runner, monkeypatch):
         # the CLI and sample_exit_times both need lambda; one root search serves
         import hotspots.montecarlo as mc

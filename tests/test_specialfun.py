@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hotspots import InfeasibleParameterError, bessel_j, log_gamma
-from hotspots.specialfun import _series_forecast
+from hotspots.specialfun import MAX_ARG, _series_forecast
 
 # (nu, x, J_nu(x)) frozen at 20 significant digits.
 MPMATH_POINTS = [
@@ -129,8 +129,15 @@ class TestBesselAccuracy:
         ref = sp.jv(nu, x)
         assert abs(bessel_j(nu, x) - ref) <= _contract(ref)
 
+    def test_contract_holds_at_max_arg(self):
+        for nu in [0.25 * i for i in range(481)]:
+            ref = sp.jv(nu, MAX_ARG)
+            assert abs(bessel_j(nu, MAX_ARG) - ref) <= _contract(ref), nu
+
     @pytest.mark.parametrize("nu,x", [(-0.5, 1.0), (120.5, 1.0), (1.0, -0.1),
-                                      (math.nan, 1.0), (1.0, math.inf)])
+                                      (math.nan, 1.0), (1.0, math.inf),
+                                      (0.0, math.nextafter(MAX_ARG, math.inf)),
+                                      (0.5, 1e150), (7.0, 1e200)])
     def test_rejects_out_of_domain(self, nu, x):
         with pytest.raises(InfeasibleParameterError):
             bessel_j(nu, x)

@@ -275,13 +275,26 @@ class TestExactSign:
 
     def test_half_order_brackets_pi(self):
         # S_{1/2}(x^2/4) has the sign of sin(x); the 50-digit pair puts S near
-        # e^-115, below the e^-80 first guess, so the tail bound must extend K
+        # e^-115, so the pass must run until the terms fall below that
         pi_50 = "3.14159265358979323846264338327950288419716939937510"
         for x, sign in [("3", 1), ("3.14159", 1), ("3.1416", -1), ("5", -1),
                         ("6.28318", -1), ("6.2832", 1),
                         (pi_50, 1), (pi_50 + "6", -1)]:
             z = Fraction(x) ** 2 / 4
             assert _exact_sign(0.5, z, RootFamily.J_ZERO) == sign, x
+
+    def test_large_argument_is_decided(self):
+        # the terms peak near e^894, beyond the float range;
+        # sin(2 sqrt(z)) = 0.80, far from a zero
+        z = 2e5
+        expected = 1 if math.sin(2.0 * math.sqrt(z)) > 0.0 else -1
+        assert _exact_sign(0.5, z, RootFamily.J_ZERO) == expected
+
+    def test_undecided_beyond_the_term_cap(self):
+        # the terms fall below |S| only past k = e sqrt(z) ~ 27,000
+        assert zeros_mod._SIGN_TERMS < 27000
+        for family in RootFamily:
+            assert _exact_sign(0.5, 1e8, family) == 0
 
     def test_p_series_brackets_first_maximum_of_j1(self):
         # d = 2: the p-root is the first zero of J_1', 1.8411837813...
