@@ -213,7 +213,8 @@ class TestStepKernel:
 class TestGoldenStream:
     """sha256 of sample_exit_times(...).tobytes() for small runs, three
     256-path chunks each (600 paths, dt=1e-3, seed 2024), bridge on unless
-    a case says otherwise.
+    a case says otherwise.  The staggered cases use smaller chunks, so that
+    many chunks are stepped at once and the last one is short.
 
     These freeze the documented Philox stream and the simulator's arithmetic:
     a change that alters any exit time must announce it and re-freeze the
@@ -222,10 +223,10 @@ class TestGoldenStream:
     """
 
     @staticmethod
-    def _digest(domain, start, bridge=True):
+    def _digest(domain, start, bridge=True, chunk_size=256):
         lam = principal_eigenvalue(domain)
         cfg = SimConfig(domain=domain, start=start, dt=1e-3, n_paths=600,
-                        t_grid=default_t_grid(lam), seed=2024, chunk_size=256,
+                        t_grid=default_t_grid(lam), seed=2024, chunk_size=chunk_size,
                         bridge_correction=bridge)
         return hashlib.sha256(sample_exit_times(cfg).tobytes()).hexdigest()
 
@@ -264,6 +265,23 @@ class TestGoldenStream:
         dom = SimDomain.box((10.0, 1.0))
         assert self._digest(dom, dom.center()) == (
             "647f6487521e5786f1f5a48ef845faaf6f592ff2fd1d6f7f9712ef62021b5365")
+
+    def test_disc_staggered_chunks(self):
+        # ten 64-path chunks, the last of 24 paths
+        dom = SimDomain.ball(1.0, 2)
+        assert self._digest(dom, dom.center(), chunk_size=64) == (
+            "56c91d396fae628e53284287e822462fd79c9d33b6c4acfe1b7c4ec96597c40e")
+
+    def test_cube_staggered_chunks(self):
+        dom = SimDomain.box((1.0, 1.0, 1.0))
+        assert self._digest(dom, dom.center(), chunk_size=64) == (
+            "fc928a8a366dabb4180fc10b3fc85dd2d7432e7b424ccecda59ff74b7f121b2e")
+
+    def test_long_box_staggered_chunks_without_bridge(self):
+        # 97 does not divide 600: six full chunks and one of 18 paths
+        dom = SimDomain.box((10.0, 1.0))
+        assert self._digest(dom, dom.center(), bridge=False, chunk_size=97) == (
+            "4902025cee6f64ba97eea91d647b02e542a3b572625acafbac662b6b971ccd9e")
 
 
 class TestSurvival:
