@@ -19,6 +19,7 @@ import sys
 from typing import Any, Callable
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from ._format import canonical_json, format_sig, payload_checksum
@@ -379,7 +380,10 @@ def asymptotic(dmin: int, dmax: int, points: int, c_param: float, alpha: float,
               help="vogt|improved.")
 @click.option("--seed", default=42, show_default=True, type=int)
 @click.option("--grid-points", default=25, show_default=True, type=int)
-@click.option("--chunk-size", default=65536, show_default=True, type=int)
+@click.option("--chunk-size", default=65536, show_default=True, type=int,
+              help="Paths per chunk: chunk i draws from Philox(key=seed) "
+                   "jumped i times, and at most twice this many paths are "
+                   "in flight.")
 @click.option("--bridge/--no-bridge", default=True, show_default=True,
               help="Brownian-bridge crossing correction.")
 @click.option("--format", "fmt", default="json", show_default=True,
@@ -395,6 +399,9 @@ def verify_vbound(shape: str, radius: float, sides: str | None, dim: int,
             raise click.UsageError("ball shape takes --radius, not --sides")
         domain = SimDomain.ball(radius, dim)
     else:
+        source = click.get_current_context().get_parameter_source("radius")
+        if source is not ParameterSource.DEFAULT:
+            raise click.UsageError("box shape takes --sides, not --radius")
         if sides is None:
             raise click.UsageError("box shape needs --sides")
         try:

@@ -17,16 +17,20 @@ using distances to the boundary before and after the step — per face for
 boxes (applied independently; the per-step survival factor is the product
 over faces), and via the signed radial distance R - |x| for balls.
 
-Reproducibility: paths are generated in fixed-size chunks; chunk i uses the
-Philox counter-based stream `Philox(key=seed).jumped(i)`.  The same (seed,
-chunk policy) therefore yields the same sample multiset regardless of how
-chunks are scheduled.
+Reproducibility: paths are split into chunks of chunk_size, and chunk i
+draws from the Philox counter-based stream `Philox(key=seed).jumped(i)` for
+its own paths only.  The simulator steps the chunks together as one pool of
+alive paths (the next chunk joins once at most chunk_size paths are alive,
+so at most 2 * chunk_size are in flight), but which chunks share a step
+changes no draw.  The same (seed, chunk_size) therefore yields the same exit
+times, in chunk order, however chunks are scheduled.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -102,7 +106,12 @@ class SimDomain:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one simulation depends on (and nothing else)."""
+    """Everything one simulation depends on (and nothing else).
+
+    chunk_size is the unit of the random stream: chunk i, of chunk_size
+    paths, draws from Philox(key=seed) jumped i times.  At most
+    2 * chunk_size paths are in flight at once.
+    """
 
     domain: SimDomain
     start: tuple[float, ...]
@@ -274,25 +283,25 @@ def _row_product(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunk_exit_times(config: SimConfig, chunk_index: int,
-                      chunk_paths: int, max_steps: int) -> np.ndarray:
-    """Exit times for one chunk of paths (the documented seed derivation).
+def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
+    """Exit times of all n_paths, stepped as one pool of alive paths.
 
-    Chunk i draws from Philox(key=seed) jumped i times; within a chunk the
-    draw order is one (alive, dim) normal block then one (alive,) uniform
-    block per step, with exited paths compacted away between steps.  The
-    start must lie strictly inside the domain.
+    Chunk i holds paths i*chunk_size onwards (the last chunk may be shorter)
+    and draws from Philox(key=seed) jumped i times: each of its steps draws
+    one (alive_i, dim) normal block, then one (alive_i,) uniform block, for
+    its own alive paths, and its k-th step ends at t = dt * k.  Its exit
+    times therefore do not depend on which other chunks share its steps.
+    The next chunk joins whenever the pool holds at most chunk_size alive
+    paths, so at most 2 * chunk_size are in flight; each chunk's rows stay
+    contiguous and in chunk order.  The start must lie strictly inside the
+    domain.
     """
-    rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(chunk_index))
     domain = config.domain
     dim = domain.dim
     dt = config.dt
-    n = chunk_paths
-
-    exit_times = np.full(n, np.nan, dtype=np.float64)
-    alive = np.arange(n, dtype=np.int64)
-    x = np.broadcast_to(np.asarray(config.start, dtype=np.float64), (n, dim)).copy()
+    n, size = config.n_paths, config.chunk_size
     step_sd = math.sqrt(2.0 * dt)
+    start = np.asarray(config.start, dtype=np.float64).reshape(1, dim)
 
     # gap: distance to the boundary, carried from step to step.  Ball: the
     # radial distance R - |x|, shape (alive,).  Box: the distances to the
@@ -301,22 +310,53 @@ def _chunk_exit_times(config: SimConfig, chunk_index: int,
     is_ball = domain.shape is DomainShape.BALL
     if is_ball:
         radius = float(domain.radius)  # type: ignore[arg-type]
-        gap = radius - np.sqrt(_row_sum_squares(x))
+        start_gap = radius - np.sqrt(_row_sum_squares(start))
     else:
         # one row of sides per path: subtracting equal shapes runs as one
         # flat loop, broadcasting a short row is several times slower
         sides = np.broadcast_to(np.asarray(domain.sides, dtype=np.float64),
-                                (n, dim)).copy()
-        gap = sides - x
+                                (min(n, 2 * size), dim)).copy()
+        start_gap = sides[:1] - start
 
-    for step in range(max_steps):
-        if alive.size == 0:
-            break
+    exit_step = np.empty(n, dtype=np.int64)  # pool step each path exits in
+    joins: list[int] = []  # pool step chunk i joined at
+    alive = np.empty(0, dtype=np.int64)  # path index of each pool row
+    x = np.empty((0, dim), dtype=np.float64)
+    gap = start_gap[:0]
+    pool: list[tuple[np.random.Generator, int]] = []  # (stream, end of its rows)
+    joined = 0
+
+    for step in itertools.count():
+        while joined < n and alive.size <= size:
+            take = min(size, n - joined)
+            rng = np.random.Generator(
+                np.random.Philox(key=config.seed).jumped(joined // size))
+            joins.append(step)
+            alive = np.concatenate([alive, np.arange(joined, joined + take)])
+            x = np.concatenate([x, np.broadcast_to(start, (take, dim))])
+            gap = np.concatenate(
+                [gap, np.broadcast_to(start_gap, (take,) + start_gap.shape[1:])])
+            pool.append((rng, alive.size))
+            joined += take
         m = alive.size
-        x_new = rng.standard_normal((m, dim))
+        if m == 0:
+            break
+        # row 0 belongs to the oldest chunk, which has taken the most steps
+        if step - joins[alive[0] // size] == max_steps:
+            raise AccuracyError(
+                f"{pool[0][1]} paths still alive at lambda*t = {_LAMBDA_T_CAP:g}; "
+                "exit-time sampling did not terminate"
+            )
+
+        x_new = np.empty((m, dim), dtype=np.float64)
+        u = np.empty(m, dtype=np.float64)
+        lo = 0
+        for rng, hi in pool:
+            rng.standard_normal(out=x_new[lo:hi])
+            rng.random(out=u[lo:hi])
+            lo = hi
         x_new *= step_sd
         x_new += x
-        u = rng.uniform(size=m)
 
         # The bridge test also runs on rows that already exited, where it
         # cannot change the outcome.  There the two distances sum to at most
@@ -340,29 +380,36 @@ def _chunk_exit_times(config: SimConfig, chunk_index: int,
                 np.subtract(1.0, high, out=high)
                 exited |= u < 1.0 - _row_product(low) * _row_product(high)
 
-        exit_times[alive[exited]] = dt * (step + 1)
-        keep = np.flatnonzero(~exited)
-        alive = alive.take(keep)
-        x = x_new.take(keep, axis=0)
-        gap = gap_new.take(keep, axis=0)
+        if exited.any():
+            exit_step[alive[exited]] = step
+            keep = np.flatnonzero(~exited)
+            alive = alive.take(keep)
+            x = x_new.take(keep, axis=0)
+            gap = gap_new.take(keep, axis=0)
+            # each chunk's kept rows end where its old end falls among keep;
+            # a chunk with none left leaves the pool
+            ends = np.searchsorted(keep, [hi for _, hi in pool]).tolist()
+            pool = [(rng, hi) for (rng, _), hi, lo in zip(pool, ends, [0] + ends)
+                    if hi > lo]
+        else:
+            x, gap = x_new, gap_new
 
-    if alive.size:
-        raise AccuracyError(
-            f"{alive.size} paths still alive at lambda*t = {_LAMBDA_T_CAP:g}; "
-            "exit-time sampling did not terminate"
-        )
-    return exit_times
+    # a path of chunk i that exits in pool step k took k - joins[i] + 1 steps
+    for i, j in enumerate(joins):
+        exit_step[i * size:(i + 1) * size] -= j - 1
+    return dt * exit_step
 
 
 def sample_exit_times(config: SimConfig) -> np.ndarray:
     """n_paths independent exit-time samples, deterministic given the seed.
 
-    Paths are processed in chunks of config.chunk_size; results concatenate
-    in chunk order, so the output is identical however chunks are scheduled.
-    A start on the boundary exits at t = 0.  A dt that needs more than
-    _MAX_STEPS steps is rejected before the first chunk.
+    Paths are drawn in chunks of config.chunk_size, each from its own
+    stream, and returned in chunk order, so the output does not depend on
+    how chunks share steps.  A start on the boundary exits at t = 0.  A dt
+    that needs more than _MAX_STEPS steps is rejected before any path is
+    drawn.
     """
-    n, size = config.n_paths, config.chunk_size
+    n = config.n_paths
     if _start_distance(config.domain, config.start) <= 0.0:
         return np.zeros(n, dtype=np.float64)
     t_cap = max(config.t_grid[-1] if config.t_grid else 0.0,
@@ -373,11 +420,7 @@ def sample_exit_times(config: SimConfig) -> np.ndarray:
             f"dt={config.dt!r} needs {steps:.3g} time steps; "
             f"at most {_MAX_STEPS:.0e} are allowed"
         )
-    max_steps = int(math.ceil(steps)) + 1
-    return np.concatenate([
-        _chunk_exit_times(config, i, min(size, n - first), max_steps)
-        for i, first in enumerate(range(0, n, size))
-    ])
+    return _pool_exit_times(config, int(math.ceil(steps)) + 1)
 
 
 def _clopper_pearson(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

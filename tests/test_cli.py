@@ -303,6 +303,19 @@ class TestVerifyVBound:
         assert res.exit_code == 2
         assert "--sides" in res.output
 
+    def test_box_rejects_radius(self, runner):
+        # a box has no radius, so the manifest must not record one; the
+        # default radius is not "given", so a plain box run still works
+        box = ["verify-vbound", "--shape", "box", "--sides", "1,1", "--dim", "2",
+               "--paths", "50", "--dt", "1e-3", "--grid-points", "5"]
+        for radius in ("7", "1.0"):
+            res = runner.invoke(main, box + ["--radius", radius])
+            assert res.exit_code == 2
+            assert "--radius" in res.output
+        res = runner.invoke(main, box)
+        assert res.exit_code == 0
+        assert json.loads(res.output)["manifest"]["parameters"]["radius"] is None
+
     def test_one_bessel_root_per_ball_run(self, runner, monkeypatch):
         # the CLI and sample_exit_times both need lambda; one root search serves
         import hotspots.montecarlo as mc
@@ -335,12 +348,12 @@ class TestVerifyVBound:
     def test_tiny_dt_exit_three_before_sampling(self, runner, monkeypatch):
         # dt = 1e-9 on the unit disc needs about 1.4e10 steps: refused, not run
         import hotspots.montecarlo as mc
-        chunks = []
-        monkeypatch.setattr(mc, "_chunk_exit_times", lambda *a: chunks.append(a))
+        runs = []
+        monkeypatch.setattr(mc, "_pool_exit_times", lambda *a: runs.append(a))
         res = runner.invoke(main, ["verify-vbound", "--dim", "2", "--paths", "10",
                                    "--dt", "1e-9"])
         assert res.exit_code == 3, res.output
-        assert chunks == []
+        assert runs == []
 
     def test_vacuous_or_overflowing_v_exit_three(self, runner):
         # eps = 1 makes the bound V e^0 >= 1, which no estimate can violate;

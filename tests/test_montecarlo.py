@@ -29,7 +29,6 @@ from hotspots import (
     sample_exit_times,
 )
 from hotspots.montecarlo import (
-    _chunk_exit_times,
     _clopper_pearson,
     check_grid_dt,
     _row_product,
@@ -109,14 +108,71 @@ class TestExitTimes:
         c = sample_exit_times(_ball_config(n_paths=3000, dt=1e-3, seed=43))
         assert not np.array_equal(a, c)
 
-    def test_chunking_is_invisible(self):
-        # same seed and chunk layout: concatenated per-chunk samples must
-        # reproduce the all-at-once sample exactly
+    def test_chunking_is_invisible(self, monkeypatch):
+        # chunk i run alone, from its own stream Philox(key=seed) jumped i
+        # times, then concatenated in chunk order, must reproduce the pooled
+        # run of all chunks exactly
+        import hotspots.montecarlo as mc
         cfg = _ball_config(n_paths=5000, dt=1e-3, chunk_size=1024)
-        # the step cap only bounds the loop; a cap no path reaches changes nothing
-        parts = [_chunk_exit_times(cfg, i, take, max_steps=10**6)
-                 for i, take in enumerate([1024, 1024, 1024, 1024, 904])]
-        assert np.array_equal(np.concatenate(parts), sample_exit_times(cfg))
+        pooled = sample_exit_times(cfg)
+        philox = np.random.Philox
+        parts = []
+        for i, take in enumerate([1024, 1024, 1024, 1024, 904]):
+            monkeypatch.setattr(mc.np.random, "Philox",
+                                lambda key, i=i: philox(key=key).jumped(i))
+            parts.append(sample_exit_times(dataclasses.replace(cfg, n_paths=take)))
+        assert np.array_equal(np.concatenate(parts), pooled)
+
+    def test_pool_admits_a_chunk_once_at_most_chunk_size_paths_remain(self, monkeypatch):
+        # record every draw; chunks are created, and draw within a step, in
+        # chunk order, so a draw from a chunk no later than the previous one
+        # starts a new step
+        import hotspots.montecarlo as mc
+        real = np.random.Generator
+        draws = []  # (chunk, rows) of each normal block
+
+        class RecordingGenerator:
+            created = 0
+
+            def __init__(self, bit_generator):
+                self._rng = real(bit_generator)
+                self.chunk = RecordingGenerator.created
+                RecordingGenerator.created += 1
+
+            def standard_normal(self, *, out):
+                draws.append((self.chunk, out.shape[0]))
+                self._rng.standard_normal(out=out)
+
+            def random(self, *, out):
+                self._rng.random(out=out)
+
+        size = 64
+        cfg = _ball_config(n_paths=600, dt=1e-3, chunk_size=size)
+        expect = sample_exit_times(cfg)
+        monkeypatch.setattr(mc.np.random, "Generator", RecordingGenerator)
+        assert np.array_equal(sample_exit_times(cfg), expect)
+        assert RecordingGenerator.created == 10
+
+        steps = []
+        for chunk, rows in draws:
+            if not steps or chunk <= steps[-1][-1][0]:
+                steps.append([])
+            steps[-1].append((chunk, rows))
+        first_step = {}
+        for s, step in enumerate(steps):
+            assert sum(rows for _, rows in step) <= 2 * size
+            for chunk, rows in step:
+                assert rows > 0  # a chunk with no path left stops drawing
+                if chunk not in first_step:
+                    first_step[chunk] = s
+                    assert rows == min(size, 600 - chunk * size)
+                    # the pool before this chunk joined held at most size paths
+                    assert sum(r for c, r in step if c < chunk) <= size
+            if len(first_step) < 10:
+                # a chunk still waits only while the pool is over size
+                assert sum(rows for _, rows in step) > size
+        assert list(first_step) == list(range(10))  # chunks join in chunk order
+        assert first_step[0] == first_step[1] == 0
 
     def test_bridge_correction_reduces_mean(self):
         # without the crossing correction, discrete sampling overstays;
@@ -134,20 +190,22 @@ class TestExitTimes:
             def __init__(self, bit_generator):
                 pass
 
-            def standard_normal(self, shape):
-                return np.zeros(shape)
+            def standard_normal(self, *, out):
+                out[...] = 0.0
 
-            def uniform(self, size):
-                return np.ones(size)
+            def random(self, *, out):
+                out[...] = 1.0
 
         import hotspots.montecarlo as mc
         monkeypatch.setattr(mc.np.random, "Generator", FrozenGenerator)
         dom = SimDomain.ball(1.0, 2)
         lam = principal_eigenvalue(dom)
-        cfg = SimConfig(domain=dom, start=dom.center(), dt=1.0 / lam,
-                        n_paths=16, t_grid=(0.0,), seed=1)
-        with pytest.raises(AccuracyError):
-            sample_exit_times(cfg)
+        # one chunk, and four chunks of which only two ever join the pool
+        for chunk_size in (65536, 4):
+            cfg = SimConfig(domain=dom, start=dom.center(), dt=1.0 / lam,
+                            n_paths=16, t_grid=(0.0,), seed=1, chunk_size=chunk_size)
+            with pytest.raises(AccuracyError):
+                sample_exit_times(cfg)
 
     def test_step_cap_rejects_a_tiny_dt(self, monkeypatch):
         import hotspots.montecarlo as mc
@@ -191,20 +249,34 @@ class TestStepKernel:
                                   np.linalg.norm(a, axis=1))
             assert np.array_equal(_row_product(a), np.prod(a, axis=1))
 
-    @pytest.mark.parametrize("domain,off_center", [
-        (SimDomain.ball(1.0, 2), False),
-        (SimDomain.ball(1.0, 3), False),
-        (SimDomain.box((1.0, 1.0)), True),
-        (SimDomain.box((1.0, 1.0, 1.0)), False),
-    ], ids=["disc", "ball3", "square_off_center", "cube"])
-    def test_bridge_exponents_never_underflow(self, domain, off_center):
+    def test_draws_into_buffers_match_the_sized_calls(self):
+        # the pool writes each chunk's draws into its rows of a shared buffer;
+        # uniform computes 0 + 1 * next_double, so random gives the same bits
+        a = np.random.Generator(np.random.Philox(key=7))
+        b = np.random.Generator(np.random.Philox(key=7))
+        for m, dim in ((1, 1), (5, 3), (1000, 2)):
+            z = np.empty((m, dim))
+            u = np.empty(m)
+            a.standard_normal(out=z)
+            a.random(out=u)
+            assert np.array_equal(z, b.standard_normal((m, dim)))
+            assert np.array_equal(u, b.uniform(size=m))
+
+    @pytest.mark.parametrize("domain,off_center,chunk_size", [
+        (SimDomain.ball(1.0, 2), False, 65536),
+        (SimDomain.ball(1.0, 3), False, 65536),
+        (SimDomain.box((1.0, 1.0)), True, 65536),
+        (SimDomain.box((1.0, 1.0, 1.0)), False, 65536),
+        (SimDomain.box((1.0, 1.0)), True, 24),
+    ], ids=["disc", "ball3", "square_off_center", "cube", "square_chunks"])
+    def test_bridge_exponents_never_underflow(self, domain, off_center, chunk_size):
         # far from the boundary the bridge exponent runs into the thousands;
         # clamping it keeps exp out of its slow underflow path, and without
         # the clamp numpy reports "underflow encountered in exp" here
         lam = principal_eigenvalue(domain)
         start = off_center_start(domain) if off_center else domain.center()
         cfg = SimConfig(domain=domain, start=start, dt=1e-3, n_paths=200,
-                        t_grid=default_t_grid(lam), seed=5)
+                        t_grid=default_t_grid(lam), seed=5, chunk_size=chunk_size)
         with np.errstate(all="raise"):
             tau = sample_exit_times(cfg)
         assert np.all(tau > 0.0)
