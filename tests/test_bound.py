@@ -5,6 +5,7 @@ the same objective (golden section at 1e-14 in multiprecision), evaluated
 with the displayed 4-decimal ratio cells.
 """
 
+import hashlib
 import math
 import random
 
@@ -232,3 +233,53 @@ class TestFiniteB:
             FiniteBParams(epsilon=0.5, delta=0.5, a=2.0, b=1.0)
         with pytest.raises(InfeasibleParameterError):
             FiniteBParams(epsilon=0.5, delta=0.5, a=-1.0, b=1.0)
+
+
+class TestGoldenOptimize:
+    """sha256 over optimize_bound's epsilon_star, a_star, bound and
+    evaluations for every case below, in order.
+
+    The cases cross d in {2, 3, 5, 10, 50, 200} with the ratios closed, 4overd
+    (d >= 5 only) and custom 0.3, the V-functions Vogt, improved Vogt and a
+    custom table, and golden-section tolerances 1e-9 .. 1e-6.  The digest
+    freezes the minimizer bit for bit; it was produced on x86-64 with
+    CPython's libm.
+    """
+
+    DIMS = (2, 3, 5, 10, 50, 200)
+    TOLERANCES = (1e-9, 1e-8, 1e-7, 1e-6)
+    # uneven nodes: the minimum falls inside a segment for some cases, on a
+    # node for most, and on the last node for d = 200 with the smallest ratios
+    TABLE_EPS = (0.01, 0.03, 0.07, 0.15, 0.3, 0.5, 0.75)
+
+    @classmethod
+    def _table(cls, d):
+        """Vogt-shaped log V, scaled by 0.9, on TABLE_EPS."""
+        return tuple((e, 0.9 * log_v(VKind.VOGT, e, d)) for e in cls.TABLE_EPS)
+
+    @classmethod
+    def _cases(cls):
+        for d in cls.DIMS:
+            ratios = [ratio_upper_bound(d, RatioKind.CLOSED_FORM)]
+            if d >= 5:
+                ratios.append(ratio_upper_bound(d, RatioKind.ASYMPTOTIC_4_OVER_D))
+            ratios.append(ratio_upper_bound(d, RatioKind.CUSTOM, custom_value=0.3))
+            for ratio in ratios:
+                for vkind, vtable in ((VKind.VOGT, None),
+                                      (VKind.IMPROVED_VOGT, None),
+                                      (VKind.CUSTOM, cls._table(d))):
+                    for tol in cls.TOLERANCES:
+                        yield BoundQuery(d=d, ratio=ratio, vkind=vkind,
+                                         tolerance=tol, vtable=vtable)
+
+    def test_values(self):
+        h = hashlib.sha256()
+        n = 0
+        for q in self._cases():
+            res = optimize_bound(q)
+            h.update(f"{res.epsilon_star!r} {res.a_star!r} {res.bound!r} "
+                     f"{res.evaluations}\n".encode())
+            n += 1
+        assert n == 192
+        assert h.hexdigest() == (
+            "da17b2a229ad4735dd7e6b393aae0d7f7a98b2fd3fe9582b88e9b049fcbdcb23")
