@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .errors import FiniteHorizonConstraintError, InfeasibleParameterError
 from .ratio import RatioBoundSpec
-from .vfunction import CustomTable, VKind, log_v
+from .vfunction import CustomTable, VKind, log_v, log_v_curve
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS_EDGE = 1e-6
@@ -108,16 +108,18 @@ def bound_value(d: int, r: float, vkind: VKind, epsilon: float, a: float,
         )
     if not a >= 0.0:
         raise InfeasibleParameterError(f"a must be >= 0, got {a!r}")
-    return _objective(r, epsilon, a, log_v(vkind, epsilon, d, table=vtable))
+    return _objective(r, math.log(r), epsilon, a,
+                      log_v(vkind, epsilon, d, table=vtable))
 
 
-def _objective(r: float, epsilon: float, a: float, lv: float) -> float:
-    """bound_value's arithmetic, given lv = ln V(epsilon, d)."""
+def _objective(r: float, log_r: float, epsilon: float, a: float,
+               lv: float) -> float:
+    """bound_value's arithmetic, given log_r = ln r and lv = ln V(epsilon, d)."""
     ra = r * a
     if ra > 700.0:
         raise InfeasibleParameterError("r*a too large; e^{ra} overflows")
     second = math.exp(
-        ra + math.log(r) + lv - math.log(1.0 - epsilon - r) - (1.0 - epsilon) * a
+        ra + log_r + lv - math.log(1.0 - epsilon - r) - (1.0 - epsilon) * a
     )
     return math.exp(ra) + second
 
@@ -154,9 +156,9 @@ def optimize_bound(query: BoundQuery) -> BoundResult:
         """(a*(eps), objective at (eps, a*(eps)))."""
         nonlocal evals
         evals += 1
-        lv = log_v(query.vkind, eps, d, table=query.vtable)
+        lv = curve(eps)  # eps lies in (0, 1 - r), as log_v would check
         a = optimal_a(eps, r, lv)
-        return a, _objective(r, eps, a, lv)
+        return a, _objective(r, log_r, eps, a, lv)
 
     def phi(eps: float) -> float:
         return point(eps)[1]
@@ -173,6 +175,9 @@ def optimize_bound(query: BoundQuery) -> BoundResult:
             f"feasible epsilon interval is empty for r={r:g}"
             + (" inside the V table's epsilon range" if custom else "")
         )
+    # what depends on d and r only: once per query, not once per step
+    curve = log_v_curve(query.vkind, d, query.vtable)
+    log_r = math.log(r)
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = phi(x1), phi(x2)

@@ -314,13 +314,17 @@ def zeros(nu: float | None, family: str, dim: int | None, fmt: str) -> None:
 # ---------------------------------------------------------------- asymptotic
 
 
+#: the grid is built as a list of floats, so its size is capped
+_MAX_POINTS = 10 ** 6
+
+
 def _geometric_dims(dmin: int, dmax: int, points: int) -> list[int]:
     if dmin < 5:
         raise click.UsageError("--dmin must be >= 5 (so 4/d < 1)")
     if dmax < dmin:
         raise click.UsageError("--dmax must be >= --dmin")
-    if points < 1:
-        raise click.UsageError("--points must be >= 1")
+    if not 1 <= points <= _MAX_POINTS:
+        raise click.UsageError(f"--points must lie in [1, {_MAX_POINTS}]")
     if points == 1 or dmin == dmax:
         raw = [dmin]
     else:

@@ -16,11 +16,12 @@ so it stays accurate as eps -> 1.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import enum
 import math
 import os
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InfeasibleParameterError
 from .specialfun import log_gamma
@@ -37,13 +38,6 @@ class VKind(enum.Enum):
     CUSTOM = "custom"
 
 
-def _log_eps_factor(epsilon: float, d: float) -> float:
-    """(d/2) * ln((1 + eps^{-1/2}) / 2), stable for eps near 1."""
-    # s - 1 = expm1(-ln(eps)/2); ln((1+s)/2) = log1p((s-1)/2)
-    sm1 = math.expm1(-0.5 * math.log(epsilon))
-    return 0.5 * d * math.log1p(0.5 * sm1)
-
-
 def log_v(kind: VKind, epsilon: float, d: int,
           table: CustomTable | None = None) -> float:
     """ln V(epsilon, d) for the requested V-function kind.
@@ -57,53 +51,77 @@ def log_v(kind: VKind, epsilon: float, d: int,
         raise InfeasibleParameterError(
             f"epsilon must lie in (0, 1], got {epsilon!r}"
         )
+    return log_v_curve(kind, d, table)(epsilon)
+
+
+def log_v_curve(kind: VKind, d: int,
+                table: CustomTable | None = None) -> Callable[[float], float]:
+    """epsilon -> ln V(epsilon, d), with everything that depends only on
+    (kind, d, table) computed once.
+
+    The curve does not check epsilon; log_v does.  Floating-point addition
+    runs left to right, so summing the epsilon-free terms into K first and
+    then adding (d/2) ln((1 + eps^{-1/2}) / 2) changes no bit of the formula.
+    """
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise InfeasibleParameterError(f"dimension must be an integer >= 2, got {d!r}")
 
     if kind is VKind.VOGT:
         if d > _MAX_D_VOGT:
             raise InfeasibleParameterError(f"Vogt V supports d <= 1e9, got {d}")
-        return 0.25 * math.log(2.0) + _log_eps_factor(epsilon, float(d))
-
-    if kind is VKind.IMPROVED_VOGT:
+        prefix = 0.25 * math.log(2.0)
+    elif kind is VKind.IMPROVED_VOGT:
         if d > _MAX_D_IMPROVED:
             raise InfeasibleParameterError(
                 f"improved Vogt V supports d <= {_MAX_D_IMPROVED}, got {d}"
             )
         df = float(d)
-        return (
+        prefix = (
             0.25 * df
             + 0.5 * math.log(2.0)
             - 0.25 * df * math.log(2.0 * df)
             + 0.5 * (log_gamma(df) - log_gamma(0.5 * df))
-            + _log_eps_factor(epsilon, df)
         )
+    elif kind is VKind.CUSTOM:
+        return _interp_table(table)
+    else:  # pragma: no cover - enum is closed
+        raise InfeasibleParameterError(f"unknown V kind {kind!r}")
 
-    if kind is VKind.CUSTOM:
-        return _interp_table(epsilon, table)
+    half_d = 0.5 * float(d)
 
-    raise InfeasibleParameterError(f"unknown V kind {kind!r}")  # pragma: no cover
+    def curve(epsilon: float) -> float:
+        # ln((1+s)/2) = log1p((s-1)/2) with s - 1 = expm1(-ln(eps)/2): stable
+        # as eps -> 1
+        sm1 = math.expm1(-0.5 * math.log(epsilon))
+        return prefix + half_d * math.log1p(0.5 * sm1)
+
+    return curve
 
 
-def _interp_table(epsilon: float, table: CustomTable | None) -> float:
+def _interp_table(table: CustomTable | None) -> Callable[[float], float]:
+    """Linear interpolation in the table; extrapolation is refused."""
     if not table:
         raise InfeasibleParameterError("custom V kind needs a (epsilon, log V) table")
     eps_vals = [row[0] for row in table]
-    if epsilon < eps_vals[0] or epsilon > eps_vals[-1]:
-        raise InfeasibleParameterError(
-            f"epsilon={epsilon!r} outside the tabulated range "
-            f"[{eps_vals[0]:g}, {eps_vals[-1]:g}]; extrapolation is refused"
-        )
-    # linear interpolation between neighbors
-    for i in range(1, len(table)):
-        if epsilon <= eps_vals[i]:
-            e0, v0 = table[i - 1]
-            e1, v1 = table[i]
-            if e1 == e0:
-                return v0
-            w = (epsilon - e0) / (e1 - e0)
-            return v0 + w * (v1 - v0)
-    return table[-1][1]
+
+    def curve(epsilon: float) -> float:
+        if epsilon < eps_vals[0] or epsilon > eps_vals[-1]:
+            raise InfeasibleParameterError(
+                f"epsilon={epsilon!r} outside the tabulated range "
+                f"[{eps_vals[0]:g}, {eps_vals[-1]:g}]; extrapolation is refused"
+            )
+        # the first i >= 1 with epsilon <= eps_vals[i]
+        i = bisect.bisect_left(eps_vals, epsilon, 1)
+        if i == len(table):  # a one-row table
+            return table[-1][1]
+        e0, v0 = table[i - 1]
+        e1, v1 = table[i]
+        if e1 == e0:
+            return v0
+        w = (epsilon - e0) / (e1 - e0)
+        return v0 + w * (v1 - v0)
+
+    return curve
 
 
 def load_custom_table(rows: Sequence[Sequence[str]] | str | os.PathLike) -> CustomTable:

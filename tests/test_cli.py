@@ -233,6 +233,15 @@ class TestAsymptotic:
         assert runner.invoke(main, ["asymptotic", "--dmin", "4", "--dmax", "10"]).exit_code == 2
         assert runner.invoke(main, ["asymptotic", "--dmin", "20", "--dmax", "10"]).exit_code == 2
 
+    def test_oversized_grid_rejected_before_it_is_built(self, runner):
+        # the grid is a list of floats: a billion points would exhaust memory,
+        # so the cap is checked first; 10^6 + 1 fails fast without the cap too
+        for count in ("0", "1000001", "1000000000", _HUGE):
+            res = runner.invoke(main, ["asymptotic", "--dmin", "5", "--dmax", "9",
+                                       "--points", count])
+            assert res.exit_code == 2, (count, res.output)
+            assert "--points" in res.output
+
 
 class TestVerifyVBound:
     @requires_jsonschema

@@ -8,6 +8,7 @@ the oracle's own last-digit noise.  The value contract of `bessel_j` is
 
 import hashlib
 import math
+import random
 
 import pytest
 import scipy.special as sp
@@ -15,7 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hotspots import InfeasibleParameterError, bessel_j, log_gamma
-from hotspots.specialfun import MAX_ARG, _series_forecast
+from hotspots import specialfun
+from hotspots.specialfun import (
+    MAX_ARG,
+    MAX_ORDER,
+    _first_passing,
+    _ladder,
+    _neumann_ladder_top,
+    _series_forecast,
+)
+from hotspots.zeros import first_bessel_zero
 
 # (nu, x, J_nu(x)) frozen at 20 significant digits.
 MPMATH_POINTS = [
@@ -172,3 +182,143 @@ class TestGoldenGrid:
                 h.update(f"{bessel_j(nu, x)!r}\n".encode())
         assert h.hexdigest() == (
             "957108a12b14497754c76bf1424e2913709c25bc6d7c1ccb85f97754880619b8")
+
+
+def _miller_regime(nu, x):
+    return x > 0.0 and _series_forecast(nu, x)[1] > 2e-14
+
+
+def _ladder_start(nu, x):
+    return max(1, int(0.5 * max(0.0, x - nu)) + 1)
+
+
+def _rung_passes(nu, x):
+    """The walk's test: is the k-th Neumann term below e^-40 of the sum?"""
+    lhalf = math.log(0.5 * x)
+
+    def passes(k):
+        log_rel = (
+            math.log(nu + 2.0 * k)
+            + math.lgamma(nu + k)
+            - math.lgamma(k + 1.0)
+            + 2.0 * k * lhalf
+            - math.lgamma(nu + 2.0 * k + 1.0)
+        )
+        return log_rel <= -40.0
+
+    return passes
+
+
+def _walk_ladder_top(nu, x):
+    """The rung-by-rung walk that _neumann_ladder_top's search replaces."""
+    passes = _rung_passes(nu, x)
+    k = _ladder_start(nu, x)
+    while not passes(k):
+        k += max(1, k // 8)
+    return 2 * k
+
+
+class TestLadderTop:
+    """The searched ladder top equals the walk's on the Miller regime."""
+
+    def test_matches_walk_in_the_jzero_searches(self, monkeypatch):
+        seen = []
+        real = specialfun._miller
+
+        def spy(nu, x, log_pref):
+            seen.append((nu, x))
+            return real(nu, x, log_pref)
+
+        monkeypatch.setattr(specialfun, "_miller", spy)
+        for d in range(2, 201):
+            first_bessel_zero(0.5 * d - 1.0)
+        assert len(seen) > 1000
+        for nu, x in seen:
+            assert _neumann_ladder_top(nu, x) == _walk_ladder_top(nu, x), (nu, x)
+
+    def test_matches_walk_on_a_dense_grid(self):
+        # every order and argument step, from the series/Miller switch near
+        # x = 3.4 up to MAX_ARG, with both ends of the order range
+        nus = [0.0, 1e-3, 0.5, 1.0, 2.5, 7.0, 15.5, 33.0, 60.0, 85.5, 110.0,
+               119.75, MAX_ORDER]
+        points = [(nu, 0.125 * j) for nu in nus for j in range(1, 81)]
+        points += [(nu, 0.5 * j) for nu in nus for j in range(21, 1401)]
+        checked = 0
+        for nu, x in points:
+            if _miller_regime(nu, x):
+                assert _neumann_ladder_top(nu, x) == _walk_ladder_top(nu, x), (nu, x)
+                checked += 1
+        assert checked > 15000
+
+    def test_matches_walk_on_random_points(self):
+        rng = random.Random(2024)
+        points = [(rng.uniform(0.0, MAX_ORDER), rng.uniform(0.0, MAX_ARG))
+                  for _ in range(6000)]
+        points += [(rng.uniform(0.0, MAX_ORDER), rng.uniform(0.0, 6.0))
+                   for _ in range(3000)]
+        checked = 0
+        for nu, x in points:
+            if _miller_regime(nu, x):
+                assert _neumann_ladder_top(nu, x) == _walk_ladder_top(nu, x), (nu, x)
+                checked += 1
+        assert checked > 5000
+
+
+    def test_search_finds_the_walks_rung_from_any_start(self):
+        # the Stirling estimate only picks the start: from every other start
+        # the gallop and bisection must reach the same rung
+        rng = random.Random(7)
+        points = [(nu, x) for nu, x in ((rng.uniform(0.0, MAX_ORDER),
+                                         rng.uniform(3.0, MAX_ARG))
+                                        for _ in range(120))
+                  if _miller_regime(nu, x)]
+        points += [(0.0, 3.5), (MAX_ORDER, MAX_ARG), (0.0, MAX_ARG)]
+        for nu, x in points:
+            passes = _rung_passes(nu, x)
+            rungs = _ladder(_ladder_start(nu, x))
+            want = _walk_ladder_top(nu, x)
+            for i in range(len(rungs)):
+                assert 2 * rungs[_first_passing(passes, rungs, i)] == want, (nu, x, i)
+
+
+class TestMillerHeadroom:
+    """The unnormalized recurrence stays far below the float range, so
+    _miller needs no rescaling (see its docstring)."""
+
+    @staticmethod
+    def _peak(nu, x):
+        """_miller's recurrence, tracking its largest |value|; returns
+        (peak, normalized J) so the copy can be checked against _miller."""
+        m_seed = int(math.ceil(max(nu, x) + 6.0 * x ** (1.0 / 3.0) + 30.0 - nu))
+        m_top = max(_neumann_ladder_top(nu, x), m_seed)
+        m_top += m_top % 2
+        j_up, j_cur, peak = 0.0, 1e-250, 1e-250
+        even = []
+        for m in range(m_top, 0, -2):
+            j_up = (2.0 * (nu + m) / x) * j_cur - j_up
+            j_cur = (2.0 * (nu + (m - 1)) / x) * j_up - j_cur
+            even.append(j_cur)
+            peak = max(peak, abs(j_up), abs(j_cur))
+        even.reverse()
+        w = nu + 2.0
+        ssum = even[0] + w * even[1]
+        for k in range(2, len(even)):
+            w = w * (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
+            ssum += w * even[k]
+        return peak, j_cur / ssum
+
+    def test_peak_below_1e_minus_100(self):
+        nus = [0.0, 0.5, 33.0, 60.0, 119.5, MAX_ORDER]
+        points = [(nu, 2.5 * j) for nu in nus for j in range(1, 281)]
+        points.append((MAX_ORDER, 645.5))  # the largest peak of a dense scan
+        checked = 0
+        for nu, x in points:
+            if not _miller_regime(nu, x):
+                continue
+            peak, ratio = self._peak(nu, x)
+            log_pref = _series_forecast(nu, x)[0]
+            # the copy is _miller bit for bit, so this is _miller's peak
+            assert math.exp(log_pref) * ratio == bessel_j(nu, x), (nu, x)
+            assert peak < 1e-100, (nu, x, peak)
+            checked += 1
+        assert checked > 1400
