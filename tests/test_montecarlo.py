@@ -286,7 +286,9 @@ class TestGoldenStream:
     """sha256 of sample_exit_times(...).tobytes() for small runs, three
     256-path chunks each (600 paths, dt=1e-3, seed 2024), bridge on unless
     a case says otherwise.  The staggered cases use smaller chunks, so that
-    many chunks are stepped at once and the last one is short.
+    many chunks are stepped at once and the last one is short.  The
+    dt=1e-4 cases keep most rows farther than sqrt(64 dt) = 0.08 from every
+    face, where each box face's bridge factor rounds to 1.0.
 
     These freeze the documented Philox stream and the simulator's arithmetic:
     a change that alters any exit time must announce it and re-freeze the
@@ -295,9 +297,9 @@ class TestGoldenStream:
     """
 
     @staticmethod
-    def _digest(domain, start, bridge=True, chunk_size=256):
+    def _digest(domain, start, bridge=True, chunk_size=256, dt=1e-3):
         lam = principal_eigenvalue(domain)
-        cfg = SimConfig(domain=domain, start=start, dt=1e-3, n_paths=600,
+        cfg = SimConfig(domain=domain, start=start, dt=dt, n_paths=600,
                         t_grid=default_t_grid(lam), seed=2024, chunk_size=chunk_size,
                         bridge_correction=bridge)
         return hashlib.sha256(sample_exit_times(cfg).tobytes()).hexdigest()
@@ -354,6 +356,24 @@ class TestGoldenStream:
         dom = SimDomain.box((10.0, 1.0))
         assert self._digest(dom, dom.center(), bridge=False, chunk_size=97) == (
             "4902025cee6f64ba97eea91d647b02e542a3b572625acafbac662b6b971ccd9e")
+
+    def test_square_fine_step(self):
+        dom = SimDomain.box((1.0, 1.0))
+        assert self._digest(dom, dom.center(), dt=1e-4) == (
+            "70a188a37f8e0ad91615cf3ebd2ba919f6dd2002797e72f5ef972c8bee9cd814")
+
+    def test_nine_dimensional_box_fine_step(self):
+        # nine columns: past numpy's pairwise block of 8
+        dom = SimDomain.box((1.0,) * 9)
+        assert self._digest(dom, dom.center(), dt=1e-4) == (
+            "1a7b6f035837b6d3a00af485304ac1fe9804316db0e2039b7e019e653d9f2ff5")
+
+    def test_flat_box_off_center_fine_step(self):
+        # starts at (2.25, 0.25), 0.75 from the nearest end and 0.25 from
+        # the two long faces
+        dom = SimDomain.box((3.0, 0.5))
+        assert self._digest(dom, off_center_start(dom), dt=1e-4) == (
+            "cf72e38f765abb8cc765c46013cc6e2f6e9b9c26bc0571a20a3fd16a50b6da6d")
 
 
 class TestSurvival:
