@@ -15,7 +15,11 @@ kills a path between steps with the half-space crossing probability
 
 using distances to the boundary before and after the step — per face for
 boxes (applied independently; the per-step survival factor is the product
-over faces), and via the signed radial distance R - |x| for balls.
+over faces), and via the signed radial distance R - |x| for balls.  A box
+step carries only each path's distance to its nearest face, and evaluates
+the per-face factors only on paths whose nearest distances before and after
+the step have a product below _NEAR_FACE * dt: everywhere else every factor
+rounds to exactly 1.0, so skipping them changes no exit time.
 
 Reproducibility: paths are split into chunks of chunk_size, and chunk i
 draws from the Philox counter-based stream `Philox(key=seed).jumped(i)` for
@@ -212,7 +216,8 @@ def principal_eigenvalue(domain: SimDomain) -> float:
     With the twice-speed convention the exit-time tail decays at exactly this
     rate.  Ball of radius R in dimension d: j_{d/2-1,1}^2 / R^2; box with
     sides L: pi^2 * sum_i 1/L_i^2.  Cached, so a caller and sample_exit_times
-    share one Bessel root search.
+    share one Bessel root search.  A domain so large that the eigenvalue
+    underflows to 0.0, or so small that it overflows, is rejected.
 
     Examples
     --------
@@ -221,13 +226,26 @@ def principal_eigenvalue(domain: SimDomain) -> float:
     """
     if domain.shape is DomainShape.BOX:
         assert domain.sides is not None
-        return math.pi ** 2 * sum(1.0 / (s * s) for s in domain.sides)
-    assert domain.radius is not None
-    if domain.dim == 1:
-        j = 0.5 * math.pi  # first zero of cos = J_{-1/2} direction
+        try:
+            lam = math.pi ** 2 * sum(1.0 / (s * s) for s in domain.sides)
+        except ZeroDivisionError:  # a side whose square underflows to 0.0
+            lam = math.inf
     else:
-        j = first_bessel_zero(0.5 * domain.dim - 1.0).value
-    return (j / domain.radius) ** 2
+        assert domain.radius is not None
+        if domain.dim == 1:
+            j = 0.5 * math.pi  # first zero of cos = J_{-1/2} direction
+        else:
+            j = first_bessel_zero(0.5 * domain.dim - 1.0).value
+        try:
+            lam = (j / domain.radius) ** 2
+        except OverflowError:
+            lam = math.inf
+    if not 0.0 < lam < math.inf:
+        raise InfeasibleParameterError(
+            f"the domain's principal eigenvalue is {lam!r}, not a positive "
+            "finite float: its size is out of range"
+        )
+    return lam
 
 
 #: Bridge exponents are clamped here before exp: exp(-700) ~ 1e-304 is still
@@ -236,14 +254,23 @@ def principal_eigenvalue(domain: SimDomain) -> float:
 _EXPONENT_CAP = 700.0
 
 
+#: A box row gets the bridge test only where the product of its nearest-face
+#: distances before and after the step is below _NEAR_FACE * dt.  It must
+#: stay above 54 ln 2 ~ 37.43 (see _pool_exit_times); a power of two keeps
+#: _NEAR_FACE * dt exact.
+_NEAR_FACE = 64.0
+
+
 def _crossing_probability(before: np.ndarray, after: np.ndarray,
                           dt: float) -> np.ndarray:
     """exp(-before * after / dt) with the exponent clamped at _EXPONENT_CAP.
 
-    For a box face 1 - p rounds to 1.0 once the exponent passes about 37.4,
-    so there the clamp changes nothing.  For the ball, u < p differs from the
-    unclamped test only when the uniform draw u is exactly 0.0, which has
-    probability 2^-53.
+    A box face's factor 1 - p rounds to 1.0 once the exponent passes
+    54 ln 2 ~ 37.43, so there the clamp changes nothing; the box rows that
+    reach this function are mostly those within sqrt(_NEAR_FACE * dt) of a
+    face, and the rest still get factors of exactly 1.0.  For the ball,
+    u < p differs from the unclamped test only when the uniform draw u is
+    exactly 0.0, which has probability 2^-53.
     """
     a = before * after
     a /= dt
@@ -283,6 +310,31 @@ def _row_product(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_min(a: np.ndarray) -> np.ndarray:
+    """minimum.reduce(a, axis=1), one column at a time (a minimum is exact
+    in any order)."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.minimum(out, a[:, j], out=out)
+    return out
+
+
+def _box_bridge_exits(x: np.ndarray, x_new: np.ndarray, sides: np.ndarray,
+                      u: np.ndarray, dt: float) -> np.ndarray:
+    """Which rows the per-face bridge kills during the step x -> x_new.
+
+    A row survives face j with probability 1 - p_j, the faces independently,
+    so it is killed when u < 1 - prod_j (1 - p_j).  x is the distance to the
+    low faces and sides - x the distance to the high ones; sides has the
+    shape of x.
+    """
+    low = _crossing_probability(x, x_new, dt)
+    np.subtract(1.0, low, out=low)
+    high = _crossing_probability(sides - x, sides - x_new, dt)
+    np.subtract(1.0, high, out=high)
+    return u < 1.0 - _row_product(low) * _row_product(high)
+
+
 def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
     """Exit times of all n_paths, stepped as one pool of alive paths.
 
@@ -295,6 +347,18 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
     paths, so at most 2 * chunk_size are in flight; each chunk's rows stay
     contiguous and in chunk order.  The start must lie strictly inside the
     domain.
+
+    A box row whose nearest-face distances before and after the step, g and
+    g', have fl(g * g') >= _NEAR_FACE * dt gets no bridge test, and this
+    changes no exit time.  Such a row has not exited (g' > 0), so on every
+    face its distances b before and a after the step satisfy b >= g > 0 and
+    a >= g' > 0.  Rounded multiplication and division are monotone, and
+    _NEAR_FACE * dt is exact (_NEAR_FACE is a power of two), so
+    fl(b * a) >= fl(g * g') >= _NEAR_FACE * dt and the exponent
+    fl(fl(b * a) / dt) >= _NEAR_FACE.  Clamped at _EXPONENT_CAP it is still
+    above 54 ln 2, so p = exp(-exponent) < 2^-54 and 1 - p rounds to exactly
+    1.0 on every face.  The test would read u < 1 - 1.0 * ... * 1.0 = 0.0,
+    which no uniform draw u in [0, 1) passes.
     """
     domain = config.domain
     dim = domain.dim
@@ -303,10 +367,9 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
     step_sd = math.sqrt(2.0 * dt)
     start = np.asarray(config.start, dtype=np.float64).reshape(1, dim)
 
-    # gap: distance to the boundary, carried from step to step.  Ball: the
-    # radial distance R - |x|, shape (alive,).  Box: the distances to the
-    # high faces, sides - x, shape (alive, dim); x itself is the distance to
-    # the low faces.
+    # gap: distance to the boundary, carried from step to step, shape
+    # (alive,).  Ball: the radial distance R - |x|.  Box: the distance to
+    # the nearest face, min_j min(x_j, L_j - x_j).
     is_ball = domain.shape is DomainShape.BALL
     if is_ball:
         radius = float(domain.radius)  # type: ignore[arg-type]
@@ -316,7 +379,8 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
         # flat loop, broadcasting a short row is several times slower
         sides = np.broadcast_to(np.asarray(domain.sides, dtype=np.float64),
                                 (min(n, 2 * size), dim)).copy()
-        start_gap = sides[:1] - start
+        start_gap = _row_min(np.minimum(start, sides[:1] - start))
+        near_product = _NEAR_FACE * dt
 
     exit_step = np.empty(n, dtype=np.int64)  # pool step each path exits in
     joins: list[int] = []  # pool step chunk i joined at
@@ -334,8 +398,7 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
             joins.append(step)
             alive = np.concatenate([alive, np.arange(joined, joined + take)])
             x = np.concatenate([x, np.broadcast_to(start, (take, dim))])
-            gap = np.concatenate(
-                [gap, np.broadcast_to(start_gap, (take,) + start_gap.shape[1:])])
+            gap = np.concatenate([gap, np.broadcast_to(start_gap, (take,))])
             pool.append((rng, alive.size))
             joined += take
         m = alive.size
@@ -368,24 +431,23 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
             if config.bridge_correction:
                 exited |= u < _crossing_probability(gap, gap_new, dt)
         else:
-            gap_new = sides[:m] - x_new
-            nearest = np.minimum(x_new, gap_new)
-            exited = nearest[:, 0] <= 0.0
-            for j in range(1, dim):
-                exited |= nearest[:, j] <= 0.0
+            dist = sides[:m] - x_new
+            np.minimum(x_new, dist, out=dist)
+            gap_new = _row_min(dist)
+            exited = gap_new <= 0.0
             if config.bridge_correction:
-                low = _crossing_probability(x, x_new, dt)
-                np.subtract(1.0, low, out=low)
-                high = _crossing_probability(gap, gap_new, dt)
-                np.subtract(1.0, high, out=high)
-                exited |= u < 1.0 - _row_product(low) * _row_product(high)
+                near = (gap * gap_new < near_product).nonzero()[0]
+                if near.size:
+                    exited[near] |= _box_bridge_exits(
+                        x.take(near, axis=0), x_new.take(near, axis=0),
+                        sides[:near.size], u.take(near), dt)
 
-        if exited.any():
+        if np.count_nonzero(exited):
             exit_step[alive[exited]] = step
-            keep = np.flatnonzero(~exited)
+            keep = (~exited).nonzero()[0]
             alive = alive.take(keep)
             x = x_new.take(keep, axis=0)
-            gap = gap_new.take(keep, axis=0)
+            gap = gap_new.take(keep)
             # each chunk's kept rows end where its old end falls among keep;
             # a chunk with none left leaves the pool
             ends = np.searchsorted(keep, [hi for _, hi in pool]).tolist()

@@ -305,6 +305,19 @@ class TestVerifyVBound:
         assert runner.invoke(main, ["verify-vbound", "--shape", "box", "--sides",
                                     "1,x", "--dim", "2"]).exit_code == 2
 
+    @pytest.mark.parametrize("domain", [
+        ["--radius", "1e300"],
+        ["--shape", "box", "--sides", "1e300,1e300"],
+        ["--shape", "box", "--sides", "1e-300,1"],
+    ], ids=["huge_ball", "huge_box", "tiny_side"])
+    def test_eigenvalue_out_of_range_exit_three(self, runner, domain):
+        # lambda underflows to 0.0 or overflows; the default dt and grid are
+        # derived from it, so it must be rejected before either is built
+        res = runner.invoke(main, ["verify-vbound", "--dim", "2"] + domain)
+        assert res.exit_code == 3, res.exception
+        assert isinstance(res.exception, SystemExit)
+        assert "eigenvalue" in res.output
+
     def test_ball_rejects_sides(self, runner):
         # no side is used, so the manifest must not record any
         res = runner.invoke(main, ["verify-vbound", "--shape", "ball", "--dim", "2",
@@ -450,13 +463,15 @@ def _argv(tables):
                              "--alpha": st.sampled_from(["-0.5", "-0.6", "-0.99", "-1",
                                                          "0", "nan"]),
                              "--format": _FORMAT})
-    # Monte Carlo sizes stay small (paths <= 200, dt >= 1e-3, lengths <= 2,
-    # always given) so each run takes well under a second; a huge grid count
-    # is rejected before its grid is built
-    side = st.sampled_from(["0.5", "1", "2", "0.3", "0", "-1", "nan", "inf", "x", ""])
+    # Monte Carlo sizes stay small (paths <= 200, dt >= 1e-3, finite lengths
+    # <= 2, always given) so each run takes well under a second; a huge grid
+    # count is rejected before its grid is built, and so is a length whose
+    # principal eigenvalue underflows to 0 or overflows
+    extreme = ["1e300", "1e-300"]
+    side = st.sampled_from(["0.5", "1", "2", "0.3", "0", "-1", "nan", "inf", "x", ""] + extreme)
     verify = _options(**{
         "--shape": st.sampled_from(["ball", "box", "nope"]),
-        "--radius": st.sampled_from(["0.5", "1", "2", "0", "-1", "nan", "inf", "x"]),
+        "--radius": st.sampled_from(["0.5", "1", "2", "0", "-1", "nan", "inf", "x"] + extreme),
         "--sides": st.lists(side, min_size=1, max_size=3).map(",".join),
         "--epsilon": _NUMBER,
         "--vfunction": vfunction,

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hotspots import (
     AccuracyError,
@@ -29,8 +31,12 @@ from hotspots import (
     sample_exit_times,
 )
 from hotspots.montecarlo import (
+    _NEAR_FACE,
+    _box_bridge_exits,
     _clopper_pearson,
+    _crossing_probability,
     check_grid_dt,
+    _row_min,
     _row_product,
     _row_sum_squares,
 )
@@ -248,6 +254,7 @@ class TestStepKernel:
             assert np.array_equal(np.sqrt(_row_sum_squares(a)),
                                   np.linalg.norm(a, axis=1))
             assert np.array_equal(_row_product(a), np.prod(a, axis=1))
+            assert np.array_equal(_row_min(a), np.min(a, axis=1))
 
     def test_draws_into_buffers_match_the_sized_calls(self):
         # the pool writes each chunk's draws into its rows of a shared buffer;
@@ -280,6 +287,72 @@ class TestStepKernel:
         with np.errstate(all="raise"):
             tau = sample_exit_times(cfg)
         assert np.all(tau > 0.0)
+
+
+class TestNearFaceSkip:
+    """A box row gets the bridge test only when its nearest-face distances
+    before and after the step, g and g', have g * g' < _NEAR_FACE * dt.  On
+    every other row each face's factor 1 - p must round to exactly 1.0, so
+    that the skipped test could not have killed it."""
+
+    @staticmethod
+    def _partner(dt, b, slack):
+        """The smallest a >= _NEAR_FACE * dt / b * (1 + slack) with
+        fl(b * a) >= _NEAR_FACE * dt."""
+        a = _NEAR_FACE * dt / b * (1.0 + slack)
+        while b * a < _NEAR_FACE * dt:
+            a = float(np.nextafter(a, math.inf))
+        return a
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(dt=st.floats(1e-10, 1.0), b=st.floats(1e-8, 10.0),
+           slack=st.floats(0.0, 100.0))
+    def test_factor_is_one_past_the_threshold(self, dt, b, slack):
+        a = self._partner(dt, b, slack)
+        p = _crossing_probability(np.array([b]), np.array([a]), dt)
+        assert 1.0 - p[0] == 1.0
+        assert 1.0 - math.exp(-min(b * a / dt, 700.0)) == 1.0
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(dt=st.floats(1e-10, 1.0), b=st.floats(1e-8, 10.0),
+           slack=st.floats(0.0, 100.0),
+           extra=st.lists(st.tuples(*[st.floats(0.0, 10.0)] * 4), min_size=1,
+                          max_size=9))
+    def test_a_skipped_row_never_exits_by_the_bridge(self, dt, b, slack, extra):
+        # one row in a box of len(extra) dimensions: every face is at least
+        # b away before the step and a away after it, plus its own extra
+        a = self._partner(dt, b, slack)
+        e = np.array(extra).T
+        x = (b + e[0])[None, :]
+        x_new = (a + e[1])[None, :]
+        sides = np.maximum(x + b + e[2], x_new + a + e[3])
+        g = _row_min(np.minimum(x, sides - x))
+        g_new = _row_min(np.minimum(x_new, sides - x_new))
+        assume(g[0] * g_new[0] >= _NEAR_FACE * dt)  # else the row is tested
+        for before, after in ((x, x_new), (sides - x, sides - x_new)):
+            assert np.all(1.0 - _crossing_probability(before, after, dt) == 1.0)
+        # u = 0.0 is the smallest uniform draw, the likeliest to kill
+        assert not _box_bridge_exits(x, x_new, sides, np.zeros(1), dt)[0]
+
+    @pytest.mark.parametrize("sides,off_center,dt,chunk_size", [
+        ((1.0, 1.0), False, 1e-4, 256),
+        ((1.0, 1.0, 1.0), True, 1e-3, 64),
+        ((1.0,) * 9, False, 1e-4, 256),
+        ((3.0, 0.5), True, 1e-4, 97),
+        ((1.0,), False, 1e-4, 256),
+    ])
+    def test_same_exit_times_as_a_bridge_on_every_row(self, monkeypatch, sides,
+                                                      off_center, dt, chunk_size):
+        # with an infinite band every row gets the bridge test, as before the
+        # skip existed; the exit times must not change
+        import hotspots.montecarlo as mc
+        dom = SimDomain.box(sides)
+        cfg = SimConfig(domain=dom, start=off_center_start(dom) if off_center
+                        else dom.center(), dt=dt, n_paths=400,
+                        t_grid=(0.0,), seed=17, chunk_size=chunk_size)
+        skipped = sample_exit_times(cfg)
+        monkeypatch.setattr(mc, "_NEAR_FACE", math.inf)
+        assert np.array_equal(sample_exit_times(cfg), skipped)
 
 
 class TestGoldenStream:
