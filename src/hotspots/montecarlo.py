@@ -266,11 +266,11 @@ def _crossing_probability(before: np.ndarray, after: np.ndarray,
     """exp(-before * after / dt) with the exponent clamped at _EXPONENT_CAP.
 
     A box face's factor 1 - p rounds to 1.0 once the exponent passes
-    54 ln 2 ~ 37.43, so there the clamp changes nothing; the box rows that
-    reach this function are mostly those within sqrt(_NEAR_FACE * dt) of a
-    face, and the rest still get factors of exactly 1.0.  For the ball,
-    u < p differs from the unclamped test only when the uniform draw u is
-    exactly 0.0, which has probability 2^-53.
+    54 ln 2 ~ 37.43, so there the clamp changes nothing.  Box rows come here
+    only when near some face (see _pool_exit_times); their other faces give
+    factors of exactly 1.0.  For the ball, u < p differs from the unclamped
+    test only when the uniform draw u is exactly 0.0, which has probability
+    2^-53.
     """
     a = before * after
     a /= dt
@@ -350,15 +350,16 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
 
     A box row whose nearest-face distances before and after the step, g and
     g', have fl(g * g') >= _NEAR_FACE * dt gets no bridge test, and this
-    changes no exit time.  Such a row has not exited (g' > 0), so on every
-    face its distances b before and a after the step satisfy b >= g > 0 and
-    a >= g' > 0.  Rounded multiplication and division are monotone, and
-    _NEAR_FACE * dt is exact (_NEAR_FACE is a power of two), so
-    fl(b * a) >= fl(g * g') >= _NEAR_FACE * dt and the exponent
-    fl(fl(b * a) / dt) >= _NEAR_FACE.  Clamped at _EXPONENT_CAP it is still
-    above 54 ln 2, so p = exp(-exponent) < 2^-54 and 1 - p rounds to exactly
-    1.0 on every face.  The test would read u < 1 - 1.0 * ... * 1.0 = 0.0,
-    which no uniform draw u in [0, 1) passes.
+    changes no exit time.  Such a row has not exited (g' > 0), and on every
+    face its distances b before and a after the step, computed by the same
+    expressions as g and g', satisfy b >= g > 0 and a >= g' > 0.  Rounded
+    multiplication and division are monotone, and _NEAR_FACE * dt is exact
+    (_NEAR_FACE is a power of two; should the product overflow to inf, no
+    row is skipped).  So fl(b * a) >= fl(g * g') >= _NEAR_FACE * dt, and the
+    exponent fl(fl(b * a) / dt) >= _NEAR_FACE.  Clamped at _EXPONENT_CAP it
+    is still above 54 ln 2, so p = exp(-exponent) < 2^-54 and 1 - p rounds
+    to exactly 1.0 on every face.  The test would read
+    u < 1 - 1.0 * ... * 1.0 = 0.0, which no uniform draw u in [0, 1) passes.
     """
     domain = config.domain
     dim = domain.dim
@@ -436,6 +437,8 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
             gap_new = _row_min(dist)
             exited = gap_new <= 0.0
             if config.bridge_correction:
+                # elsewhere every face factor is exactly 1.0 (see above);
+                # a hard exit has gap_new <= 0, so its row counts as near
                 near = (gap * gap_new < near_product).nonzero()[0]
                 if near.size:
                     exited[near] |= _box_bridge_exits(

@@ -297,8 +297,8 @@ class TestNearFaceSkip:
 
     @staticmethod
     def _partner(dt, b, slack):
-        """The smallest a >= _NEAR_FACE * dt / b * (1 + slack) with
-        fl(b * a) >= _NEAR_FACE * dt."""
+        """_NEAR_FACE * dt / b * (1 + slack), raised to the first float a
+        with fl(b * a) >= _NEAR_FACE * dt (slack 0 gives the threshold)."""
         a = _NEAR_FACE * dt / b * (1.0 + slack)
         while b * a < _NEAR_FACE * dt:
             a = float(np.nextafter(a, math.inf))
@@ -343,8 +343,8 @@ class TestNearFaceSkip:
     ])
     def test_same_exit_times_as_a_bridge_on_every_row(self, monkeypatch, sides,
                                                       off_center, dt, chunk_size):
-        # with an infinite band every row gets the bridge test, as before the
-        # skip existed; the exit times must not change
+        # with an infinite band every row gets the bridge test: the
+        # reference the skip must reproduce exactly
         import hotspots.montecarlo as mc
         dom = SimDomain.box(sides)
         cfg = SimConfig(domain=dom, start=off_center_start(dom) if off_center
