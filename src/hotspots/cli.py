@@ -11,15 +11,11 @@ accuracy failure, 5 V-bound check failure.
 
 from __future__ import annotations
 
+import argparse
 import csv
-import functools
-import io
 import math
 import sys
 from typing import Any, Callable
-
-import click
-from click.core import ParameterSource
 
 from . import __version__
 from ._format import canonical_json, format_sig, payload_checksum
@@ -52,25 +48,8 @@ EXIT_ACCURACY = 4
 EXIT_VBOUND_FAILED = 5
 
 
-def _guard(fn: Callable) -> Callable:
-    """Map domain errors onto the documented exit codes."""
-
-    @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        try:
-            return fn(*args, **kwargs)
-        except InfeasibleParameterError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INFEASIBLE)
-        except OverflowError as exc:
-            # a parameter so large that a float derived from it overflows
-            click.echo(f"error: parameter out of range: {exc}", err=True)
-            sys.exit(EXIT_INFEASIBLE)
-        except AccuracyError as exc:
-            click.echo(f"accuracy error: {exc}", err=True)
-            sys.exit(EXIT_ACCURACY)
-
-    return wrapper
+class UsageError(Exception):
+    """A command line the parser accepted but a command cannot use (exit 2)."""
 
 
 def _emit_json(subcommand: str, parameters: dict, result: dict) -> None:
@@ -80,15 +59,13 @@ def _emit_json(subcommand: str, parameters: dict, result: dict) -> None:
         "version": __version__,
         "output_checksum": payload_checksum(result),
     }
-    click.echo(canonical_json({"manifest": manifest, "result": result}))
+    print(canonical_json({"manifest": manifest, "result": result}))
 
 
 def _emit_csv(header: list[str], rows: list[list[Any]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    click.echo(buf.getvalue(), nl=False)
 
 
 def _parse_ratio(spec: str, d: int) -> RatioBoundSpec:
@@ -96,16 +73,16 @@ def _parse_ratio(spec: str, d: int) -> RatioBoundSpec:
         try:
             value = float(spec.split(":", 1)[1])
         except ValueError:
-            raise click.UsageError(f"bad custom ratio {spec!r}")
+            raise UsageError(f"bad custom ratio {spec!r}")
         return ratio_upper_bound(d, RatioKind.CUSTOM, custom_value=value)
     try:
         kind = RatioKind(spec)
     except ValueError:
-        raise click.UsageError(
+        raise UsageError(
             f"--ratio must be bessel|closed|4overd|custom:<v>, got {spec!r}"
         )
     if kind is RatioKind.CUSTOM:
-        raise click.UsageError("custom ratio needs a value: custom:<v>")
+        raise UsageError("custom ratio needs a value: custom:<v>")
     return ratio_upper_bound(d, kind)
 
 
@@ -115,15 +92,15 @@ def _parse_vfunction(spec: str) -> tuple[VKind, CustomTable | None]:
         try:
             return VKind.CUSTOM, load_custom_table(path)
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
-            raise click.UsageError(f"cannot read V table {path!r}: {exc}")
+            raise UsageError(f"cannot read V table {path!r}: {exc}")
     try:
         kind = VKind(spec)
     except ValueError:
-        raise click.UsageError(
+        raise UsageError(
             f"--vfunction must be vogt|improved|custom:<file>, got {spec!r}"
         )
     if kind is VKind.CUSTOM:
-        raise click.UsageError("custom V-function needs a file: custom:<file>")
+        raise UsageError("custom V-function needs a file: custom:<file>")
     return kind, None
 
 
@@ -131,16 +108,10 @@ def _parse_dims(spec: str) -> list[int]:
     try:
         dims = [int(part) for part in spec.split(",") if part.strip()]
     except ValueError:
-        raise click.UsageError(f"--dims must be comma-separated integers, got {spec!r}")
+        raise UsageError(f"--dims must be comma-separated integers, got {spec!r}")
     if not dims:
-        raise click.UsageError("--dims is empty")
+        raise UsageError("--dims is empty")
     return dims
-
-
-@click.group()
-@click.version_option(version=__version__, prog_name="hotspots")
-def main() -> None:
-    """Upper bounds on the Hot Spots constant for Lipschitz domains."""
 
 
 # ---------------------------------------------------------------- table
@@ -193,16 +164,6 @@ def _table_text(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-@main.command()
-@click.option("--dims", default="2,3,4,10,100", show_default=True,
-              help="Comma-separated dimensions.")
-@click.option("--vfunction", default="improved", show_default=True,
-              help="vogt|improved|custom:<file>.")
-@click.option("--tolerance", default=1e-9, show_default=True, type=float,
-              help="Golden-section tolerance on epsilon.")
-@click.option("--format", "fmt", default="text", show_default=True,
-              type=click.Choice(["text", "json", "csv"]))
-@_guard
 def table(dims: str, vfunction: str, tolerance: float, fmt: str) -> None:
     """Bound table over dimensions (defaults reproduce the reference rows)."""
     dim_list = _parse_dims(dims)
@@ -217,22 +178,12 @@ def table(dims: str, vfunction: str, tolerance: float, fmt: str) -> None:
                             row["r"], row["epsilon"], row["a"], row["bound"]]
                            for row in rows])
     else:
-        click.echo(_table_text(rows))
+        print(_table_text(rows))
 
 
 # ---------------------------------------------------------------- bound
 
 
-@main.command()
-@click.option("--dim", required=True, type=int, help="Dimension d >= 2.")
-@click.option("--ratio", "ratio_spec", default="bessel", show_default=True,
-              help="bessel|closed|4overd|custom:<v>.")
-@click.option("--vfunction", default="improved", show_default=True,
-              help="vogt|improved|custom:<file>.")
-@click.option("--tolerance", default=1e-9, show_default=True, type=float)
-@click.option("--format", "fmt", default="text", show_default=True,
-              type=click.Choice(["text", "json", "csv"]))
-@_guard
 def bound(dim: int, ratio_spec: str, vfunction: str, tolerance: float,
           fmt: str) -> None:
     """Minimize the bound for one dimension."""
@@ -259,7 +210,7 @@ def bound(dim: int, ratio_spec: str, vfunction: str, tolerance: float,
         _emit_csv(header, [[res.d, ratio.kind.value, res.r, res.vkind.value,
                             res.epsilon_star, res.a_star, res.bound]])
     else:
-        click.echo(
+        print(
             f"d={res.d}  r={res.r:.6g} ({ratio.kind.value})  V={res.vkind.value}\n"
             f"epsilon*={format_sig(res.epsilon_star, 5)}  a*={format_sig(res.a_star, 5)}\n"
             f"bound={format_sig(res.bound, 5)}  (full {res.bound!r})"
@@ -269,26 +220,16 @@ def bound(dim: int, ratio_spec: str, vfunction: str, tolerance: float,
 # ---------------------------------------------------------------- zeros
 
 
-@main.command()
-@click.option("--nu", type=float, default=None,
-              help="Order for the first zero of J_nu.")
-@click.option("--family", default="jzero", show_default=True,
-              type=click.Choice(["jzero", "proot"]))
-@click.option("--dim", type=int, default=None,
-              help="Dimension (p-root family only).")
-@click.option("--format", "fmt", default="text", show_default=True,
-              type=click.Choice(["text", "json", "csv"]))
-@_guard
 def zeros(nu: float | None, family: str, dim: int | None, fmt: str) -> None:
     """First Bessel zero j_{nu,1} or p-root p_{d/2,1}."""
     if family == "jzero":
         if nu is None:
-            raise click.UsageError("jzero family needs --nu")
+            raise UsageError("jzero family needs --nu")
         record = first_bessel_zero(nu)
         params: dict[str, Any] = {"family": family, "nu": nu}
     else:
         if dim is None:
-            raise click.UsageError("proot family needs --dim")
+            raise UsageError("proot family needs --dim")
         record = first_p_root(dim)
         params = {"family": family, "dim": dim}
     result = {
@@ -304,7 +245,7 @@ def zeros(nu: float | None, family: str, dim: int | None, fmt: str) -> None:
         header = list(result)
         _emit_csv(header, [[result[key] for key in header]])
     else:
-        click.echo(
+        print(
             f"family={record.family.value}  nu={record.nu:g}\n"
             f"value={record.value!r}\n"
             f"value^2 in [{record.value_squared_down!r}, {record.value_squared_up!r}]"
@@ -320,11 +261,11 @@ _MAX_POINTS = 10 ** 6
 
 def _geometric_dims(dmin: int, dmax: int, points: int) -> list[int]:
     if dmin < 5:
-        raise click.UsageError("--dmin must be >= 5 (so 4/d < 1)")
+        raise UsageError("--dmin must be >= 5 (so 4/d < 1)")
     if dmax < dmin:
-        raise click.UsageError("--dmax must be >= --dmin")
+        raise UsageError("--dmax must be >= --dmin")
     if not 1 <= points <= _MAX_POINTS:
-        raise click.UsageError(f"--points must lie in [1, {_MAX_POINTS}]")
+        raise UsageError(f"--points must lie in [1, {_MAX_POINTS}]")
     if points == 1 or dmin == dmax:
         raw = [dmin]
     else:
@@ -339,15 +280,6 @@ def _geometric_dims(dmin: int, dmax: int, points: int) -> list[int]:
     return out
 
 
-@main.command()
-@click.option("--dmin", required=True, type=int)
-@click.option("--dmax", required=True, type=int)
-@click.option("--points", default=9, show_default=True, type=int)
-@click.option("--c", "c_param", default=1.0, show_default=True, type=float)
-@click.option("--alpha", default=-0.5, show_default=True, type=float)
-@click.option("--format", "fmt", default="text", show_default=True,
-              type=click.Choice(["text", "json", "csv"]))
-@_guard
 def asymptotic(dmin: int, dmax: int, points: int, c_param: float, alpha: float,
                fmt: str) -> None:
     """Evaluate the sqrt(e) family on a geometric grid of dimensions."""
@@ -364,60 +296,37 @@ def asymptotic(dmin: int, dmax: int, points: int, c_param: float, alpha: float,
         lines = [f"{'d':>12} {'bound':>14}"]
         lines += [f"{row['d']:>12} {row['bound']:>14.10f}" for row in rows]
         lines.append(f"{'sqrt(e)':>12} {math.sqrt(math.e):>14.10f}")
-        click.echo("\n".join(lines))
+        print("\n".join(lines))
 
 
 # ---------------------------------------------------------------- verify-vbound
 
 
-@main.command("verify-vbound")
-@click.option("--shape", default="ball", show_default=True,
-              type=click.Choice(["ball", "box"]))
-@click.option("--radius", default=1.0, show_default=True, type=float)
-@click.option("--sides", default=None, help="Comma-separated box sides.")
-@click.option("--dim", required=True, type=int)
-@click.option("--paths", default=100000, show_default=True, type=int)
-@click.option("--dt", default=None, type=float,
-              help="Time step (default 1e-4 * characteristic length^2).")
-@click.option("--epsilon", default=0.5, show_default=True, type=float)
-@click.option("--vfunction", default="vogt", show_default=True,
-              help="vogt|improved.")
-@click.option("--seed", default=42, show_default=True, type=int)
-@click.option("--grid-points", default=25, show_default=True, type=int)
-@click.option("--chunk-size", default=65536, show_default=True, type=int,
-              help="Paths per chunk: chunk i draws from Philox(key=seed) "
-                   "jumped i times, and at most twice this many paths are "
-                   "in flight.")
-@click.option("--bridge/--no-bridge", default=True, show_default=True,
-              help="Brownian-bridge crossing correction.")
-@click.option("--format", "fmt", default="json", show_default=True,
-              type=click.Choice(["text", "json", "csv"]))
-@_guard
-def verify_vbound(shape: str, radius: float, sides: str | None, dim: int,
+def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
                   paths: int, dt: float | None, epsilon: float,
                   vfunction: str, seed: int, grid_points: int,
                   chunk_size: int, bridge: bool, fmt: str) -> None:
     """Monte Carlo check of survival against the V-bound (exit 5 on failure)."""
     if shape == "ball":
         if sides is not None:
-            raise click.UsageError("ball shape takes --radius, not --sides")
+            raise UsageError("ball shape takes --radius, not --sides")
+        radius = 1.0 if radius is None else radius
         domain = SimDomain.ball(radius, dim)
     else:
-        source = click.get_current_context().get_parameter_source("radius")
-        if source is not ParameterSource.DEFAULT:
-            raise click.UsageError("box shape takes --sides, not --radius")
+        if radius is not None:
+            raise UsageError("box shape takes --sides, not --radius")
         if sides is None:
-            raise click.UsageError("box shape needs --sides")
+            raise UsageError("box shape needs --sides")
         try:
             side_vals = tuple(float(s) for s in sides.split(","))
         except ValueError:
-            raise click.UsageError(f"--sides must be comma-separated numbers, got {sides!r}")
+            raise UsageError(f"--sides must be comma-separated numbers, got {sides!r}")
         domain = SimDomain.box(side_vals)
         if domain.dim != dim:
-            raise click.UsageError("--dim disagrees with the number of sides")
+            raise UsageError("--dim disagrees with the number of sides")
     vkind, _ = _parse_vfunction(vfunction)
     if vkind is VKind.CUSTOM:
-        raise click.UsageError("verify-vbound supports vogt|improved only")
+        raise UsageError("verify-vbound supports vogt|improved only")
     lam = principal_eigenvalue(domain)
     dt_val = default_dt(domain) if dt is None else dt
     check_grid_dt(lam, grid_points, dt_val)
@@ -449,7 +358,7 @@ def verify_vbound(shape: str, radius: float, sides: str | None, dim: int,
         "worst_index": report.worst_index,
     }
     params = {
-        "shape": shape, "radius": radius if shape == "ball" else None,
+        "shape": shape, "radius": radius,
         "sides": sides, "dim": dim, "paths": paths, "dt": dt_val,
         "epsilon": epsilon, "vfunction": vfunction, "seed": seed,
         "grid_points": grid_points, "chunk_size": chunk_size, "bridge": bridge,
@@ -466,7 +375,7 @@ def verify_vbound(shape: str, radius: float, sides: str | None, dim: int,
         ])
     else:
         status = "PASS" if report.passed else "FAIL"
-        click.echo(
+        print(
             f"domain={shape} dim={dim} lambda={lam:.6g} epsilon={epsilon:g} "
             f"V={vkind.value}\n"
             f"paths={paths} dt={dt_val:g} seed={seed} "
@@ -477,6 +386,179 @@ def verify_vbound(shape: str, radius: float, sides: str | None, dim: int,
         )
     if not report.passed:
         sys.exit(EXIT_VBOUND_FAILED)
+
+
+# ---------------------------------------------------------------- parsing
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads argv as click did: words first, values after.
+
+    The first pass takes the words apart.  A value option takes the next word
+    even when it starts with "-" (`--tolerance -1e-05`, `--c -inf`, which
+    argparse alone reads as unknown options), its last value is the one
+    kept, and that value is glued to it as `--option=value`.  An unknown
+    option, a missing value or a value given to a flag is an error at once.
+    Then `--help` acts wherever it stands, and only then does argparse
+    convert and check the values.  `--` as a value is refused after `--help`
+    had its chance: argparse 3.11 would strip it and hand the command an
+    empty list.  At the top level the options end at the command's name,
+    which may follow one `--`.
+    """
+
+    #: False for the top level, whose options end at the command's name
+    interspersed = True
+
+    def parse_known_args(self, args, namespace=None):
+        glued: list[str] = []
+        values: dict[str, str] = {}  # the last value of each option counts
+        tail: list[str] = []
+        skipped = False
+        words = iter(sys.argv[1:] if args is None else args)
+        for word in words:
+            if word == "--":
+                if not (self.interspersed or skipped):
+                    skipped = True  # the command's name may still look like an option
+                    continue
+                rest = list(words)
+                if rest:  # no positional word is taken here: argparse refuses them
+                    tail = ["--", *rest]
+                break
+            if not self.interspersed and (word == "-" or not word.startswith("-")):
+                glued += [word, *words]  # the command and its own argv
+                break
+            option, eq, value = word.partition("=")
+            action = self._option_string_actions.get(option)
+            if action is None:
+                if word.startswith("-") and word != "-":
+                    self.error(f"unrecognized arguments: {word}")
+                glued.append(word)
+            elif action.nargs == 0:
+                if eq:
+                    self.error(f"argument {option}: ignored explicit argument {value!r}")
+                if word == "--help":
+                    glued.insert(0, word)
+                else:
+                    glued.append(word)
+            else:
+                if not eq:
+                    value = next(words, None)
+                    if value is None:
+                        self.error(f"argument {option}: expected one argument")
+                values[option] = value
+        glued += [f"{option}={value}" for option, value in values.items() if value != "--"]
+        namespace, extras = super().parse_known_args(glued + tail, namespace)
+        for option, value in values.items():
+            if value == "--":
+                self.error(f"argument {option}: expected one argument")
+        return namespace, extras
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Show the default after the help of every option that has one."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        if action.default is None or action.default is argparse.SUPPRESS:
+            return action.help
+        return f"{action.help} [default: %(default)s]"
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="hotspots", allow_abbrev=False, add_help=False,
+        description="Upper bounds on the Hot Spots constant for Lipschitz domains.")
+    parser.interspersed = False
+    parser.add_argument("--version", action="version",
+                        version=f"hotspots, version {__version__}",
+                        help="Show the version and exit.")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(fn: Callable[..., None], fmt: str = "text") -> Callable:
+        sub = commands.add_parser(fn.__name__.replace("_", "-"), help=fn.__doc__,
+                                  description=fn.__doc__, allow_abbrev=False,
+                                  add_help=False, formatter_class=_HelpFormatter)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.add_argument("--format", dest="fmt", default=fmt,
+                         choices=("text", "json", "csv"), help="Output format.")
+        sub.set_defaults(command=fn, parser=sub)
+        return sub.add_argument
+
+    vfunction_help = "vogt|improved|custom:<file>."
+    tolerance_help = "Golden-section tolerance on epsilon."
+
+    option = command(table)
+    option("--dims", default="2,3,4,10,100", help="Comma-separated dimensions.")
+    option("--vfunction", default="improved", help=vfunction_help)
+    option("--tolerance", default=1e-9, type=float, help=tolerance_help)
+
+    option = command(bound)
+    option("--dim", required=True, type=int, help="Dimension d >= 2.")
+    option("--ratio", dest="ratio_spec", metavar="RATIO", default="bessel",
+           help="bessel|closed|4overd|custom:<v>.")
+    option("--vfunction", default="improved", help=vfunction_help)
+    option("--tolerance", default=1e-9, type=float, help=tolerance_help)
+
+    option = command(zeros)
+    option("--nu", type=float, help="Order for the first zero of J_nu.")
+    option("--family", default="jzero", choices=("jzero", "proot"),
+           help="First zero of J_nu, or first p-root.")
+    option("--dim", type=int, help="Dimension (p-root family only).")
+
+    option = command(asymptotic)
+    option("--dmin", required=True, type=int, help="Smallest dimension, >= 5.")
+    option("--dmax", required=True, type=int, help="Largest dimension.")
+    option("--points", default=9, type=int, help="Points on the geometric grid.")
+    option("--c", dest="c_param", metavar="C", default=1.0, type=float,
+           help="Family constant c.")
+    option("--alpha", default=-0.5, type=float, help="Family exponent alpha.")
+
+    option = command(verify_vbound, fmt="json")
+    option("--shape", default="ball", choices=("ball", "box"), help="Domain shape.")
+    option("--radius", type=float, help="Ball radius [default: 1.0].")
+    option("--sides", help="Comma-separated box sides.")
+    option("--dim", required=True, type=int, help="Dimension.")
+    option("--paths", default=100000, type=int, help="Simulated paths.")
+    option("--dt", type=float,
+           help="Time step (default 1e-4 * characteristic length^2).")
+    option("--epsilon", default=0.5, type=float, help="Epsilon of the V-bound.")
+    option("--vfunction", default="vogt", help="vogt|improved.")
+    option("--seed", default=42, type=int, help="Philox key.")
+    option("--grid-points", default=25, type=int, help="Points on the time grid.")
+    option("--chunk-size", default=65536, type=int,
+           help="Paths per chunk: chunk i draws from Philox(key=seed) jumped i "
+                "times, and at most twice this many paths are in flight.")
+    option("--bridge", default=True, action=argparse.BooleanOptionalAction,
+           help="Brownian-bridge crossing correction.")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run one command line (`sys.argv[1:]` when args is None).
+
+    Exits with the documented code on any failure and returns on success.
+    prog_name is accepted and ignored (`perfbench/child.py` passes it); the
+    program is always named "hotspots".
+    """
+    options = vars(_PARSER.parse_args(args))
+    command, parser = options.pop("command"), options.pop("parser")
+    try:
+        command(**options)
+    except UsageError as exc:
+        parser.error(str(exc))
+    except InfeasibleParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INFEASIBLE)
+    except OverflowError as exc:
+        # a parameter so large that a float derived from it overflows
+        print(f"error: parameter out of range: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INFEASIBLE)
+    except AccuracyError as exc:
+        print(f"accuracy error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_ACCURACY)
 
 
 if __name__ == "__main__":

@@ -485,7 +485,17 @@ def sample_exit_times(config: SimConfig) -> np.ndarray:
             f"dt={config.dt!r} needs {steps:.3g} time steps; "
             f"at most {_MAX_STEPS:.0e} are allowed"
         )
-    return _pool_exit_times(config, int(math.ceil(steps)) + 1)
+    max_steps = int(math.ceil(steps)) + 1
+    if config.domain.shape is DomainShape.BALL:
+        return _pool_exit_times(config, max_steps)
+    # On a box with a side of about 1e154 or more (less at small dt), a
+    # product of two face distances, or its quotient by dt, overflows to
+    # inf.  There every overflow is harmless: a product past _NEAR_FACE * dt
+    # only marks a row as far from every face, and _crossing_probability
+    # clamps the exponent.  So it is not reported; one errstate per run
+    # costs nothing per step.
+    with np.errstate(over="ignore"):
+        return _pool_exit_times(config, max_steps)
 
 
 def _clopper_pearson(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

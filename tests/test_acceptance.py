@@ -13,7 +13,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from click.testing import CliRunner
 
 from hotspots import (
     AsymptoticParams,
@@ -39,7 +38,7 @@ from hotspots import (
     sample_exit_times,
 )
 from hotspots.asymptotic import A_SLOPE, _one_minus_eps, epsilon_d
-from hotspots.cli import compute_table_rows, main
+from hotspots.cli import compute_table_rows
 from hotspots.ratio import bessel_exact_from_records, displayed_squares
 from hotspots.zeros import _exact_sign, _first_zero_is_bracketed
 
@@ -233,13 +232,12 @@ def test_criterion_6_monte_carlo_validates_v_bound():
             f"(worst margin {min(margins.values()):.2e}), {elapsed:.0f}s < 120s")
 
 
-def test_criterion_7_byte_identical_reruns():
-    runner = CliRunner()
+def test_criterion_7_byte_identical_reruns(invoke):
     args = ["verify-vbound", "--dim", "2", "--paths", "20000", "--dt", "5e-4",
             "--chunk-size", "8192", "--grid-points", "12", "--seed", "2024",
             "--format", "json"]
-    a = runner.invoke(main, args)
-    b = runner.invoke(main, args)
+    a = invoke(args)
+    b = invoke(args)
     ok = a.exit_code == 0 and b.exit_code == 0 and a.output == b.output
     payload = json.loads(a.output)
     checks = payload["manifest"]["output_checksum"]
