@@ -17,6 +17,7 @@ defaults), so V itself is never formed.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -69,20 +70,17 @@ def is_feasible(c: float, alpha: float, d: int) -> bool:
 
 
 def feasible_threshold(c: float = 1.0, alpha: float = -0.5) -> int:
-    """Smallest d >= 5 with eps_d < 1 - 4/d (bisection; capped at 10^6)."""
+    """Smallest d >= 5 with eps_d < 1 - 4/d, by `bisect` up to 10^6.
+
+    Feasible means d(1-eps_d) > 4, and for alpha > -1 d(1-eps_d) increases:
+    its derivative is >= (u-1)^2(u+2)/u^3 >= 0 with u = 1 + c d^alpha.
+    """
     if not is_feasible(c, alpha, _FEASIBLE_SCAN_CAP):
         raise InfeasibleParameterError(
             f"no feasible dimension up to {_FEASIBLE_SCAN_CAP} for c={c:g}, alpha={alpha:g}"
         )
-    # alpha > -1: [d(1-eps_d)]' >= (u-1)^2(u+2)/u^3 >= 0, u = 1+c d^alpha; feasible <=> d(1-eps_d) > 4
-    infeasible, feasible = 4, _FEASIBLE_SCAN_CAP
-    while feasible - infeasible > 1:
-        mid = (infeasible + feasible) // 2
-        if is_feasible(c, alpha, mid):
-            feasible = mid
-        else:
-            infeasible = mid
-    return feasible
+    return bisect.bisect_left(range(_FEASIBLE_SCAN_CAP + 1), True, 5,
+                              key=lambda d: is_feasible(c, alpha, d))
 
 
 def asymptotic_bound(params: AsymptoticParams) -> float:

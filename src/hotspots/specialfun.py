@@ -19,8 +19,8 @@ Two regimes are combined:
   seed decay and the truncated normalization tail are below 1e-17 relative.
   The tail's size is the first rung of a fixed ladder of orders whose
   Neumann term is below e^-40.  Those rungs form a suffix of the ladder, so
-  a gallop and bisection from a Stirling estimate of the crossing find the
-  same rung as a rung-by-rung walk after about two term evaluations.
+  `bisect` finds the same rung as a rung-by-rung walk, searching only up to
+  a rung that provably passes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from typing import Callable
 
 from .errors import InfeasibleParameterError
 
@@ -109,10 +108,9 @@ def _series(nu: float, x: float, log_pref: float) -> float:
 
 #: Every rung at or above it meets the walk's test on the whole domain: for
 #: k >= e^1.5 x/2 and k >= 20 the k-th Neumann term is below
-#: (e z / k^2)^k <= e^-2k <= e^-40.
+#: (e z / k^2)^k <= e^-2k <= e^-40.  The same argument at one x bounds the
+#: search there: every rung >= max(20, e^1.5 x/2) passes.
 _RUNG_CAP = math.ceil(math.exp(1.5) * 0.5 * MAX_ARG)
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @functools.lru_cache(maxsize=None)  # k0 <= MAX_ARG / 2 + 1: at most 351 ladders
@@ -134,12 +132,10 @@ def _neumann_ladder_top(nu: float, x: float) -> int:
     k + max(1, k // 8), ... whose log_rel is <= -40.
 
     log_rel is 0 at k = 0 (ln 2 for nu = 0) and concave in k: it rises, then
-    falls, so the rungs that pass form a suffix of the ladder.  The search
-    starts at the rung nearest a Stirling estimate of the crossing, gallops
-    towards the boundary and bisects (_first_passing).  It evaluates log_rel
-    with the walk's expression, so it returns the rung a rung-by-rung walk
-    returns, after about two evaluations instead of about 22.  The test suite
-    checks this against the walk over the Miller regime and from every start.
+    falls, so the rungs that pass form a suffix of the ladder.  A bisection
+    with the walk's expression finds the rung a rung-by-rung walk returns; it
+    searches up to the first rung >= max(20, e^1.5 x/2), which passes (see
+    _RUNG_CAP).  The test suite checks both facts over the Miller regime.
     """
     lhalf = math.log(0.5 * x)
 
@@ -153,49 +149,9 @@ def _neumann_ladder_top(nu: float, x: float) -> int:
         )
         return log_rel <= -40.0
 
-    # one Newton step on log_rel + 40, with Stirling's lgamma, from a k past
-    # the peak (which lies below x/2) lands within a rung of the crossing
-    k = 0.6 * x + 10.0
-    a, b = nu + k, nu + 2.0 * k
-    la, lk, lb = math.log(a), math.log(k), math.log(b)
-    lz = 2.0 * lhalf
-    s = ((a - 0.5) * la - (k + 0.5) * lk - (b - 0.5) * lb + k * lz + 2.0 * k
-         - _HALF_LOG_2PI + 40.0)
-    k -= s / (lz + la - lk - 2.0 * lb)
-
     rungs = _ladder(max(1, int(0.5 * max(0.0, x - nu)) + 1))
-    guess = min(bisect.bisect_left(rungs, k), len(rungs) - 1)
-    return 2 * rungs[_first_passing(passes, rungs, guess)]
-
-
-def _first_passing(passes: Callable[[int], bool], rungs: tuple[int, ...],
-                   i: int) -> int:
-    """Index of the first rung that passes, for any start index i.
-
-    The rungs that pass must form a suffix that includes the last one.
-    Gallops from i towards the boundary, then bisects.
-    """
-    last = len(rungs) - 1
-    # bracket the boundary: rung lo fails (or lo = -1), rung hi passes
-    step = 1
-    if passes(rungs[i]):
-        hi, lo = i, i - 1
-        while lo >= 0 and passes(rungs[lo]):
-            hi, step = lo, 2 * step
-            lo = hi - step
-        lo = max(lo, -1)
-    else:
-        lo, hi = i, min(i + 1, last)
-        while hi < last and not passes(rungs[hi]):
-            lo, step = hi, 2 * step
-            hi = min(lo + step, last)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(rungs[mid]):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    hi = bisect.bisect_left(rungs, max(20.0, math.exp(1.5) * 0.5 * x)) + 1
+    return 2 * rungs[bisect.bisect_left(rungs, True, 0, hi, key=passes)]
 
 
 def _miller(nu: float, x: float, log_pref: float) -> float:

@@ -20,7 +20,6 @@ from hotspots import specialfun
 from hotspots.specialfun import (
     MAX_ARG,
     MAX_ORDER,
-    _first_passing,
     _ladder,
     _neumann_ladder_top,
     _series_forecast,
@@ -236,15 +235,16 @@ class TestLadderTop:
         for nu, x in seen:
             assert _neumann_ladder_top(nu, x) == _walk_ladder_top(nu, x), (nu, x)
 
+    # every order and argument step, from the series/Miller switch near
+    # x = 3.4 up to MAX_ARG, with both ends of the order range
+    NUS = [0.0, 1e-3, 0.5, 1.0, 2.5, 7.0, 15.5, 33.0, 60.0, 85.5, 110.0,
+           119.75, MAX_ORDER]
+    DENSE_GRID = ([(nu, 0.125 * j) for nu in NUS for j in range(1, 81)]
+                  + [(nu, 0.5 * j) for nu in NUS for j in range(21, 1401)])
+
     def test_matches_walk_on_a_dense_grid(self):
-        # every order and argument step, from the series/Miller switch near
-        # x = 3.4 up to MAX_ARG, with both ends of the order range
-        nus = [0.0, 1e-3, 0.5, 1.0, 2.5, 7.0, 15.5, 33.0, 60.0, 85.5, 110.0,
-               119.75, MAX_ORDER]
-        points = [(nu, 0.125 * j) for nu in nus for j in range(1, 81)]
-        points += [(nu, 0.5 * j) for nu in nus for j in range(21, 1401)]
         checked = 0
-        for nu, x in points:
+        for nu, x in self.DENSE_GRID:
             if _miller_regime(nu, x):
                 assert _neumann_ladder_top(nu, x) == _walk_ladder_top(nu, x), (nu, x)
                 checked += 1
@@ -263,22 +263,18 @@ class TestLadderTop:
                 checked += 1
         assert checked > 5000
 
-
-    def test_search_finds_the_walks_rung_from_any_start(self):
-        # the Stirling estimate only picks the start: from every other start
-        # the gallop and bisection must reach the same rung
-        rng = random.Random(7)
-        points = [(nu, x) for nu, x in ((rng.uniform(0.0, MAX_ORDER),
-                                         rng.uniform(3.0, MAX_ARG))
-                                        for _ in range(120))
-                  if _miller_regime(nu, x)]
-        points += [(0.0, 3.5), (MAX_ORDER, MAX_ARG), (0.0, MAX_ARG)]
-        for nu, x in points:
-            passes = _rung_passes(nu, x)
-            rungs = _ladder(_ladder_start(nu, x))
-            want = _walk_ladder_top(nu, x)
-            for i in range(len(rungs)):
-                assert 2 * rungs[_first_passing(passes, rungs, i)] == want, (nu, x, i)
+    def test_first_rung_past_the_per_x_cap_passes(self):
+        # _neumann_ladder_top searches up to the first rung >= max(20, e^1.5 x/2)
+        # and needs it to pass; the rungs after it then pass too (a suffix)
+        checked = 0
+        for nu, x in self.DENSE_GRID:
+            if _miller_regime(nu, x):
+                rungs = _ladder(_ladder_start(nu, x))
+                cap = next(k for k in rungs if k >= max(20.0, math.exp(1.5) * 0.5 * x))
+                assert _rung_passes(nu, x)(cap), (nu, x, cap)
+                checked += 1
+        assert (MAX_ORDER, MAX_ARG) in self.DENSE_GRID
+        assert checked > 15000
 
 
 class TestMillerHeadroom:
