@@ -32,6 +32,7 @@ from .montecarlo import (
     estimate_survival,
     principal_eigenvalue,
     sample_exit_times,
+    vbound_log_v,
 )
 from .ratio import (
     RatioBoundSpec,
@@ -225,11 +226,15 @@ def zeros(nu: float | None, family: str, dim: int | None, fmt: str) -> None:
     if family == "jzero":
         if nu is None:
             raise UsageError("jzero family needs --nu")
+        if dim is not None:
+            raise UsageError("jzero family takes --nu, not --dim")
         record = first_bessel_zero(nu)
         params: dict[str, Any] = {"family": family, "nu": nu}
     else:
         if dim is None:
             raise UsageError("proot family needs --dim")
+        if nu is not None:
+            raise UsageError("proot family takes --dim, not --nu")
         record = first_p_root(dim)
         params = {"family": family, "dim": dim}
     result = {
@@ -340,6 +345,7 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
         bridge_correction=bridge,
         chunk_size=chunk_size,
     )
+    vbound_log_v(vkind, epsilon, dim)  # an unusable bound exits 3 before any path is drawn
     estimate = estimate_survival(config, sample_exit_times(config))
     report = check_vbound(estimate, vkind, epsilon, lam, dim)
     result = {

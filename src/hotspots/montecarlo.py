@@ -538,6 +538,18 @@ def estimate_survival(config: SimConfig, tau: np.ndarray) -> TailEstimate:
     )
 
 
+def vbound_log_v(vkind: VKind, epsilon: float, dim: int) -> float:
+    """ln V(epsilon, dim) of a V-bound that check_vbound can test.
+
+    Raises InfeasibleParameterError where it cannot, so a caller can refuse
+    the bound before it simulates any path.
+    """
+    if not (0.0 < epsilon < 1.0):
+        # at eps = 1 the bound V e^0 >= 1 holds for any estimate
+        raise InfeasibleParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    return log_v(vkind, epsilon, dim)
+
+
 def check_vbound(estimate: TailEstimate, vkind: VKind, epsilon: float,
                  lambda_d: float, dim: int) -> VBoundReport:
     """Compare the estimate's lower confidence limits against the V-bound.
@@ -546,12 +558,9 @@ def check_vbound(estimate: TailEstimate, vkind: VKind, epsilon: float,
     V(eps, dim) * exp(-(1-eps) * lambda_d * t).  The worst margin is the
     smallest bound - ci_low over the grid (negative means failure).
     """
-    if not (0.0 < epsilon < 1.0):
-        # at eps = 1 the bound V e^0 >= 1 holds for any estimate
-        raise InfeasibleParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    lv = vbound_log_v(vkind, epsilon, dim)
     if not lambda_d > 0.0:
         raise InfeasibleParameterError("lambda_d must be positive")
-    lv = log_v(vkind, epsilon, dim)
     rate = (1.0 - epsilon) * lambda_d
     bound = tuple(math.exp(lv - rate * t) for t in estimate.t_grid)
     margins = [b - lo for b, lo in zip(bound, estimate.ci_low)]

@@ -78,6 +78,17 @@ class TestZeros:
         assert invoke(["zeros"]).exit_code == 2
         assert invoke(["zeros", "--family", "proot"]).exit_code == 2
 
+    def test_jzero_rejects_dim(self, invoke):
+        # an option the family does not use is refused, not left out of the manifest
+        res = invoke(["zeros", "--nu", "0.5", "--dim", "10"])
+        assert res.exit_code == 2
+        assert "--dim" in res.stderr
+
+    def test_proot_rejects_nu(self, invoke):
+        res = invoke(["zeros", "--family", "proot", "--dim", "10", "--nu", "5"])
+        assert res.exit_code == 2
+        assert "--nu" in res.stderr
+
     def test_uncertified_root_exit_four(self, invoke, monkeypatch):
         monkeypatch.setattr(zeros_mod, "_exact_sign", lambda nu, z, family: 0)
         res = invoke(["zeros", "--nu", "1"])
@@ -377,6 +388,25 @@ class TestVerifyVBound:
         res = invoke(["verify-vbound", "--dim", "2", "--paths", "10",
                       "--dt", "1e-9"])
         assert res.exit_code == 3, res.output
+        assert runs == []
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--epsilon", "1.5"], "error: epsilon must lie in (0, 1), got 1.5\n"),
+        (["--epsilon", "0"], "error: epsilon must lie in (0, 1), got 0.0\n"),
+        (["--dim", "1"], "error: dimension must be an integer >= 2, got 1\n"),
+        (["--vfunction", "improved", "--dim", "201", "--dt", "1e-6"],
+         "error: improved Vogt V supports d <= 200, got 201\n"),
+    ], ids=["epsilon_above_one", "epsilon_zero", "dim_one", "improved_dim_201"])
+    def test_unusable_v_bound_exit_three_before_sampling(self, invoke, monkeypatch,
+                                                         argv, line):
+        # check_vbound runs after the simulation; a bound it cannot evaluate
+        # must be refused before any path is drawn
+        import hotspots.montecarlo as mc
+        runs = []
+        monkeypatch.setattr(mc, "_pool_exit_times", lambda *a: runs.append(a))
+        res = invoke(["verify-vbound", "--dim", "2", "--paths", "100000"] + argv)
+        assert res.exit_code == 3, res.output
+        assert res.stderr == line
         assert runs == []
 
     def test_vacuous_or_overflowing_v_exit_three(self, invoke):
