@@ -609,3 +609,73 @@ def test_every_argv_ends_in_a_documented_exit_code(invoke, v_tables):
         assert res.exit_code in DOCUMENTED_EXIT_CODES, (argv, res.exception, res.output)
 
     run()
+
+
+# ---------------------------------------------------------------- golden bytes
+
+
+class TestGoldenCli:
+    """sha256 over (argv, stdout, stderr, exit code) of each command line
+    below, run once in each of the three formats.
+
+    These freeze every byte the command line writes, text and CSV as well as
+    JSON: a change to any number, column, label or message must announce it
+    and re-freeze the digest.  The values were produced with numpy 2.4 on
+    x86-64; the verify-vbound runs depend on numpy's exp and sqrt.
+    """
+
+    @staticmethod
+    def _digest(invoke, argvs):
+        h = hashlib.sha256()
+        for argv in argvs:
+            for fmt in ("text", "json", "csv"):
+                full = argv + ["--format", fmt]
+                res = invoke(full)
+                h.update(canonical_json([full, res.stdout, res.stderr,
+                                         res.exit_code]).encode())
+        return h.hexdigest()
+
+    def test_table(self, invoke):
+        assert self._digest(invoke, [["table", "--dims", "2,7,150"]]) == (
+            "0d7fa9cc30bd61e236f762778ad8c957a6290d88857380a912c5be0c64e2c79e")
+
+    def test_bound(self, invoke):
+        assert self._digest(invoke, [
+            ["bound", "--dim", "7", "--ratio", "closed", "--vfunction", "vogt"],
+            ["bound", "--dim", "7", "--ratio", "custom:0.3"],
+            ["bound", "--dim", "3"],
+        ]) == "4184e1c568e1239319f1e16401594eab0491c3811fd2dd91aeff4c955f23e6fc"
+
+    def test_zeros(self, invoke):
+        assert self._digest(invoke, [
+            ["zeros", "--nu", "0.5"],
+            ["zeros", "--family", "proot", "--dim", "10"],
+        ]) == "b69797cca38c59214f89aab9464f68a80a8fb8f12a1ce64e229fb32d3715ef4b"
+
+    def test_asymptotic(self, invoke):
+        assert self._digest(invoke, [
+            ["asymptotic", "--dmin", "10", "--dmax", "100000000"],
+        ]) == "09f2cec2877acfdbcbe06dfee270fd87b0663e5326a1b89c5608de4ab0a85d24"
+
+    def test_verify_vbound(self, invoke):
+        assert self._digest(invoke, [
+            ["verify-vbound", "--dim", "2", "--paths", "500"],
+            ["verify-vbound", "--shape", "box", "--sides", "1,1", "--dim", "2",
+             "--paths", "500"],
+        ]) == "aa1cd8607eed75387bc2859d26a04b54fc1b57607b694fef3cd6132d747e27e8"
+
+    def test_usage_and_infeasible_errors(self, invoke):
+        assert self._digest(invoke, [
+            ["table", "--dims", "2,x"],  # exit 2
+            ["bound", "--dim", "4", "--ratio", "4overd"],  # exit 3
+        ]) == "c43e73b662622d448cb616202230d4a75879605d1094810eb07507a3b9aa7ebc"
+
+    def test_failed_bound_exit_five(self, invoke, monkeypatch):
+        # the fake estimate of TestVerifyVBound.test_failed_bound_exit_five
+        grid = tuple(float(t) for t in np.linspace(0.0, 2.0, 6))
+        fake = TailEstimate(t_grid=grid, survival=(1.0,) * 6,
+                            ci_low=(0.99,) * 6, ci_high=(1.0,) * 6,
+                            n_paths=1000, config_fingerprint="0" * 64)
+        monkeypatch.setattr(cli_mod, "estimate_survival", lambda cfg, tau: fake)
+        assert self._digest(invoke, [SMALL_MC]) == (
+            "18f08d0d9243566d8b28cd0f98433d1de1b16a2e0a20b58f5b34882270b2a250")
