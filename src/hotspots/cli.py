@@ -3,7 +3,9 @@
 Output formats: human tables (`--format text`, mirroring the displayed
 precision conventions of the bound table), machine JSON (full precision,
 deterministic byte-for-byte for a fixed parameter set — sorted keys, no
-timestamps, sha256 output checksum in the manifest), and CSV.
+timestamps, sha256 output checksum in the manifest), and CSV.  `_emit` is
+the one place a format is chosen: each command hands it the result in all
+three shapes, the text as a callable that only the text format calls.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible parameters, 4 internal
 accuracy failure, 5 V-bound check failure.
@@ -15,7 +17,7 @@ import argparse
 import csv
 import math
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from . import __version__
 from ._format import canonical_json, format_sig, payload_checksum
@@ -53,20 +55,24 @@ class UsageError(Exception):
     """A command line the parser accepted but a command cannot use (exit 2)."""
 
 
-def _emit_json(subcommand: str, parameters: dict, result: dict) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "parameters": parameters,
-        "version": __version__,
-        "output_checksum": payload_checksum(result),
-    }
-    print(canonical_json({"manifest": manifest, "result": result}))
-
-
-def _emit_csv(header: list[str], rows: list[list[Any]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit(fmt: str, subcommand: str, parameters: dict, result: dict,
+          header: list[str], rows: Iterable[Iterable[Any]],
+          text: Callable[[], str]) -> None:
+    """Print the manifest and result (json), header and rows (csv) or text()."""
+    if fmt == "json":
+        manifest = {
+            "subcommand": subcommand,
+            "parameters": parameters,
+            "version": __version__,
+            "output_checksum": payload_checksum(result),
+        }
+        print(canonical_json({"manifest": manifest, "result": result}))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        print(text())
 
 
 def _parse_ratio(spec: str, d: int) -> RatioBoundSpec:
@@ -170,16 +176,12 @@ def table(dims: str, vfunction: str, tolerance: float, fmt: str) -> None:
     dim_list = _parse_dims(dims)
     vkind, vtable = _parse_vfunction(vfunction)
     rows = compute_table_rows(dim_list, vkind, vtable=vtable, tolerance=tolerance)
-    if fmt == "json":
-        _emit_json("table", {"dims": dim_list, "vfunction": vfunction,
-                             "tolerance": tolerance}, {"rows": rows})
-    elif fmt == "csv":
-        header = ["d", "p_squared", "j_squared", "r", "epsilon", "a", "bound"]
-        _emit_csv(header, [[row["d"], row["p_squared_cell"], row["j_squared_cell"],
-                            row["r"], row["epsilon"], row["a"], row["bound"]]
-                           for row in rows])
-    else:
-        print(_table_text(rows))
+    _emit(fmt, "table", {"dims": dim_list, "vfunction": vfunction, "tolerance": tolerance},
+          {"rows": rows},
+          ["d", "p_squared", "j_squared", "r", "epsilon", "a", "bound"],
+          ([row["d"], row["p_squared_cell"], row["j_squared_cell"], row["r"],
+            row["epsilon"], row["a"], row["bound"]] for row in rows),
+          lambda: _table_text(rows))
 
 
 # ---------------------------------------------------------------- bound
@@ -204,18 +206,11 @@ def bound(dim: int, ratio_spec: str, vfunction: str, tolerance: float,
     }
     params = {"dim": dim, "ratio": ratio_spec, "vfunction": vfunction,
               "tolerance": tolerance}
-    if fmt == "json":
-        _emit_json("bound", params, result)
-    elif fmt == "csv":
-        header = ["d", "ratio_kind", "r", "vkind", "epsilon", "a", "bound"]
-        _emit_csv(header, [[res.d, ratio.kind.value, res.r, res.vkind.value,
-                            res.epsilon_star, res.a_star, res.bound]])
-    else:
-        print(
-            f"d={res.d}  r={res.r:.6g} ({ratio.kind.value})  V={res.vkind.value}\n"
-            f"epsilon*={format_sig(res.epsilon_star, 5)}  a*={format_sig(res.a_star, 5)}\n"
-            f"bound={format_sig(res.bound, 5)}  (full {res.bound!r})"
-        )
+    header = ["d", "ratio_kind", "r", "vkind", "epsilon", "a", "bound"]
+    _emit(fmt, "bound", params, result, header, [[result[key] for key in header]],
+          lambda: f"d={res.d}  r={res.r:.6g} ({ratio.kind.value})  V={res.vkind.value}\n"
+          f"epsilon*={format_sig(res.epsilon_star, 5)}  a*={format_sig(res.a_star, 5)}\n"
+          f"bound={format_sig(res.bound, 5)}  (full {res.bound!r})")
 
 
 # ---------------------------------------------------------------- zeros
@@ -244,17 +239,10 @@ def zeros(nu: float | None, family: str, dim: int | None, fmt: str) -> None:
         "value_squared_up": record.value_squared_up,
         "value_squared_down": record.value_squared_down,
     }
-    if fmt == "json":
-        _emit_json("zeros", params, result)
-    elif fmt == "csv":
-        header = list(result)
-        _emit_csv(header, [[result[key] for key in header]])
-    else:
-        print(
-            f"family={record.family.value}  nu={record.nu:g}\n"
-            f"value={record.value!r}\n"
-            f"value^2 in [{record.value_squared_down!r}, {record.value_squared_up!r}]"
-        )
+    _emit(fmt, "zeros", params, result, list(result), [list(result.values())],
+          lambda: f"family={record.family.value}  nu={record.nu:g}\n"
+          f"value={record.value!r}\n"
+          f"value^2 in [{record.value_squared_down!r}, {record.value_squared_up!r}]")
 
 
 # ---------------------------------------------------------------- asymptotic
@@ -293,15 +281,11 @@ def asymptotic(dmin: int, dmax: int, points: int, c_param: float, alpha: float,
             for d, value in sweep(dims, c=c_param, alpha=alpha)]
     params = {"dmin": dmin, "dmax": dmax, "points": points, "c": c_param,
               "alpha": alpha, "k": A_SLOPE}
-    if fmt == "json":
-        _emit_json("asymptotic", params, {"rows": rows})
-    elif fmt == "csv":
-        _emit_csv(["d", "bound"], [[row["d"], row["bound"]] for row in rows])
-    else:
-        lines = [f"{'d':>12} {'bound':>14}"]
-        lines += [f"{row['d']:>12} {row['bound']:>14.10f}" for row in rows]
-        lines.append(f"{'sqrt(e)':>12} {math.sqrt(math.e):>14.10f}")
-        print("\n".join(lines))
+    _emit(fmt, "asymptotic", params, {"rows": rows}, ["d", "bound"],
+          ([row["d"], row["bound"]] for row in rows),
+          lambda: "\n".join([f"{'d':>12} {'bound':>14}"]
+                            + [f"{row['d']:>12} {row['bound']:>14.10f}" for row in rows]
+                            + [f"{'sqrt(e)':>12} {math.sqrt(math.e):>14.10f}"]))
 
 
 # ---------------------------------------------------------------- verify-vbound
@@ -369,27 +353,17 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
         "epsilon": epsilon, "vfunction": vfunction, "seed": seed,
         "grid_points": grid_points, "chunk_size": chunk_size, "bridge": bridge,
     }
-    if fmt == "json":
-        _emit_json("verify-vbound", params, result)
-    elif fmt == "csv":
-        header = ["t", "survival", "ci_low", "ci_high", "bound"]
-        _emit_csv(header, [
-            [t, s, lo, hi, b]
-            for t, s, lo, hi, b in zip(result["t_grid"], result["survival"],
-                                       result["ci_low"], result["ci_high"],
-                                       result["bound"])
-        ])
-    else:
-        status = "PASS" if report.passed else "FAIL"
-        print(
-            f"domain={shape} dim={dim} lambda={lam:.6g} epsilon={epsilon:g} "
-            f"V={vkind.value}\n"
-            f"paths={paths} dt={dt_val:g} seed={seed} "
-            f"fingerprint={estimate.config_fingerprint[:16]}...\n"
-            f"worst margin={report.worst_margin:.4e} at "
-            f"t={estimate.t_grid[report.worst_index]:.4g}\n"
-            f"{status}"
-        )
+    _emit(fmt, "verify-vbound", params, result,
+          ["t", "survival", "ci_low", "ci_high", "bound"],
+          zip(estimate.t_grid, estimate.survival, estimate.ci_low, estimate.ci_high,
+              report.bound_curve),
+          lambda: f"domain={shape} dim={dim} lambda={lam:.6g} epsilon={epsilon:g} "
+          f"V={vkind.value}\n"
+          f"paths={paths} dt={dt_val:g} seed={seed} "
+          f"fingerprint={estimate.config_fingerprint[:16]}...\n"
+          f"worst margin={report.worst_margin:.4e} at "
+          f"t={estimate.t_grid[report.worst_index]:.4g}\n"
+          f"{'PASS' if report.passed else 'FAIL'}")
     if not report.passed:
         sys.exit(EXIT_VBOUND_FAILED)
 
