@@ -542,12 +542,19 @@ def vbound_log_v(vkind: VKind, epsilon: float, dim: int) -> float:
     """ln V(epsilon, dim) of a V-bound that check_vbound can test.
 
     Raises InfeasibleParameterError where it cannot, so a caller can refuse
-    the bound before it simulates any path.
+    the bound before it simulates any path.  That includes a V too large
+    for a float: the bound curve starts at t = 0, where it is V itself.
     """
     if not (0.0 < epsilon < 1.0):
         # at eps = 1 the bound V e^0 >= 1 holds for any estimate
         raise InfeasibleParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    return log_v(vkind, epsilon, dim)
+    lv = log_v(vkind, epsilon, dim)
+    try:
+        math.exp(lv)
+    except OverflowError:
+        raise InfeasibleParameterError(
+            f"V(epsilon, dim) = exp({lv:.6g}) overflows a float") from None
+    return lv
 
 
 def check_vbound(estimate: TailEstimate, vkind: VKind, epsilon: float,

@@ -396,7 +396,10 @@ class TestVerifyVBound:
         (["--dim", "1"], "error: dimension must be an integer >= 2, got 1\n"),
         (["--vfunction", "improved", "--dim", "201", "--dt", "1e-6"],
          "error: improved Vogt V supports d <= 200, got 201\n"),
-    ], ids=["epsilon_above_one", "epsilon_zero", "dim_one", "improved_dim_201"])
+        (["--dim", "6", "--epsilon", "1e-300", "--paths", "100", "--dt", "1e-3"],
+         "error: V(epsilon, dim) = exp(1034.26) overflows a float\n"),
+    ], ids=["epsilon_above_one", "epsilon_zero", "dim_one", "improved_dim_201",
+            "v_overflows_a_float"])
     def test_unusable_v_bound_exit_three_before_sampling(self, invoke, monkeypatch,
                                                          argv, line):
         # check_vbound runs after the simulation; a bound it cannot evaluate
