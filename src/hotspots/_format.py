@@ -10,39 +10,34 @@ from typing import Any
 _CEIL = decimal.ROUND_CEILING
 _FLOOR = decimal.ROUND_FLOOR
 _HALF_UP = decimal.ROUND_HALF_UP
+#: room for the n significant figures of any rounding here
+_CONTEXT = decimal.Context(prec=60)
 
 
-def _round_sig(x: float, n: int, mode: str) -> float:
+def _quantize_sig(x: float, n: int, mode: str) -> decimal.Decimal:
+    """x rounded to n significant figures in the given rounding mode."""
     if x == 0.0:
-        return 0.0
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        d = decimal.Decimal(x)
-        quant = decimal.Decimal(1).scaleb(d.adjusted() - n + 1)
-        return float(d.quantize(quant, rounding=mode))
+        return decimal.Decimal(0)
+    d = decimal.Decimal(x)
+    quant = decimal.Decimal(1).scaleb(d.adjusted() - n + 1, _CONTEXT)
+    return d.quantize(quant, rounding=mode, context=_CONTEXT)
 
 
 def round_sig_ceil(x: float, n: int) -> float:
     """Round x up (toward +inf) to n significant figures."""
-    return _round_sig(x, n, _CEIL)
+    return float(_quantize_sig(x, n, _CEIL))
 
 
 def round_sig_floor(x: float, n: int) -> float:
     """Round x down (toward -inf) to n significant figures."""
-    return _round_sig(x, n, _FLOOR)
+    return float(_quantize_sig(x, n, _FLOOR))
 
 
 def format_sig(x: float, n: int) -> str:
     """Display string at n significant figures, half-up, no exponent for
     magnitudes the tables use."""
-    if x == 0.0:
-        return "0"
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        d = decimal.Decimal(x)
-        quant = decimal.Decimal(1).scaleb(d.adjusted() - n + 1)
-        q = d.quantize(quant, rounding=_HALF_UP)
-        return format(q.normalize() if q == q.to_integral_value() else q, "f")
+    q = _quantize_sig(x, n, _HALF_UP)
+    return format(q.normalize(_CONTEXT) if q == q.to_integral_value() else q, "f")
 
 
 def canonical_json(payload: Any) -> str:
