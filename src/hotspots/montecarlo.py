@@ -298,24 +298,15 @@ def _row_sum_squares(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_product(a: np.ndarray) -> np.ndarray:
-    """multiply.reduce(a, axis=1), one column at a time.
+def _row_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, axis=1), one column at a time.
 
-    numpy multiplies a row left to right at any width, so the bits are the
-    same.
+    For np.multiply and np.minimum the bits are the same: numpy multiplies
+    a row left to right at any width, and a minimum is exact in any order.
     """
     out = a[:, 0].copy()
     for j in range(1, a.shape[1]):
-        out *= a[:, j]
-    return out
-
-
-def _row_min(a: np.ndarray) -> np.ndarray:
-    """minimum.reduce(a, axis=1), one column at a time (a minimum is exact
-    in any order)."""
-    out = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        np.minimum(out, a[:, j], out=out)
+        ufunc(out, a[:, j], out=out)
     return out
 
 
@@ -332,7 +323,7 @@ def _box_bridge_exits(x: np.ndarray, x_new: np.ndarray, sides: np.ndarray,
     np.subtract(1.0, low, out=low)
     high = _crossing_probability(sides - x, sides - x_new, dt)
     np.subtract(1.0, high, out=high)
-    return u < 1.0 - _row_product(low) * _row_product(high)
+    return u < 1.0 - _row_reduce(np.multiply, low) * _row_reduce(np.multiply, high)
 
 
 def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
@@ -380,7 +371,7 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
         # flat loop, broadcasting a short row is several times slower
         sides = np.broadcast_to(np.asarray(domain.sides, dtype=np.float64),
                                 (min(n, 2 * size), dim)).copy()
-        start_gap = _row_min(np.minimum(start, sides[:1] - start))
+        start_gap = _row_reduce(np.minimum, np.minimum(start, sides[:1] - start))
         near_product = _NEAR_FACE * dt
 
     exit_step = np.empty(n, dtype=np.int64)  # pool step each path exits in
@@ -434,7 +425,7 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
         else:
             dist = sides[:m] - x_new
             np.minimum(x_new, dist, out=dist)
-            gap_new = _row_min(dist)
+            gap_new = _row_reduce(np.minimum, dist)
             exited = gap_new <= 0.0
             if config.bridge_correction:
                 # elsewhere every face factor is exactly 1.0 (see above);

@@ -36,8 +36,7 @@ from hotspots.montecarlo import (
     _clopper_pearson,
     _crossing_probability,
     check_grid_dt,
-    _row_min,
-    _row_product,
+    _row_reduce,
     _row_sum_squares,
 )
 
@@ -253,8 +252,8 @@ class TestStepKernel:
             a = rng.standard_normal((m, dim)) * 10.0 ** rng.integers(-4, 5, dim)
             assert np.array_equal(np.sqrt(_row_sum_squares(a)),
                                   np.linalg.norm(a, axis=1))
-            assert np.array_equal(_row_product(a), np.prod(a, axis=1))
-            assert np.array_equal(_row_min(a), np.min(a, axis=1))
+            assert np.array_equal(_row_reduce(np.multiply, a), np.prod(a, axis=1))
+            assert np.array_equal(_row_reduce(np.minimum, a), np.min(a, axis=1))
 
     def test_draws_into_buffers_match_the_sized_calls(self):
         # the pool writes each chunk's draws into its rows of a shared buffer;
@@ -326,8 +325,8 @@ class TestNearFaceSkip:
         x = (b + e[0])[None, :]
         x_new = (a + e[1])[None, :]
         sides = np.maximum(x + b + e[2], x_new + a + e[3])
-        g = _row_min(np.minimum(x, sides - x))
-        g_new = _row_min(np.minimum(x_new, sides - x_new))
+        g = _row_reduce(np.minimum, np.minimum(x, sides - x))
+        g_new = _row_reduce(np.minimum, np.minimum(x_new, sides - x_new))
         assume(g[0] * g_new[0] >= _NEAR_FACE * dt)  # else the row is tested
         for before, after in ((x, x_new), (sides - x, sides - x_new)):
             assert np.all(1.0 - _crossing_probability(before, after, dt) == 1.0)
