@@ -628,15 +628,17 @@ class TestGoldenCli:
     """
 
     @staticmethod
-    def _digest(invoke, argvs):
+    def _hash(invoke, argvs):
         h = hashlib.sha256()
         for argv in argvs:
-            for fmt in ("text", "json", "csv"):
-                full = argv + ["--format", fmt]
-                res = invoke(full)
-                h.update(canonical_json([full, res.stdout, res.stderr,
-                                         res.exit_code]).encode())
+            res = invoke(argv)
+            h.update(canonical_json([argv, res.stdout, res.stderr, res.exit_code]).encode())
         return h.hexdigest()
+
+    @classmethod
+    def _digest(cls, invoke, argvs):
+        return cls._hash(invoke, [argv + ["--format", fmt] for argv in argvs
+                                  for fmt in ("text", "json", "csv")])
 
     def test_table(self, invoke):
         assert self._digest(invoke, [["table", "--dims", "2,7,150"]]) == (
@@ -682,3 +684,27 @@ class TestGoldenCli:
         monkeypatch.setattr(cli_mod, "estimate_survival", lambda cfg, tau: fake)
         assert self._digest(invoke, [SMALL_MC]) == (
             "18f08d0d9243566d8b28cd0f98433d1de1b16a2e0a20b58f5b34882270b2a250")
+
+    def test_parse_errors(self, invoke):
+        # each argv once, as written: usage, help and version lines and the
+        # order in which the parser reports its errors
+        small = ["verify-vbound", "--dim", "2", "--paths", "200", "--dt", "1e-3",
+                 "--grid-points", "6"]
+        assert self._hash(invoke, [
+            [], ["nope"], ["-"], ["--"], ["--", "--", "bound"], ["--", "--"],
+            ["--", "--version"], ["--", "-x"], ["--help", "--version"],
+            ["--version", "--help"], ["--version", "nope"], ["nope", "--version"],
+            ["bound", "--di", "7"], ["bound", "--dim"], ["bound", "--dim", "--"],
+            ["zeros", "--nu=--"], ["table", "--tolerance", "--", "--dims", "2"],
+            ["bound", "--dim", "--", "--format", "yaml"], ["bound", "--dim", "--", "--help"],
+            ["bound", "--dim", "7", "--help=1"], small + ["--bridge=1"],
+            small + ["--no-bridge", "--bridge"], small + ["--bridge", "--no-bridge", "--help"],
+            ["bound", "--dim", "7", "--format", "yaml"], ["bound", "--format", "yaml"],
+            ["bound", "--dim", "x", "--help"], ["bound", "--dim", "x", "--dim", "7"],
+            ["verify-vbound", "--dim", "x", "--paths", "y", "--shape", "cone"],
+            ["asymptotic"], ["asymptotic", "--dmax", "100"], ["asymptotic", "--dmin", "x"],
+            ["bound", "--dim", "7", "a", "b", "--", "c"], ["bound", "x", "--dim", "7"],
+            ["bound", "-", "--dim", "7"], ["table", "--", "x"], ["table", "--"],
+            ["bound", "--version"], ["--version"], ["--help"], ["bound", "--help"],
+            ["bound", "--dim=7=8"], ["--", "bound", "--dim", "7", "--format=csv"],
+        ]) == "ff9c638bc6a2ab055d46f17ccbe4ec9f0082db6ffc0f1b4713dee4f5ca9d5e2b"
