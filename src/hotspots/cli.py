@@ -372,66 +372,96 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser that reads argv as click did: words first, values after.
+    """A parser that reads argv as click did, in one pass of its own.
 
-    The first pass takes the words apart.  A value option takes the next word
-    even when it starts with "-" (`--tolerance -1e-05`, `--c -inf`, which
-    argparse alone reads as unknown options), its last value is the one
-    kept, and that value is glued to it as `--option=value`.  An unknown
-    option, a missing value or a value given to a flag is an error at once.
-    Then `--help` acts wherever it stands, and only then does argparse
-    convert and check the values.  `--` as a value is refused after `--help`
-    had its chance: argparse 3.11 would strip it and hand the command an
-    empty list.  At the top level the options end at the command's name,
-    which may follow one `--`.
+    argparse declares the options and writes the help, the usage and every
+    error line; this pass reads the words and fills in the namespace.  A
+    value option takes the next word even when it starts with "-"
+    (`--tolerance -1e-05`, `--c -inf`, which argparse alone reads as unknown
+    options), and its last value is the one kept.  An unknown option, a
+    missing value or a value given to a flag is an error at once.  Then, in
+    this order: `--help` acts wherever it stands and the other flags act in
+    argv order; each kept value is converted and checked, in the order the
+    options first appear, and the first that fails is the error; missing
+    required options are reported; `--` as a value is refused (argparse
+    3.11 would hand the command an empty list); and words that are no
+    option are returned as extras, which `parse_args` refuses at the top
+    level.  At the top level the options end at the command's name, which
+    may follow one `--`, and the rest of argv is the command's.  Declared
+    defaults are used as they stand: no option here has a string default
+    that argparse would convert.
     """
 
-    #: False for the top level, whose options end at the command's name
-    interspersed = True
+    #: the top level's `add_subparsers` action; None in a command's parser
+    commands: argparse.Action | None = None
 
-    def parse_known_args(self, args, namespace=None):
-        glued: list[str] = []
-        values: dict[str, str] = {}  # the last value of each option counts
-        tail: list[str] = []
+    def parse_known_args(self, args=None, namespace=None):
+        namespace = argparse.Namespace() if namespace is None else namespace
+        defaults = {action.dest: action.default for action in self._actions
+                    if action.dest is not argparse.SUPPRESS
+                    and action.default is not argparse.SUPPRESS}
+        for dest, default in {**self._defaults, **defaults}.items():
+            if not hasattr(namespace, dest):
+                setattr(namespace, dest, default)
+        flags: list[tuple[argparse.Action, str]] = []
+        values: dict[str, tuple[argparse.Action, str]] = {}  # the last value counts
+        extras: list[str] = []  # at the top level: the command and its argv
         skipped = False
         words = iter(sys.argv[1:] if args is None else args)
         for word in words:
             if word == "--":
-                if not (self.interspersed or skipped):
+                if self.commands is not None and not skipped:
                     skipped = True  # the command's name may still look like an option
                     continue
                 rest = list(words)
-                if rest:  # no positional word is taken here: argparse refuses them
-                    tail = ["--", *rest]
+                if rest:  # at the top level "--" is then read as the command's name
+                    extras += ["--", *rest]
                 break
-            if not self.interspersed and (word == "-" or not word.startswith("-")):
-                glued += [word, *words]  # the command and its own argv
+            if self.commands is not None and (word == "-" or not word.startswith("-")):
+                extras += [word, *words]
                 break
             option, eq, value = word.partition("=")
             action = self._option_string_actions.get(option)
             if action is None:
                 if word.startswith("-") and word != "-":
                     self.error(f"unrecognized arguments: {word}")
-                glued.append(word)
+                extras.append(word)
             elif action.nargs == 0:
                 if eq:
                     self.error(f"argument {option}: ignored explicit argument {value!r}")
-                if word == "--help":
-                    glued.insert(0, word)
-                else:
-                    glued.append(word)
+                flags.insert(0 if option == "--help" else len(flags), (action, option))
             else:
                 if not eq:
                     value = next(words, None)
                     if value is None:
                         self.error(f"argument {option}: expected one argument")
-                values[option] = value
-        glued += [f"{option}={value}" for option, value in values.items() if value != "--"]
-        namespace, extras = super().parse_known_args(glued + tail, namespace)
-        for option, value in values.items():
+                values[option] = action, value
+        for action, option in flags:
+            action(self, namespace, [], option)
+        for option, (action, value) in values.items():
+            if value != "--":
+                action(self, namespace, self._convert(action, [value]), option)
+        given = {action for action, value in values.values() if value != "--"}
+        if extras and self.commands is not None:
+            given.add(self.commands)  # the command's name
+        missing = ["/".join(action.option_strings) or action.metavar
+                   for action in self._actions if action.required and action not in given]
+        if missing:
+            self.error(f"the following arguments are required: {', '.join(missing)}")
+        for option, (action, value) in values.items():
             if value == "--":
                 self.error(f"argument {option}: expected one argument")
-        return namespace, extras
+        if self.commands is None:
+            return namespace, extras
+        name, = self._convert(self.commands, extras[:1])  # only the name is checked
+        return self.commands.choices[name].parse_known_args(extras[1:], namespace)
+
+    def _convert(self, action: argparse.Action, words: list[str]) -> Any:
+        """argparse's conversion and check of an action's words; a failure exits 2."""
+        try:
+            return self._get_values(action, words)
+        except argparse.ArgumentError as err:
+            self.error(str(err))
 
 
 class _HelpFormatter(argparse.HelpFormatter):
@@ -447,12 +477,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hotspots", allow_abbrev=False, add_help=False,
         description="Upper bounds on the Hot Spots constant for Lipschitz domains.")
-    parser.interspersed = False
     parser.add_argument("--version", action="version",
                         version=f"hotspots, version {__version__}",
                         help="Show the version and exit.")
     parser.add_argument("--help", action="help", help="Show this message and exit.")
-    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    commands = parser.commands = parser.add_subparsers(
+        title="commands", metavar="COMMAND", required=True)
 
     def command(fn: Callable[..., None], fmt: str = "text") -> Callable:
         sub = commands.add_parser(fn.__name__.replace("_", "-"), help=fn.__doc__,

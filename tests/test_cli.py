@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, schema conformance, reproducibility."""
 
+import argparse
 import csv
 import hashlib
 import importlib.resources
@@ -494,6 +495,29 @@ _PARSE_RESULTS = [
                          ids=[" ".join(argv) or "no-arguments" for argv, _ in _PARSE_RESULTS])
 def test_parse_results(invoke, argv, code):
     assert invoke(argv).exit_code == code
+
+
+# One valid argv of each command, and two usage errors: parse_args reads them
+# all without argparse's own parse loop, which would read argv a second time.
+_FAST_PATH = [
+    (["table", "--dims", "2"], 0),
+    (["bound", "--dim", "7", "--format", "json"], 0),
+    (["zeros", "--nu", "0.5"], 0),
+    (["asymptotic", "--dmin", "10", "--dmax", "100", "--format", "csv"], 0),
+    (SMALL_MC, 0),
+    (["bound", "--dim", "x"], 2),
+    (["nope"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", _FAST_PATH, ids=[argv[0] for argv, _ in _FAST_PATH])
+def test_argv_is_read_in_one_pass(invoke, monkeypatch, argv, code):
+    def second_pass(*args, **kwargs):
+        raise AssertionError("argparse parsed argv again")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", second_pass)
+    res = invoke(argv)
+    assert res.exit_code == code, (res.exception, res.output)
 
 
 # ---------------------------------------------------------------- exit codes
