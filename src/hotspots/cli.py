@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import math
 import sys
 from typing import Any, Callable, Iterable
 
 from . import __version__
-from ._format import canonical_json, format_sig, payload_checksum
+from ._format import canonical_json, format_sig
 from .asymptotic import A_SLOPE, sweep
 from .bound import BoundQuery, optimize_bound
 from .errors import AccuracyError, InfeasibleParameterError
@@ -60,13 +61,16 @@ def _emit(fmt: str, subcommand: str, parameters: dict, result: dict,
           text: Callable[[], str]) -> None:
     """Print the manifest and result (json), header and rows (csv) or text()."""
     if fmt == "json":
+        body = canonical_json(result)  # serialized once: hashed, then printed
         manifest = {
             "subcommand": subcommand,
             "parameters": parameters,
             "version": __version__,
-            "output_checksum": payload_checksum(result),
+            "output_checksum": hashlib.sha256(body.encode("utf-8")).hexdigest(),
         }
-        print(canonical_json({"manifest": manifest, "result": result}))
+        # canonical_json({"manifest": manifest, "result": result}): keys sort
+        # "manifest" before "result"
+        print('{"manifest":' + canonical_json(manifest) + ',"result":' + body + "}")
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)

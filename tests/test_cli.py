@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import hotspots.cli as cli_mod
 import hotspots.zeros as zeros_mod
 from hotspots import AccuracyError, TailEstimate, VKind, log_v, optimal_a, bound_value
-from hotspots._format import canonical_json
+from hotspots._format import canonical_json, payload_checksum
 
 try:
     import jsonschema
@@ -518,6 +518,17 @@ def test_argv_is_read_in_one_pass(invoke, monkeypatch, argv, code):
     monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", second_pass)
     res = invoke(argv)
     assert res.exit_code == code, (res.exception, res.output)
+
+
+def test_json_output_is_the_canonical_document(capsys):
+    result = {"rows": [{"d": 2, "bound": 3.5, "cells": [0.1, None, "x"]},
+                       {"d": 10, "bound": 2.25, "cells": []}], "passed": True}
+    params = {"dims": [2, 10], "tolerance": 1e-9}
+    cli_mod._emit("json", "table", params, result, [], [], lambda: "")
+    manifest = {"subcommand": "table", "parameters": params,
+                "version": cli_mod.__version__, "output_checksum": payload_checksum(result)}
+    assert capsys.readouterr().out == canonical_json(
+        {"manifest": manifest, "result": result}) + "\n"
 
 
 # ---------------------------------------------------------------- exit codes
