@@ -379,21 +379,22 @@ class _Parser(argparse.ArgumentParser):
     """A parser that reads argv as click did, in one pass of its own.
 
     argparse declares the options and writes the help, the usage and every
-    error line; this pass reads the words and fills in the namespace.  A
-    value option takes the next word even when it starts with "-"
-    (`--tolerance -1e-05`, `--c -inf`, which argparse alone reads as unknown
-    options), and its last value is the one kept.  An unknown option, a
-    missing value or a value given to a flag is an error at once.  Then, in
-    this order: `--help` acts wherever it stands and the other flags act in
-    argv order; each kept value is converted and checked, in the order the
-    options first appear, and the first that fails is the error; missing
-    required options are reported; `--` as a value is refused (argparse
-    3.11 would hand the command an empty list); and words that are no
-    option are returned as extras, which `parse_args` refuses at the top
-    level.  At the top level the options end at the command's name, which
-    may follow one `--`, and the rest of argv is the command's.  Declared
-    defaults are used as they stand: no option here has a string default
-    that argparse would convert.
+    error line; this pass reads the words and fills in the namespace, so
+    argparse's own parse loop never runs.  A value option takes the next
+    word even when it starts with "-" (`--tolerance -1e-05`, `--c -inf`,
+    which argparse alone reads as unknown options), and its last value is
+    the one kept.  An unknown option, a missing value or a value given to a
+    flag is an error at once, in argv order.  After the pass, in this order:
+    `--help` acts wherever it stands, and the other flags act in argv order;
+    each kept value is converted and checked by argparse's `_get_values`,
+    in the order the options first appear, and the first failure is the
+    error; missing required options are named; `--` as a value is refused
+    (`_get_values` would strip it and hand the command an empty list); and
+    the words that are no option are returned as extras, which `parse_args`
+    refuses at the top level.  At the top level the options end at the
+    command's name, which may follow one `--`, and the rest of argv goes to
+    the command's parser.  Declared defaults are used as they stand: no
+    option here has a string default that argparse would convert.
     """
 
     #: the top level's `add_subparsers` action; None in a command's parser
