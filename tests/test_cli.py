@@ -745,3 +745,24 @@ class TestGoldenCli:
             ["bound", "--version"], ["--version"], ["--help"], ["bound", "--help"],
             ["bound", "--dim=7=8"], ["--", "bound", "--dim", "7", "--format=csv"],
         ]) == "ff9c638bc6a2ab055d46f17ccbe4ec9f0082db6ffc0f1b4713dee4f5ca9d5e2b"
+
+    def test_bound_layer_refusals(self, invoke):
+        # each argv once: every refusal of the ratio, minimizer and asymptotic
+        # layers that the command line reaches, in the order they are checked
+        bound = ["bound", "--dim", "7"]
+        family = ["asymptotic", "--dmin", "10", "--dmax", "20"]
+        assert self._hash(invoke, [
+            bound + ["--ratio", "custom:1.5"], bound + ["--ratio", "custom:0"],
+            bound + ["--ratio", "custom:nan"],
+            bound + ["--tolerance", "1"], bound + ["--tolerance", "nan"],
+            bound + ["--ratio", "custom:1.5", "--tolerance", "1"],
+            ["bound", "--dim", "3", "--ratio", "custom:0.999999"],
+            bound + ["--ratio", "custom:1e-300", "--vfunction", "vogt"],
+            ["bound", "--dim", "1", "--ratio", "closed"],
+            ["bound", "--dim", "300", "--ratio", "closed"],
+            family + ["--c", "-1", "--alpha", "0"], family + ["--alpha", "-1"],
+            family + ["--alpha", "nan"],
+            ["asymptotic", "--dmin", "5", "--dmax", "9"],
+            family + ["--c", "0.01", "--alpha", "-0.99"],
+            ["table", "--dims", "2", "--tolerance", "1"],
+        ]) == "7ba776e80d078a302faffc1cce50ac03ed9fbbe90427383505a4dd87be5be064"
