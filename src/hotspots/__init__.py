@@ -13,16 +13,8 @@ Library layout:
 * cli — the `hotspots` command-line front end.
 """
 
-from .asymptotic import AsymptoticParams, asymptotic_bound, feasible_threshold, sweep
-from .bound import (
-    BoundQuery,
-    BoundResult,
-    FiniteBParams,
-    bound_value,
-    finite_b_bound,
-    optimal_a,
-    optimize_bound,
-)
+from .asymptotic import asymptotic_bound, feasible_threshold, sweep
+from .bound import BoundResult, bound_value, finite_b_bound, optimal_a, optimize_bound
 from .errors import (
     AccuracyError,
     FiniteHorizonConstraintError,
@@ -43,7 +35,7 @@ from .montecarlo import (
     principal_eigenvalue,
     sample_exit_times,
 )
-from .ratio import RatioBoundSpec, RatioKind, ratio_upper_bound
+from .ratio import RatioKind, ratio_upper_bound
 from .specialfun import bessel_j, log_gamma
 from .vfunction import VKind, load_custom_table, log_v
 from .zeros import BesselZeroRecord, RootFamily, first_bessel_zero, first_p_root
@@ -52,16 +44,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError",
-    "AsymptoticParams",
     "BesselZeroRecord",
-    "BoundQuery",
     "BoundResult",
     "DomainShape",
-    "FiniteBParams",
     "FiniteHorizonConstraintError",
     "HotspotsError",
     "InfeasibleParameterError",
-    "RatioBoundSpec",
     "RatioKind",
     "RootFamily",
     "SimConfig",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 from .errors import InfeasibleParameterError
 from .vfunction import VKind, log_v
@@ -28,27 +27,6 @@ _FEASIBLE_SCAN_CAP = 10 ** 6
 
 #: The slope k of a_d = k d; 4k = r a_d is exactly 1/2.
 A_SLOPE = 0.125
-
-
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """Family parameters at one dimension d (a_d = A_SLOPE d; see module doc)."""
-
-    d: int
-    c: float = 1.0
-    alpha: float = -0.5
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 5:
-            raise InfeasibleParameterError(
-                f"asymptotic family needs integer d >= 5 (so 4/d < 1), got {self.d!r}"
-            )
-        if not self.c > 0.0:
-            raise InfeasibleParameterError(f"c must be positive, got {self.c!r}")
-        if not (-1.0 < self.alpha <= -0.5):
-            raise InfeasibleParameterError(
-                f"alpha must lie in (-1, -1/2], got {self.alpha!r}"
-            )
 
 
 def epsilon_d(c: float, alpha: float, d: int) -> float:
@@ -83,22 +61,32 @@ def feasible_threshold(c: float = 1.0, alpha: float = -0.5) -> int:
                               key=lambda d: is_feasible(c, alpha, d))
 
 
-def asymptotic_bound(params: AsymptoticParams) -> float:
+def asymptotic_bound(d: int, c: float = 1.0, alpha: float = -0.5) -> float:
     """Evaluate the bound at (eps_d, a_d) with r = 4/d and the Vogt V.
 
-    The first factor is computed as exp(4 A_SLOPE) so that the identity
-    e^{r a_d} = e^{1/2} holds to machine precision.
+    The family's parameters at d are c and alpha (a_d = A_SLOPE d; see the
+    module doc).  The first factor is computed as exp(4 A_SLOPE) so that the
+    identity e^{r a_d} = e^{1/2} holds to machine precision.
     """
-    d = params.d
-    if not is_feasible(params.c, params.alpha, d):
-        threshold = feasible_threshold(params.c, params.alpha)
+    if not isinstance(d, int) or isinstance(d, bool) or d < 5:
+        raise InfeasibleParameterError(
+            f"asymptotic family needs integer d >= 5 (so 4/d < 1), got {d!r}"
+        )
+    if not c > 0.0:
+        raise InfeasibleParameterError(f"c must be positive, got {c!r}")
+    if not (-1.0 < alpha <= -0.5):
+        raise InfeasibleParameterError(
+            f"alpha must lie in (-1, -1/2], got {alpha!r}"
+        )
+    one_minus = _one_minus_eps(c, alpha, d)
+    if not one_minus > 4.0 / d:  # is_feasible(c, alpha, d), evaluated once
+        threshold = feasible_threshold(c, alpha)
         raise InfeasibleParameterError(
             f"eps_d >= 1 - 4/d at d={d}; the family is feasible from d={threshold}"
         )
     r = 4.0 / d
     a = A_SLOPE * d
-    eps = epsilon_d(params.c, params.alpha, d)
-    one_minus = _one_minus_eps(params.c, params.alpha, d)
+    eps = epsilon_d(c, alpha, d)
     rho = one_minus - r  # 1 - eps - r, both pieces modest
     lv = log_v(VKind.VOGT, eps, d)
     ra = 4.0 * A_SLOPE  # r * a = (4/d)(k d), formed without d
@@ -109,7 +97,4 @@ def asymptotic_bound(params: AsymptoticParams) -> float:
 def sweep(d_list: list[int], c: float = 1.0,
           alpha: float = -0.5) -> list[tuple[int, float]]:
     """asymptotic_bound at each d in d_list, as (d, bound) pairs."""
-    return [
-        (d, asymptotic_bound(AsymptoticParams(d=d, c=c, alpha=alpha)))
-        for d in d_list
-    ]
+    return [(d, asymptotic_bound(d, c, alpha)) for d in d_list]

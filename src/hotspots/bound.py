@@ -32,32 +32,10 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import FiniteHorizonConstraintError, InfeasibleParameterError
-from .ratio import RatioBoundSpec
 from .vfunction import CustomTable, VKind, log_v, log_v_curve
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS_EDGE = 1e-6
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """One minimization request."""
-
-    d: int
-    ratio: RatioBoundSpec
-    vkind: VKind
-    tolerance: float = 1e-9
-    vtable: CustomTable | None = None
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.ratio.value < 1.0):
-            raise InfeasibleParameterError("ratio bound must lie in (0, 1)")
-        if not (1e-12 <= self.tolerance <= 1e-2):
-            raise InfeasibleParameterError(
-                f"tolerance must lie in [1e-12, 1e-2], got {self.tolerance!r}"
-            )
-        if self.vkind is VKind.CUSTOM and not self.vtable:
-            raise InfeasibleParameterError("custom V kind needs a table")
 
 
 @dataclass(frozen=True)
@@ -77,24 +55,6 @@ class BoundResult:
             raise InfeasibleParameterError(
                 f"bound must exceed 1, got {self.bound!r}"
             )
-
-
-@dataclass(frozen=True)
-class FiniteBParams:
-    """Parameters (epsilon, delta, a, b) of the finite-horizon bound."""
-
-    epsilon: float
-    delta: float
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon < 1.0):
-            raise InfeasibleParameterError("epsilon must lie in (0, 1)")
-        if not (0.0 < self.delta <= 1.0):
-            raise InfeasibleParameterError("delta must lie in (0, 1]")
-        if not (0.0 <= self.a <= self.b):
-            raise InfeasibleParameterError("need 0 <= a <= b")
 
 
 def bound_value(d: int, r: float, vkind: VKind, epsilon: float, a: float,
@@ -137,19 +97,25 @@ def optimal_a(epsilon: float, r: float, log_v_value: float) -> float:
     return log_v_value / (1.0 - epsilon)
 
 
-def optimize_bound(query: BoundQuery) -> BoundResult:
+def optimize_bound(d: int, r: float, vkind: VKind, tolerance: float = 1e-9,
+                   vtable: CustomTable | None = None) -> BoundResult:
     """Minimize the bound over A_d: analytic inner a, golden-section on eps.
 
     Examples
     --------
     >>> from .ratio import RatioKind, ratio_upper_bound
-    >>> q = BoundQuery(d=4, ratio=ratio_upper_bound(4, RatioKind.CLOSED_FORM),
-    ...                vkind=VKind.VOGT)
-    >>> optimize_bound(q).bound > 1.0
+    >>> r = ratio_upper_bound(4, RatioKind.CLOSED_FORM)
+    >>> optimize_bound(4, r, VKind.VOGT).bound > 1.0
     True
     """
-    r = query.ratio.value
-    d = query.d
+    if not (0.0 < r < 1.0):
+        raise InfeasibleParameterError("ratio bound must lie in (0, 1)")
+    if not (1e-12 <= tolerance <= 1e-2):
+        raise InfeasibleParameterError(
+            f"tolerance must lie in [1e-12, 1e-2], got {tolerance!r}"
+        )
+    if vkind is VKind.CUSTOM and not vtable:
+        raise InfeasibleParameterError("custom V kind needs a table")
     evals = 0
 
     def point(eps: float) -> tuple[float, float]:
@@ -165,23 +131,23 @@ def optimize_bound(query: BoundQuery) -> BoundResult:
 
     lo = _EPS_EDGE
     hi = 1.0 - r - _EPS_EDGE
-    custom = query.vkind is VKind.CUSTOM
+    custom = vkind is VKind.CUSTOM
     if custom:
         # log_v refuses to extrapolate a table, so search only its range
-        lo = max(lo, query.vtable[0][0])
-        hi = min(hi, query.vtable[-1][0])
+        lo = max(lo, vtable[0][0])
+        hi = min(hi, vtable[-1][0])
     if hi <= lo:
         raise InfeasibleParameterError(
             f"feasible epsilon interval is empty for r={r:g}"
             + (" inside the V table's epsilon range" if custom else "")
         )
     # what depends on d and r only: once per query, not once per step
-    curve = log_v_curve(query.vkind, d, query.vtable)
+    curve = log_v_curve(vkind, d, vtable)
     log_r = math.log(r)
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = phi(x1), phi(x2)
-    while hi - lo > query.tolerance:
+    while hi - lo > tolerance:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)
@@ -193,19 +159,24 @@ def optimize_bound(query: BoundQuery) -> BoundResult:
     eps_star = 0.5 * (lo + hi)
     a_star, best = point(eps_star)
     return BoundResult(d=d, r=r, epsilon_star=eps_star, a_star=a_star,
-                       bound=best, evaluations=evals, vkind=query.vkind)
+                       bound=best, evaluations=evals, vkind=vkind)
 
 
-def finite_b_bound(d: int, r: float, vkind: VKind, params: FiniteBParams,
-                   vtable: CustomTable | None = None) -> float:
+def finite_b_bound(d: int, r: float, vkind: VKind, eps: float, delta: float,
+                   a: float, b: float, vtable: CustomTable | None = None) -> float:
     """The finite-horizon four-parameter bound (see module docstring).
 
     Raises FiniteHorizonConstraintError when the denominator weight
     V(delta, d) e^{-(1-delta-r) b} is not below 1.
     """
+    if not (0.0 < eps < 1.0):
+        raise InfeasibleParameterError("epsilon must lie in (0, 1)")
+    if not (0.0 < delta <= 1.0):
+        raise InfeasibleParameterError("delta must lie in (0, 1]")
+    if not (0.0 <= a <= b):
+        raise InfeasibleParameterError("need 0 <= a <= b")
     if not (0.0 < r < 1.0):
         raise InfeasibleParameterError(f"r must lie in (0, 1), got {r!r}")
-    eps, delta, a, b = params.epsilon, params.delta, params.a, params.b
     if not eps < 1.0 - r:
         raise InfeasibleParameterError(
             f"epsilon={eps!r} outside the feasible interval (0, {1.0 - r:g})"

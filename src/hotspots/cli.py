@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable
 from . import __version__
 from ._format import canonical_json, format_sig
 from .asymptotic import A_SLOPE, sweep
-from .bound import BoundQuery, optimize_bound
+from .bound import optimize_bound
 from .errors import AccuracyError, InfeasibleParameterError
 from .montecarlo import (
     SimConfig,
@@ -37,13 +37,7 @@ from .montecarlo import (
     sample_exit_times,
     vbound_log_v,
 )
-from .ratio import (
-    RatioBoundSpec,
-    RatioKind,
-    bessel_exact_from_records,
-    displayed_squares,
-    ratio_upper_bound,
-)
+from .ratio import RatioKind, bessel_exact_from_records, displayed_squares, ratio_upper_bound
 from .vfunction import CustomTable, VKind, load_custom_table
 from .zeros import RootFamily, first_bessel_zero, first_p_root
 
@@ -79,13 +73,14 @@ def _emit(fmt: str, subcommand: str, parameters: dict, result: dict,
         print(text())
 
 
-def _parse_ratio(spec: str, d: int) -> RatioBoundSpec:
+def _parse_ratio(spec: str, d: int) -> tuple[RatioKind, float]:
+    """The ratio kind named by --ratio and its value r(d)."""
     if spec.startswith("custom:"):
         try:
             value = float(spec.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"bad custom ratio {spec!r}")
-        return ratio_upper_bound(d, RatioKind.CUSTOM, custom_value=value)
+        return RatioKind.CUSTOM, ratio_upper_bound(d, RatioKind.CUSTOM, custom_value=value)
     try:
         kind = RatioKind(spec)
     except ValueError:
@@ -94,7 +89,7 @@ def _parse_ratio(spec: str, d: int) -> RatioBoundSpec:
         )
     if kind is RatioKind.CUSTOM:
         raise UsageError("custom ratio needs a value: custom:<v>")
-    return ratio_upper_bound(d, kind)
+    return kind, ratio_upper_bound(d, kind)
 
 
 def _parse_vfunction(spec: str) -> tuple[VKind, CustomTable | None]:
@@ -143,9 +138,7 @@ def compute_table_rows(dims: list[int], vkind: VKind,
         j_rec = first_bessel_zero(0.5 * d - 1.0)
         p2_cell, j2_cell = displayed_squares(p_rec, j_rec)
         r_value = bessel_exact_from_records(p_rec, j_rec)
-        ratio_spec = RatioBoundSpec(kind=RatioKind.BESSEL_EXACT, d=d, value=r_value)
-        res = optimize_bound(BoundQuery(d=d, ratio=ratio_spec, vkind=vkind,
-                                        tolerance=tolerance, vtable=vtable))
+        res = optimize_bound(d, r_value, vkind, tolerance, vtable)
         rows.append({
             "d": d,
             "p_squared_cell": p2_cell,
@@ -194,13 +187,12 @@ def table(dims: str, vfunction: str, tolerance: float, fmt: str) -> None:
 def bound(dim: int, ratio_spec: str, vfunction: str, tolerance: float,
           fmt: str) -> None:
     """Minimize the bound for one dimension."""
-    ratio = _parse_ratio(ratio_spec, dim)
+    ratio_kind, r = _parse_ratio(ratio_spec, dim)
     vkind, vtable = _parse_vfunction(vfunction)
-    res = optimize_bound(BoundQuery(d=dim, ratio=ratio, vkind=vkind,
-                                    tolerance=tolerance, vtable=vtable))
+    res = optimize_bound(dim, r, vkind, tolerance, vtable)
     result = {
         "d": res.d,
-        "ratio_kind": ratio.kind.value,
+        "ratio_kind": ratio_kind.value,
         "r": res.r,
         "vkind": res.vkind.value,
         "epsilon": res.epsilon_star,
@@ -212,7 +204,7 @@ def bound(dim: int, ratio_spec: str, vfunction: str, tolerance: float,
               "tolerance": tolerance}
     header = ["d", "ratio_kind", "r", "vkind", "epsilon", "a", "bound"]
     _emit(fmt, "bound", params, result, header, [[result[key] for key in header]],
-          lambda: f"d={res.d}  r={res.r:.6g} ({ratio.kind.value})  V={res.vkind.value}\n"
+          lambda: f"d={res.d}  r={res.r:.6g} ({ratio_kind.value})  V={res.vkind.value}\n"
           f"epsilon*={format_sig(res.epsilon_star, 5)}  a*={format_sig(res.a_star, 5)}\n"
           f"bound={format_sig(res.bound, 5)}  (full {res.bound!r})")
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import decimal
 import enum
-from dataclasses import dataclass
 
 from ._format import round_sig_ceil, round_sig_floor
 from .errors import InfeasibleParameterError
@@ -29,22 +28,6 @@ class RatioKind(enum.Enum):
     CLOSED_FORM = "closed"
     ASYMPTOTIC_4_OVER_D = "4overd"
     CUSTOM = "custom"
-
-
-@dataclass(frozen=True)
-class RatioBoundSpec:
-    """Which r(d) is in force, plus its evaluated value."""
-
-    kind: RatioKind
-    d: int
-    value: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.value < 1.0):
-            raise InfeasibleParameterError(
-                f"ratio bound must lie in (0, 1), got {self.value!r} "
-                f"(kind={self.kind.value}, d={self.d})"
-            )
 
 
 def displayed_squares(p_record, j_record) -> tuple[float, float]:
@@ -71,12 +54,12 @@ def bessel_exact_value(d: int) -> float:
 
 
 def ratio_upper_bound(d: int, kind: RatioKind,
-                      custom_value: float | None = None) -> RatioBoundSpec:
-    """Evaluate r(d) for the requested kind.
+                      custom_value: float | None = None) -> float:
+    """Evaluate r(d) for the requested kind; refuse a value outside (0, 1).
 
     Examples
     --------
-    >>> ratio_upper_bound(2, RatioKind.CLOSED_FORM).value
+    >>> ratio_upper_bound(2, RatioKind.CLOSED_FORM)
     0.8
     """
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
@@ -97,4 +80,9 @@ def ratio_upper_bound(d: int, kind: RatioKind,
         value = float(custom_value)
     else:  # pragma: no cover - enum is closed
         raise InfeasibleParameterError(f"unknown ratio kind {kind!r}")
-    return RatioBoundSpec(kind=kind, d=d, value=value)
+    if not (0.0 < value < 1.0):
+        raise InfeasibleParameterError(
+            f"ratio bound must lie in (0, 1), got {value!r} "
+            f"(kind={kind.value}, d={d})"
+        )
+    return value

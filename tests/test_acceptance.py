@@ -15,9 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from hotspots import (
-    AsymptoticParams,
-    BoundQuery,
-    RatioBoundSpec,
     RatioKind,
     RootFamily,
     SimConfig,
@@ -89,8 +86,8 @@ def test_criterion_2_ratio_ordering_and_root_inequalities():
     for d in range(2, 201):
         p_rec = first_p_root(d)
         j_rec = first_bessel_zero(0.5 * d - 1.0)
-        bessel = ratio_upper_bound(d, RatioKind.BESSEL_EXACT).value
-        closed = ratio_upper_bound(d, RatioKind.CLOSED_FORM).value
+        bessel = ratio_upper_bound(d, RatioKind.BESSEL_EXACT)
+        closed = ratio_upper_bound(d, RatioKind.CLOSED_FORM)
         cap = min(1.0, 4.0 / d) if d >= 5 else 1.0
         if not (bessel < closed < cap):
             failures.append(("ordering", d, bessel, closed, cap))
@@ -116,11 +113,10 @@ def test_criterion_3_optimizer_dominates_dense_grids():
         if kind is RatioKind.ASYMPTOTIC_4_OVER_D and d < 5:
             kind = RatioKind.CLOSED_FORM
         if kind is RatioKind.CUSTOM:
-            ratio = ratio_upper_bound(d, kind, custom_value=rng.uniform(0.05, 0.8))
+            r = ratio_upper_bound(d, kind, custom_value=rng.uniform(0.05, 0.8))
         else:
-            ratio = ratio_upper_bound(d, kind)
-        res = optimize_bound(BoundQuery(d=d, ratio=ratio, vkind=vkind))
-        r = ratio.value
+            r = ratio_upper_bound(d, kind)
+        res = optimize_bound(d, r, vkind)
 
         # 100 x 100 grid over the feasible rectangle
         grid_min = math.inf
@@ -150,7 +146,7 @@ def test_criterion_3_optimizer_dominates_dense_grids():
 
 
 def test_criterion_4_finite_horizon_convergence():
-    from hotspots import FiniteBParams, finite_b_bound
+    from hotspots import finite_b_bound
 
     rng = random.Random(4040)
     worst = 0.0
@@ -164,8 +160,7 @@ def test_criterion_4_finite_horizon_convergence():
         delta = rng.uniform(eps, 0.9 * (1.0 - r))
         a = optimal_a(eps, r, log_v(vkind, eps, d))
         b = max(a, 40.0 / (1.0 - delta - r))
-        got = finite_b_bound(d, r, vkind,
-                             FiniteBParams(epsilon=eps, delta=delta, a=a, b=b))
+        got = finite_b_bound(d, r, vkind, eps, delta, a, b)
         limit = bound_value(d, r, vkind, eps, a)
         rel = abs(got - limit) / limit
         worst = max(worst, rel)
@@ -177,22 +172,20 @@ def test_criterion_4_finite_horizon_convergence():
 
 def test_criterion_5_sqrt_e_family():
     threshold_and_up = list(range(10, 41)) + [10**3, 10**5, 10**7, 10**8]
-    above = all(asymptotic_bound(AsymptoticParams(d=d)) > SQRT_E
-                for d in threshold_and_up)
+    above = all(asymptotic_bound(d) > SQRT_E for d in threshold_and_up)
 
-    v8 = asymptotic_bound(AsymptoticParams(d=10**8))
+    v8 = asymptotic_bound(10**8)
     within = (v8 - SQRT_E) / SQRT_E < 0.01
 
     # leading exponential is exactly exp(1/2): reconstruct the correction
     # with the same stable pieces and subtract
     exact = True
     for d in (10, 10**4, 10**8):
-        p = AsymptoticParams(d=d)
-        eps = epsilon_d(p.c, p.alpha, d)
-        one_minus = _one_minus_eps(p.c, p.alpha, d)
+        eps = epsilon_d(1.0, -0.5, d)
+        one_minus = _one_minus_eps(1.0, -0.5, d)
         second = math.exp(0.5 + math.log(4.0 / d) + log_v(VKind.VOGT, eps, d)
                           - math.log(one_minus - 4.0 / d) - one_minus * A_SLOPE * d)
-        exact = exact and asymptotic_bound(p) == math.exp(0.5) + second
+        exact = exact and asymptotic_bound(d) == math.exp(0.5) + second
 
     ok = above and within and exact
     _report(5, ok, f"defaults exceed sqrt(e) at all sampled feasible d; "

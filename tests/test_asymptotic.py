@@ -5,7 +5,6 @@ import math
 import pytest
 
 from hotspots import (
-    AsymptoticParams,
     InfeasibleParameterError,
     VKind,
     asymptotic_bound,
@@ -19,13 +18,12 @@ from hotspots.asymptotic import A_SLOPE, _one_minus_eps, epsilon_d, is_feasible
 SQRT_E = math.sqrt(math.e)
 
 
-def _second_term(params: AsymptoticParams) -> float:
+def _second_term(d: int, c: float = 1.0, alpha: float = -0.5) -> float:
     """Reconstruct the correction term (stable 1-eps form, as documented)."""
-    d = params.d
     r = 4.0 / d
     a = A_SLOPE * d
-    eps = epsilon_d(params.c, params.alpha, d)
-    one_minus = _one_minus_eps(params.c, params.alpha, d)
+    eps = epsilon_d(c, alpha, d)
+    one_minus = _one_minus_eps(c, alpha, d)
     rho = one_minus - r
     lv = log_v(VKind.VOGT, eps, d)
     ra = 4.0 * A_SLOPE
@@ -33,7 +31,7 @@ def _second_term(params: AsymptoticParams) -> float:
 
 
 def test_million_dimension_value():
-    v = asymptotic_bound(AsymptoticParams(d=10**6))
+    v = asymptotic_bound(10**6)
     assert SQRT_E < v < 1.66
     assert v == pytest.approx(1.65409735111, rel=1e-9)
 
@@ -43,26 +41,25 @@ def test_leading_term_is_exact_exp_half():
     # dimension-dependent rounding: subtracting the reconstructed correction
     # must recover exp(0.5) bit-for-bit
     for d in (10, 1000, 10**6, 10**8):
-        params = AsymptoticParams(d=d)
-        assert asymptotic_bound(params) == math.exp(0.5) + _second_term(params)
+        assert asymptotic_bound(d) == math.exp(0.5) + _second_term(d)
 
 
 def test_decreases_along_reference_dimensions():
-    b4 = asymptotic_bound(AsymptoticParams(d=10**4))
-    b6 = asymptotic_bound(AsymptoticParams(d=10**6))
-    b8 = asymptotic_bound(AsymptoticParams(d=10**8))
+    b4 = asymptotic_bound(10**4)
+    b6 = asymptotic_bound(10**6)
+    b8 = asymptotic_bound(10**8)
     assert b8 < b6 < b4
 
 
 def test_hundred_million_within_one_percent_of_sqrt_e():
-    v = asymptotic_bound(AsymptoticParams(d=10**8))
+    v = asymptotic_bound(10**8)
     assert v > SQRT_E
     assert (v - SQRT_E) / SQRT_E < 0.01
 
 
 def test_always_above_sqrt_e():
     for d in (10, 11, 17, 100, 10**4, 10**7):
-        assert asymptotic_bound(AsymptoticParams(d=d)) > SQRT_E
+        assert asymptotic_bound(d) > SQRT_E
 
 
 def test_default_feasibility_threshold():
@@ -73,7 +70,7 @@ def test_default_feasibility_threshold():
 
 def test_infeasible_dimension_raises():
     with pytest.raises(InfeasibleParameterError):
-        asymptotic_bound(AsymptoticParams(d=9))
+        asymptotic_bound(9)
 
 
 def test_epsilon_d_shape():
@@ -90,7 +87,7 @@ def test_sweep_matches_pointwise():
     rows = sweep(ds)
     assert [d for d, _ in rows] == ds
     for d, v in rows:
-        assert v == asymptotic_bound(AsymptoticParams(d=d))
+        assert v == asymptotic_bound(d)
 
 
 def test_sweep_trivia():
@@ -100,13 +97,13 @@ def test_sweep_trivia():
 
 
 def test_nondefault_family():
-    v = asymptotic_bound(AsymptoticParams(d=10**6, c=2.0, alpha=-0.6))
+    v = asymptotic_bound(10**6, 2.0, -0.6)
     assert v > SQRT_E
     t = feasible_threshold(2.0, -0.6)
     assert t >= 5
     with pytest.raises(InfeasibleParameterError):
-        asymptotic_bound(AsymptoticParams(d=t - 1, c=2.0, alpha=-0.6))
-    assert asymptotic_bound(AsymptoticParams(d=t, c=2.0, alpha=-0.6)) > SQRT_E
+        asymptotic_bound(t - 1, 2.0, -0.6)
+    assert asymptotic_bound(t, 2.0, -0.6) > SQRT_E
 
 
 def _linear_threshold(c, alpha):
@@ -154,4 +151,4 @@ def test_threshold_bisection_at_full_cap(c, alpha):
 ])
 def test_params_validation(kwargs):
     with pytest.raises(InfeasibleParameterError):
-        AsymptoticParams(**kwargs)
+        asymptotic_bound(**kwargs)

@@ -12,12 +12,9 @@ import random
 import pytest
 
 from hotspots import (
-    BoundQuery,
     BoundResult,
-    FiniteBParams,
     FiniteHorizonConstraintError,
     InfeasibleParameterError,
-    RatioBoundSpec,
     RatioKind,
     VKind,
     bound_value,
@@ -38,9 +35,9 @@ OPTIMUM_TRUTH = {
 }
 
 
-def _query(d, vkind=VKind.IMPROVED_VOGT, tolerance=1e-9):
-    return BoundQuery(d=d, ratio=ratio_upper_bound(d, RatioKind.BESSEL_EXACT),
-                      vkind=vkind, tolerance=tolerance)
+def _optimize(d, vkind=VKind.IMPROVED_VOGT, tolerance=1e-9):
+    return optimize_bound(d, ratio_upper_bound(d, RatioKind.BESSEL_EXACT), vkind,
+                          tolerance)
 
 
 class TestBoundValue:
@@ -81,7 +78,7 @@ class TestOptimalA:
         # interior minimum of a -> bound_value(.., a); centered differences
         # with h in [1e-6, 1e-5] must straddle machine-level flatness
         for d, eps in [(2, 0.0929), (10, 0.3359), (100, 0.6894)]:
-            r = ratio_upper_bound(d, RatioKind.BESSEL_EXACT).value
+            r = ratio_upper_bound(d, RatioKind.BESSEL_EXACT)
             lv = log_v(VKind.IMPROVED_VOGT, eps, d)
             a_star = optimal_a(eps, r, lv)
             f = lambda a: bound_value(d, r, VKind.IMPROVED_VOGT, eps, a)
@@ -103,7 +100,7 @@ class TestOptimalA:
 class TestOptimize:
     def test_reference_dimensions(self):
         for d, (eps_t, a_t, bound_t) in OPTIMUM_TRUTH.items():
-            res = optimize_bound(_query(d))
+            res = _optimize(d)
             assert res.bound == pytest.approx(bound_t, abs=1e-3)
             assert res.bound == pytest.approx(bound_t, rel=3e-7)
             assert res.epsilon_star == pytest.approx(eps_t, abs=5e-3)
@@ -116,7 +113,7 @@ class TestOptimize:
         for _ in range(5):
             d = rng.randint(2, 200)
             vkind = rng.choice([VKind.VOGT, VKind.IMPROVED_VOGT])
-            res = optimize_bound(_query(d, vkind))
+            res = _optimize(d, vkind)
             r = res.r
             grid_best = math.inf
             for i in range(60):
@@ -127,26 +124,25 @@ class TestOptimize:
             assert res.bound <= grid_best + 1e-9
 
     def test_self_consistent_minimum(self):
-        res = optimize_bound(_query(3))
+        res = _optimize(3)
         direct = bound_value(3, res.r, VKind.IMPROVED_VOGT, res.epsilon_star,
                              res.a_star)
         assert res.bound == pytest.approx(direct, rel=1e-12)
 
     def test_vogt_never_beats_improved(self):
         for d in (2, 10, 100):
-            v = optimize_bound(_query(d, VKind.VOGT)).bound
-            iv = optimize_bound(_query(d, VKind.IMPROVED_VOGT)).bound
+            v = _optimize(d, VKind.VOGT).bound
+            iv = _optimize(d, VKind.IMPROVED_VOGT).bound
             assert iv <= v + 1e-12
 
     def test_tolerance_validation(self):
         with pytest.raises(InfeasibleParameterError):
-            _query(3, tolerance=1e-13)
+            _optimize(3, tolerance=1e-13)
         with pytest.raises(InfeasibleParameterError):
-            _query(3, tolerance=0.5)
+            _optimize(3, tolerance=0.5)
 
     def test_custom_ratio_query(self):
-        ratio = RatioBoundSpec(kind=RatioKind.CUSTOM, d=7, value=0.3)
-        res = optimize_bound(BoundQuery(d=7, ratio=ratio, vkind=VKind.VOGT))
+        res = optimize_bound(7, 0.3, VKind.VOGT)
         assert res.bound > 1.0
         assert res.r == 0.3
 
@@ -154,9 +150,7 @@ class TestOptimize:
         # the table starts above 1e-6 and ends above 1 - r: golden section
         # searches [0.1, 1 - r - 1e-6] instead of stepping outside the table
         table = ((0.1, 1.0), (0.9, 2.0))
-        ratio = RatioBoundSpec(kind=RatioKind.CUSTOM, d=5, value=0.5)
-        res = optimize_bound(BoundQuery(d=5, ratio=ratio, vkind=VKind.CUSTOM,
-                                        vtable=table))
+        res = optimize_bound(5, 0.5, VKind.CUSTOM, vtable=table)
         assert 0.1 <= res.epsilon_star <= 0.5
         lv = log_v(VKind.CUSTOM, res.epsilon_star, 5, table=table)
         assert res.bound == bound_value(5, 0.5, VKind.CUSTOM, res.epsilon_star,
@@ -171,10 +165,8 @@ class TestOptimize:
         assert res.bound <= grid_best + 1e-8
 
     def test_custom_table_beyond_the_feasible_interval_is_infeasible(self):
-        ratio = RatioBoundSpec(kind=RatioKind.CUSTOM, d=5, value=0.95)
         with pytest.raises(InfeasibleParameterError, match="V table"):
-            optimize_bound(BoundQuery(d=5, ratio=ratio, vkind=VKind.CUSTOM,
-                                      vtable=((0.1, 1.0), (0.9, 2.0))))
+            optimize_bound(5, 0.95, VKind.CUSTOM, vtable=((0.1, 1.0), (0.9, 2.0)))
 
 
 class TestFiniteB:
@@ -186,15 +178,13 @@ class TestFiniteB:
         w = math.exp(lv - rho * a)
         assert w < 1.0
         expect = (math.exp(r * a) - w) / (1.0 - w)
-        got = finite_b_bound(d, r, VKind.IMPROVED_VOGT,
-                             FiniteBParams(epsilon=eps, delta=eps, a=a, b=a))
+        got = finite_b_bound(d, r, VKind.IMPROVED_VOGT, eps, eps, a, a)
         assert got == pytest.approx(expect, rel=1e-13)
 
     def test_reference_convergence_at_b50(self):
         d, r, eps, a = 2, 0.5862, 0.0929, 1.0081
         limit = bound_value(d, r, VKind.IMPROVED_VOGT, eps, a)
-        got = finite_b_bound(d, r, VKind.IMPROVED_VOGT,
-                             FiniteBParams(epsilon=eps, delta=eps, a=a, b=50.0))
+        got = finite_b_bound(d, r, VKind.IMPROVED_VOGT, eps, eps, a, 50.0)
         assert abs(got - limit) < 1e-6
 
     def test_converges_to_infinite_horizon(self):
@@ -211,28 +201,25 @@ class TestFiniteB:
             a = optimal_a(eps, r, lv)
             rho_delta = 1.0 - delta - r
             b = max(a, 40.0 / rho_delta)
-            got = finite_b_bound(d, r, VKind.VOGT,
-                                 FiniteBParams(epsilon=eps, delta=delta, a=a, b=b))
+            got = finite_b_bound(d, r, VKind.VOGT, eps, delta, a, b)
             limit = bound_value(d, r, VKind.VOGT, eps, a)
             assert got == pytest.approx(limit, rel=1e-8)
 
     def test_denominator_weight_constraint(self):
         # V(delta) e^{-(1-delta-r) b} >= 1 must be rejected distinctly
         with pytest.raises(FiniteHorizonConstraintError):
-            finite_b_bound(2, 0.5862, VKind.IMPROVED_VOGT,
-                           FiniteBParams(epsilon=0.0929, delta=0.0929,
-                                         a=0.1, b=0.1))
+            finite_b_bound(2, 0.5862, VKind.IMPROVED_VOGT, 0.0929, 0.0929, 0.1, 0.1)
         assert issubclass(FiniteHorizonConstraintError, InfeasibleParameterError)
 
     def test_params_validation(self):
         with pytest.raises(InfeasibleParameterError):
-            FiniteBParams(epsilon=0.0, delta=0.5, a=1.0, b=2.0)
+            finite_b_bound(2, 0.3, VKind.VOGT, 0.0, 0.5, 1.0, 2.0)
         with pytest.raises(InfeasibleParameterError):
-            FiniteBParams(epsilon=0.5, delta=1.5, a=1.0, b=2.0)
+            finite_b_bound(2, 0.3, VKind.VOGT, 0.5, 1.5, 1.0, 2.0)
         with pytest.raises(InfeasibleParameterError):
-            FiniteBParams(epsilon=0.5, delta=0.5, a=2.0, b=1.0)
+            finite_b_bound(2, 0.3, VKind.VOGT, 0.5, 0.5, 2.0, 1.0)
         with pytest.raises(InfeasibleParameterError):
-            FiniteBParams(epsilon=0.5, delta=0.5, a=-1.0, b=1.0)
+            finite_b_bound(2, 0.3, VKind.VOGT, 0.5, 0.5, -1.0, 1.0)
 
 
 class TestGoldenOptimize:
@@ -269,14 +256,13 @@ class TestGoldenOptimize:
                                       (VKind.IMPROVED_VOGT, None),
                                       (VKind.CUSTOM, cls._table(d))):
                     for tol in cls.TOLERANCES:
-                        yield BoundQuery(d=d, ratio=ratio, vkind=vkind,
-                                         tolerance=tol, vtable=vtable)
+                        yield d, ratio, vkind, tol, vtable
 
     def test_values(self):
         h = hashlib.sha256()
         n = 0
         for q in self._cases():
-            res = optimize_bound(q)
+            res = optimize_bound(*q)
             h.update(f"{res.epsilon_star!r} {res.a_star!r} {res.bound!r} "
                      f"{res.evaluations}\n".encode())
             n += 1
