@@ -57,6 +57,7 @@ __all__ = [
     "TailEstimate",
     "VBoundReport",
     "VKind",
+    "__version__",
     "asymptotic_bound",
     "bessel_j",
     "bound_value",
@@ -64,7 +65,6 @@ __all__ = [
     "default_dt",
     "default_t_grid",
     "estimate_survival",
-    "off_center_start",
     "feasible_threshold",
     "finite_b_bound",
     "first_bessel_zero",
@@ -72,11 +72,11 @@ __all__ = [
     "load_custom_table",
     "log_gamma",
     "log_v",
+    "off_center_start",
     "optimal_a",
     "optimize_bound",
     "principal_eigenvalue",
     "ratio_upper_bound",
     "sample_exit_times",
     "sweep",
-    "__version__",
 ]

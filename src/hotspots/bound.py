@@ -29,7 +29,7 @@ whose b -> infinity limit is exactly the two-parameter bound above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FiniteHorizonConstraintError, InfeasibleParameterError
 from .vfunction import CustomTable, VKind, log_v, log_v_curve

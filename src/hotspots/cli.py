@@ -39,7 +39,7 @@ from .montecarlo import (
 )
 from .ratio import RatioKind, bessel_exact_from_records, displayed_squares, ratio_upper_bound
 from .vfunction import CustomTable, VKind, load_custom_table
-from .zeros import RootFamily, first_bessel_zero, first_p_root
+from .zeros import first_bessel_zero, first_p_root
 
 EXIT_INFEASIBLE = 3
 EXIT_ACCURACY = 4
