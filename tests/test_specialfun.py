@@ -187,6 +187,30 @@ def _miller_regime(nu, x):
     return x > 0.0 and _series_forecast(nu, x)[1] > 2e-14
 
 
+class TestGoldenLadders:
+    """sha256 over repr of bessel_j(nu, x) on the Miller-regime points of
+    nu = 0, 7.5, ..., 120 and x = 5, 10, ..., 700, in that order.
+
+    TestGoldenGrid stops at x = 140; this grid reaches MAX_ORDER and MAX_ARG,
+    where the recurrence ladder is longest (m_top up to 1,094 here), and
+    freezes those values bit for bit.  Produced on x86-64 with CPython's libm.
+    """
+
+    NUS = [7.5 * i for i in range(17)]
+    XS = [5.0 * j for j in range(1, 141)]
+
+    def test_values(self):
+        points = [(nu, x) for nu in self.NUS for x in self.XS
+                  if _miller_regime(nu, x)]
+        assert len(points) == 2244
+        assert (0.0, MAX_ARG) in points and (MAX_ORDER, MAX_ARG) in points
+        h = hashlib.sha256()
+        for nu, x in points:
+            h.update(f"{bessel_j(nu, x)!r}\n".encode())
+        assert h.hexdigest() == (
+            "74d9aa99b2fe96f1f11dc2da75c60d0b925945495bee98baeb8905815233c17b")
+
+
 def _ladder_start(nu, x):
     return max(1, int(0.5 * max(0.0, x - nu)) + 1)
 
