@@ -21,6 +21,22 @@ Two regimes are combined:
   Neumann term is below e^-40.  Those rungs form a suffix of the ladder, so
   `bisect` finds the same rung as a rung-by-rung walk, searching only up to
   a rung that provably passes.
+
+A root search evaluates J_nu at one order some seven times, so the terms
+that depend on nu alone are kept per order (`_order`, an lru_cache of the
+eight most recent orders): the x-free parts of each ladder rung's test, and
+the recurrence coefficients 2(nu+m) and Neumann weights w_k, each table no
+longer than the longest ladder asked for at that order.  (lgamma(nu+1) is
+not kept: it costs no more than the cache lookup that would replace it.)
+The first Miller call at an order computes the coefficients and weights
+inline and stores neither, so a new order costs what it did without the
+cache; later calls build those tables and then read them.  Every entry is the expression the inline code
+evaluates, with the same operands in the same order, so every value is
+bit-identical whichever path ran.  A table grows only by replacement: a
+longer tuple is built aside and then bound, and a rung's terms enter their
+dict as one finished tuple.  So a thread sees a whole table, older or newer,
+never a half-built one; tables built concurrently are prefixes of the same
+sequence, and whichever is bound last serves.
 """
 
 from __future__ import annotations
@@ -123,6 +139,58 @@ def _ladder(k0: int) -> tuple[int, ...]:
     return tuple(rungs)
 
 
+class _Order:
+    """What bessel_j needs of the order nu alone, kept across calls at nu.
+
+    rungs maps a ladder rung k to the two x-free parts of
+    _neumann_ladder_top's log_rel.  coefs[m] is _miller's recurrence
+    coefficient 2 (nu + m), and weights[k - 1] its Neumann weight w_k.
+    weights is None until the first _miller call at nu, which builds no
+    table; later calls build and extend them (see the module doc).
+    """
+
+    __slots__ = ("nu", "rungs", "coefs", "weights")
+
+    def __init__(self, nu: float) -> None:
+        self.nu = nu
+        self.rungs: dict[int, tuple[float, float]] = {}
+        self.coefs: tuple[float, ...] = ()
+        self.weights: tuple[float, ...] | None = None
+
+    def rung(self, k: int) -> tuple[float, float]:
+        """(log(nu+2k) + lgamma(nu+k) - lgamma(k+1), lgamma(nu+2k+1))."""
+        terms = self.rungs.get(k)
+        if terms is None:
+            nu = self.nu
+            terms = self.rungs[k] = (
+                math.log(nu + 2.0 * k) + math.lgamma(nu + k) - math.lgamma(k + 1.0),
+                math.lgamma(nu + 2.0 * k + 1.0))
+        return terms
+
+    def tables(self, m_top: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """coefs through m = m_top and weights through k = m_top/2 - 1."""
+        nu = self.nu
+        coefs = self.coefs
+        if len(coefs) <= m_top:
+            coefs = self.coefs = coefs + tuple(
+                [2.0 * (nu + m) for m in range(len(coefs), m_top + 1)])
+        weights = self.weights or ()
+        if len(weights) < m_top // 2 - 1:
+            grown = list(weights) or [nu + 2.0]
+            w = grown[-1]
+            for k in range(len(grown) + 1, m_top // 2):
+                w = w * (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
+                grown.append(w)
+            weights = self.weights = tuple(grown)
+        return coefs, weights
+
+
+@functools.lru_cache(maxsize=8)
+def _order(nu: float) -> _Order:
+    """The state of order nu; the eight most recent orders are kept."""
+    return _Order(nu)
+
+
 def _neumann_ladder_top(nu: float, x: float) -> int:
     """Even offset m = 2k where the normalization term drops below e^-40.
 
@@ -138,16 +206,11 @@ def _neumann_ladder_top(nu: float, x: float) -> int:
     _RUNG_CAP).  The test suite checks both facts over the Miller regime.
     """
     lhalf = math.log(0.5 * x)
+    rung = _order(nu).rung
 
     def passes(k: int) -> bool:
-        log_rel = (
-            math.log(nu + 2.0 * k)
-            + math.lgamma(nu + k)
-            - math.lgamma(k + 1.0)
-            + 2.0 * k * lhalf
-            - math.lgamma(nu + 2.0 * k + 1.0)
-        )
-        return log_rel <= -40.0
+        head, tail = rung(k)
+        return head + 2.0 * k * lhalf - tail <= -40.0
 
     rungs = _ladder(max(1, int(0.5 * max(0.0, x - nu)) + 1))
     hi = bisect.bisect_left(rungs, max(20.0, math.exp(1.5) * 0.5 * x)) + 1
@@ -173,19 +236,35 @@ def _miller(nu: float, x: float, log_pref: float) -> float:
     j_cur = 1e-250  # unnormalized J at order nu + m
     # two steps at a time: J at orders nu + m - 1, then nu + m - 2 (even)
     even = []
-    for m in range(m_top, 0, -2):
-        j_up = (2.0 * (nu + m) / x) * j_cur - j_up
-        j_cur = (2.0 * (nu + (m - 1)) / x) * j_up - j_cur
-        even.append(j_cur)
-    even.reverse()  # even[k]: unnormalized J at order nu + 2k
+    order = _order(nu)
+    if order.weights is None:
+        # the first call at nu computes inline what later calls read from
+        # the order's tables, so a new order costs no more than without them
+        order.weights = ()
+        for m in range(m_top, 0, -2):
+            j_up = (2.0 * (nu + m) / x) * j_cur - j_up
+            j_cur = (2.0 * (nu + (m - 1)) / x) * j_up - j_cur
+            even.append(j_cur)
+        even.reverse()  # even[k]: unnormalized J at order nu + 2k
 
-    # normalization: weights w_0 = Gamma(nu+1)-scaled to 1, w_1 = nu+2,
-    # w_k = w_{k-1} (nu+2k)(nu+k-1) / ((nu+2k-2) k); m_top >= 30
-    w = nu + 2.0
-    ssum = even[0] + w * even[1]
-    for k in range(2, len(even)):
-        w = w * (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
-        ssum += w * even[k]
+        # normalization: weights w_0 = Gamma(nu+1)-scaled to 1, w_1 = nu+2,
+        # w_k = w_{k-1} (nu+2k)(nu+k-1) / ((nu+2k-2) k); m_top >= 30
+        w = nu + 2.0
+        ssum = even[0] + w * even[1]
+        for k in range(2, len(even)):
+            w = w * (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
+            ssum += w * even[k]
+    else:
+        # the same loops, reading 2 (nu + m) and w_k from the tables
+        coefs, weights = order.tables(m_top)
+        for m in range(m_top, 0, -2):
+            j_up = (coefs[m] / x) * j_cur - j_up
+            j_cur = (coefs[m - 1] / x) * j_up - j_cur
+            even.append(j_cur)
+        even.reverse()
+        ssum = even[0]
+        for w, e in zip(weights, even[1:]):
+            ssum += w * e
 
     # only a series forecast above 2e-14 leads here, so exp(log_pref) is normal
     return math.exp(log_pref) * (j_cur / ssum)

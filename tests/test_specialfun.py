@@ -9,6 +9,8 @@ the oracle's own last-digit noise.  The value contract of `bessel_j` is
 import hashlib
 import math
 import random
+import sys
+import threading
 
 import pytest
 import scipy.special as sp
@@ -209,6 +211,89 @@ class TestGoldenLadders:
             h.update(f"{bessel_j(nu, x)!r}\n".encode())
         assert h.hexdigest() == (
             "74d9aa99b2fe96f1f11dc2da75c60d0b925945495bee98baeb8905815233c17b")
+
+
+class TestOrderCache:
+    """The per-order tables change no value, whatever order the calls come in.
+
+    Each test evaluates TestGoldenGrid's points and requires the values that
+    its digest freezes; `frozen` checks them against that digest first.
+    """
+
+    POINTS = [(nu, x) for nu in TestGoldenGrid.NUS for x in TestGoldenGrid.XS]
+
+    @pytest.fixture(scope="class")
+    def frozen(self):
+        specialfun._order.cache_clear()
+        values = [bessel_j(nu, x) for nu, x in self.POINTS]
+        h = hashlib.sha256()
+        for value in values:
+            h.update(f"{value!r}\n".encode())
+        assert h.hexdigest() == (
+            "957108a12b14497754c76bf1424e2913709c25bc6d7c1ccb85f97754880619b8")
+        return dict(zip(self.POINTS, values))
+
+    @staticmethod
+    def _assert_bounded():
+        info = specialfun._order.cache_info()
+        assert info.currsize <= info.maxsize
+
+    def test_shuffled_order(self, frozen):
+        points = list(self.POINTS)
+        random.Random(16).shuffle(points)
+        specialfun._order.cache_clear()
+        for nu, x in points:
+            assert bessel_j(nu, x) == frozen[nu, x], (nu, x)
+        self._assert_bounded()
+
+    def test_two_threads_on_interleaved_points(self, frozen):
+        # the threads alternate along each order's x grid, so both extend the
+        # same order's tables at once
+        specialfun._order.cache_clear()
+        results = [{}, {}]
+
+        def work(i):
+            for nu, x in self.POINTS[i::2]:
+                results[i][nu, x] = bessel_j(nu, x)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert {**results[0], **results[1]} == frozen
+        self._assert_bounded()
+
+    def test_back_to_an_evicted_order(self, frozen):
+        specialfun._order.cache_clear()
+        first = TestGoldenGrid.NUS[-1]
+        points = [(nu, x) for nu, x in self.POINTS if nu == first]
+        for nu, x in points:
+            assert bessel_j(nu, x) == frozen[nu, x]
+        # one Miller point at each of more orders than the cache holds
+        maxsize = specialfun._order.cache_info().maxsize
+        others = TestGoldenGrid.NUS[:maxsize + 1]
+        for nu in others:
+            assert bessel_j(nu, 140.0) == frozen[nu, 140.0]
+            self._assert_bounded()
+        assert specialfun._order.cache_info().currsize == maxsize
+        for nu, x in points + points:
+            assert bessel_j(nu, x) == frozen[nu, x]
+
+    def test_first_miller_call_builds_no_table(self):
+        # so a call at an order not seen before costs what it did without them
+        specialfun._order.cache_clear()
+        bessel_j(33.0, 140.0)
+        state = specialfun._order(33.0)
+        assert state.coefs == () and state.weights == ()
+        bessel_j(33.0, 140.0)
+        assert len(state.coefs) > 140 and len(state.weights) > 70
 
 
 def _ladder_start(nu, x):
