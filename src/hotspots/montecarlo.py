@@ -54,6 +54,11 @@ _LAMBDA_T_CAP = 80.0
 #: unit disc, so a tiny dt fails at once instead of running for hours.
 _MAX_STEPS = 10 ** 8
 
+#: Most paths one simulation may take.  A run holds about 24 B per path (exit
+#: step, exit time and grid index), so 10^8 paths need about 2.4 GB and hours
+#: of stepping; a larger count fails at once instead of in numpy's allocator.
+_MAX_PATHS = 10 ** 8
+
 #: default_t_grid ends at lambda_D * t = 12.
 _GRID_DECAY = 12.0
 
@@ -133,6 +138,10 @@ class SimConfig:
             raise InfeasibleParameterError(f"dt must be positive, got {self.dt!r}")
         if self.n_paths < 1:
             raise InfeasibleParameterError("n_paths must be >= 1")
+        if self.n_paths > _MAX_PATHS:
+            raise InfeasibleParameterError(
+                f"n_paths={self.n_paths} is too many; at most {_MAX_PATHS:.0e} are allowed"
+            )
         if self.chunk_size < 1:
             raise InfeasibleParameterError("chunk_size must be >= 1")
         if not (0 <= self.seed < 2 ** 64):
@@ -499,11 +508,25 @@ def _clopper_pearson(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
+def _survivor_counts(tau: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """counts[j] = #{i : tau[i] > grid[j]} for an increasing grid, with no
+    n x grid matrix.
+
+    idx[i] = searchsorted(grid, tau[i], side="left") is the number of grid
+    points strictly below tau[i], so tau[i] > grid[j] exactly when idx[i] > j.
+    tau must hold no NaN: numpy sorts NaN last, so it would count as
+    surviving every grid time, where tau > grid counts it as surviving none.
+    """
+    idx = np.searchsorted(grid, tau, side="left")
+    at_least = np.bincount(idx, minlength=grid.size + 1)[::-1].cumsum()[::-1]
+    return at_least[1:]
+
+
 def estimate_survival(config: SimConfig, tau: np.ndarray) -> TailEstimate:
     """Empirical survival curve over config.t_grid with 95% CP intervals.
 
     tau holds the config's exit times, as sample_exit_times(config) returns
-    them.
+    them; a NaN among them is refused.
     """
     if _start_distance(config.domain, config.start) <= 0.0:
         raise InfeasibleParameterError(
@@ -514,8 +537,10 @@ def estimate_survival(config: SimConfig, tau: np.ndarray) -> TailEstimate:
         raise InfeasibleParameterError(
             f"expected {config.n_paths} exit times, got an array of shape {tau.shape}"
         )
+    if np.isnan(tau).any():
+        raise InfeasibleParameterError("exit times must not be NaN")
     grid = np.asarray(config.t_grid, dtype=np.float64)
-    counts = (tau[:, None] > grid[None, :]).sum(axis=0)
+    counts = _survivor_counts(tau, grid)
     n = config.n_paths
     survival = counts / n
     low, high = _clopper_pearson(counts, n)

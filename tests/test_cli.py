@@ -391,6 +391,20 @@ class TestVerifyVBound:
         assert res.exit_code == 3, res.output
         assert runs == []
 
+    def test_huge_path_count_exit_three_before_sampling(self, invoke, monkeypatch):
+        # 10^12 paths would need 8 TB for the exit steps alone: refused by
+        # SimConfig with one line on stderr, before any sampler runs
+        import hotspots.montecarlo as mc
+        runs = []
+        monkeypatch.setattr(mc, "_pool_exit_times", lambda *a: runs.append(a))
+        monkeypatch.setattr(cli_mod, "sample_exit_times", lambda *a: runs.append(a))
+        res = invoke(["verify-vbound", "--dim", "2", "--paths", "1000000000000"])
+        assert res.exit_code == 3, res.output
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: n_paths=1000000000000 is too many; at most 1e+08 are allowed\n")
+        assert runs == []
+
     @pytest.mark.parametrize("argv, line", [
         (["--epsilon", "1.5"], "error: epsilon must lie in (0, 1), got 1.5\n"),
         (["--epsilon", "0"], "error: epsilon must lie in (0, 1), got 0.0\n"),

@@ -38,6 +38,7 @@ from hotspots.montecarlo import (
     check_grid_dt,
     _row_reduce,
     _row_sum_squares,
+    _survivor_counts,
 )
 
 
@@ -493,6 +494,36 @@ class TestSurvival:
         for bad in (tau[:-1], np.concatenate([tau, tau]), tau.reshape(10, 10)):
             with pytest.raises(InfeasibleParameterError):
                 estimate_survival(cfg, bad)
+
+    def test_counts_match_the_matrix_form(self):
+        # survivors of each grid time, counted without the n x grid matrix;
+        # a third of the exit times fall exactly on grid points
+        rng = np.random.default_rng(16)
+        for size in (0, 1, 2, 25, 60):
+            grid = np.sort(rng.choice(np.linspace(0.0, 3.0, 301), size, replace=False))
+            tau = rng.uniform(-0.5, 3.5, 3000)
+            if size:
+                tau[::3] = rng.choice(grid, 1000)
+            tau[:4] = (0.0, 3.0, math.inf, -math.inf)
+            expected = (tau[:, None] > grid[None, :]).sum(axis=0)
+            assert np.array_equal(_survivor_counts(tau, grid), expected), size
+
+    def test_nan_exit_time_refused(self):
+        # tau > grid would count a NaN as surviving no grid time, and a grid
+        # search as surviving every one: a NaN exit time is refused instead
+        cfg = _ball_config(n_paths=100, dt=1e-3)
+        tau = sample_exit_times(cfg)
+        tau[7] = math.nan
+        with pytest.raises(InfeasibleParameterError, match="NaN"):
+            estimate_survival(cfg, tau)
+
+    def test_path_cap(self):
+        # the config refuses the count, so no path array is ever allocated
+        import hotspots.montecarlo as mc
+        cfg = _ball_config(n_paths=mc._MAX_PATHS)
+        for n in (mc._MAX_PATHS + 1, 10 ** 12):
+            with pytest.raises(InfeasibleParameterError, match="at most 1e\\+08"):
+                dataclasses.replace(cfg, n_paths=n)
 
     def test_fingerprint_tracks_config(self):
         a = _ball_config(n_paths=100, dt=1e-3)
