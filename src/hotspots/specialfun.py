@@ -24,15 +24,16 @@ Two regimes are combined:
 
 A root search evaluates J_nu at one order some seven times, so the terms
 that depend on nu alone are kept per order (`_order`, an lru_cache of the
-eight most recent orders): the x-free parts of each ladder rung's test, and
-the recurrence coefficients 2(nu+m) and Neumann weights w_k, each table no
+eight most recent orders): the x-free parts of each ladder rung's test, the
+recurrence coefficients 2(nu+m) and the Neumann weights w_k, each table no
 longer than the longest ladder asked for at that order.  (lgamma(nu+1) is
 not kept: it costs no more than the cache lookup that would replace it.)
-The first Miller call at an order computes the coefficients and weights
-inline and stores neither, so a new order costs what it did without the
-cache; later calls build those tables and then read them.  Every entry is the expression the inline code
-evaluates, with the same operands in the same order, so every value is
-bit-identical whichever path ran.  A table grows only by replacement: a
+The first Miller call at an order computes them all inline, stores none and
+only marks the order as seen (`_seen`, a second lru_cache of eight), so a
+new order costs what it did without the tables; the second call fills
+them, and later calls read them.  Every entry is the expression the inline
+code evaluates, with the same operands in the same order, so every value
+is bit-identical whichever path ran.  A table grows only by replacement: a
 longer tuple is built aside and then bound, and a rung's terms enter their
 dict as one finished tuple.  So a thread sees a whole table, older or newer,
 never a half-built one; tables built concurrently are prefixes of the same
@@ -145,8 +146,6 @@ class _Order:
     rungs maps a ladder rung k to the two x-free parts of
     _neumann_ladder_top's log_rel.  coefs[m] is _miller's recurrence
     coefficient 2 (nu + m), and weights[k - 1] its Neumann weight w_k.
-    weights is None until the first _miller call at nu, which builds no
-    table; later calls build and extend them (see the module doc).
     """
 
     __slots__ = ("nu", "rungs", "coefs", "weights")
@@ -155,7 +154,7 @@ class _Order:
         self.nu = nu
         self.rungs: dict[int, tuple[float, float]] = {}
         self.coefs: tuple[float, ...] = ()
-        self.weights: tuple[float, ...] | None = None
+        self.weights: tuple[float, ...] = ()
 
     def rung(self, k: int) -> tuple[float, float]:
         """(log(nu+2k) + lgamma(nu+k) - lgamma(k+1), lgamma(nu+2k+1))."""
@@ -174,7 +173,7 @@ class _Order:
         if len(coefs) <= m_top:
             coefs = self.coefs = coefs + tuple(
                 [2.0 * (nu + m) for m in range(len(coefs), m_top + 1)])
-        weights = self.weights or ()
+        weights = self.weights
         if len(weights) < m_top // 2 - 1:
             grown = list(weights) or [nu + 2.0]
             w = grown[-1]
@@ -187,8 +186,18 @@ class _Order:
 
 @functools.lru_cache(maxsize=8)
 def _order(nu: float) -> _Order:
-    """The state of order nu; the eight most recent orders are kept."""
+    """The tables of order nu, made at its second _miller call."""
     return _Order(nu)
+
+
+@functools.lru_cache(maxsize=8)
+def _seen(nu: float) -> list[bool]:
+    """[True] once _miller has been called at nu, else [].
+
+    Kept apart from _order so that a new order, which evicts an old entry
+    here, frees no tables: freeing a few hundred floats costs several us.
+    """
+    return []
 
 
 def _neumann_ladder_top(nu: float, x: float) -> int:
@@ -206,11 +215,23 @@ def _neumann_ladder_top(nu: float, x: float) -> int:
     _RUNG_CAP).  The test suite checks both facts over the Miller regime.
     """
     lhalf = math.log(0.5 * x)
-    rung = _order(nu).rung
+    if _seen(nu):
+        rung = _order(nu).rung
 
-    def passes(k: int) -> bool:
-        head, tail = rung(k)
-        return head + 2.0 * k * lhalf - tail <= -40.0
+        def passes(k: int) -> bool:
+            head, tail = rung(k)
+            return head + 2.0 * k * lhalf - tail <= -40.0
+    else:
+        # _miller's first call at nu stores nothing (see the module doc)
+        def passes(k: int) -> bool:
+            log_rel = (
+                math.log(nu + 2.0 * k)
+                + math.lgamma(nu + k)
+                - math.lgamma(k + 1.0)
+                + 2.0 * k * lhalf
+                - math.lgamma(nu + 2.0 * k + 1.0)
+            )
+            return log_rel <= -40.0
 
     rungs = _ladder(max(1, int(0.5 * max(0.0, x - nu)) + 1))
     hi = bisect.bisect_left(rungs, max(20.0, math.exp(1.5) * 0.5 * x)) + 1
@@ -236,11 +257,11 @@ def _miller(nu: float, x: float, log_pref: float) -> float:
     j_cur = 1e-250  # unnormalized J at order nu + m
     # two steps at a time: J at orders nu + m - 1, then nu + m - 2 (even)
     even = []
-    order = _order(nu)
-    if order.weights is None:
+    seen = _seen(nu)
+    if not seen:
         # the first call at nu computes inline what later calls read from
         # the order's tables, so a new order costs no more than without them
-        order.weights = ()
+        seen.append(True)
         for m in range(m_top, 0, -2):
             j_up = (2.0 * (nu + m) / x) * j_cur - j_up
             j_cur = (2.0 * (nu + (m - 1)) / x) * j_up - j_cur
@@ -256,7 +277,7 @@ def _miller(nu: float, x: float, log_pref: float) -> float:
             ssum += w * even[k]
     else:
         # the same loops, reading 2 (nu + m) and w_k from the tables
-        coefs, weights = order.tables(m_top)
+        coefs, weights = _order(nu).tables(m_top)
         for m in range(m_top, 0, -2):
             j_up = (coefs[m] / x) * j_cur - j_up
             j_cur = (coefs[m - 1] / x) * j_up - j_cur
