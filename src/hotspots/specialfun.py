@@ -28,14 +28,11 @@ eight most recent orders): the x-free parts of each ladder rung's test, the
 recurrence coefficients 2(nu+m) and the Neumann weights w_k, each table no
 longer than the longest ladder asked for at that order.  (lgamma(nu+1) is
 not kept: it costs no more than the cache lookup that would replace it.)
-The first Miller call at an order computes them all inline, stores none and
-only marks the order as seen (`_seen`, a second lru_cache of eight), so a
-new order costs what it did without the tables; the second call fills
-them, and later calls read them.  Every entry is the expression the inline
-code evaluates, with the same operands in the same order, so every value
-is bit-identical whichever path ran.  A table grows only by replacement: a
-longer tuple is built aside and then bound, and a rung's terms enter their
-dict as one finished tuple.  So a thread sees a whole table, older or newer,
+Every entry is the expression the recurrence evaluated inline before the
+tables, with the same operands in the same order, so every value is
+bit-identical to it.  A table grows only by replacement: a longer tuple is
+built aside and then bound, and a rung's terms enter their dict as one
+finished tuple.  So a thread sees a whole table, older or newer,
 never a half-built one; tables built concurrently are prefixes of the same
 sequence, and whichever is bound last serves.
 """
@@ -186,18 +183,8 @@ class _Order:
 
 @functools.lru_cache(maxsize=8)
 def _order(nu: float) -> _Order:
-    """The tables of order nu, made at its second _miller call."""
+    """The state of order nu; the eight most recent orders are kept."""
     return _Order(nu)
-
-
-@functools.lru_cache(maxsize=8)
-def _seen(nu: float) -> list[bool]:
-    """[True] once _miller has been called at nu, else [].
-
-    Kept apart from _order so that a new order, which evicts an old entry
-    here, frees no tables: freeing a few hundred floats costs several us.
-    """
-    return []
 
 
 def _neumann_ladder_top(nu: float, x: float) -> int:
@@ -215,23 +202,11 @@ def _neumann_ladder_top(nu: float, x: float) -> int:
     _RUNG_CAP).  The test suite checks both facts over the Miller regime.
     """
     lhalf = math.log(0.5 * x)
-    if _seen(nu):
-        rung = _order(nu).rung
+    rung = _order(nu).rung
 
-        def passes(k: int) -> bool:
-            head, tail = rung(k)
-            return head + 2.0 * k * lhalf - tail <= -40.0
-    else:
-        # _miller's first call at nu stores nothing (see the module doc)
-        def passes(k: int) -> bool:
-            log_rel = (
-                math.log(nu + 2.0 * k)
-                + math.lgamma(nu + k)
-                - math.lgamma(k + 1.0)
-                + 2.0 * k * lhalf
-                - math.lgamma(nu + 2.0 * k + 1.0)
-            )
-            return log_rel <= -40.0
+    def passes(k: int) -> bool:
+        head, tail = rung(k)
+        return head + 2.0 * k * lhalf - tail <= -40.0
 
     rungs = _ladder(max(1, int(0.5 * max(0.0, x - nu)) + 1))
     hi = bisect.bisect_left(rungs, max(20.0, math.exp(1.5) * 0.5 * x)) + 1
@@ -257,35 +232,17 @@ def _miller(nu: float, x: float, log_pref: float) -> float:
     j_cur = 1e-250  # unnormalized J at order nu + m
     # two steps at a time: J at orders nu + m - 1, then nu + m - 2 (even)
     even = []
-    seen = _seen(nu)
-    if not seen:
-        # the first call at nu computes inline what later calls read from
-        # the order's tables, so a new order costs no more than without them
-        seen.append(True)
-        for m in range(m_top, 0, -2):
-            j_up = (2.0 * (nu + m) / x) * j_cur - j_up
-            j_cur = (2.0 * (nu + (m - 1)) / x) * j_up - j_cur
-            even.append(j_cur)
-        even.reverse()  # even[k]: unnormalized J at order nu + 2k
-
-        # normalization: weights w_0 = Gamma(nu+1)-scaled to 1, w_1 = nu+2,
-        # w_k = w_{k-1} (nu+2k)(nu+k-1) / ((nu+2k-2) k); m_top >= 30
-        w = nu + 2.0
-        ssum = even[0] + w * even[1]
-        for k in range(2, len(even)):
-            w = w * (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
-            ssum += w * even[k]
-    else:
-        # the same loops, reading 2 (nu + m) and w_k from the tables
-        coefs, weights = _order(nu).tables(m_top)
-        for m in range(m_top, 0, -2):
-            j_up = (coefs[m] / x) * j_cur - j_up
-            j_cur = (coefs[m - 1] / x) * j_up - j_cur
-            even.append(j_cur)
-        even.reverse()
-        ssum = even[0]
-        for w, e in zip(weights, even[1:]):
-            ssum += w * e
+    # 2 (nu + m) and w_k from the order's tables: w_0 = Gamma(nu+1)-scaled
+    # to 1, w_1 = nu+2, w_k = w_{k-1} (nu+2k)(nu+k-1) / ((nu+2k-2) k)
+    coefs, weights = _order(nu).tables(m_top)
+    for m in range(m_top, 0, -2):
+        j_up = (coefs[m] / x) * j_cur - j_up
+        j_cur = (coefs[m - 1] / x) * j_up - j_cur
+        even.append(j_cur)
+    even.reverse()  # even[k]: unnormalized J at order nu + 2k
+    ssum = even[0]
+    for w, e in zip(weights, even[1:]):
+        ssum += w * e
 
     # only a series forecast above 2e-14 leads here, so exp(log_pref) is normal
     return math.exp(log_pref) * (j_cur / ssum)

@@ -221,22 +221,15 @@ class TestOrderCache:
     """
 
     POINTS = [(nu, x) for nu in TestGoldenGrid.NUS for x in TestGoldenGrid.XS]
-    CACHES = (specialfun._order, specialfun._seen)
 
-    @classmethod
-    def _clear(cls):
-        for cache in cls.CACHES:
-            cache.cache_clear()
-
-    @classmethod
-    def _assert_bounded(cls):
-        for cache in cls.CACHES:
-            info = cache.cache_info()
-            assert info.currsize <= info.maxsize
+    @staticmethod
+    def _assert_bounded():
+        info = specialfun._order.cache_info()
+        assert info.currsize <= info.maxsize
 
     @pytest.fixture(scope="class")
     def frozen(self):
-        self._clear()
+        specialfun._order.cache_clear()
         values = [bessel_j(nu, x) for nu, x in self.POINTS]
         h = hashlib.sha256()
         for value in values:
@@ -248,7 +241,7 @@ class TestOrderCache:
     def test_shuffled_order(self, frozen):
         points = list(self.POINTS)
         random.Random(16).shuffle(points)
-        self._clear()
+        specialfun._order.cache_clear()
         for nu, x in points:
             assert bessel_j(nu, x) == frozen[nu, x], (nu, x)
         self._assert_bounded()
@@ -256,7 +249,7 @@ class TestOrderCache:
     def test_two_threads_on_interleaved_points(self, frozen):
         # the threads alternate along each order's x grid from x = 140 down,
         # so both build the same order's largest tables at once
-        self._clear()
+        specialfun._order.cache_clear()
         points = sorted(self.POINTS, key=lambda p: (p[0], -p[1]))
         results = [{}, {}]
         start = threading.Barrier(2, timeout=60)
@@ -281,47 +274,39 @@ class TestOrderCache:
         self._assert_bounded()
 
     def test_back_to_an_evicted_order(self, frozen):
-        self._clear()
+        specialfun._order.cache_clear()
         first = TestGoldenGrid.NUS[-1]
         points = [(nu, x) for nu, x in self.POINTS if nu == first]
         for nu, x in points:
             assert bessel_j(nu, x) == frozen[nu, x]
-        # two Miller points at each of more orders than either cache holds
-        maxsize = max(cache.cache_info().maxsize for cache in self.CACHES)
+        # one Miller point at each of more orders than the cache holds
+        maxsize = specialfun._order.cache_info().maxsize
         for nu in TestGoldenGrid.NUS[:maxsize + 1]:
-            for x in (139.5, 140.0):
-                assert bessel_j(nu, x) == frozen[nu, x]
+            assert bessel_j(nu, 140.0) == frozen[nu, 140.0]
             self._assert_bounded()
-        assert all(cache.cache_info().currsize == cache.cache_info().maxsize
-                   for cache in self.CACHES)
+        assert specialfun._order.cache_info().currsize == maxsize
         for nu, x in points + points:
             assert bessel_j(nu, x) == frozen[nu, x]
 
-    def test_tables_match_the_inline_loops_at_any_order(self):
+    def test_tables_match_the_inline_recurrence_at_any_order(self):
         # the golden grids use orders on a coarse binary grid, where nu + k
-        # is exact; here nu has a full mantissa.  A first call runs the
-        # inline loops, later calls read tables grown over ascending x.
+        # is exact; here nu has a full mantissa.  Tables built for one x and
+        # tables grown over ascending x both give TestMillerHeadroom's
+        # inline copy of the recurrence bit for bit.
         rng = random.Random(1604)
         for _ in range(40):
             nu = rng.uniform(0.0, MAX_ORDER)
             xs = sorted(rng.uniform(0.0, MAX_ARG) for _ in range(12))
             xs = [x for x in xs if _miller_regime(nu, x)]
-            inline = []
+            inline = [math.exp(_series_forecast(nu, x)[0])
+                      * TestMillerHeadroom._peak(nu, x)[1] for x in xs]
+            fresh = []
             for x in xs:
-                self._clear()
-                inline.append(bessel_j(nu, x))
-            self._clear()
-            bessel_j(nu, xs[0])
+                specialfun._order.cache_clear()
+                fresh.append(bessel_j(nu, x))
+            assert fresh == inline, nu
+            specialfun._order.cache_clear()
             assert [bessel_j(nu, x) for x in xs] == inline, nu
-
-    def test_first_miller_call_stores_no_table(self):
-        # so a call at an order not seen before costs what it did without them
-        self._clear()
-        bessel_j(33.0, 140.0)
-        assert specialfun._order.cache_info().currsize == 0
-        bessel_j(33.0, 140.0)
-        state = specialfun._order(33.0)
-        assert len(state.coefs) > 140 and len(state.weights) > 70 and state.rungs
 
     def test_cached_rung_terms_give_the_inline_log_rel(self):
         # bit for bit, not only the same pass or fail
@@ -334,20 +319,6 @@ class TestOrderCache:
             assert head + 2.0 * k * lhalf - tail == (
                 math.log(nu + 2.0 * k) + math.lgamma(nu + k) - math.lgamma(k + 1.0)
                 + 2.0 * k * lhalf - math.lgamma(nu + 2.0 * k + 1.0)), (nu, x, k)
-
-    def test_cached_rungs_give_the_walks_ladder_top(self):
-        # TestLadderTop reaches the cached rung terms only where an order
-        # has seen a _miller call; here every order has
-        checked = 0
-        for nu in TestLadderTop.NUS:
-            self._clear()
-            specialfun._seen(nu).append(True)
-            for nu_, x in TestLadderTop.DENSE_GRID:
-                if nu_ == nu and _miller_regime(nu, x):
-                    assert _neumann_ladder_top(nu, x) == _walk_ladder_top(nu, x), (nu, x)
-                    checked += 1
-            assert specialfun._order(nu).rungs
-        assert checked > 15000
 
 
 def _ladder_start(nu, x):
