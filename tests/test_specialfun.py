@@ -247,17 +247,18 @@ class TestOrderCache:
         self._assert_bounded()
 
     def test_two_threads_on_interleaved_points(self, frozen):
-        # the threads alternate along each order's x grid from x = 140 down,
-        # so both build the same order's largest tables at once
+        # the threads start each order together and alternate along its x
+        # grid from x = 140 down, so both build its largest tables at once
         specialfun._order.cache_clear()
-        points = sorted(self.POINTS, key=lambda p: (p[0], -p[1]))
+        xs = sorted(TestGoldenGrid.XS, reverse=True)
         results = [{}, {}]
-        start = threading.Barrier(2, timeout=60)
+        step = threading.Barrier(2, timeout=60)
 
         def work(i):
-            start.wait()
-            for nu, x in points[i::2]:
-                results[i][nu, x] = bessel_j(nu, x)
+            for nu in TestGoldenGrid.NUS:
+                step.wait()
+                for x in xs[i::2]:
+                    results[i][nu, x] = bessel_j(nu, x)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
         interval = sys.getswitchinterval()
