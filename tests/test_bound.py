@@ -168,6 +168,17 @@ class TestOptimize:
         with pytest.raises(InfeasibleParameterError, match="V table"):
             optimize_bound(5, 0.95, VKind.CUSTOM, vtable=((0.1, 1.0), (0.9, 2.0)))
 
+    @pytest.mark.parametrize("table, message", [
+        # ln V at the first golden-section point, x1 = hi - (hi - lo)/phi:
+        # the sign check comes before the objective, at the first step
+        (((0.1, -1.0), (0.9, -0.5)), "ln V must be >= 0, got -0.8567629845099677"),
+        (((0.1, 1e6), (0.9, 1e6)), "r*a too large; e^{ra} overflows"),
+    ], ids=["negative-log-v", "overflowing-ra"])
+    def test_refusals_inside_the_search(self, table, message):
+        with pytest.raises(InfeasibleParameterError) as info:
+            optimize_bound(5, 0.3, VKind.CUSTOM, 1e-9, table)
+        assert str(info.value) == message
+
 
 class TestFiniteB:
     def test_b_equals_a_collapses_integral_term(self):

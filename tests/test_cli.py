@@ -760,6 +760,30 @@ class TestGoldenCli:
             ["bound", "--dim=7=8"], ["--", "bound", "--dim", "7", "--format=csv"],
         ]) == "ff9c638bc6a2ab055d46f17ccbe4ec9f0082db6ffc0f1b4713dee4f5ca9d5e2b"
 
+    def test_value_conversions(self, invoke):
+        # each argv once: what int(), float() and a choices check accept
+        # (underscores, spaces, a sign, full-width digits, inf and nan
+        # spellings) and refuse (hex, a case or space off a choice), with
+        # argparse's error line for each refusal
+        bound = ["bound", "--dim", "7"]
+        family = ["asymptotic", "--dmin", "10", "--dmax", "20"]
+        assert self._hash(invoke, [
+            ["bound", "--dim", "1_0"], ["bound", "--dim", " 7"], ["bound", "--dim", "+7"],
+            ["bound", "--dim", "0x10"], ["bound", "--dim", "７"],
+            ["bound", "--dim", "7 "], ["bound", "--dim", "-0"], ["bound", "--dim", "7.0"],
+            ["bound", "--dim", ""], ["bound", "--dim", "1" * 5000],
+            bound + ["--tolerance", "1e999"], bound + ["--tolerance", "-nan"],
+            bound + ["--tolerance", "1_0e-9"], bound + ["--tolerance", " 1e-9\n"],
+            bound + ["--tolerance", "0x1p-30"], bound + ["--tolerance", "１e-9"],
+            family + ["--c", "infinity"], family + ["--c", "INF"],
+            bound + ["--format", "JSON"], bound + ["--format", "json "],
+            ["verify-vbound", "--dim", "2", "--shape", "Ball"],
+            ["zeros", "--family", "proot ", "--dim", "4"],
+            ["zeros", "--family", "proot", "--dim", "4"],
+            ["zeros", "--nu", "0.5", "--family", "jzero"],
+            ["Bound", "--dim", "7"], ["bound ", "--dim", "7"],
+        ]) == "c97a75cde7e64a8593e5c2b98bf71bac624a45d30b9b4980a30eb144fa334795"
+
     def test_bound_layer_refusals(self, invoke):
         # each argv once: every refusal of the ratio, minimizer and asymptotic
         # layers that the command line reaches, in the order they are checked
