@@ -40,10 +40,14 @@ def format_sig(x: float, n: int) -> str:
     return format(q.normalize(_CONTEXT) if q == q.to_integral_value() else q, "f")
 
 
+#: json.dumps builds an encoder on each call given keyword arguments; this
+#: one is built once (it holds no state between encodes)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON: sorted keys, compact separators, repr floats."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    return _ENCODER.encode(payload)
 
 
 def payload_checksum(payload: Any) -> str:

@@ -15,7 +15,9 @@ convex in a with unique stationary point
 
 where the objective equals V^{r/(1-eps)} * (1-eps)/(1-eps-r).  (The test
 suite validates this reduction against brute-force grid minimization.)  A
-golden-section search over eps finishes the job.
+golden-section search over eps finishes the job.  `_objective` is the one
+copy of the objective's arithmetic: `bound_value` and each step of the
+search call it.
 
 The module also evaluates the finite-horizon four-parameter bound
 
@@ -101,6 +103,14 @@ def optimize_bound(d: int, r: float, vkind: VKind, tolerance: float = 1e-9,
                    vtable: CustomTable | None = None) -> BoundResult:
     """Minimize the bound over A_d: analytic inner a, golden-section on eps.
 
+    Each step of the search is one call of the inner `point(eps)`: ln V from
+    the curve built once per query, a*(eps) = ln V / (1 - eps) as
+    `optimal_a` computes it, and `_objective`.  `optimal_a` is called only
+    to raise its refusal of a negative ln V, at the step that meets it; its
+    feasibility check on eps always holds inside the search interval.  The
+    float operations and their order are those of `optimal_a` and
+    `_objective`, so every result is the same to the bit as theirs.
+
     Examples
     --------
     >>> from .ratio import RatioKind, ratio_upper_bound
@@ -123,11 +133,10 @@ def optimize_bound(d: int, r: float, vkind: VKind, tolerance: float = 1e-9,
         nonlocal evals
         evals += 1
         lv = curve(eps)  # eps lies in (0, 1 - r), as log_v would check
-        a = optimal_a(eps, r, lv)
+        if lv < 0.0:
+            optimal_a(eps, r, lv)  # raises its refusal
+        a = lv / (1.0 - eps)  # optimal_a's arithmetic
         return a, _objective(r, log_r, eps, a, lv)
-
-    def phi(eps: float) -> float:
-        return point(eps)[1]
 
     lo = _EPS_EDGE
     hi = 1.0 - r - _EPS_EDGE
@@ -146,16 +155,16 @@ def optimize_bound(d: int, r: float, vkind: VKind, tolerance: float = 1e-9,
     log_r = math.log(r)
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = phi(x1), phi(x2)
+    f1, f2 = point(x1)[1], point(x2)[1]
     while hi - lo > tolerance:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)
-            f1 = phi(x1)
+            f1 = point(x1)[1]
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_PHI * (hi - lo)
-            f2 = phi(x2)
+            f2 = point(x2)[1]
     eps_star = 0.5 * (lo + hi)
     a_star, best = point(eps_star)
     return BoundResult(d=d, r=r, epsilon_star=eps_star, a_star=a_star,

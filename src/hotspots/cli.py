@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import math
 import sys
@@ -97,7 +98,8 @@ def _parse_vfunction(spec: str) -> tuple[VKind, CustomTable | None]:
         path = spec.split(":", 1)[1]
         try:
             return VKind.CUSTOM, load_custom_table(path)
-        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        except (OSError, ValueError, csv.Error) as exc:
+            # ValueError: a NUL byte in the path, or a file that is not UTF-8
             raise UsageError(f"cannot read V table {path!r}: {exc}")
     try:
         kind = VKind(spec)
@@ -378,26 +380,44 @@ class _Parser(argparse.ArgumentParser):
     the one kept.  An unknown option, a missing value or a value given to a
     flag is an error at once, in argv order.  After the pass, in this order:
     `--help` acts wherever it stands, and the other flags act in argv order;
-    each kept value is converted and checked by argparse's `_get_values`,
-    in the order the options first appear, and the first failure is the
-    error; missing required options are named; `--` as a value is refused
-    (`_get_values` would strip it and hand the command an empty list); and
-    the words that are no option are returned as extras, which `parse_args`
-    refuses at the top level.  At the top level the options end at the
-    command's name, which may follow one `--`, and the rest of argv goes to
-    the command's parser.  Declared defaults are used as they stand: no
-    option here has a string default that argparse would convert.
+    each kept value is converted by its option's type (int, float or none)
+    and checked against its choices, in the order the options first appear,
+    and the first value refused is the error; missing required options are
+    named; `--` as a value is refused (argparse would strip it and hand the
+    command an empty list); and the words that are no option are returned
+    as extras, which `parse_args` refuses at the top level.  At the top
+    level the options end at the command's name, which may follow one `--`,
+    and the rest of argv goes to the command's parser.
+
+    Each parser builds its merged defaults and its list of required options
+    once, on its first parse, after every option is declared.  A value is
+    converted here directly, not through argparse's `_get_values`, which
+    costs several calls per word; argparse converts a word only to refuse
+    it, so every error line is still its own.  Declared defaults are used
+    as they stand: no option here has a string default that argparse would
+    convert.
     """
 
     #: the top level's `add_subparsers` action; None in a command's parser
     commands: argparse.Action | None = None
 
-    def parse_known_args(self, args=None, namespace=None):
-        namespace = argparse.Namespace() if namespace is None else namespace
-        defaults = {action.dest: action.default for action in self._actions
+    @functools.cached_property
+    def _all_defaults(self) -> dict[str, Any]:
+        """Each dest's default: the declared one, else `set_defaults`'."""
+        declared = {action.dest: action.default for action in self._actions
                     if action.dest is not argparse.SUPPRESS
                     and action.default is not argparse.SUPPRESS}
-        for dest, default in {**self._defaults, **defaults}.items():
+        return {**self._defaults, **declared}
+
+    @functools.cached_property
+    def _required(self) -> list[tuple[argparse.Action, str]]:
+        """Each required action, with the name a missing-argument error gives it."""
+        return [(action, "/".join(action.option_strings) or action.metavar)
+                for action in self._actions if action.required]
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace = argparse.Namespace() if namespace is None else namespace
+        for dest, default in self._all_defaults.items():
             if not hasattr(namespace, dest):
                 setattr(namespace, dest, default)
         flags: list[tuple[argparse.Action, str]] = []
@@ -437,12 +457,11 @@ class _Parser(argparse.ArgumentParser):
             action(self, namespace, [], option)
         for option, (action, value) in values.items():
             if value != "--":
-                action(self, namespace, self._convert(action, [value]), option)
+                action(self, namespace, self._value(action, value), option)
         given = {action for action, value in values.values() if value != "--"}
         if extras and self.commands is not None:
             given.add(self.commands)  # the command's name
-        missing = ["/".join(action.option_strings) or action.metavar
-                   for action in self._actions if action.required and action not in given]
+        missing = [name for action, name in self._required if action not in given]
         if missing:
             self.error(f"the following arguments are required: {', '.join(missing)}")
         for option, (action, value) in values.items():
@@ -450,13 +469,30 @@ class _Parser(argparse.ArgumentParser):
                 self.error(f"argument {option}: expected one argument")
         if self.commands is None:
             return namespace, extras
-        name, = self._convert(self.commands, extras[:1])  # only the name is checked
+        name = extras[0]  # only the name is checked
+        if name not in self.commands.choices:
+            self._refuse(self.commands, name)
         return self.commands.choices[name].parse_known_args(extras[1:], namespace)
 
-    def _convert(self, action: argparse.Action, words: list[str]) -> Any:
-        """argparse's conversion and check of an action's words; a failure exits 2."""
+    def _value(self, action: argparse.Action, word: str) -> Any:
+        """The action's type applied to one word, checked against its choices."""
         try:
-            return self._get_values(action, words)
+            value = word if action.type is None else action.type(word)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            self._refuse(action, word)
+        if action.choices is not None and value not in action.choices:
+            self._refuse(action, word)
+        return value
+
+    def _refuse(self, action: argparse.Action, word: str) -> None:
+        """Exit 2 with argparse's error line for a word the action refuses.
+
+        argparse's `_get_values` applies the same type to the word, catches
+        the same exceptions and tests the same choices, so it refuses the
+        word too, and its message is the one written.
+        """
+        try:
+            self._get_values(action, [word])
         except argparse.ArgumentError as err:
             self.error(str(err))
 

@@ -504,6 +504,7 @@ _PARSE_RESULTS = [
     (["bound", "--help", "--nope"], 2),
     (["bound", "--dim", "7", "--help=1"], 2),
     (["bound", "--dim", "x", "--dim", "7"], 0),
+    (["bound", "--dim", "7", "--vfunction", "custom:v\0.csv"], 2),
 ]
 
 
@@ -514,7 +515,9 @@ def test_parse_results(invoke, argv, code):
 
 
 # One valid argv of each command, and two usage errors: parse_args reads them
-# all without argparse's own parse loop, which would read argv a second time.
+# all without argparse's own parse loop, which would read argv a second time,
+# and converts each value itself.  argparse's _get_values sees a word only to
+# refuse it (the last word of each usage error), and writes the error line.
 _FAST_PATH = [
     (["table", "--dims", "2"], 0),
     (["bound", "--dim", "7", "--format", "json"], 0),
@@ -531,9 +534,23 @@ def test_argv_is_read_in_one_pass(invoke, monkeypatch, argv, code):
     def second_pass(*args, **kwargs):
         raise AssertionError("argparse parsed argv again")
 
+    converted = []
+    get_values = argparse.ArgumentParser._get_values
+
+    def convert(parser, action, words):
+        converted.append(list(words))
+        if code == 0:
+            raise AssertionError("argparse converted a value")
+        return get_values(parser, action, words)
+
     monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", second_pass)
+    monkeypatch.setattr(argparse.ArgumentParser, "_get_values", convert)
     res = invoke(argv)
     assert res.exit_code == code, (res.exception, res.output)
+    assert converted == ([[argv[-1]]] if code else [])
+    if code:  # argparse's line: "hotspots bound: error: argument --dim: invalid int value: 'x'"
+        line = res.stderr.splitlines()[-1]
+        assert "error: argument " in line and ": invalid " in line and repr(argv[-1]) in line
 
 
 def test_json_output_is_the_canonical_document(capsys):
@@ -552,7 +569,8 @@ def test_json_output_is_the_canonical_document(capsys):
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
 
 _HUGE = "1" + "0" * 400  # an int no float can hold
-_ODD = ["x", "", "nan", "inf", "-inf", "1e-300", "1e308", "0", "-0", "-1", "1", "2", _HUGE]
+_ODD = ["x", "", "nan", "inf", "-inf", "1e-300", "1e308", "0", "-0", "-1", "1", "2", _HUGE,
+        "1\0"]
 _NUMBER = st.one_of(st.sampled_from(_ODD), st.integers(-5, 300).map(str),
                     st.floats(-1e3, 1e3).map(repr))
 _FORMAT = st.sampled_from(["text", "json", "csv", "yaml"])
@@ -572,7 +590,7 @@ _V_TABLES = {
 
 def _vfunction(tables):
     names = st.sampled_from(sorted(tables) + ["missing"])
-    return st.one_of(st.sampled_from(["vogt", "improved", "custom", "nope"]),
+    return st.one_of(st.sampled_from(["vogt", "improved", "custom", "nope", "custom:v\0"]),
                      names.map(lambda name: f"custom:{tables.get(name, '/no/such/file')}"))
 
 
