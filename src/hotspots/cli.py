@@ -403,7 +403,7 @@ class _Parser(argparse.ArgumentParser):
 
     @functools.cached_property
     def _all_defaults(self) -> dict[str, Any]:
-        """Each dest's default: the declared one, else `set_defaults`'."""
+        """Each dest's default: its option's, else the one `set_defaults` gave."""
         declared = {action.dest: action.default for action in self._actions
                     if action.dest is not argparse.SUPPRESS
                     and action.default is not argparse.SUPPRESS}

@@ -475,9 +475,9 @@ def test_version_flag(invoke):
 # 3.  Options are never abbreviated and the last value of an option counts.
 # --help acts wherever it stands, but not past an unknown option or a flag
 # given a value.  "--" may come before the command name or end the argv, and
-# "--" as a value is refused: the parser reads argv in one pass and converts
-# each value with argparse's _get_values, which would strip "--" and pass an
-# empty list on.
+# "--" as a value is refused, as argparse would strip it and pass an empty
+# list on.  A V table path that cannot be opened, even one holding a NUL
+# byte, is a usage error.
 _PARSE_RESULTS = [
     ([], 2),
     (["nope"], 2),
