@@ -713,6 +713,14 @@ class TestGoldenCli:
         assert self._digest(invoke, [["table", "--dims", "2,7,150"]]) == (
             "0d7fa9cc30bd61e236f762778ad8c957a6290d88857380a912c5be0c64e2c79e")
 
+    def test_table_display_cells(self, invoke):
+        # text shows only the displayed (rounded) cells: p^2 up, j^2 down, r
+        # up, epsilon, a and bound.  The floats behind them may move by an
+        # ulp with the root finder; these cells may not.
+        dims = ",".join(str(d) for d in range(2, 201))
+        assert self._hash(invoke, [["table", "--dims", dims, "--format", "text"]]) == (
+            "e47b803932148682062eee9d40a55217eaa0d95bc1612c096881e89756c81cb2")
+
     def test_bound(self, invoke):
         assert self._digest(invoke, [
             ["bound", "--dim", "7", "--ratio", "closed", "--vfunction", "vogt"],
