@@ -1,5 +1,6 @@
-"""Static checks on the package: no module imports a name it never uses,
-and `hotspots.__all__` is sorted and names only what the package defines."""
+"""Static checks on the package: no module, and no test module, imports a name
+it never uses, and `hotspots.__all__` is sorted and names only what the
+package defines."""
 
 import ast
 import pathlib
@@ -7,6 +8,7 @@ import pathlib
 import hotspots
 
 SRC = pathlib.Path(hotspots.__file__).resolve().parent
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -28,6 +30,13 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(ast.parse(path.read_text()))
               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert len(unused) >= 10
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_no_test_module_imports_a_name_it_never_uses():
+    unused = {path.name: _unused_imports(ast.parse(path.read_text()))
+              for path in sorted(TESTS.glob("*.py"))}
+    assert len(unused) >= 12
     assert {name: found for name, found in unused.items() if found} == {}
 
 
