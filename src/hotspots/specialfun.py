@@ -7,56 +7,44 @@ relative to the function's scale; near a zero, or where J_nu is tiny, the
 relative error can be large.  Nothing certified rests on this contract: `zeros` proves its
 bounds in exact arithmetic and uses these values only to find roots.
 
-Two regimes are combined:
+One regime serves the whole domain: J_nu(x) = (x/2)^nu / Gamma(nu+1) S(z),
+z = x^2/4, with the ascending series S(z) = sum_k (-z)^k / (k! (nu+1)_k) that
+`zeros._exact_sign` proves.  S is summed in fixed point on Python ints with
+P fractional bits, so its terms cancel without loss; the only errors are
+the floors, one per term.  A floor's unit error in term j scales every later
+term by the same relative amount, and no later term exceeds 2^big times term
+j, where 2^big bounds the largest term (the terms rise from 1 to it, then
+fall).  So each floor moves the sum by at most K 2^big units for K terms, a
+crude bound that ignores the alternating signs.  Then J = prefactor x S
+needs the prefactor's bits as well, when it exceeds 1: near the d=200 root
+it is about e^36, and S is that much smaller than J.  Hence
 
-* an ascending power series (log-space prefactor, Kahan-compensated sum)
-  wherever its own cancellation forecast meets the target accuracy --
-  in particular everywhere well below the turning point x ~ nu;
-* a Miller-type backward recurrence normalized by the generalized
-  Neumann-series identity (x/2)^nu = sum_k (nu+2k) Gamma(nu+k)/k! J_{nu+2k}(x)
-  for the oscillatory / turning-point regime, where the series cancels
-  catastrophically.  The recurrence ladder is sized adaptively so both the
-  seed decay and the truncated normalization tail are below 1e-17 relative.
-  The tail's size is the first rung of a fixed ladder of orders whose
-  Neumann term is below e^-40.  Those rungs form a suffix of the ladder, so
-  `bisect` finds the same rung as a rung-by-rung walk, searching only up to
-  a rung that provably passes.
+    P = 60 + big + max(0, ceil(log2 prefactor)).
 
-A root search evaluates J_nu at one order some seven times, so the terms
-that depend on nu alone are kept per order (`_order`, an lru_cache of the
-eight most recent orders): the x-free parts of each ladder rung's test, the
-recurrence coefficients 2(nu+m) and the Neumann weights w_k, each table no
-longer than the longest ladder asked for at that order.  (lgamma(nu+1) is
-not kept: it costs no more than the cache lookup that would replace it.)
-Every entry is the expression the recurrence evaluated inline before the
-tables, with the same operands in the same order, so every value is
-bit-identical to it.  A table grows only by replacement: a longer tuple is
-built aside and then bound, and a rung's terms enter their dict as one
-finished tuple.  So a thread sees a whole table, older or newer,
-never a half-built one; tables built concurrently are prefixes of the same
-sequence, and whichever is bound last serves.
+The sum stops once a term is below 2^big units and the terms shrink from
+there on, so the rest of the alternating tail is below that too.  The
+function keeps no state between calls.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
 
 from .errors import InfeasibleParameterError
 
-_EPS = 2.220446049250313e-16
-
 #: Largest supported order (covers dimension 200 zeros plus margin).
 MAX_ORDER = 120.0
 
-#: Largest supported argument of bessel_j.  Up to it the series' cancellation
-#: forecast stays below e^662 over the orders (exp overflows above e^709), and
-#: it covers the root search (x <= 164).
+#: Largest supported argument of bessel_j.  The int series' cost grows as
+#: x^2, with the number of terms and the width of its ints: at x = 700 it
+#: takes about 970 terms of up to 2,060 bits, 0.9 to 1.3 ms a call on a
+#: 2-core x86-64 host.  It covers the root search (x <= 164).
 MAX_ARG = 700.0
 
 #: Largest supported log-gamma argument.
 MAX_LOG_GAMMA_ARG = 500.0
+
+_LOG2 = math.log(2.0)
 
 
 def log_gamma(x: float) -> float:
@@ -74,185 +62,12 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _series_forecast(nu: float, x: float) -> tuple[float, float]:
-    """Predict (log10-ish) the ascending series' cancellation error.
-
-    Returns (log_pref, forecast_abs_error) where log_pref is
-    ln((x/2)^nu / Gamma(nu+1)) and the forecast approximates
-    eps * n_terms * prefactor * max_term.
-    """
-    z = 0.25 * x * x
-    lg_nu1 = math.lgamma(nu + 1.0)
-    log_pref = nu * math.log(0.5 * x) - lg_nu1
-    if z <= 1.0:
-        # terms decay from the start; no hump
-        return log_pref, math.exp(log_pref) * 40.0 * _EPS if log_pref > -700 else 0.0
-    # |T_k| peaks where z = k(nu+k):  k* = (-nu + sqrt(nu^2+4z)) / 2
-    k_star = 0.5 * (-nu + math.sqrt(nu * nu + 4.0 * z))
-    log_tmax = (
-        k_star * math.log(z)
-        - math.lgamma(k_star + 1.0)
-        - (math.lgamma(nu + 1.0 + k_star) - lg_nu1)
-    )
-    n_terms = k_star + 35.0
-    log_err = log_pref + log_tmax + math.log(n_terms * _EPS)
-    return log_pref, math.exp(log_err) if log_err > -700 else 0.0
-
-
-def _series(nu: float, x: float, log_pref: float) -> float:
-    """Ascending series sum_k (-1)^k z^k / (k! (nu+1)_k), Kahan-compensated."""
-    z = 0.25 * x * x
-    term = 1.0
-    s = 1.0
-    comp = 0.0
-    k = 0
-    while True:
-        k += 1
-        term *= -z / (k * (nu + k))
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        if abs(term) <= 1e-18 * max(1.0, abs(s)) or k > 500:
-            break
-    if log_pref < -745.0:
-        return 0.0
-    return math.exp(log_pref) * s
-
-
-#: Every rung at or above it meets the walk's test on the whole domain: for
-#: k >= e^1.5 x/2 and k >= 20 the k-th Neumann term is below
-#: (e z / k^2)^k <= e^-2k <= e^-40.  The same argument at one x bounds the
-#: search there: every rung >= max(20, e^1.5 x/2) passes.
-_RUNG_CAP = math.ceil(math.exp(1.5) * 0.5 * MAX_ARG)
-
-
-@functools.lru_cache(maxsize=None)  # k0 <= MAX_ARG / 2 + 1: at most 351 ladders
-def _ladder(k0: int) -> tuple[int, ...]:
-    """The rungs k0, k + max(1, k // 8), ... up to the first one >= _RUNG_CAP."""
-    rungs = [k0]
-    while rungs[-1] < _RUNG_CAP:
-        k = rungs[-1]
-        rungs.append(k + max(1, k // 8))
-    return tuple(rungs)
-
-
-class _Order:
-    """What bessel_j needs of the order nu alone, kept across calls at nu.
-
-    rungs maps a ladder rung k to the two x-free parts of
-    _neumann_ladder_top's log_rel.  coefs[m] is _miller's recurrence
-    coefficient 2 (nu + m), and weights[k - 1] its Neumann weight w_k.
-    """
-
-    __slots__ = ("nu", "rungs", "coefs", "weights")
-
-    def __init__(self, nu: float) -> None:
-        self.nu = nu
-        self.rungs: dict[int, tuple[float, float]] = {}
-        self.coefs: tuple[float, ...] = ()
-        self.weights: tuple[float, ...] = ()
-
-    def rung(self, k: int) -> tuple[float, float]:
-        """(log(nu+2k) + lgamma(nu+k) - lgamma(k+1), lgamma(nu+2k+1))."""
-        terms = self.rungs.get(k)
-        if terms is None:
-            nu = self.nu
-            terms = self.rungs[k] = (
-                math.log(nu + 2.0 * k) + math.lgamma(nu + k) - math.lgamma(k + 1.0),
-                math.lgamma(nu + 2.0 * k + 1.0))
-        return terms
-
-    def tables(self, m_top: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """coefs through m = m_top and weights through k = m_top/2 - 1."""
-        nu = self.nu
-        coefs = self.coefs
-        if len(coefs) <= m_top:
-            coefs = self.coefs = coefs + tuple(
-                [2.0 * (nu + m) for m in range(len(coefs), m_top + 1)])
-        weights = self.weights
-        if len(weights) < m_top // 2 - 1:
-            grown = list(weights) or [nu + 2.0]
-            w = grown[-1]
-            for k in range(len(grown) + 1, m_top // 2):
-                w = w * (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
-                grown.append(w)
-            weights = self.weights = tuple(grown)
-        return coefs, weights
-
-
-@functools.lru_cache(maxsize=8)
-def _order(nu: float) -> _Order:
-    """The state of order nu; the eight most recent orders are kept."""
-    return _Order(nu)
-
-
-def _neumann_ladder_top(nu: float, x: float) -> int:
-    """Even offset m = 2k where the normalization term drops below e^-40.
-
-    The relative size of the k-th Neumann term against the whole sum is
-    (nu+2k) Gamma(nu+k) z^k / (k! Gamma(nu+2k+1)) with z = (x/2)^2.  The
-    answer is the first rung of the ladder k0 = floor((x-nu)/2) + 1,
-    k + max(1, k // 8), ... whose log_rel is <= -40.
-
-    log_rel is 0 at k = 0 (ln 2 for nu = 0) and concave in k: it rises, then
-    falls, so the rungs that pass form a suffix of the ladder.  A bisection
-    with the walk's expression finds the rung a rung-by-rung walk returns; it
-    searches up to the first rung >= max(20, e^1.5 x/2), which passes (see
-    _RUNG_CAP).  The test suite checks both facts over the Miller regime.
-    """
-    lhalf = math.log(0.5 * x)
-    rung = _order(nu).rung
-
-    def passes(k: int) -> bool:
-        head, tail = rung(k)
-        return head + 2.0 * k * lhalf - tail <= -40.0
-
-    rungs = _ladder(max(1, int(0.5 * max(0.0, x - nu)) + 1))
-    hi = bisect.bisect_left(rungs, max(20.0, math.exp(1.5) * 0.5 * x)) + 1
-    return 2 * rungs[bisect.bisect_left(rungs, True, 0, hi, key=passes)]
-
-
-def _miller(nu: float, x: float, log_pref: float) -> float:
-    """Backward recurrence with Neumann normalization; log_pref as for _series.
-
-    The recurrence starts from 1e-250 at order nu + m_top and is never
-    rescaled.  On the supported domain (nu <= 120, x <= 700) no unnormalized
-    value reaches 1e-100, far inside the float range: the largest over a scan
-    of 45,000 Miller-regime points was 7e-118 (nu = 120, x = 645.5), and the
-    test suite asserts the bound on a grid through the domain's corners.
-    """
-    m_tail = _neumann_ladder_top(nu, x)
-    m_seed = int(math.ceil(max(nu, x) + 6.0 * x ** (1.0 / 3.0) + 30.0 - nu))
-    m_top = max(m_tail, m_seed)
-    if m_top % 2:
-        m_top += 1
-
-    j_up = 0.0  # unnormalized J at order nu + m + 1
-    j_cur = 1e-250  # unnormalized J at order nu + m
-    # two steps at a time: J at orders nu + m - 1, then nu + m - 2 (even)
-    even = []
-    # 2 (nu + m) and w_k from the order's tables: w_0 = Gamma(nu+1)-scaled
-    # to 1, w_1 = nu+2, w_k = w_{k-1} (nu+2k)(nu+k-1) / ((nu+2k-2) k)
-    coefs, weights = _order(nu).tables(m_top)
-    for m in range(m_top, 0, -2):
-        j_up = (coefs[m] / x) * j_cur - j_up
-        j_cur = (coefs[m - 1] / x) * j_up - j_cur
-        even.append(j_cur)
-    even.reverse()  # even[k]: unnormalized J at order nu + 2k
-    ssum = even[0]
-    for w, e in zip(weights, even[1:]):
-        ssum += w * e
-
-    # only a series forecast above 2e-14 leads here, so exp(log_pref) is normal
-    return math.exp(log_pref) * (j_cur / ssum)
-
-
 def bessel_j(nu: float, x: float) -> float:
     """Evaluate J_nu(x) for 0 <= nu <= 120, 0 <= x <= 700 (see the module doc).
 
-    Chooses the ascending series whenever its cancellation forecast meets the
-    accuracy target, otherwise the Miller backward recurrence.
+    The prefactor (x/2)^nu / Gamma(nu+1) times the ascending series S(x^2/4),
+    summed in fixed point: with nu = p/q and z = a/2^e, t_0 = 2^P and
+    t_k = -floor(floor(t_{k-1} a q / 2^e) / (k (p + k q))).
 
     Examples
     --------
@@ -271,7 +86,29 @@ def bessel_j(nu: float, x: float) -> float:
         )
     if 0.5 * x == 0.0:  # includes subnormals whose halving underflows
         return 1.0 if nu == 0.0 else 0.0
-    log_pref, forecast = _series_forecast(nu, x)
-    if forecast <= 2e-14:
-        return _series(nu, x, log_pref)
-    return _miller(nu, x, log_pref)
+    lg_nu1 = math.lgamma(nu + 1.0)
+    log_pref = nu * math.log(0.5 * x) - lg_nu1
+    if log_pref < -745.0:
+        return 0.0
+    z = 0.25 * x * x
+    # the largest term is at k* where z = k*(nu + k*); 2^big is above it
+    k_star = 0.5 * (-nu + math.sqrt(nu * nu + 4.0 * z))
+    log_tmax = (k_star * math.log(z) - math.lgamma(k_star + 1.0)
+                - (math.lgamma(nu + 1.0 + k_star) - lg_nu1)) if z > 0.0 else 0.0
+    big = max(0, math.ceil(log_tmax / _LOG2))
+    prec = 60 + big + max(0, math.ceil(log_pref / _LOG2))
+
+    p, q = nu.as_integer_ratio()
+    a, b = z.as_integer_ratio()
+    e = b.bit_length() - 1
+    aq = a * q
+    floor = 1 << big
+    term = s = 1 << prec
+    k = 0
+    while True:
+        k += 1
+        term = -(((term * aq) >> e) // (k * (p + k * q)))
+        s += term
+        if abs(term) < floor and k * (nu + k) > z:
+            break
+    return math.exp(log_pref) * (s / (1 << prec))

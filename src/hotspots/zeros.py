@@ -7,11 +7,18 @@
 are the first roots in z = x^2/4 of S(z) = sum_k w_k (-z)^k / (k! (nu+1)_k)
 times (x/2)^nu / Gamma(nu+1), with w_k = 1 and w_k = 2k+1 respectively.
 
-An upward scan in steps of 0.25 brackets each root in floats, starting for
-the j-zero at the Qu-Wong bound j_{nu,1} > nu + 1.8557571 nu^{1/3}, and
-Brent's method (Algorithms for Minimization without Derivatives, 1973,
-ch. 4) solves it: on bessel_j for the j-zero, on S in floats for the p-root
-(for d <= 200 no term of S exceeds 1.5 near the root, so it does not cancel).
+For nu >= 1 the j-zero lies inside the two-sided bound of Qu and Wong
+(Trans. AMS 351 (1999) 2833-2859),
+
+    nu + 1.855757 nu^{1/3} < j_{nu,1} < nu + 1.8557571 nu^{1/3} + 1.0331504 nu^{-1/3},
+
+and Brent's method (Algorithms for Minimization without Derivatives, 1973,
+ch. 4) solves bessel_j on that bracket.  The bound is a theorem, so a bracket
+without a sign change is a fault and raises AccuracyError.  For nu < 1, and
+for the p-root, an upward scan in steps of 0.25 brackets the root first (the
+j-zero scan from the last lattice point below the lower bound) and Brent
+solves it: on bessel_j for the j-zero, on S in floats for the p-root (for
+d <= 200 no term of S exceeds 1.5 near the root, so it does not cancel).
 `_exact_sign` then proves the directed squares in integer arithmetic.
 """
 
@@ -172,6 +179,15 @@ def _qu_wong_lower(nu: float) -> float:
     return nu + 1.855757 * nu ** (1.0 / 3.0) - 1e-9
 
 
+def _qu_wong_upper(nu: float) -> float:
+    """A float above j_{nu,1} for nu > 0 (Qu and Wong, as `_qu_wong_lower`).
+
+    j_{nu,1} < nu + 1.85575708... nu^{1/3} + 1.03315030... nu^{-1/3}; both
+    constants are rounded up, and 1e-9 covers the rounding of ** and +.
+    """
+    return nu + 1.8557571 * nu ** (1.0 / 3.0) + 1.0331504 * nu ** (-1.0 / 3.0) + 1e-9
+
+
 def _first_zero_is_bracketed(nu: float, sq_up: float) -> bool:
     """Whether a sign change of J_nu below sqrt(sq_up) must be its first zero.
 
@@ -228,6 +244,9 @@ def _jzero_scan_start(nu: float) -> float:
 def first_bessel_zero(nu: float) -> BesselZeroRecord:
     """First positive zero j_{nu,1} of J_nu, for 0 <= nu <= 110.
 
+    Brent's method on the Qu-Wong bracket for nu >= 1, after a scan for
+    nu < 1 (module doc); AccuracyError if the bracket holds no sign change.
+
     Examples
     --------
     >>> rec = first_bessel_zero(0.5)
@@ -238,9 +257,21 @@ def first_bessel_zero(nu: float) -> BesselZeroRecord:
         raise InfeasibleParameterError(
             f"first_bessel_zero supports 0 <= nu <= 110, got {nu!r}"
         )
-    start = _jzero_scan_start(nu)
-    cap = nu + 10.0 * max(1.0, nu) ** (1.0 / 3.0) + 6.0
-    root = _find_root(lambda x: bessel_j(nu, x), start, cap, f"j-zero nu={nu:g}")
+    what = f"j-zero nu={nu:g}"
+
+    def j(x: float) -> float:
+        return bessel_j(nu, x)
+
+    if nu < 1.0:
+        root = _find_root(j, _jzero_scan_start(nu), nu + 16.0, what)  # j_{1,1} < 4
+    else:
+        lower, upper = _qu_wong_lower(nu), _qu_wong_upper(nu)
+        j_lower, j_upper = j(lower), j(upper)
+        if not (j_lower > 0.0 and j_upper <= 0.0):
+            raise AccuracyError(
+                f"{what}: no sign change on the Qu-Wong bracket "
+                f"[{lower:.9g}, {upper:.9g}]")
+        root = _brent(j, lower, upper, j_lower, j_upper)
     return _record(nu, RootFamily.J_ZERO, root)
 
 

@@ -96,6 +96,14 @@ class TestZeros:
         assert res.exit_code == 4
         assert "no exact sign change" in res.stderr
 
+    def test_failed_qu_wong_bracket_exit_four(self, invoke, monkeypatch):
+        # the bound is a theorem, so a bracket without a sign change is a
+        # fault to report, not a case to search around
+        monkeypatch.setattr(zeros_mod, "_qu_wong_upper", lambda nu: nu + 1.0)
+        res = invoke(["zeros", "--nu", "5"])
+        assert res.exit_code == 4
+        assert "no sign change on the Qu-Wong bracket" in res.stderr
+
 
 class TestTable:
     @requires_jsonschema
@@ -711,7 +719,7 @@ class TestGoldenCli:
 
     def test_table(self, invoke):
         assert self._digest(invoke, [["table", "--dims", "2,7,150"]]) == (
-            "0d7fa9cc30bd61e236f762778ad8c957a6290d88857380a912c5be0c64e2c79e")
+            "47b2d0d6b97fd2e0784d0c98407da52ac2a633e1b3001f64ae52b6cf8a313833")
 
     def test_table_display_cells(self, invoke):
         # text shows only the displayed (rounded) cells: p^2 up, j^2 down, r

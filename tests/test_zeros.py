@@ -24,13 +24,28 @@ from hotspots import (
     first_bessel_zero,
     first_p_root,
 )
-from hotspots.zeros import _exact_sign, _first_zero_is_bracketed, _jzero_scan_start
+from hotspots.zeros import (
+    _exact_sign,
+    _first_zero_is_bracketed,
+    _jzero_scan_start,
+    _qu_wong_lower,
+    _qu_wong_upper,
+)
 
 J_ZERO_TRUTH = {
     0.0: 2.404825557695772768622,
     0.5: math.pi,
     1.0: 3.831705970207512315614,
     49.0: 56.07290305114875261743,
+}
+
+# j_{nu,1} from mpmath.besseljzero at the float order (94.7 is not exact)
+J_ZERO_ULP_TRUTH = {
+    49.0: 56.07290305114875261743,
+    54.0: 61.28747223860736462157,
+    94.7: 103.3852919049485147008,
+    99.0: 107.8081032971898339197,
+    110.0: 119.1072650926870971191,
 }
 
 # d -> p_{d/2,1} squared, frozen
@@ -49,6 +64,14 @@ def test_first_zero_matches_frozen_values():
         assert rec.value == pytest.approx(truth, abs=1e-10)
         assert rec.family is RootFamily.J_ZERO
         assert rec.nu == nu
+
+
+def test_first_zero_is_within_three_ulp_at_high_order():
+    # the root's own accuracy: the certified squares are 2^-44 wide, far
+    # coarser than the value they bracket
+    for nu, truth in J_ZERO_ULP_TRUTH.items():
+        value = first_bessel_zero(nu).value
+        assert abs(value - truth) <= 3.0 * math.ulp(truth), (nu, value)
 
 
 def test_p_root_squared_matches_frozen_values():
@@ -215,7 +238,7 @@ class TestGoldenRecords:
     def test_j_zeros_by_dimension(self):
         records = [first_bessel_zero(d / 2 - 1) for d in range(2, 201)]
         assert _record_digest(records) == (
-            "bfab87f91cc522ea187312ed8679b8720f1f43497b1da5b8ae21a127711daef9")
+            "013509dc404ccc7a99a8d94e8735075e058032a10085688fc8a72ba04fbcb5be")
 
     def test_p_roots_by_dimension(self):
         records = [first_p_root(d) for d in range(2, 201)]
@@ -224,7 +247,7 @@ class TestGoldenRecords:
 
     def test_j_zeros_on_twentieths(self):
         assert _record_digest(_twentieths_records()) == (
-            "f346fa42c24d0e9bbe7166519a5f77cc954e71ddd20b31da49876a9f9ca43199")
+            "3698458a3020be68bda70e2f3b4ecf72d29a453fc9003547c038daaf2a4731b3")
 
 
 @pytest.fixture()
@@ -240,7 +263,8 @@ def j_calls(monkeypatch):
 
 
 class TestQuWongStart:
-    """The j-zero scan skips the lattice points below the Qu-Wong bound."""
+    """Brent starts on the two-sided Qu-Wong bracket for nu >= 1; below
+    that, the j-zero scan skips the lattice points below the lower bound."""
 
     def test_few_j_evaluations_at_d200(self, j_calls):
         first_bessel_zero(99.0)
@@ -252,10 +276,20 @@ class TestQuWongStart:
         assert j_calls[0] <= 6000  # 41706 from sqrt(2nu+2)
 
     def test_start_is_below_the_root_and_j_is_positive_there(self):
+        bracketed = 0
         for nu, rec in zip(TWENTIETHS, _twentieths_records()):
-            start = _jzero_scan_start(nu)
-            assert start < math.sqrt(rec.value_squared_down), nu
-            assert bessel_j(nu, start) > 0.0, nu
+            if nu < 1.0:
+                start = _jzero_scan_start(nu)
+                assert start < math.sqrt(rec.value_squared_down), nu
+                assert bessel_j(nu, start) > 0.0, nu
+                continue
+            lower, upper = _qu_wong_lower(nu), _qu_wong_upper(nu)
+            assert lower * lower < rec.value_squared_down, nu
+            assert upper * upper > rec.value_squared_up, nu
+            assert bessel_j(nu, lower) > 0.0, nu
+            assert bessel_j(nu, upper) < 0.0, nu
+            bracketed += 1
+        assert bracketed == 2181
 
 
 class TestSingleEvaluation:
@@ -263,7 +297,7 @@ class TestSingleEvaluation:
 
     def test_j_zero_d200(self, j_calls):
         first_bessel_zero(99.0)
-        assert j_calls[0] == 7
+        assert j_calls[0] == 5
 
     def test_p_root_d200(self, j_calls):
         first_p_root(200)
