@@ -91,11 +91,13 @@ def bessel_j(nu: float, x: float) -> float:
     if log_pref < -745.0:
         return 0.0
     z = 0.25 * x * x
-    # the largest term is at k* where z = k*(nu + k*); 2^big is above it
-    k_star = 0.5 * (-nu + math.sqrt(nu * nu + 4.0 * z))
-    log_tmax = (k_star * math.log(z) - math.lgamma(k_star + 1.0)
-                - (math.lgamma(nu + 1.0 + k_star) - lg_nu1)) if z > 0.0 else 0.0
-    big = max(0, math.ceil(log_tmax / _LOG2))
+    big = 0
+    if z > 0.0:  # z underflows to 0 for x below about 1e-154
+        # the terms peak at k* where z = k*(nu + k*); 2^big is above that term
+        k_star = 0.5 * (-nu + math.sqrt(nu * nu + 4.0 * z))
+        log_tmax = (k_star * math.log(z) - math.lgamma(k_star + 1.0)
+                    - (math.lgamma(nu + 1.0 + k_star) - lg_nu1))
+        big = max(0, math.ceil(log_tmax / _LOG2))
     prec = 60 + big + max(0, math.ceil(log_pref / _LOG2))
 
     p, q = nu.as_integer_ratio()
