@@ -216,6 +216,11 @@ def _record_digest(records):
     )
 
 
+def _squares_digest(records):
+    return _digest(
+        f for rec in records for f in (rec.value_squared_up, rec.value_squared_down))
+
+
 TWENTIETHS = [k / 20 for k in range(2201)]  # nu = 0, 0.05, ..., 110
 
 
@@ -248,6 +253,15 @@ class TestGoldenRecords:
     def test_j_zeros_on_twentieths(self):
         assert _record_digest(_twentieths_records()) == (
             "3698458a3020be68bda70e2f3b4ecf72d29a453fc9003547c038daaf2a4731b3")
+
+    def test_directed_squares(self):
+        # only the certified squares: a root finder that moves a value by an
+        # ulp must leave the 2^-44 grid points around its square in place
+        records = [*(first_p_root(d) for d in range(2, 201)),
+                   *(first_bessel_zero(d / 2 - 1) for d in range(2, 201)),
+                   *_twentieths_records()]
+        assert _squares_digest(records) == (
+            "81889fce0bf97a6c8d1b67cdfaf5a8614d7e521c9178505a517076204cb6e026")
 
 
 @pytest.fixture()
