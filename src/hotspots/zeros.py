@@ -7,18 +7,23 @@
 are the first roots in z = x^2/4 of S(z) = sum_k w_k (-z)^k / (k! (nu+1)_k)
 times (x/2)^nu / Gamma(nu+1), with w_k = 1 and w_k = 2k+1 respectively.
 
-For nu >= 1 the j-zero lies inside the two-sided bound of Qu and Wong
-(Trans. AMS 351 (1999) 2833-2859),
+Each root is one call of `_solve`: Brent's method (Algorithms for
+Minimization without Derivatives, 1973, ch. 4) on a bracket [lo, hi] that
+must have f(lo) > 0 >= f(hi); a bracket without that sign change is a fault
+and raises AccuracyError.  The brackets:
 
-    nu + 1.855757 nu^{1/3} < j_{nu,1} < nu + 1.8557571 nu^{1/3} + 1.0331504 nu^{-1/3},
+* j-zero: lo is the larger of Lorch's bound j^2 > (nu+1)(nu+5) and the lower
+  bound of Qu and Wong (Trans. AMS 351 (1999) 2833-2859),
 
-and Brent's method (Algorithms for Minimization without Derivatives, 1973,
-ch. 4) solves bessel_j on that bracket.  The bound is a theorem, so a bracket
-without a sign change is a fault and raises AccuracyError.  For nu < 1, and
-for the p-root, an upward scan in steps of 0.25 brackets the root first (the
-j-zero scan from the last lattice point below the lower bound) and Brent
-solves it: on bessel_j for the j-zero, on S in floats for the p-root (for
-d <= 200 no term of S exceeds 1.5 near the root, so it does not cancel).
+    nu + 1.855757 nu^{1/3} < j_{nu,1} < nu + 1.8557571 nu^{1/3} + 1.0331504 nu^{-1/3};
+
+  hi is their upper bound for nu >= 1, and 3.8318 below that, since j_{nu,1}
+  grows with nu and j_{1,1} = 3.8317059702...  Brent solves bessel_j.
+* p-root: [sqrt(d), sqrt(d+2)].  The upper end is Szego's p^2 < d + 2; the
+  lower end is checked on every call, like the upper.  Brent solves S in
+  floats (for d <= 200 no term of S exceeds 1.5 near the root, so it does
+  not cancel).
+
 `_exact_sign` then proves the directed squares in integer arithmetic.
 """
 
@@ -32,7 +37,6 @@ from typing import Callable
 from .errors import AccuracyError, InfeasibleParameterError
 from .specialfun import bessel_j
 
-_SCAN_STEP = 0.25
 #: the directed squares sit on a grid of 2^-_GRID_BITS relative spacing
 _GRID_BITS = 44
 #: how often a failed sign may widen the bracket (16x each time)
@@ -152,22 +156,13 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
         fb = f(b)
 
 
-def _find_root(f: Callable[[float], float], x_start: float, x_cap: float,
-               what: str) -> float:
-    """First sign change of f above x_start, where f > 0, solved by Brent."""
-    x0, f0 = x_start, f(x_start)
-    if not f0 > 0.0:
+def _solve(f: Callable[[float], float], lo: float, hi: float, what: str) -> float:
+    """The root of f on [lo, hi] by `_brent`, once f(lo) > 0 >= f(hi) holds."""
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo > 0.0 >= f_hi:
         raise AccuracyError(
-            f"{what}: defining function not positive at scan start x={x0:.6g}"
-        )
-    while True:
-        x1 = x0 + _SCAN_STEP
-        if x1 > x_cap:
-            raise AccuracyError(f"{what}: no sign change up to x={x_cap:.6g}")
-        f1 = f(x1)
-        if f1 <= 0.0:
-            return _brent(f, x0, x1, f0, f1)
-        x0, f0 = x1, f1
+            f"{what}: no sign change on the bracket [{lo:.9g}, {hi:.9g}]")
+    return _brent(f, lo, hi, f_lo, f_hi)
 
 
 def _qu_wong_lower(nu: float) -> float:
@@ -188,15 +183,21 @@ def _qu_wong_upper(nu: float) -> float:
     return nu + 1.8557571 * nu ** (1.0 / 3.0) + 1.0331504 * nu ** (-1.0 / 3.0) + 1e-9
 
 
+def _j_lower(nu: float) -> float:
+    """A float below j_{nu,1}: Lorch's sqrt((nu+1)(nu+5)) or Qu-Wong's bound,
+    whichever is larger; the 1e-9 covers the rounding of sqrt and *."""
+    return max(math.sqrt((nu + 1.0) * (nu + 5.0)) - 1e-9, _qu_wong_lower(nu))
+
+
 def _first_zero_is_bracketed(nu: float, sq_up: float) -> bool:
     """Whether a sign change of J_nu below sqrt(sq_up) must be its first zero.
 
-    Every zero exceeds L = max(Lorch sqrt((nu+1)(nu+5)), Qu-Wong), and by
-    Sturm comparison of sqrt(x) J_nu(x) with sin, zeros beyond L are at least
+    Every zero exceeds L = `_j_lower`, and by Sturm comparison of
+    sqrt(x) J_nu(x) with sin, zeros beyond L are at least
     s = pi / sqrt(1 + max(0, 1/4-nu^2)/L^2) apart; so no earlier zero fits
-    if L > sqrt(sq_up) - s.  The 1e-9 slacks cover float rounding.
+    if L > sqrt(sq_up) - s.  The 1e-9 slack covers float rounding.
     """
-    lower = max(math.sqrt((nu + 1.0) * (nu + 5.0)) - 1e-9, _qu_wong_lower(nu))
+    lower = _j_lower(nu)
     spacing = math.pi / math.sqrt(1.0 + max(0.0, 0.25 - nu * nu) / (lower * lower))
     return lower > math.sqrt(sq_up) + 1e-9 - spacing
 
@@ -226,26 +227,12 @@ def _record(nu: float, family: RootFamily, root: float) -> BesselZeroRecord:
         f"{family.value} nu={nu:g}: no exact sign change around {root!r}")
 
 
-def _jzero_scan_start(nu: float) -> float:
-    """Where the j-zero scan starts: the last lattice point below Qu-Wong.
-
-    Lorch: j^2 > d(d+8)/4 >= d with d = 2(nu+1), so sqrt(2nu+2) is below j.
-    J_nu keeps its sign on every scan point below `_qu_wong_lower`.
-    The start advances by the scan's own += _SCAN_STEP additions, so the
-    scan stays on the lattice that starts at sqrt(2nu+2).
-    """
-    start = max(1.0, math.sqrt(2.0 * nu + 2.0))
-    lower = _qu_wong_lower(nu)
-    while start + _SCAN_STEP < lower:
-        start += _SCAN_STEP
-    return start
-
-
 def first_bessel_zero(nu: float) -> BesselZeroRecord:
     """First positive zero j_{nu,1} of J_nu, for 0 <= nu <= 110.
 
-    Brent's method on the Qu-Wong bracket for nu >= 1, after a scan for
-    nu < 1 (module doc); AccuracyError if the bracket holds no sign change.
+    Brent's method on [Lorch or Qu-Wong lower bound, Qu-Wong upper bound],
+    with 3.8318 > j_{1,1} as the upper end for nu < 1 (module doc);
+    AccuracyError if J_nu does not change sign on that bracket.
 
     Examples
     --------
@@ -257,21 +244,9 @@ def first_bessel_zero(nu: float) -> BesselZeroRecord:
         raise InfeasibleParameterError(
             f"first_bessel_zero supports 0 <= nu <= 110, got {nu!r}"
         )
-    what = f"j-zero nu={nu:g}"
-
-    def j(x: float) -> float:
-        return bessel_j(nu, x)
-
-    if nu < 1.0:
-        root = _find_root(j, _jzero_scan_start(nu), nu + 16.0, what)  # j_{1,1} < 4
-    else:
-        lower, upper = _qu_wong_lower(nu), _qu_wong_upper(nu)
-        j_lower, j_upper = j(lower), j(upper)
-        if not (j_lower > 0.0 and j_upper <= 0.0):
-            raise AccuracyError(
-                f"{what}: no sign change on the Qu-Wong bracket "
-                f"[{lower:.9g}, {upper:.9g}]")
-        root = _brent(j, lower, upper, j_lower, j_upper)
+    upper = _qu_wong_upper(nu) if nu >= 1.0 else 3.8318
+    root = _solve(lambda x: bessel_j(nu, x), _j_lower(nu), upper,
+                  f"j-zero nu={nu:g}")
     return _record(nu, RootFamily.J_ZERO, root)
 
 
@@ -286,8 +261,6 @@ def first_p_root(d: int) -> BesselZeroRecord:
     if d < 2 or d > 200:
         raise InfeasibleParameterError(f"first_p_root supports 2 <= d <= 200, got {d}")
     nu = 0.5 * d
-    start = max(1.0, math.sqrt(float(d)))
-    cap = math.sqrt(d + 2.0) + 1.0  # p^2 < d + 2 (Szego)
-    root = _find_root(lambda x: _p_series(nu, 0.25 * x * x), start, cap,
-                      f"p-root d={d}")
+    root = _solve(lambda x: _p_series(nu, 0.25 * x * x), math.sqrt(d),
+                  math.sqrt(d + 2.0), f"p-root d={d}")
     return _record(nu, RootFamily.P_ROOT, root)

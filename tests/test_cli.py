@@ -102,7 +102,16 @@ class TestZeros:
         monkeypatch.setattr(zeros_mod, "_qu_wong_upper", lambda nu: nu + 1.0)
         res = invoke(["zeros", "--nu", "5"])
         assert res.exit_code == 4
-        assert "no sign change on the Qu-Wong bracket" in res.stderr
+        assert res.stderr == ("accuracy error: j-zero nu=5: no sign change on the "
+                              "bracket [8.17329983, 6]\n")
+
+    def test_failed_p_root_bracket_exit_four(self, invoke, monkeypatch):
+        # the p-root's bracket is checked like the j-zero's
+        monkeypatch.setattr(zeros_mod, "_p_series", lambda nu, z: 1.0)
+        res = invoke(["zeros", "--family", "proot", "--dim", "5"])
+        assert res.exit_code == 4
+        assert res.stderr == ("accuracy error: p-root d=5: no sign change on the "
+                              "bracket [2.23606798, 2.64575131]\n")
 
 
 class TestTable:
@@ -719,7 +728,7 @@ class TestGoldenCli:
 
     def test_table(self, invoke):
         assert self._digest(invoke, [["table", "--dims", "2,7,150"]]) == (
-            "47b2d0d6b97fd2e0784d0c98407da52ac2a633e1b3001f64ae52b6cf8a313833")
+            "28ee55b15d775f925533de8b7deda7788ce7dc65d8911d86ab0d9842ed48fc95")
 
     def test_table_display_cells(self, invoke):
         # text shows only the displayed (rounded) cells: p^2 up, j^2 down, r
@@ -740,7 +749,7 @@ class TestGoldenCli:
         assert self._digest(invoke, [
             ["zeros", "--nu", "0.5"],
             ["zeros", "--family", "proot", "--dim", "10"],
-        ]) == "b69797cca38c59214f89aab9464f68a80a8fb8f12a1ce64e229fb32d3715ef4b"
+        ]) == "b5f4876baf5498e2af8e46df84558ae92e9863283e26758b16455e91b04eae7c"
 
     def test_asymptotic(self, invoke):
         assert self._digest(invoke, [
@@ -816,7 +825,7 @@ class TestGoldenCli:
             ["zeros", "--family", "proot", "--dim", "4"],
             ["zeros", "--nu", "0.5", "--family", "jzero"],
             ["Bound", "--dim", "7"], ["bound ", "--dim", "7"],
-        ]) == "c97a75cde7e64a8593e5c2b98bf71bac624a45d30b9b4980a30eb144fa334795"
+        ]) == "a1e7af71de89b474313e2425956b3dedf559ac6f7df143a18c3a5920725e30b5"
 
     def test_bound_layer_refusals(self, invoke):
         # each argv once: every refusal of the ratio, minimizer and asymptotic

@@ -1,7 +1,7 @@
-"""First Bessel zeros and p-roots: frozen truths, certified squares, bracketing.
+"""First Bessel zeros and p-roots: frozen truths, certified squares, brackets.
 
-The 22-digit literals come from mpmath.besseljzero / a 40-digit Newton
-refinement of the p-root equation and are treated as exact for double
+The 22- and 25-digit literals come from mpmath.besseljzero / a 40-digit
+Newton refinement of the p-root equation and are treated as exact for double
 comparisons.
 """
 
@@ -24,13 +24,7 @@ from hotspots import (
     first_bessel_zero,
     first_p_root,
 )
-from hotspots.zeros import (
-    _exact_sign,
-    _first_zero_is_bracketed,
-    _jzero_scan_start,
-    _qu_wong_lower,
-    _qu_wong_upper,
-)
+from hotspots.zeros import _exact_sign, _first_zero_is_bracketed
 
 J_ZERO_TRUTH = {
     0.0: 2.404825557695772768622,
@@ -46,6 +40,23 @@ J_ZERO_ULP_TRUTH = {
     94.7: 103.3852919049485147008,
     99.0: 107.8081032971898339197,
     110.0: 119.1072650926870971191,
+}
+
+# where the bracket's ends or Brent's steps changed with the move from a
+# 0.25-step scan to one bracket per root: j_{nu,1} from mpmath 1.3.0
+# besseljzero and p_{d/2,1} from its findroot, both at 40 digits
+J_ZERO_LOW_ORDER_TRUTH = {
+    0.05: 2.481543104371856879194184,
+    0.5: 3.141592653589793238462643,
+    1.0: 3.831705970207512315614436,
+    2.65: 5.949523527396661955704126,
+}
+P_ROOT_TRUTH = {
+    3: 2.08157597781810061053765,
+    10: 3.34055075218013557964154,
+    50: 7.144113085523979396848164,
+    163: 12.80672158224892348337922,
+    200: 14.1777959875383533628663,
 }
 
 # d -> p_{d/2,1} squared, frozen
@@ -72,6 +83,15 @@ def test_first_zero_is_within_three_ulp_at_high_order():
     for nu, truth in J_ZERO_ULP_TRUTH.items():
         value = first_bessel_zero(nu).value
         assert abs(value - truth) <= 3.0 * math.ulp(truth), (nu, value)
+
+
+def test_roots_are_within_three_ulp_where_the_bracket_changed():
+    for nu, truth in J_ZERO_LOW_ORDER_TRUTH.items():
+        value = first_bessel_zero(nu).value
+        assert abs(value - truth) <= 3.0 * math.ulp(truth), (nu, value)
+    for d, truth in P_ROOT_TRUTH.items():
+        value = first_p_root(d).value
+        assert abs(value - truth) <= 3.0 * math.ulp(truth), (d, value)
 
 
 def test_p_root_squared_matches_frozen_values():
@@ -233,9 +253,9 @@ class TestGoldenRecords:
     """sha256 of every root record's value, value_squared_up and
     value_squared_down, in order.
 
-    These freeze the scan lattice, Brent's steps and the grid of certified
-    squares bit for bit: a faster start or a leaner J that moves any root or
-    directed square by one ulp changes a digest.  The values were produced
+    These freeze each root's bracket, Brent's steps and the grid of
+    certified squares bit for bit: a new bracket or a leaner J that moves any
+    root or directed square by one ulp changes a digest.  The values were produced
     on x86-64 with CPython's libm; a platform whose lgamma, exp or log
     rounds differently would change them too.
     """
@@ -243,16 +263,16 @@ class TestGoldenRecords:
     def test_j_zeros_by_dimension(self):
         records = [first_bessel_zero(d / 2 - 1) for d in range(2, 201)]
         assert _record_digest(records) == (
-            "013509dc404ccc7a99a8d94e8735075e058032a10085688fc8a72ba04fbcb5be")
+            "4b080f4c2693c100198e21c8d4ab35633fd168ec6a4629fbe42c631ee540b7e5")
 
     def test_p_roots_by_dimension(self):
         records = [first_p_root(d) for d in range(2, 201)]
         assert _record_digest(records) == (
-            "ff56b2a61ea357667944c3a221dc0d7ef56eddb57e5b27c59467d2f6a83db969")
+            "b09d1fb4e3aac75c8615e0d8f8771717cf00471b34cb821833988ac6159d9277")
 
     def test_j_zeros_on_twentieths(self):
         assert _record_digest(_twentieths_records()) == (
-            "3698458a3020be68bda70e2f3b4ecf72d29a453fc9003547c038daaf2a4731b3")
+            "ffd6710e0c2d078d01ce144dc330459fef7058709e13c5cc867dbc8269c1d6d7")
 
     def test_directed_squares(self):
         # only the certified squares: a root finder that moves a value by an
@@ -276,38 +296,54 @@ def j_calls(monkeypatch):
     return calls
 
 
-class TestQuWongStart:
-    """Brent starts on the two-sided Qu-Wong bracket for nu >= 1; below
-    that, the j-zero scan skips the lattice points below the lower bound."""
+def _brackets(monkeypatch, find, args):
+    """(f, lo, hi) that find(arg) hands to `_solve`, for each arg."""
+    class Handed(Exception):
+        pass
 
-    def test_few_j_evaluations_at_d200(self, j_calls):
-        first_bessel_zero(99.0)
-        assert j_calls[0] <= 30  # a scan from sqrt(2nu+2) takes 397
+    def hand(f, lo, hi, what):
+        raise Handed(f, lo, hi)
 
-    def test_few_j_evaluations_over_table_dimensions(self, j_calls):
-        for d in range(2, 201):
-            first_bessel_zero(d / 2 - 1)
-        assert j_calls[0] <= 6000  # 41706 from sqrt(2nu+2)
+    monkeypatch.setattr(zeros_mod, "_solve", hand)
+    brackets = []
+    for arg in args:
+        with pytest.raises(Handed) as info:
+            find(arg)
+        brackets.append(info.value.args)
+    monkeypatch.undo()
+    return brackets
 
-    def test_start_is_below_the_root_and_j_is_positive_there(self):
-        bracketed = 0
-        for nu, rec in zip(TWENTIETHS, _twentieths_records()):
-            if nu < 1.0:
-                start = _jzero_scan_start(nu)
-                assert start < math.sqrt(rec.value_squared_down), nu
-                assert bessel_j(nu, start) > 0.0, nu
-                continue
-            lower, upper = _qu_wong_lower(nu), _qu_wong_upper(nu)
-            assert lower * lower < rec.value_squared_down, nu
-            assert upper * upper > rec.value_squared_up, nu
-            assert bessel_j(nu, lower) > 0.0, nu
-            assert bessel_j(nu, upper) < 0.0, nu
-            bracketed += 1
-        assert bracketed == 2181
+
+class TestBrackets:
+    """Each root is `_solve` on one bracket: its ends lie outside the
+    certified squares, and the defining function is positive at the lower
+    end and negative at the upper, in floats and in exact arithmetic."""
+
+    @staticmethod
+    def _check(records, brackets, family):
+        for rec, (f, lo, hi) in zip(records, brackets, strict=True):
+            lo_sq, hi_sq = Fraction(lo) ** 2, Fraction(hi) ** 2
+            assert lo_sq < rec.value_squared_down, rec.nu
+            assert hi_sq > rec.value_squared_up, rec.nu
+            assert f(lo) > 0.0 > f(hi), rec.nu
+            assert _exact_sign(rec.nu, lo_sq / 4, family) == 1, rec.nu
+            assert _exact_sign(rec.nu, hi_sq / 4, family) == -1, rec.nu
+
+    def test_j_zero_brackets(self, monkeypatch):
+        brackets = _brackets(monkeypatch, first_bessel_zero, TWENTIETHS)
+        assert len(brackets) == 2201
+        self._check(_twentieths_records(), brackets, RootFamily.J_ZERO)
+
+    def test_p_root_brackets(self, monkeypatch):
+        dims = range(2, 201)
+        records = [first_p_root(d) for d in dims]
+        self._check(records, _brackets(monkeypatch, first_p_root, dims),
+                    RootFamily.P_ROOT)
 
 
 class TestSingleEvaluation:
-    """Brent's method takes few J evaluations; the p-root needs none."""
+    """Brent's method takes few J or p-series evaluations; the p-root needs
+    no J."""
 
     def test_j_zero_d200(self, j_calls):
         first_bessel_zero(99.0)
@@ -316,6 +352,24 @@ class TestSingleEvaluation:
     def test_p_root_d200(self, j_calls):
         first_p_root(200)
         assert j_calls[0] == 0
+
+    def test_few_j_evaluations_over_table_dimensions(self, j_calls):
+        for d in range(2, 201):
+            first_bessel_zero(d / 2 - 1)
+        assert j_calls[0] <= 1200
+
+    def test_few_p_series_evaluations_over_table_dimensions(self, monkeypatch):
+        calls = [0]
+        series = zeros_mod._p_series
+
+        def counting(nu, z):
+            calls[0] += 1
+            return series(nu, z)
+
+        monkeypatch.setattr(zeros_mod, "_p_series", counting)
+        for d in range(2, 201):
+            first_p_root(d)
+        assert calls[0] <= 1350
 
 
 class TestExactSign:
