@@ -1,6 +1,6 @@
 """Static checks on the package: no module, and no test module, imports a name
-it never uses, and `hotspots.__all__` is sorted and names only what the
-package defines."""
+it never uses, no module defines a private name the package never reads, and
+`hotspots.__all__` is sorted and names only what the package defines."""
 
 import ast
 import pathlib
@@ -38,6 +38,44 @@ def test_no_test_module_imports_a_name_it_never_uses():
               for path in sorted(TESTS.glob("*.py"))}
     assert len(unused) >= 12
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each module-level def, class or assignment of a
+    private name; dunder names are for the interpreter and tools."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(node.lineno, target.id) for target in targets
+                        if isinstance(target, ast.Name)]
+    return [(line, name) for line, name in defined
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names an expression reads, as a bare name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_private_module_name_is_read():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_names_read, trees.values()))
+    defined = {name: _private_definitions(tree) for name, tree in trees.items()}
+    assert sum(map(len, defined.values())) >= 20
+    unread = {module: [(line, name) for line, name in found if name not in read]
+              for module, found in defined.items()}
+    assert {module: found for module, found in unread.items() if found} == {}
 
 
 def test_all_is_sorted_and_resolves():
