@@ -157,7 +157,7 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
 
 
 def _solve(f: Callable[[float], float], lo: float, hi: float, what: str) -> float:
-    """The root of f on [lo, hi] by `_brent`, once f(lo) > 0 >= f(hi) holds."""
+    """`_brent`'s root of f on [lo, hi]; AccuracyError unless f(lo) > 0 >= f(hi)."""
     f_lo, f_hi = f(lo), f(hi)
     if not f_lo > 0.0 >= f_hi:
         raise AccuracyError(
@@ -254,7 +254,9 @@ def first_p_root(d: int) -> BesselZeroRecord:
     """First positive root p_{d/2,1} of the reduced equation, 2 <= d <= 200.
 
     The reduced equation is J_{d/2}(x) - x*J_{d/2+1}(x) = 0; its first root is
-    the first maximum of x^{1-d/2} J_{d/2}(x).
+    the first maximum of x^{1-d/2} J_{d/2}(x).  Brent's method on
+    [sqrt(d), sqrt(d+2)] (module doc); AccuracyError if S does not change
+    sign on that bracket.
     """
     if not isinstance(d, int) or isinstance(d, bool):
         raise InfeasibleParameterError(f"first_p_root expects an integer d, got {d!r}")

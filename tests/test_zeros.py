@@ -42,9 +42,9 @@ J_ZERO_ULP_TRUTH = {
     110.0: 119.1072650926870971191,
 }
 
-# where the bracket's ends or Brent's steps changed with the move from a
-# 0.25-step scan to one bracket per root: j_{nu,1} from mpmath 1.3.0
-# besseljzero and p_{d/2,1} from its findroot, both at 40 digits
+# low orders, where Lorch's bound or 3.8318 ends the j-zero's bracket, and
+# p-roots across the table: j_{nu,1} from mpmath 1.3.0 besseljzero and
+# p_{d/2,1} from its findroot, both at 40 digits
 J_ZERO_LOW_ORDER_TRUTH = {
     0.05: 2.481543104371856879194184,
     0.5: 3.141592653589793238462643,
@@ -85,7 +85,7 @@ def test_first_zero_is_within_three_ulp_at_high_order():
         assert abs(value - truth) <= 3.0 * math.ulp(truth), (nu, value)
 
 
-def test_roots_are_within_three_ulp_where_the_bracket_changed():
+def test_low_order_zeros_and_p_roots_are_within_three_ulp():
     for nu, truth in J_ZERO_LOW_ORDER_TRUTH.items():
         value = first_bessel_zero(nu).value
         assert abs(value - truth) <= 3.0 * math.ulp(truth), (nu, value)
@@ -254,10 +254,10 @@ class TestGoldenRecords:
     value_squared_down, in order.
 
     These freeze each root's bracket, Brent's steps and the grid of
-    certified squares bit for bit: a new bracket or a leaner J that moves any
-    root or directed square by one ulp changes a digest.  The values were produced
-    on x86-64 with CPython's libm; a platform whose lgamma, exp or log
-    rounds differently would change them too.
+    certified squares bit for bit: a new bracket or a leaner J that moves
+    any root or directed square by one ulp changes a digest.  The values
+    were produced on x86-64 with CPython's libm; a platform whose lgamma,
+    exp or log rounds differently would change them too.
     """
 
     def test_j_zeros_by_dimension(self):
