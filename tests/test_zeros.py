@@ -341,6 +341,14 @@ class TestBrackets:
                     RootFamily.P_ROOT)
 
 
+class TestQuWongStart:
+    """Brent starts on the two-sided Qu-Wong bracket for nu >= 1."""
+
+    def test_few_j_evaluations_at_d200(self, j_calls):
+        first_bessel_zero(99.0)
+        assert j_calls[0] <= 30  # a scan from sqrt(2nu+2) takes 397
+
+
 class TestSingleEvaluation:
     """Brent's method takes few J or p-series evaluations; the p-root needs
     no J."""
