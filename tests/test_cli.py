@@ -763,6 +763,36 @@ class TestGoldenCli:
              "--paths", "500"],
         ]) == "aa1cd8607eed75387bc2859d26a04b54fc1b57607b694fef3cd6132d747e27e8"
 
+    def test_verify_vbound_apart_from_the_intervals(self, invoke):
+        # the runs of test_verify_vbound and the small run of test_parse_errors,
+        # without the cells the Clopper-Pearson limits feed (the CSV ci_low
+        # and ci_high columns; the JSON ci_low, ci_high, worst_margin and the
+        # checksum over them): exit times, survival, t-grid, bound curve,
+        # passed flag, fingerprint and the text report stay as they are
+        h = hashlib.sha256()
+        for argv in (["verify-vbound", "--dim", "2", "--paths", "500"],
+                     ["verify-vbound", "--shape", "box", "--sides", "1,1", "--dim", "2",
+                      "--paths", "500"],
+                     ["verify-vbound", "--dim", "2", "--paths", "200", "--dt", "1e-3",
+                      "--grid-points", "6"]):
+            for fmt in ("text", "json", "csv"):
+                res = invoke(argv + ["--format", fmt])
+                out = res.stdout
+                if fmt == "json":
+                    doc = json.loads(out)
+                    del doc["manifest"]["output_checksum"]
+                    for key in ("ci_low", "ci_high", "worst_margin"):
+                        del doc["result"][key]
+                    out = canonical_json(doc)
+                elif fmt == "csv":
+                    out = [[c for c, name in zip(row, ["t", "survival", "ci_low",
+                                                       "ci_high", "bound"])
+                            if not name.startswith("ci_")]
+                           for row in csv.reader(io.StringIO(out))]
+                h.update(canonical_json([argv, fmt, out, res.stderr, res.exit_code]).encode())
+        assert h.hexdigest() == (
+            "883ff0c2bbeac1d95898621865ed541d996ae7e22a426ffe5ce7c2b0aa285797")
+
     def test_usage_and_infeasible_errors(self, invoke):
         assert self._digest(invoke, [
             ["table", "--dims", "2,x"],  # exit 2
