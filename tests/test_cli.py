@@ -454,16 +454,20 @@ class TestVerifyVBound:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second of cold start and nothing needs it
+    # scipy is a test dependency only: the package computes its
+    # Clopper-Pearson limits with math, and scipy.special alone was about
+    # 0.2 s of every command's cold start (scipy.stats about a second)
     src = str(pathlib.Path(cli_mod.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, hotspots.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats'))); "
+    scipy = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+    code = ("import sys, hotspots; " + scipy + "import hotspots.cli; " + scipy
+            + "print(sorted(m for m in sys.modules if m.startswith('scipy.stats'))); "
             "print('click' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    stats, click = out.splitlines()
+    package, cli, stats, click = out.splitlines()
+    assert package == cli == "[]"
     assert stats.strip() == "[]"
     assert click == "False"  # the parser is stdlib argparse
 

@@ -31,6 +31,7 @@ from hotspots import (
     sample_exit_times,
 )
 from hotspots.montecarlo import (
+    _MAX_PATHS,
     _NEAR_FACE,
     _box_bridge_exits,
     _clopper_pearson,
@@ -587,6 +588,29 @@ class TestPlumbing:
         lo, hi = _clopper_pearson(np.array([5]), 10)
         assert lo[0] == pytest.approx(0.18708602844739855, rel=1e-10)
         assert hi[0] == pytest.approx(0.8129139715526015, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, _MAX_PATHS])
+    def test_clopper_pearson_matches_scipy(self, n):
+        # scipy is a test dependency only; its betaincinv is the reference
+        from scipy.special import betaincinv
+
+        rng = np.random.default_rng(n)
+        k = np.unique(np.concatenate([np.arange(min(n, 12) + 1),
+                                      np.arange(max(0, n - 12), n + 1),
+                                      rng.integers(0, n + 1, 40)]))
+        lo, hi = _clopper_pearson(k, n)
+        kf = k.astype(np.float64)
+        ref_lo = np.where(k == 0, 0.0, betaincinv(kf, n - kf + 1.0, 0.025))
+        ref_hi = np.where(k == n, 1.0, betaincinv(kf + 1.0, n - kf, 0.975))
+        rel = 1e-10 if n <= 10 ** 6 else 1e-8
+        np.testing.assert_allclose(lo, ref_lo, rtol=rel, atol=0.0)
+        np.testing.assert_allclose(hi, ref_hi, rtol=rel, atol=0.0)
+        assert np.all((lo <= k / n) & (k / n <= hi))
+        # the closed forms at k = 0 and k = n agree with scipy to an ulp or so
+        lo, hi = _clopper_pearson(np.array([0, n]), n)
+        assert lo[0] == 0.0 and hi[1] == 1.0
+        assert hi[0] == pytest.approx(betaincinv(1.0, n, 0.975), rel=1e-15, abs=0.0)
+        assert lo[1] == pytest.approx(betaincinv(n, 1.0, 0.025), rel=1e-15, abs=0.0)
 
     def test_default_dt_scales(self):
         assert default_dt(SimDomain.ball(2.0, 3)) == pytest.approx(4e-4)

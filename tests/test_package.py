@@ -1,9 +1,11 @@
 """Static checks on the package: no module, and no test module, imports a name
-it never uses, no module defines a private name the package never reads, and
+it never uses, no module defines a private name the package never reads, the
+package imports nothing beyond the standard library and numpy, and
 `hotspots.__all__` is sorted and names only what the package defines."""
 
 import ast
 import pathlib
+import sys
 
 import hotspots
 
@@ -76,6 +78,36 @@ def test_every_private_module_name_is_read():
     unread = {module: [(line, name) for line, name in found if name not in read]
               for module, found in defined.items()}
     assert {module: found for module, found in unread.items() if found} == {}
+
+
+def _foreign_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, module) of each import, at any depth, of a module that is
+    neither in the standard library, nor numpy, nor the package itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "hotspots"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:  # a relative import is the package's own
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_the_package_imports_only_the_stdlib_and_numpy():
+    # a heavy runtime dependency (scipy cost 0.2 s of every cold start)
+    # must not come back, not even as an import inside a function
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = {name: _foreign_imports(ast.parse(text)) for name, text in sources.items()}
+    assert len(found) >= 10
+    assert {name: f for name, f in found.items() if f} == {}
+    mutated = sources["montecarlo.py"] + "\n\ndef _f():\n    import scipy.special\n"
+    line = mutated.count("\n")
+    assert _foreign_imports(ast.parse(mutated)) == [(line, "scipy.special")]
+    assert _foreign_imports(ast.parse("import scipy")) == [(1, "scipy")]
 
 
 def test_all_is_sorted_and_resolves():
