@@ -530,7 +530,7 @@ def _log_beta_prefactor(x: float, xc: float, a: int, b: int) -> float:
     larger one's logarithm is taken as log1p of minus the smaller.  When
     min(a, b) < 10, 1 / B(a, b) = L (L + 1) ... (L + m - 1) / (m - 1)! with
     m the smaller and L the larger parameter, an exact integer quotient:
-    lgamma differences would cancel to a few digits at a + b = 10^8.
+    lgamma differences would lose about seven digits at a + b = 10^8.
     Otherwise ln Gamma is split by Stirling's formula, and the leading
     terms combine into a log1p(u/a) + b log1p(-u/b) with u = x (a + b) - a,
     which is small near the mean a / (a + b), where the limits lie.
