@@ -11,6 +11,10 @@ Library layout:
 * asymptotic — the parameter family whose bound tends to sqrt(e);
 * montecarlo — exit-time simulation and empirical V-bound validation;
 * cli — the `hotspots` command-line front end.
+
+`montecarlo`, and numpy with it, loads on first use: the first read of one of
+its names here, or the first `verify-vbound` run.  The other commands never
+load it.
 """
 
 from .asymptotic import asymptotic_bound, feasible_threshold, sweep
@@ -20,20 +24,6 @@ from .errors import (
     FiniteHorizonConstraintError,
     HotspotsError,
     InfeasibleParameterError,
-)
-from .montecarlo import (
-    DomainShape,
-    SimConfig,
-    SimDomain,
-    TailEstimate,
-    VBoundReport,
-    check_vbound,
-    default_dt,
-    default_t_grid,
-    estimate_survival,
-    off_center_start,
-    principal_eigenvalue,
-    sample_exit_times,
 )
 from .ratio import RatioKind, ratio_upper_bound
 from .specialfun import bessel_j, log_gamma
@@ -80,3 +70,32 @@ __all__ = [
     "sample_exit_times",
     "sweep",
 ]
+
+#: served by `__getattr__` from `hotspots.montecarlo`, which imports numpy
+_MONTECARLO_NAMES = frozenset({
+    "DomainShape",
+    "SimConfig",
+    "SimDomain",
+    "TailEstimate",
+    "VBoundReport",
+    "check_vbound",
+    "default_dt",
+    "default_t_grid",
+    "estimate_survival",
+    "off_center_start",
+    "principal_eigenvalue",
+    "sample_exit_times",
+})
+
+
+def __getattr__(name: str):
+    """A Monte Carlo name of `__all__`, imported on first read (PEP 562)."""
+    if name not in _MONTECARLO_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import montecarlo
+
+    return getattr(montecarlo, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MONTECARLO_NAMES)

@@ -26,18 +26,6 @@ from ._format import canonical_json, format_sig
 from .asymptotic import A_SLOPE, sweep
 from .bound import optimize_bound
 from .errors import AccuracyError, InfeasibleParameterError
-from .montecarlo import (
-    SimConfig,
-    SimDomain,
-    check_grid_dt,
-    check_vbound,
-    default_dt,
-    default_t_grid,
-    estimate_survival,
-    principal_eigenvalue,
-    sample_exit_times,
-    vbound_log_v,
-)
 from .ratio import RatioKind, bessel_exact_from_records, displayed_squares, ratio_upper_bound
 from .vfunction import CustomTable, VKind, load_custom_table
 from .zeros import first_bessel_zero, first_p_root
@@ -294,6 +282,20 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
                   vfunction: str, seed: int, grid_points: int,
                   chunk_size: int, bridge: bool, fmt: str) -> None:
     """Monte Carlo check of survival against the V-bound (exit 5 on failure)."""
+    # here, not at the top: numpy loads only for the command that needs it
+    from .montecarlo import (
+        SimConfig,
+        SimDomain,
+        check_grid_dt,
+        check_vbound,
+        default_dt,
+        default_t_grid,
+        estimate_survival,
+        principal_eigenvalue,
+        sample_exit_times,
+        vbound_log_v,
+    )
+
     if shape == "ball":
         if sides is not None:
             raise UsageError("ball shape takes --radius, not --sides")

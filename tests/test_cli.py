@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -300,19 +301,22 @@ class TestVerifyVBound:
         assert "PASS" in res.output
 
     def test_failed_bound_exit_five(self, invoke, monkeypatch):
+        import hotspots.montecarlo as mc
         grid = tuple(float(t) for t in np.linspace(0.0, 2.0, 6))
         fake = TailEstimate(t_grid=grid, survival=(1.0,) * 6,
                             ci_low=(0.99,) * 6, ci_high=(1.0,) * 6,
                             n_paths=1000, config_fingerprint="0" * 64)
-        monkeypatch.setattr(cli_mod, "estimate_survival", lambda cfg, tau: fake)
+        monkeypatch.setattr(mc, "estimate_survival", lambda cfg, tau: fake)
         res = invoke(SMALL_MC)
         assert res.exit_code == 5
 
     def test_accuracy_failure_exit_four(self, invoke, monkeypatch):
+        import hotspots.montecarlo as mc
+
         def boom(cfg):
             raise AccuracyError("paths outlived the simulation horizon")
 
-        monkeypatch.setattr(cli_mod, "sample_exit_times", boom)
+        monkeypatch.setattr(mc, "sample_exit_times", boom)
         res = invoke(SMALL_MC)
         assert res.exit_code == 4
         assert "accuracy" in res.output
@@ -388,8 +392,9 @@ class TestVerifyVBound:
     def test_oversized_grid_rejected_before_it_is_built(self, invoke, monkeypatch):
         # a billion grid points cannot fit any dt the run uses; the check must
         # come before default_t_grid allocates them
+        import hotspots.montecarlo as mc
         built = []
-        monkeypatch.setattr(cli_mod, "default_t_grid",
+        monkeypatch.setattr(mc, "default_t_grid",
                             lambda lam, points: built.append(points))
         for extra in ([], ["--dt", "-1"], ["--dt", "nan"]):
             for count in ("1000000000", _HUGE):
@@ -414,7 +419,7 @@ class TestVerifyVBound:
         import hotspots.montecarlo as mc
         runs = []
         monkeypatch.setattr(mc, "_pool_exit_times", lambda *a: runs.append(a))
-        monkeypatch.setattr(cli_mod, "sample_exit_times", lambda *a: runs.append(a))
+        monkeypatch.setattr(mc, "sample_exit_times", lambda *a: runs.append(a))
         res = invoke(["verify-vbound", "--dim", "2", "--paths", "1000000000000"])
         assert res.exit_code == 3, res.output
         assert res.stdout == ""
@@ -456,20 +461,46 @@ class TestVerifyVBound:
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy is a test dependency only: the package computes its
     # Clopper-Pearson limits with math, and scipy.special alone was about
-    # 0.2 s of every command's cold start (scipy.stats about a second)
+    # 0.2 s of every command's cold start (scipy.stats about a second).
+    # numpy, about 0.07 s, loads with hotspots.montecarlo on first use only.
     src = str(pathlib.Path(cli_mod.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    scipy = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-    code = ("import sys, hotspots; " + scipy + "import hotspots.cli; " + scipy
-            + "print(sorted(m for m in sys.modules if m.startswith('scipy.stats'))); "
-            "print('click' in sys.modules)")
+    code = textwrap.dedent("""
+        import json, sys
+        def heavy():
+            return sorted(m for m in sys.modules if m == "hotspots.montecarlo"
+                          or m.split(".")[0] in ("scipy", "numpy", "click"))
+        seen = {}
+        import hotspots
+        seen["package"] = heavy()
+        import hotspots.cli
+        seen["cli"] = heavy()
+        hotspots.cli.main(["table", "--dims", "2,3"])
+        seen["table"] = heavy()
+        seen["SimConfig"] = hotspots.SimConfig.__module__
+        seen["loaded"] = ["numpy" in sys.modules, "hotspots.montecarlo" in sys.modules]
+        try:
+            hotspots.no_such_name
+        except AttributeError as exc:
+            seen["missing"] = str(exc)
+        star = {}
+        exec("from hotspots import *", star)
+        seen["unbound"] = sorted(set(hotspots.__all__) - set(star))
+        print(json.dumps(seen))
+    """)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    package, cli, stats, click = out.splitlines()
-    assert package == cli == "[]"
-    assert stats.strip() == "[]"
-    assert click == "False"  # the parser is stdlib argparse
+    table, _, last = out.rstrip("\n").rpartition("\n")
+    assert table.startswith("   d        p^2")  # the table was printed
+    seen = json.loads(last)
+    assert seen.pop("package") == seen.pop("cli") == seen.pop("table") == []
+    assert seen == {
+        "SimConfig": "hotspots.montecarlo",
+        "loaded": [True, True],
+        "missing": "module 'hotspots' has no attribute 'no_such_name'",
+        "unbound": [],
+    }
 
 
 def test_console_entry_reads_sys_argv():
@@ -806,11 +837,12 @@ class TestGoldenCli:
 
     def test_failed_bound_exit_five(self, invoke, monkeypatch):
         # the fake estimate of TestVerifyVBound.test_failed_bound_exit_five
+        import hotspots.montecarlo as mc
         grid = tuple(float(t) for t in np.linspace(0.0, 2.0, 6))
         fake = TailEstimate(t_grid=grid, survival=(1.0,) * 6,
                             ci_low=(0.99,) * 6, ci_high=(1.0,) * 6,
                             n_paths=1000, config_fingerprint="0" * 64)
-        monkeypatch.setattr(cli_mod, "estimate_survival", lambda cfg, tau: fake)
+        monkeypatch.setattr(mc, "estimate_survival", lambda cfg, tau: fake)
         assert self._digest(invoke, [SMALL_MC]) == (
             "18f08d0d9243566d8b28cd0f98433d1de1b16a2e0a20b58f5b34882270b2a250")
 

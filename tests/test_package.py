@@ -1,7 +1,8 @@
 """Static checks on the package: no module, and no test module, imports a name
 it never uses, no module defines a private name the package never reads, the
-package imports nothing beyond the standard library and numpy, and
-`hotspots.__all__` is sorted and names only what the package defines."""
+package imports nothing beyond the standard library and numpy, only
+`montecarlo` imports numpy and no module imports `montecarlo` when it loads,
+and `hotspots.__all__` is sorted and names only what the package defines."""
 
 import ast
 import pathlib
@@ -80,21 +81,41 @@ def test_every_private_module_name_is_read():
     assert {module: found for module, found in unread.items() if found} == {}
 
 
+def _imports(nodes) -> list[tuple[int, str]]:
+    """(line, module) of each import among nodes.  A relative import is named
+    inside the package, and so is each name that `from . import` or
+    `from hotspots import` binds: `from . import x` and `from .x import f`
+    both give `hotspots.x`."""
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module if node.level == 0 else ".".join(
+                filter(None, ["hotspots", node.module]))
+            if module == "hotspots":
+                found += [(node.lineno, f"{module}.{alias.name}") for alias in node.names]
+            else:
+                found.append((node.lineno, module))
+    return found
+
+
+def _module_level(tree: ast.Module):
+    """The nodes that run when the module loads: all but function bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            todo += ast.iter_child_nodes(node)
+
+
 def _foreign_imports(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, module) of each import, at any depth, of a module that is
     neither in the standard library, nor numpy, nor the package itself."""
     allowed = set(sys.stdlib_module_names) | {"numpy", "hotspots"}
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:  # a relative import is the package's own
-            continue
-        found += [(node.lineno, name) for name in names
-                  if name.split(".")[0] not in allowed]
-    return found
+    return [(line, name) for line, name in _imports(ast.walk(tree))
+            if name.split(".")[0] not in allowed]
 
 
 def test_the_package_imports_only_the_stdlib_and_numpy():
@@ -108,6 +129,31 @@ def test_the_package_imports_only_the_stdlib_and_numpy():
     line = mutated.count("\n")
     assert _foreign_imports(ast.parse(mutated)) == [(line, "scipy.special")]
     assert _foreign_imports(ast.parse("import scipy")) == [(1, "scipy")]
+
+
+def _eager_montecarlo_imports(tree: ast.Module) -> list[int]:
+    """Lines of each import of `hotspots.montecarlo` that runs when the module
+    loads."""
+    return [line for line, name in _imports(_module_level(tree))
+            if name == "hotspots.montecarlo"]
+
+
+def test_numpy_loads_only_with_montecarlo():
+    # numpy is most of a cold start, and only the Monte Carlo layer needs it:
+    # every other command must run without loading it
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    numpy = {name for name, tree in trees.items()
+             if any(module.split(".")[0] == "numpy" for _, module in _imports(ast.walk(tree)))}
+    assert numpy == {"montecarlo.py"}
+    eager = {name: _eager_montecarlo_imports(tree) for name, tree in trees.items()}
+    assert {name: lines for name, lines in eager.items() if lines} == {}
+    # the import inside verify_vbound is seen, and is not at module level
+    assert ("hotspots.montecarlo" in
+            {module for _, module in _imports(ast.walk(trees["cli.py"]))})
+    mutated = sources["cli.py"] + "\nfrom .montecarlo import SimConfig\n"
+    assert _eager_montecarlo_imports(ast.parse(mutated)) == [mutated.count("\n")]
+    assert _eager_montecarlo_imports(ast.parse("from . import montecarlo")) == [1]
 
 
 def test_all_is_sorted_and_resolves():
