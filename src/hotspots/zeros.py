@@ -24,7 +24,10 @@ and raises AccuracyError.  The brackets:
   floats (for d <= 200 no term of S exceeds 1.5 near the root, so it does
   not cancel).
 
-`_exact_sign` then proves the directed squares in integer arithmetic.
+`_exact_sign` then proves the directed squares in integer arithmetic, and
+one more exact test proves that the root between them is the first: Sturm
+spacing for the j-zero (`_first_zero_is_bracketed`), the fall of S for the
+p-root (`_p_series_falls_to`).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .errors import AccuracyError, InfeasibleParameterError
@@ -55,9 +59,9 @@ class RootFamily(enum.Enum):
 class BesselZeroRecord:
     """A computed root with directed-rounding companions.
 
-    For J_ZERO both value_squared_down <= j^2 <= value_squared_up are proven.
-    For P_ROOT only p^2 <= value_squared_up is: the series changes sign
-    between the two squares, but nothing proves that root is the first.
+    value_squared_down <= value^2 <= value_squared_up is proven for both
+    families, for the first root: the series changes sign between the two
+    squares, and has no earlier root (module doc).
     """
 
     nu: float
@@ -202,12 +206,27 @@ def _first_zero_is_bracketed(nu: float, sq_up: float) -> bool:
     return lower > math.sqrt(sq_up) + 1e-9 - spacing
 
 
+def _p_series_falls_to(nu: float, sq_up: float) -> bool:
+    """Whether the p-root's S falls strictly on [0, sq_up/4], exactly.
+
+    S'(z) = sum_{k>=1} (-1)^k a_k with a_k = (2k+1) k z^{k-1} / (k! (nu+1)_k),
+    and a_{k+1}/a_k = (2k+3) z / ((2k+1) k (nu+k+1)) falls with k from
+    5z / (3(nu+2)).  For z < 3(nu+2)/5 the a_k thus fall, so the alternating
+    S' lies in [-a_1, -a_1 + a_2] and is negative: S has one root on
+    [0, sq_up/4] if 5 sq_up < 12 (nu+2).  Szego's p^2 < d + 2 keeps
+    sq_up/4 below 0.83 of that limit for every d.
+    """
+    return 5 * Fraction(sq_up) < 12 * (Fraction(nu) + 2)
+
+
 def _record(nu: float, family: RootFamily, root: float) -> BesselZeroRecord:
     """Directed squares on the 2^-44 grid around root^2, proven by exact signs.
 
     S is positive at 0, so S(sq_up/4) < 0 puts the first root below sq_up;
     S(sq_down/4) > 0 adds a root between the two, the first one for J by
-    `_first_zero_is_bracketed`.  A failed sign widens the bracket 16-fold.
+    `_first_zero_is_bracketed` and for p by `_p_series_falls_to`.  A failed
+    sign widens the bracket 16-fold; a failed p fall cannot be mended by a
+    wider bracket and raises AccuracyError at once.
     """
     sq = root * root
     exp = math.frexp(sq)[1] - _GRID_BITS
@@ -220,6 +239,10 @@ def _record(nu: float, family: RootFamily, root: float) -> BesselZeroRecord:
                 and _exact_sign(nu, 0.25 * sq_down, family) > 0
                 and (family is RootFamily.P_ROOT
                      or _first_zero_is_bracketed(nu, sq_up))):
+            if family is RootFamily.P_ROOT and not _p_series_falls_to(nu, sq_up):
+                raise AccuracyError(
+                    f"proot nu={nu:g}: S is not proven to fall on "
+                    f"[0, {sq_up!r}/4], so {root!r} may not be the first root")
             return BesselZeroRecord(nu=nu, family=family, value=root,
                                     value_squared_up=sq_up,
                                     value_squared_down=sq_down)

@@ -37,7 +37,7 @@ from hotspots import (
 from hotspots.asymptotic import A_SLOPE, _one_minus_eps, epsilon_d
 from hotspots.cli import compute_table_rows
 from hotspots.ratio import bessel_exact_from_records, displayed_squares
-from hotspots.zeros import _exact_sign, _first_zero_is_bracketed
+from hotspots.zeros import _exact_sign, _first_zero_is_bracketed, _p_series_falls_to
 
 # Reference table: d -> (p^2, j^2, r, epsilon, a, bound); thirty cells total.
 REFERENCE_TABLE = {
@@ -266,6 +266,16 @@ def _certified(d, p2, j2, r, j_up):
             and r * j2 >= p2)
 
 
+def _p_record_certified(d):
+    """Exact proof that the p record's two squares bracket the first p-root:
+    the p-series is positive at the lower end, negative at the upper, and
+    falls all the way up to it."""
+    rec = first_p_root(d)
+    return (_exact_sign(rec.nu, Fraction(rec.value_squared_down) / 4, RootFamily.P_ROOT) > 0
+            and _exact_sign(rec.nu, Fraction(rec.value_squared_up) / 4, RootFamily.P_ROOT) < 0
+            and _p_series_falls_to(rec.nu, rec.value_squared_up))
+
+
 def _unit(cell):
     """One displayed unit (5 significant figures) of a table cell."""
     return Fraction(10) ** (decimal.Decimal(float(cell)).adjusted() - 4)
@@ -275,6 +285,7 @@ def test_criterion_8_bessel_cells_certified_exactly():
     t0 = time.perf_counter()
     cells = _bessel_cells()
     failures = [cell[0] for cell in cells if not _certified(*cell)]
+    p_failures = [d for d in range(2, 201) if not _p_record_certified(d)]
     # moving any cell one displayed unit the unsafe way must break the proof
     survivors = [
         (d, which)
@@ -285,9 +296,11 @@ def test_criterion_8_bessel_cells_certified_exactly():
         if _certified(*moved)
     ]
     elapsed = time.perf_counter() - t0
-    _report(8, not failures and not survivors,
+    _report(8, not failures and not p_failures and not survivors,
             f"d in [2,200]: p^2 <= p2 cell, j^2 >= j2 cell and r >= p2/j2 "
-            f"proven in exact arithmetic for all 199 rows; moving any cell one "
+            f"proven in exact arithmetic for all 199 rows, and both squares of "
+            f"each p record around the first p-root; moving any cell one "
             f"displayed unit the unsafe way breaks the proof ({elapsed:.1f}s)"
             + (f"; uncertified {failures[:3]}" if failures else "")
+            + (f"; p records uncertified {p_failures[:3]}" if p_failures else "")
             + (f"; mutants certified {survivors[:3]}" if survivors else ""))

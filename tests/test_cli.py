@@ -114,6 +114,16 @@ class TestZeros:
         assert res.stderr == ("accuracy error: p-root d=5: no sign change on the "
                               "bracket [2.23606798, 2.64575131]\n")
 
+    def test_p_root_not_proven_first_exit_four(self, invoke, monkeypatch):
+        # without the proof that S falls up to the bracket, a sign change
+        # might sit past an earlier root, and no record is written
+        monkeypatch.setattr(zeros_mod, "_p_series_falls_to", lambda nu, sq_up: False)
+        res = invoke(["zeros", "--family", "proot", "--dim", "5"])
+        assert res.exit_code == 4
+        assert res.stderr == (
+            "accuracy error: proot nu=2.5: S is not proven to fall on "
+            "[0, 6.255664384877036/4], so 2.501132620409397 may not be the first root\n")
+
 
 class TestTable:
     @requires_jsonschema

@@ -24,7 +24,7 @@ from hotspots import (
     first_bessel_zero,
     first_p_root,
 )
-from hotspots.zeros import _exact_sign, _first_zero_is_bracketed
+from hotspots.zeros import _exact_sign, _first_zero_is_bracketed, _p_series_falls_to
 
 J_ZERO_TRUTH = {
     0.0: 2.404825557695772768622,
@@ -437,6 +437,14 @@ class TestExactSign:
         # a sign change below j_{0,2} = 5.5200781 could hide j_{0,1} = 2.4048
         assert _first_zero_is_bracketed(0.0, 2.41 ** 2)
         assert not _first_zero_is_bracketed(0.0, 5.53 ** 2)
+
+    def test_p_series_fall_is_compared_exactly(self):
+        # 3(nu+2)/5 at nu = 1 is 36/5, just below the float 7.2; in floats
+        # 5 * nextafter(7.2, 0) rounds up to 36 and would fail the test
+        below = math.nextafter(7.2, 0.0)
+        assert 5.0 * below == 36.0
+        assert _p_series_falls_to(1.0, below)
+        assert not _p_series_falls_to(1.0, 7.2)
 
     def test_failed_sign_widens_then_raises(self, monkeypatch):
         narrow = first_bessel_zero(3.0)
