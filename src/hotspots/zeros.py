@@ -35,7 +35,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .errors import AccuracyError, InfeasibleParameterError
@@ -213,10 +212,13 @@ def _p_series_falls_to(nu: float, sq_up: float) -> bool:
     and a_{k+1}/a_k = (2k+3) z / ((2k+1) k (nu+k+1)) falls with k from
     5z / (3(nu+2)).  For z < 3(nu+2)/5 the a_k thus fall, so the alternating
     S' lies in [-a_1, -a_1 + a_2] and is negative: S has one root on
-    [0, sq_up/4] if 5 sq_up < 12 (nu+2).  Szego's p^2 < d + 2 keeps
-    sq_up/4 below 0.83 of that limit for every d.
+    [0, sq_up/4] if 5 sq_up < 12 (nu+2), compared here on the integer
+    ratios of the two floats.  Szego's p^2 < d + 2 keeps sq_up/4 below 0.83
+    of that limit for every d.
     """
-    return 5 * Fraction(sq_up) < 12 * (Fraction(nu) + 2)
+    a, b = sq_up.as_integer_ratio()
+    p, q = nu.as_integer_ratio()
+    return 5 * a * q < 12 * b * (p + 2 * q)
 
 
 def _record(nu: float, family: RootFamily, root: float) -> BesselZeroRecord:
