@@ -8,22 +8,36 @@ relative error can be large.  Nothing certified rests on this contract: `zeros` 
 bounds in exact arithmetic and uses these values only to find roots.
 
 One regime serves the whole domain: J_nu(x) = (x/2)^nu / Gamma(nu+1) S(z),
-z = x^2/4, with the ascending series S(z) = sum_k (-z)^k / (k! (nu+1)_k) that
-`zeros._exact_sign` proves.  S is summed in fixed point on Python ints with
-P fractional bits, so its terms cancel without loss; the only errors are
-the floors, one per term.  A floor's unit error in term j scales every later
-term by the same relative amount, and no later term exceeds 2^big times term
-j, where 2^big bounds the largest term (the terms rise from 1 to it, then
-fall).  So each floor moves the sum by at most K 2^big units for K terms, a
-crude bound that ignores the alternating signs.  Then J = prefactor x S
-needs the prefactor's bits as well, when it exceeds 1: near the d=200 root
-it is about e^36, and S is that much smaller than J.  Hence
+z = x^2/4, with the ascending series S(z) = sum_k T_k, T_k = (-z)^k / (k!
+(nu+1)_k), that `zeros._exact_sign` proves.  S is summed in fixed point on
+Python ints with P fractional bits, so its terms cancel without loss.  The
+sum stops at the first zero term t_K, as every later term is zero too, and
+it is off by under 4K units of 2^-P:
 
-    P = 60 + big + max(0, ceil(log2 prefactor)).
+- Each term is t_k = r_k t_{k-1} + delta_k, with r_k = T_k / T_{k-1} exact;
+  its two floors put delta_k in [0, 2) units.
+- An error made at term j reaches the sum multiplied by tail_j / T_j, where
+  tail_j = sum_{k >= j} T_k includes the terms never summed.  The terms rise
+  from T_0 = 1 while k (nu + k) <= z and fall after that peak.
+  - Before the peak the factor is at most 2: |S| <= 1 (DLMF 10.14.4,
+    |J_nu(x)| <= (x/2)^nu / Gamma(nu+1)), and T_0 + ... + T_{j-1} alternate
+    and rise, so they sum to at most |T_{j-1}|.  Hence |tail_j| <= 1 +
+    |T_{j-1}| <= 2 |T_j|.
+  - After the peak it is at most 1: the tail alternates and falls.
 
-The sum stops once a term is below 2^big units and the terms shrink from
-there on, so the rest of the alternating tail is below that too.  The
-function keeps no state between calls.
+No term before the peak is zero, since there |t_k| >= |T_k| (2^P - 2k).  K
+is at most 973 over the whole domain, at x = 700 (nu = 0 among others, on a
+scan of every nu = k/20 near x = 700 and a grid below), so 4K < 2^12.
+
+J = prefactor x S needs the prefactor's bits as well, when it exceeds 1:
+near the d=200 root it is about e^36, and S is that much smaller than J.
+Hence
+
+    P = 60 + _GUARD_BITS + max(0, ceil(log2 prefactor)),  _GUARD_BITS = 14,
+
+which keeps the sum's share of the error in J below 2^-62.  The prefactor
+comes from lgamma and exp, so the value contract is measured, not proven.
+The function keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ MAX_ORDER = 120.0
 
 #: Largest supported argument of bessel_j.  The int series' cost grows as
 #: x^2, with the number of terms and the width of its ints: at x = 700 it
-#: takes about 970 terms of up to 2,060 bits, 0.9 to 1.3 ms a call on a
+#: takes up to 973 terms of up to 1,074 bits, 0.5 to 0.8 ms a call on a
 #: 2-core x86-64 host.  It covers the root search (x <= 164).
 MAX_ARG = 700.0
 
@@ -45,6 +59,9 @@ MAX_ARG = 700.0
 MAX_LOG_GAMMA_ARG = 500.0
 
 _LOG2 = math.log(2.0)
+
+#: Fractional bits of the sum beyond 60; the module doc proves them enough.
+_GUARD_BITS = 14
 
 
 def log_gamma(x: float) -> float:
@@ -67,7 +84,8 @@ def bessel_j(nu: float, x: float) -> float:
 
     The prefactor (x/2)^nu / Gamma(nu+1) times the ascending series S(x^2/4),
     summed in fixed point: with nu = p/q and z = a/2^e, t_0 = 2^P and
-    t_k = -floor(floor(t_{k-1} a q / 2^e) / (k (p + k q))).
+    t_k = -floor(floor(t_{k-1} a q / 2^e) / (k (p + k q))), up to the first
+    t_k = 0.
 
     Examples
     --------
@@ -86,31 +104,19 @@ def bessel_j(nu: float, x: float) -> float:
         )
     if 0.5 * x == 0.0:  # includes subnormals whose halving underflows
         return 1.0 if nu == 0.0 else 0.0
-    lg_nu1 = math.lgamma(nu + 1.0)
-    log_pref = nu * math.log(0.5 * x) - lg_nu1
+    log_pref = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
     if log_pref < -745.0:
         return 0.0
-    z = 0.25 * x * x
-    big = 0
-    if z > 0.0:  # z underflows to 0 for x below about 1e-154
-        # the terms peak at k* where z = k*(nu + k*); 2^big is above that term
-        k_star = 0.5 * (-nu + math.sqrt(nu * nu + 4.0 * z))
-        log_tmax = (k_star * math.log(z) - math.lgamma(k_star + 1.0)
-                    - (math.lgamma(nu + 1.0 + k_star) - lg_nu1))
-        big = max(0, math.ceil(log_tmax / _LOG2))
-    prec = 60 + big + max(0, math.ceil(log_pref / _LOG2))
+    prec = 60 + _GUARD_BITS + max(0, math.ceil(log_pref / _LOG2))
 
     p, q = nu.as_integer_ratio()
-    a, b = z.as_integer_ratio()
+    a, b = (0.25 * x * x).as_integer_ratio()
     e = b.bit_length() - 1
     aq = a * q
-    floor = 1 << big
     term = s = 1 << prec
     k = 0
-    while True:
+    while term:
         k += 1
         term = -(((term * aq) >> e) // (k * (p + k * q)))
         s += term
-        if abs(term) < floor and k * (nu + k) > z:
-            break
     return math.exp(log_pref) * (s / (1 << prec))

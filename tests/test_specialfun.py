@@ -14,7 +14,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotspots import InfeasibleParameterError, bessel_j, log_gamma
+from hotspots import InfeasibleParameterError, bessel_j, log_gamma, specialfun
 from hotspots.specialfun import MAX_ARG, MAX_ORDER
 
 # (nu, x, J_nu(x)) frozen at 20 significant digits.
@@ -166,7 +166,7 @@ class TestGoldenGrid:
             for x in self.XS:
                 h.update(f"{bessel_j(nu, x)!r}\n".encode())
         assert h.hexdigest() == (
-            "c2ac7d696c2c753f9bcf35da65457e1569aba15a80767476cf200c2aff1ce1c2")
+            "46e0d144328787c5291a36796d7a6f5ac65b0f513ae13ac5c796ad72508ca0a8")
 
 
 class TestGoldenLadders:
@@ -174,9 +174,9 @@ class TestGoldenLadders:
     x = 5, 10, ..., 700, in that order.
 
     TestGoldenGrid stops at x = 140; this grid reaches MAX_ORDER and MAX_ARG,
-    where the series is longest (about 970 terms) and its ints widest (about
-    2,000 bits), and
-    freezes those values bit for bit.  Produced on x86-64 with CPython's libm.
+    where the series is longest (973 terms) and its ints widest (about 1,070
+    bits), and freezes those values bit for bit.  Produced on x86-64 with
+    CPython's libm.
     """
 
     NUS = [7.5 * i for i in range(17)]
@@ -189,4 +189,29 @@ class TestGoldenLadders:
         for nu, x in points:
             h.update(f"{bessel_j(nu, x)!r}\n".encode())
         assert h.hexdigest() == (
-            "669a6c049f82a4278c18c1f82cc4c33c4ee4758084fc2b4a8c8dc5902bb2e1b6")
+            "2739f78e5ef8452385e333157486aa89ff2378a42a1aa8303a5a26f4891da42c")
+
+
+class TestGuardBits:
+    """The fixed-point sum's share of the error in J is proven below 2^-62
+    (the module doc of hotspots.specialfun).  With 64 more guard bits the
+    sum is exact to far below that, so a value may differ from it by that
+    bound and the final quotient's and product's roundings.  The points
+    reach x = MAX_ARG, where the series is longest and its ints widest, the
+    j-zero of d=200 at (99, 108), the top of the root search at (109, 164),
+    and the whole TestGoldenLadders grid.
+    """
+
+    POINTS = [(0.0, MAX_ARG), (MAX_ORDER, MAX_ARG), (99.0, 108.0),
+              (109.0, 164.0),
+              *((nu, x) for nu in TestGoldenLadders.NUS
+                for x in TestGoldenLadders.XS)]
+
+    def test_sum_error_bound(self, monkeypatch):
+        values = [bessel_j(nu, x) for nu, x in self.POINTS]
+        monkeypatch.setattr(specialfun, "_GUARD_BITS",
+                            specialfun._GUARD_BITS + 64)
+        for (nu, x), value in zip(self.POINTS, values):
+            exact = bessel_j(nu, x)
+            assert abs(value - exact) <= 2.0**-60 + 2 * math.ulp(exact), (
+                nu, x, value, exact)

@@ -272,7 +272,7 @@ class TestGoldenRecords:
 
     def test_j_zeros_on_twentieths(self):
         assert _record_digest(_twentieths_records()) == (
-            "ffd6710e0c2d078d01ce144dc330459fef7058709e13c5cc867dbc8269c1d6d7")
+            "72e82bfe861126b00009ac9557185e8e2155ff0e4d86cc2183444e0b29d91b46")
 
     def test_directed_squares(self):
         # only the certified squares: a root finder that moves a value by an
