@@ -313,6 +313,9 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
         domain = SimDomain.box(side_vals)
         if domain.dim != dim:
             raise UsageError("--dim disagrees with the number of sides")
+        if not bridge:
+            raise UsageError("--no-bridge applies to a ball only: a box draws "
+                             "its exit times from their exact law")
     vkind, _ = _parse_vfunction(vfunction)
     if vkind is VKind.CUSTOM:
         raise UsageError("verify-vbound supports vogt|improved only")
@@ -565,7 +568,8 @@ def _build_parser() -> argparse.ArgumentParser:
     option("--dim", required=True, type=int, help="Dimension.")
     option("--paths", default=100000, type=int, help="Simulated paths.")
     option("--dt", type=float,
-           help="Time step (default 1e-4 * characteristic length^2).")
+           help="Time step (default 1e-4 * characteristic length^2); a box "
+                "reports its exact exit times rounded up to whole steps.")
     option("--epsilon", default=0.5, type=float, help="Epsilon of the V-bound.")
     option("--vfunction", default="vogt", help="vogt|improved.")
     option("--seed", default=42, type=int, help="Philox key.")
@@ -574,7 +578,8 @@ def _build_parser() -> argparse.ArgumentParser:
            help="Paths per chunk: chunk i draws from Philox(key=seed) jumped i "
                 "times, and at most twice this many paths are in flight.")
     option("--bridge", default=True, action=argparse.BooleanOptionalAction,
-           help="Brownian-bridge crossing correction.")
+           help="Brownian-bridge crossing correction of the ball stepper; "
+                "a box needs none and refuses --no-bridge.")
     return parser
 
 

@@ -1,33 +1,35 @@
 """Exit-time Monte Carlo: empirical validation of the V-bound.
 
-Simulates Brownian motion run at twice the usual speed (per-coordinate
-increment variance 2*dt, generator = full Laplacian) exiting balls and boxes,
-estimates the survival function P(tau_D > t) with Clopper-Pearson intervals,
-and checks it against V(eps, d) * exp(-(1-eps) * lambda_D * t).
+Samples the exit times of Brownian motion run at twice the usual speed
+(per-coordinate variance 2t, generator = full Laplacian) from balls and
+boxes, estimates the survival function P(tau_D > t) with Clopper-Pearson
+intervals, and checks it against V(eps, d) * exp(-(1-eps) * lambda_D * t).
 
-Discrete monitoring alone biases survival upward (a path can cross the
-boundary and come back between monitoring times), which could spuriously
-violate the inequality being validated.  The Brownian-bridge correction
-kills a path between steps with the half-space crossing probability
+Boxes need no time steps.  A box is the product of its intervals and the
+coordinates move independently, so tau = min_j tau_j, where tau_j is the
+exit time of coordinate j from (0, L_j).  Each tau_j is drawn by inverting
+its survival series (_interval_inverse), and each exit time is reported
+rounded up to a whole number of steps dt.
+
+Balls are stepped.  Discrete monitoring alone biases survival upward (a
+path can cross the boundary and come back between monitoring times), which
+could spuriously violate the inequality being validated.  The
+Brownian-bridge correction kills a path between steps with the half-space
+crossing probability
 
     p = exp(-2 * dist_before * dist_after / (sigma^2 * dt))
       = exp(-dist_before * dist_after / dt)          (sigma^2 = 2)
 
-using distances to the boundary before and after the step — per face for
-boxes (applied independently; the per-step survival factor is the product
-over faces), and via the signed radial distance R - |x| for balls.  A box
-step carries only each path's distance to its nearest face, and evaluates
-the per-face factors only on paths whose nearest distances before and after
-the step have a product below _NEAR_FACE * dt: everywhere else every factor
-rounds to exactly 1.0, so skipping them changes no exit time.
+using the signed radial distance R - |x| before and after the step.
 
 Reproducibility: paths are split into chunks of chunk_size, and chunk i
 draws from the Philox counter-based stream `Philox(key=seed).jumped(i)` for
-its own paths only.  The simulator steps the chunks together as one pool of
-alive paths (the next chunk joins once at most chunk_size paths are alive,
-so at most 2 * chunk_size are in flight), but which chunks share a step
-changes no draw.  The same (seed, chunk_size) therefore yields the same exit
-times, in chunk order, however chunks are scheduled.
+its own paths only.  A box chunk draws one uniform per coordinate per path.
+The ball stepper steps the chunks together as one pool of alive paths (the
+next chunk joins once at most chunk_size paths are alive, so at most
+2 * chunk_size are in flight), but which chunks share a step changes no
+draw.  The same (seed, chunk_size) therefore yields the same exit times, in
+chunk order, however chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import enum
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +122,12 @@ class SimConfig:
     chunk_size is the unit of the random stream: chunk i, of chunk_size
     paths, draws from Philox(key=seed) jumped i times.  At most
     2 * chunk_size paths are in flight at once.
+
+    dt is the ball stepper's time step.  A box draws its exit times from
+    their exact law and reports each rounded up to a whole number of steps
+    dt, the law that stepping with the bridge correction approximates.  So
+    a box takes no bridge_correction=False: there is no stepping bias to
+    show.
     """
 
     domain: SimDomain
@@ -143,6 +152,11 @@ class SimConfig:
             )
         if self.chunk_size < 1:
             raise InfeasibleParameterError("chunk_size must be >= 1")
+        if self.domain.shape is DomainShape.BOX and not self.bridge_correction:
+            raise InfeasibleParameterError(
+                "a box draws its exit times from their exact law; "
+                "bridge_correction=False applies to balls only"
+            )
         if not (0 <= self.seed < 2 ** 64):
             raise InfeasibleParameterError("seed must be a 64-bit unsigned integer")
         grid = self.t_grid
@@ -262,23 +276,12 @@ def principal_eigenvalue(domain: SimDomain) -> float:
 _EXPONENT_CAP = 700.0
 
 
-#: A box row gets the bridge test only where the product of its nearest-face
-#: distances before and after the step is below _NEAR_FACE * dt.  It must
-#: stay above 54 ln 2 ~ 37.43 (see _pool_exit_times); a power of two keeps
-#: _NEAR_FACE * dt exact.
-_NEAR_FACE = 64.0
-
-
 def _crossing_probability(before: np.ndarray, after: np.ndarray,
                           dt: float) -> np.ndarray:
     """exp(-before * after / dt) with the exponent clamped at _EXPONENT_CAP.
 
-    A box face's factor 1 - p rounds to 1.0 once the exponent passes
-    54 ln 2 ~ 37.43, so there the clamp changes nothing.  Box rows come here
-    only when near some face (see _pool_exit_times); their other faces give
-    factors of exactly 1.0.  For the ball, u < p differs from the unclamped
-    test only when the uniform draw u is exactly 0.0, which has probability
-    2^-53.
+    The test u < p then differs from the unclamped one only when the
+    uniform draw u is exactly 0.0, which has probability 2^-53.
     """
     a = before * after
     a /= dt
@@ -306,36 +309,9 @@ def _row_sum_squares(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """ufunc.reduce(a, axis=1), one column at a time.
-
-    For np.multiply and np.minimum the bits are the same: numpy multiplies
-    a row left to right at any width, and a minimum is exact in any order.
-    """
-    out = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        ufunc(out, a[:, j], out=out)
-    return out
-
-
-def _box_bridge_exits(x: np.ndarray, x_new: np.ndarray, sides: np.ndarray,
-                      u: np.ndarray, dt: float) -> np.ndarray:
-    """Which rows the per-face bridge kills during the step x -> x_new.
-
-    A row survives face j with probability 1 - p_j, the faces independently,
-    so it is killed when u < 1 - prod_j (1 - p_j).  x is the distance to the
-    low faces and sides - x the distance to the high ones; sides has the
-    shape of x.
-    """
-    low = _crossing_probability(x, x_new, dt)
-    np.subtract(1.0, low, out=low)
-    high = _crossing_probability(sides - x, sides - x_new, dt)
-    np.subtract(1.0, high, out=high)
-    return u < 1.0 - _row_reduce(np.multiply, low) * _row_reduce(np.multiply, high)
-
-
 def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
-    """Exit times of all n_paths, stepped as one pool of alive paths.
+    """Exit times of all n_paths from a ball, stepped as one pool of alive
+    paths.
 
     Chunk i holds paths i*chunk_size onwards (the last chunk may be shorter)
     and draws from Philox(key=seed) jumped i times: each of its steps draws
@@ -346,41 +322,17 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
     paths, so at most 2 * chunk_size are in flight; each chunk's rows stay
     contiguous and in chunk order.  The start must lie strictly inside the
     domain.
-
-    A box row whose nearest-face distances before and after the step, g and
-    g', have fl(g * g') >= _NEAR_FACE * dt gets no bridge test, and this
-    changes no exit time.  Such a row has not exited (g' > 0), and on every
-    face its distances b before and a after the step, computed by the same
-    expressions as g and g', satisfy b >= g > 0 and a >= g' > 0.  Rounded
-    multiplication and division are monotone, and _NEAR_FACE * dt is exact
-    (_NEAR_FACE is a power of two; should the product overflow to inf, no
-    row is skipped).  So fl(b * a) >= fl(g * g') >= _NEAR_FACE * dt, and the
-    exponent fl(fl(b * a) / dt) >= _NEAR_FACE.  Clamped at _EXPONENT_CAP it
-    is still above 54 ln 2, so p = exp(-exponent) < 2^-54 and 1 - p rounds
-    to exactly 1.0 on every face.  The test would read
-    u < 1 - 1.0 * ... * 1.0 = 0.0, which no uniform draw u in [0, 1) passes.
     """
-    domain = config.domain
-    dim = domain.dim
+    dim = config.domain.dim
     dt = config.dt
     n, size = config.n_paths, config.chunk_size
     step_sd = math.sqrt(2.0 * dt)
     start = np.asarray(config.start, dtype=np.float64).reshape(1, dim)
 
-    # gap: distance to the boundary, carried from step to step, shape
-    # (alive,).  Ball: the radial distance R - |x|.  Box: the distance to
-    # the nearest face, min_j min(x_j, L_j - x_j).
-    is_ball = domain.shape is DomainShape.BALL
-    if is_ball:
-        radius = float(domain.radius)  # type: ignore[arg-type]
-        start_gap = radius - np.sqrt(_row_sum_squares(start))
-    else:
-        # one row of sides per path: subtracting equal shapes runs as one
-        # flat loop, broadcasting a short row is several times slower
-        sides = np.broadcast_to(np.asarray(domain.sides, dtype=np.float64),
-                                (min(n, 2 * size), dim)).copy()
-        start_gap = _row_reduce(np.minimum, np.minimum(start, sides[:1] - start))
-        near_product = _NEAR_FACE * dt
+    # gap: the radial distance R - |x| to the boundary, carried from step to
+    # step, shape (alive,)
+    radius = float(config.domain.radius)  # type: ignore[arg-type]
+    start_gap = radius - np.sqrt(_row_sum_squares(start))
 
     exit_step = np.empty(n, dtype=np.int64)  # pool step each path exits in
     joins: list[int] = []  # pool step chunk i joined at
@@ -425,24 +377,10 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
         # cannot change the outcome.  There the two distances sum to at most
         # the step length sqrt(2 dt) |Z|, so the exponent is at most |Z|^2 / 2
         # and cannot overflow.
-        if is_ball:
-            gap_new = radius - np.sqrt(_row_sum_squares(x_new))
-            exited = gap_new <= 0.0
-            if config.bridge_correction:
-                exited |= u < _crossing_probability(gap, gap_new, dt)
-        else:
-            dist = sides[:m] - x_new
-            np.minimum(x_new, dist, out=dist)
-            gap_new = _row_reduce(np.minimum, dist)
-            exited = gap_new <= 0.0
-            if config.bridge_correction:
-                # elsewhere every face factor is exactly 1.0 (see above);
-                # a hard exit has gap_new <= 0, so its row counts as near
-                near = (gap * gap_new < near_product).nonzero()[0]
-                if near.size:
-                    exited[near] |= _box_bridge_exits(
-                        x.take(near, axis=0), x_new.take(near, axis=0),
-                        sides[:near.size], u.take(near), dt)
+        gap_new = radius - np.sqrt(_row_sum_squares(x_new))
+        exited = gap_new <= 0.0
+        if config.bridge_correction:
+            exited |= u < _crossing_probability(gap, gap_new, dt)
 
         if np.count_nonzero(exited):
             exit_step[alive[exited]] = step
@@ -464,14 +402,111 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
     return dt * exit_step
 
 
+#: _interval_inverse's table: nodes at most _TABLE_STEP apart in ln t up to
+#: _TABLE_END, summed by the image series up to _IMAGE_END and by the odd
+#: terms k = 1..21 of the eigen series above it.
+_TABLE_STEP = 1.0 / 300.0
+_IMAGE_END = 0.01
+_TABLE_END = 0.5
+_ODD_K_PI = np.arange(1, 22, 2) * math.pi
+
+
+def _interval_inverse(f: float) -> Callable[[np.ndarray], np.ndarray]:
+    """T with S_1(T(v)) = v, for the unit interval entered at f in (0, 1).
+
+    S_1(t) = sum_{k odd} 4/(k pi) sin(k pi f) exp(-(k pi)^2 t) is the chance
+    that the twice-speed motion started at f is still in (0, 1) at time t.
+    The returned function maps an array of v in [2^-53, 1] to T(v).
+
+    S_1 is tabulated once, at nodes t_i at most 1/300 apart in ln t, from
+    t_0 = (m/10)^2, with m = min(f, 1 - f), to 0.5:
+    - up to t = 0.01 by the first pair of images,
+      erf(m / (2 sqrt t)) - erfc((1 - m) / (2 sqrt t)), which falls with t.
+      The image series alternates with falling terms, so this is off by at
+      most its next pair, 2 erfc(1 / (2 sqrt t)) <= 2 erfc(5) < 3.1e-12;
+    - above t = 0.01 by the terms k <= 21, off by less than 1e-23.
+    Between nodes, and between t = 0 and t_0, T is linear in v.  Below the
+    last node's value, T(v) = ln(c_1 / v) / pi^2 with c_1 = 4 sin(pi m) / pi:
+    there the terms k >= 3 are below e^(-8 pi^2 0.5) < 1e-17 of the first.
+    A fraction within 1e-100 of 0 or 1 is taken as 1e-100 from it, so that
+    every node is a finite float; that moves S_1 by less than 1e-100 / sqrt(t).
+
+    The error in law: for V uniform, the CDF G of T(V) is the chord of
+    F = 1 - S_1 between nodes, so for every t
+        |G(t) - F(t)| <= (t_{i+1} - t_i)^2 max |F''| / 8
+                      <= (e^(1/300) - 1)^2 sup_t t^2 |S_1''(t)| / 8 < 9.7e-7,
+    where sup_t t^2 |S_1''(t)| is 16 / (pi e^2) ~ 0.6893: the first term's
+    maximum, at t = 2 / pi^2 and f = 1/2, and the largest found on a fine
+    grid of t and f.  Below t_0 both G and F are at most about
+    F(t_0) <= 2 erfc(5).  With the series' errors, |G - F| < 1e-6 for every
+    t and f.
+    """
+    m = max(min(f, 1.0 - f), 1e-100)
+    y_0, y_end = 2.0 * math.log(0.1 * m), math.log(_TABLE_END)
+    t = np.exp(np.linspace(y_0, y_end, math.ceil((y_end - y_0) / _TABLE_STEP) + 1))
+    s = np.empty_like(t)
+    image = t <= _IMAGE_END
+    s[image] = [math.erf(m * h) - math.erfc((1.0 - m) * h)
+                for h in (0.5 / np.sqrt(t[image])).tolist()]
+    s[~image] = (np.exp(np.multiply.outer(t[~image], -_ODD_K_PI ** 2))
+                 @ (4.0 / _ODD_K_PI * np.sin(_ODD_K_PI * m)))
+    # np.interp needs v ascending: t from _TABLE_END down to t_0, then 0
+    s_up, t_down = np.append(s[::-1], 1.0), np.append(t[::-1], 0.0)
+    c_1 = 4.0 / math.pi * math.sin(math.pi * m)
+
+    def inverse(v: np.ndarray) -> np.ndarray:
+        out = np.interp(v, s_up, t_down)
+        tail = (v < s_up[0]).nonzero()[0]
+        out[tail] = np.log(c_1 / v[tail]) / math.pi ** 2
+        return out
+
+    return inverse
+
+
+def _box_exit_times(config: SimConfig) -> np.ndarray:
+    """Exit times of all n_paths from a box, drawn from their exact law.
+
+    Coordinate j leaves (0, L_j) at tau_j = L_j^2 T_j(V_j), where T_j is
+    _interval_inverse at f_j = x_j / L_j (one table per distinct f_j) and
+    the V_j are independent uniforms; the path leaves the box at
+    tau = min_j tau_j.  Chunk i draws one (chunk length, dim) block u from
+    Philox(key=seed) jumped i times, and V = 1 - u lies in [2^-53, 1].
+
+    Each exit time is reported as dt * ceil(tau / dt), and at least dt
+    (tau > 0 almost surely): the law that stepping with the bridge
+    correction approximates, P(exit time > t) = S(dt floor(t / dt)).  Box
+    survival is the product of the coordinates' survivals, so its error in
+    law is at most dim times _interval_inverse's.
+    """
+    n, size, dt = config.n_paths, config.chunk_size, config.dt
+    inverses: dict[float, Callable[[np.ndarray], np.ndarray]] = {}
+    columns = []
+    for x, side in zip(config.start, config.domain.sides):  # type: ignore[arg-type]
+        f = x / side
+        if f not in inverses:
+            inverses[f] = _interval_inverse(f)
+        # side^2 / dt overflows to inf on a very long side, and inf * T(1)
+        # would be NaN; capped, such a side still never exits first
+        columns.append((inverses[f], min(side * side / dt, 1e300)))
+    steps = np.empty(n, dtype=np.float64)
+    for i, lo in enumerate(range(0, n, size)):
+        rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(i))
+        v = 1.0 - rng.random((min(size, n - lo), len(columns)))
+        steps[lo:lo + len(v)] = np.minimum.reduce(
+            [inverse(col) * scale for (inverse, scale), col in zip(columns, v.T)])
+    np.ceil(steps, out=steps)
+    np.maximum(steps, 1.0, out=steps)
+    return dt * steps
+
+
 def sample_exit_times(config: SimConfig) -> np.ndarray:
     """n_paths independent exit-time samples, deterministic given the seed.
 
     Paths are drawn in chunks of config.chunk_size, each from its own
     stream, and returned in chunk order, so the output does not depend on
-    how chunks share steps.  A start on the boundary exits at t = 0.  A dt
-    that needs more than _MAX_STEPS steps is rejected before any path is
-    drawn.
+    how chunks share steps.  Every exit time is a whole number of steps dt.
+    A start on the boundary exits at t = 0.  A dt that needs more than
+    _MAX_STEPS steps is rejected before any path is drawn.
     """
     n = config.n_paths
     if _start_distance(config.domain, config.start) <= 0.0:
@@ -484,17 +519,9 @@ def sample_exit_times(config: SimConfig) -> np.ndarray:
             f"dt={config.dt!r} needs {steps:.3g} time steps; "
             f"at most {_MAX_STEPS:.0e} are allowed"
         )
-    max_steps = int(math.ceil(steps)) + 1
-    if config.domain.shape is DomainShape.BALL:
-        return _pool_exit_times(config, max_steps)
-    # On a box with a side of about 1e154 or more (less at small dt), a
-    # product of two face distances, or its quotient by dt, overflows to
-    # inf.  There every overflow is harmless: a product past _NEAR_FACE * dt
-    # only marks a row as far from every face, and _crossing_probability
-    # clamps the exponent.  So it is not reported; one errstate per run
-    # costs nothing per step.
-    with np.errstate(over="ignore"):
-        return _pool_exit_times(config, max_steps)
+    if config.domain.shape is DomainShape.BOX:
+        return _box_exit_times(config)
+    return _pool_exit_times(config, int(math.ceil(steps)) + 1)
 
 
 #: ln 0.025, the probability each Clopper-Pearson limit leaves in its tail.

@@ -356,12 +356,22 @@ class TestVerifyVBound:
 
     @pytest.mark.filterwarnings("error")
     def test_long_box_axis_is_quiet(self, invoke):
-        # the far faces' before * after / dt overflows to inf, which the
-        # exponent clamp already handles: no RuntimeWarning may reach stderr
+        # the long side's side^2 / dt overflows to inf, which the box sampler
+        # caps before it scales a draw: no RuntimeWarning may reach stderr
         res = invoke(["verify-vbound", "--shape", "box", "--sides", "1e300,1", "--dim",
                       "2", "--dt", "1e-3", "--paths", "10"])
         assert res.exit_code == 0, res.exception
         assert res.stderr == ""
+
+    def test_box_refuses_no_bridge(self, invoke):
+        # a box draws its exit times from their exact law, so there is no
+        # uncorrected stepper to ask for
+        box = ["verify-vbound", "--shape", "box", "--sides", "1,1", "--dim", "2",
+               "--paths", "50", "--grid-points", "5"]
+        res = invoke(box + ["--no-bridge"])
+        assert res.exit_code == 2
+        assert "--no-bridge" in res.output
+        assert invoke(box + ["--bridge"]).exit_code == 0
 
     def test_ball_rejects_sides(self, invoke):
         # no side is used, so the manifest must not record any
@@ -755,8 +765,9 @@ class TestGoldenCli:
     These freeze every byte the command line writes, text and CSV as well as
     JSON: a change to any number, column, label or message must announce it
     and re-freeze the digest.  The values were produced with numpy 2.4 on
-    x86-64 Linux; the verify-vbound runs depend on numpy's exp and sqrt, and
-    their interval cells on the C library's log, log1p, exp and expm1.
+    x86-64 Linux; the verify-vbound runs depend on numpy's exp, log, sqrt
+    and interp and the C library's erf and erfc, and their interval cells on
+    the C library's log, log1p, exp and expm1.
     """
 
     @staticmethod
@@ -807,7 +818,7 @@ class TestGoldenCli:
             ["verify-vbound", "--dim", "2", "--paths", "500"],
             ["verify-vbound", "--shape", "box", "--sides", "1,1", "--dim", "2",
              "--paths", "500"],
-        ]) == "276eb86e1cdd2b6edbad7a06e51d5f7f298b128b956a8d7cdd52aa9187fc62b1"
+        ]) == "0da9433c002a092c6d2bc2daa4050766a2d2da9570e2afd2e3aec8294e6ca013"
 
     def test_verify_vbound_apart_from_the_intervals(self, invoke):
         # the runs of test_verify_vbound and the small run of test_parse_errors,
@@ -837,7 +848,7 @@ class TestGoldenCli:
                            for row in csv.reader(io.StringIO(out))]
                 h.update(canonical_json([argv, fmt, out, res.stderr, res.exit_code]).encode())
         assert h.hexdigest() == (
-            "883ff0c2bbeac1d95898621865ed541d996ae7e22a426ffe5ce7c2b0aa285797")
+            "a73329ac9e228dcf5b2ab8e0b3d3d76c9ebbf48dfaf03d88a50a2d68329668f5")
 
     def test_usage_and_infeasible_errors(self, invoke):
         assert self._digest(invoke, [
@@ -878,7 +889,7 @@ class TestGoldenCli:
             ["bound", "-", "--dim", "7"], ["table", "--", "x"], ["table", "--"],
             ["bound", "--version"], ["--version"], ["--help"], ["bound", "--help"],
             ["bound", "--dim=7=8"], ["--", "bound", "--dim", "7", "--format=csv"],
-        ]) == "ebb71c44cfcddab847a49df7ace2d40ac16d87b352efd7f35b788bb4688e6eb5"
+        ]) == "666e7a6000a0a25a3bb47a38687b065ac2fae384960d61eb0f2c91dada1c7084"
 
     def test_value_conversions(self, invoke):
         # each argv once: what int(), float() and a choices check accept

@@ -10,9 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-
 from hotspots import (
     AccuracyError,
     DomainShape,
@@ -32,12 +29,9 @@ from hotspots import (
 )
 from hotspots.montecarlo import (
     _MAX_PATHS,
-    _NEAR_FACE,
-    _box_bridge_exits,
     _clopper_pearson,
-    _crossing_probability,
+    _interval_inverse,
     check_grid_dt,
-    _row_reduce,
     _row_sum_squares,
     _survivor_counts,
 )
@@ -47,6 +41,13 @@ def _ball_config(n_paths=20000, dt=1e-4, seed=42, radius=1.0, dim=2, **kw):
     dom = SimDomain.ball(radius, dim)
     lam = principal_eigenvalue(dom)
     return SimConfig(domain=dom, start=dom.center(), dt=dt, n_paths=n_paths,
+                     t_grid=default_t_grid(lam), seed=seed, **kw)
+
+
+def _box_config(sides=(1.0, 1.0), start=None, n_paths=3000, dt=1e-3, seed=42, **kw):
+    dom = SimDomain.box(sides)
+    lam = principal_eigenvalue(dom)
+    return SimConfig(domain=dom, start=start or dom.center(), dt=dt, n_paths=n_paths,
                      t_grid=default_t_grid(lam), seed=seed, **kw)
 
 
@@ -108,27 +109,31 @@ class TestExitTimes:
         assert np.all(sample_exit_times(cfg) == 0.0)
 
     def test_deterministic_replay(self):
-        cfg = _ball_config(n_paths=3000, dt=1e-3)
-        a = sample_exit_times(cfg)
-        b = sample_exit_times(cfg)
-        assert np.array_equal(a, b)
-        c = sample_exit_times(_ball_config(n_paths=3000, dt=1e-3, seed=43))
-        assert not np.array_equal(a, c)
+        for make in (_ball_config, _box_config):
+            cfg = make(n_paths=3000, dt=1e-3)
+            a = sample_exit_times(cfg)
+            b = sample_exit_times(cfg)
+            assert np.array_equal(a, b)
+            c = sample_exit_times(make(n_paths=3000, dt=1e-3, seed=43))
+            assert not np.array_equal(a, c)
 
     def test_chunking_is_invisible(self, monkeypatch):
         # chunk i run alone, from its own stream Philox(key=seed) jumped i
         # times, then concatenated in chunk order, must reproduce the pooled
-        # run of all chunks exactly
+        # run of all chunks exactly: a chunk's exit times do not depend on
+        # how many paths follow it
         import hotspots.montecarlo as mc
-        cfg = _ball_config(n_paths=5000, dt=1e-3, chunk_size=1024)
-        pooled = sample_exit_times(cfg)
         philox = np.random.Philox
-        parts = []
-        for i, take in enumerate([1024, 1024, 1024, 1024, 904]):
-            monkeypatch.setattr(mc.np.random, "Philox",
-                                lambda key, i=i: philox(key=key).jumped(i))
-            parts.append(sample_exit_times(dataclasses.replace(cfg, n_paths=take)))
-        assert np.array_equal(np.concatenate(parts), pooled)
+        for make in (_ball_config, _box_config):
+            cfg = make(n_paths=5000, dt=1e-3, chunk_size=1024)
+            pooled = sample_exit_times(cfg)
+            parts = []
+            for i, take in enumerate([1024, 1024, 1024, 1024, 904]):
+                monkeypatch.setattr(mc.np.random, "Philox",
+                                    lambda key, i=i: philox(key=key).jumped(i))
+                parts.append(sample_exit_times(dataclasses.replace(cfg, n_paths=take)))
+            monkeypatch.setattr(mc.np.random, "Philox", philox)
+            assert np.array_equal(np.concatenate(parts), pooled)
 
     def test_pool_admits_a_chunk_once_at_most_chunk_size_paths_remain(self, monkeypatch):
         # record every draw; chunks are created, and draw within a step, in
@@ -214,6 +219,22 @@ class TestExitTimes:
             with pytest.raises(AccuracyError):
                 sample_exit_times(cfg)
 
+    def test_a_zero_draw_exits_in_the_first_step(self, monkeypatch):
+        # u = 0.0, which has probability 2^-53, gives T = 0; on a side whose
+        # L^2 / dt overflows to inf, inf * 0 would be a NaN exit time
+        class ZeroGenerator:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, shape):
+                return np.zeros(shape)
+
+        import hotspots.montecarlo as mc
+        monkeypatch.setattr(mc.np.random, "Generator", ZeroGenerator)
+        cfg = _box_config(sides=(1e300, 1.0), n_paths=4, dt=1e-3)
+        with np.errstate(invalid="raise"):
+            assert np.array_equal(sample_exit_times(cfg), np.full(4, 1e-3))
+
     def test_step_cap_rejects_a_tiny_dt(self, monkeypatch):
         import hotspots.montecarlo as mc
         cfg = _ball_config(n_paths=10, dt=1e-3)
@@ -247,15 +268,13 @@ def test_grid_dt_check_agrees_with_sim_config():
 class TestStepKernel:
     @pytest.mark.parametrize("dim", range(1, 13))
     def test_row_reductions_match_numpy(self, dim):
-        # the column loops must give the bits of the numpy reductions they
-        # replace, at widths on both sides of numpy's pairwise block of 8
+        # the column loop must give the bits of the norm it replaces, at
+        # widths on both sides of numpy's pairwise block of 8
         rng = np.random.default_rng(dim)
         for m in (1, 5, 257):
             a = rng.standard_normal((m, dim)) * 10.0 ** rng.integers(-4, 5, dim)
             assert np.array_equal(np.sqrt(_row_sum_squares(a)),
                                   np.linalg.norm(a, axis=1))
-            assert np.array_equal(_row_reduce(np.multiply, a), np.prod(a, axis=1))
-            assert np.array_equal(_row_reduce(np.minimum, a), np.min(a, axis=1))
 
     def test_draws_into_buffers_match_the_sized_calls(self):
         # the pool writes each chunk's draws into its rows of a shared buffer;
@@ -270,104 +289,32 @@ class TestStepKernel:
             assert np.array_equal(z, b.standard_normal((m, dim)))
             assert np.array_equal(u, b.uniform(size=m))
 
-    @pytest.mark.parametrize("domain,off_center,chunk_size", [
-        (SimDomain.ball(1.0, 2), False, 65536),
-        (SimDomain.ball(1.0, 3), False, 65536),
-        (SimDomain.box((1.0, 1.0)), True, 65536),
-        (SimDomain.box((1.0, 1.0, 1.0)), False, 65536),
-        (SimDomain.box((1.0, 1.0)), True, 24),
-    ], ids=["disc", "ball3", "square_off_center", "cube", "square_chunks"])
-    def test_bridge_exponents_never_underflow(self, domain, off_center, chunk_size):
+    @pytest.mark.parametrize("domain", [SimDomain.ball(1.0, 2), SimDomain.ball(1.0, 3)],
+                             ids=["disc", "ball3"])
+    def test_bridge_exponents_never_underflow(self, domain):
         # far from the boundary the bridge exponent runs into the thousands;
         # clamping it keeps exp out of its slow underflow path, and without
         # the clamp numpy reports "underflow encountered in exp" here
         lam = principal_eigenvalue(domain)
-        start = off_center_start(domain) if off_center else domain.center()
-        cfg = SimConfig(domain=domain, start=start, dt=1e-3, n_paths=200,
-                        t_grid=default_t_grid(lam), seed=5, chunk_size=chunk_size)
+        cfg = SimConfig(domain=domain, start=domain.center(), dt=1e-3, n_paths=200,
+                        t_grid=default_t_grid(lam), seed=5)
         with np.errstate(all="raise"):
             tau = sample_exit_times(cfg)
         assert np.all(tau > 0.0)
 
 
-class TestNearFaceSkip:
-    """A box row gets the bridge test only when its nearest-face distances
-    before and after the step, g and g', have g * g' < _NEAR_FACE * dt.  On
-    every other row each face's factor 1 - p must round to exactly 1.0, so
-    that the skipped test could not have killed it."""
-
-    @staticmethod
-    def _partner(dt, b, slack):
-        """_NEAR_FACE * dt / b * (1 + slack), raised to the first float a
-        with fl(b * a) >= _NEAR_FACE * dt (slack 0 gives the threshold)."""
-        a = _NEAR_FACE * dt / b * (1.0 + slack)
-        while b * a < _NEAR_FACE * dt:
-            a = float(np.nextafter(a, math.inf))
-        return a
-
-    @settings(max_examples=400, deadline=None, database=None)
-    @given(dt=st.floats(1e-10, 1.0), b=st.floats(1e-8, 10.0),
-           slack=st.floats(0.0, 100.0))
-    def test_factor_is_one_past_the_threshold(self, dt, b, slack):
-        a = self._partner(dt, b, slack)
-        p = _crossing_probability(np.array([b]), np.array([a]), dt)
-        assert 1.0 - p[0] == 1.0
-        assert 1.0 - math.exp(-min(b * a / dt, 700.0)) == 1.0
-
-    @settings(max_examples=400, deadline=None, database=None)
-    @given(dt=st.floats(1e-10, 1.0), b=st.floats(1e-8, 10.0),
-           slack=st.floats(0.0, 100.0),
-           extra=st.lists(st.tuples(*[st.floats(0.0, 10.0)] * 4), min_size=1,
-                          max_size=9))
-    def test_a_skipped_row_never_exits_by_the_bridge(self, dt, b, slack, extra):
-        # one row in a box of len(extra) dimensions: every face is at least
-        # b away before the step and a away after it, plus its own extra
-        a = self._partner(dt, b, slack)
-        e = np.array(extra).T
-        x = (b + e[0])[None, :]
-        x_new = (a + e[1])[None, :]
-        sides = np.maximum(x + b + e[2], x_new + a + e[3])
-        g = _row_reduce(np.minimum, np.minimum(x, sides - x))
-        g_new = _row_reduce(np.minimum, np.minimum(x_new, sides - x_new))
-        assume(g[0] * g_new[0] >= _NEAR_FACE * dt)  # else the row is tested
-        for before, after in ((x, x_new), (sides - x, sides - x_new)):
-            assert np.all(1.0 - _crossing_probability(before, after, dt) == 1.0)
-        # u = 0.0 is the smallest uniform draw, the likeliest to kill
-        assert not _box_bridge_exits(x, x_new, sides, np.zeros(1), dt)[0]
-
-    @pytest.mark.parametrize("sides,off_center,dt,chunk_size", [
-        ((1.0, 1.0), False, 1e-4, 256),
-        ((1.0, 1.0, 1.0), True, 1e-3, 64),
-        ((1.0,) * 9, False, 1e-4, 256),
-        ((3.0, 0.5), True, 1e-4, 97),
-        ((1.0,), False, 1e-4, 256),
-    ])
-    def test_same_exit_times_as_a_bridge_on_every_row(self, monkeypatch, sides,
-                                                      off_center, dt, chunk_size):
-        # with an infinite band every row gets the bridge test: the
-        # reference the skip must reproduce exactly
-        import hotspots.montecarlo as mc
-        dom = SimDomain.box(sides)
-        cfg = SimConfig(domain=dom, start=off_center_start(dom) if off_center
-                        else dom.center(), dt=dt, n_paths=400,
-                        t_grid=(0.0,), seed=17, chunk_size=chunk_size)
-        skipped = sample_exit_times(cfg)
-        monkeypatch.setattr(mc, "_NEAR_FACE", math.inf)
-        assert np.array_equal(sample_exit_times(cfg), skipped)
-
-
 class TestGoldenStream:
     """sha256 of sample_exit_times(...).tobytes() for small runs, three
-    256-path chunks each (600 paths, dt=1e-3, seed 2024), bridge on unless
-    a case says otherwise.  The staggered cases use smaller chunks, so that
-    many chunks are stepped at once and the last one is short.  The
-    dt=1e-4 cases keep most rows farther than sqrt(64 dt) = 0.08 from every
-    face, where each box face's bridge factor rounds to 1.0.
+    256-path chunks each (600 paths, dt=1e-3, seed 2024), bridge on.  The
+    staggered cases use smaller chunks, so that many chunks are stepped at
+    once and the last one is short.  A box takes no bridge_correction=False,
+    so its two cases without the bridge check the refusal.
 
-    These freeze the documented Philox stream and the simulator's arithmetic:
+    These freeze the documented Philox stream and the samplers' arithmetic:
     a change that alters any exit time must announce it and re-freeze the
     checksums.  The values were produced with numpy 2.4 on x86-64; a numpy
-    whose exp or sqrt rounds differently would change them too.
+    whose exp, log, sqrt or interp rounds differently, or a C library whose
+    erf or erfc does, would change them too.
     """
 
     @staticmethod
@@ -386,12 +333,12 @@ class TestGoldenStream:
     def test_square_from_center(self):
         dom = SimDomain.box((1.0, 1.0))
         assert self._digest(dom, dom.center()) == (
-            "3a4f63048714608e4390f9f1be2f3381139c4a8c1e593c65fef9c35ac366dad6")
+            "c1a36af6c9e5547ef10eaac178319f8b3c6f43f1ef32d09251d0076fa811c961")
 
     def test_square_off_center(self):
         dom = SimDomain.box((1.0, 1.0))
         assert self._digest(dom, off_center_start(dom)) == (
-            "a0f3f151bfdefd290061c0ad788936fa135981182503a22a0ebfa96dc8c9b547")
+            "c7c83815555800ff8b8f9167a8dd5715285d5942bc473131f9911d65b0fd5078")
 
     def test_ball_d3_from_center(self):
         # a sum of three squares: catches a reordered radius reduction
@@ -402,17 +349,17 @@ class TestGoldenStream:
     def test_cube_from_center(self):
         dom = SimDomain.box((1.0, 1.0, 1.0))
         assert self._digest(dom, dom.center()) == (
-            "8fddf3f795761a0be6f7d966adb6e7e5735918ba9af263ac4b2cdb3f6f009e29")
+            "a26aa0189ba03343884f55b21cf8c45a724d2780a73932808de478719629a54f")
 
     def test_square_without_bridge(self):
         dom = SimDomain.box((1.0, 1.0))
-        assert self._digest(dom, dom.center(), bridge=False) == (
-            "ca4054b227c8ba18b0dec7eef93f6ebe64e91624fc2f8ce14adf5d4970b5978e")
+        with pytest.raises(InfeasibleParameterError, match="exact law"):
+            self._digest(dom, dom.center(), bridge=False)
 
     def test_long_box_from_center(self):
         dom = SimDomain.box((10.0, 1.0))
         assert self._digest(dom, dom.center()) == (
-            "647f6487521e5786f1f5a48ef845faaf6f592ff2fd1d6f7f9712ef62021b5365")
+            "c9e1fb9c35ec968d40857b31beaf5b4207b8a60b52ac6dc675a3ff24a0036d79")
 
     def test_disc_staggered_chunks(self):
         # ten 64-path chunks, the last of 24 paths
@@ -423,31 +370,98 @@ class TestGoldenStream:
     def test_cube_staggered_chunks(self):
         dom = SimDomain.box((1.0, 1.0, 1.0))
         assert self._digest(dom, dom.center(), chunk_size=64) == (
-            "fc928a8a366dabb4180fc10b3fc85dd2d7432e7b424ccecda59ff74b7f121b2e")
+            "ee42da4b5eb27fe5c76cce2291e61a71c3d781d5222ecb5fa1ab7c6afff3f117")
 
     def test_long_box_staggered_chunks_without_bridge(self):
-        # 97 does not divide 600: six full chunks and one of 18 paths
         dom = SimDomain.box((10.0, 1.0))
-        assert self._digest(dom, dom.center(), bridge=False, chunk_size=97) == (
-            "4902025cee6f64ba97eea91d647b02e542a3b572625acafbac662b6b971ccd9e")
+        with pytest.raises(InfeasibleParameterError, match="exact law"):
+            self._digest(dom, dom.center(), bridge=False, chunk_size=97)
 
     def test_square_fine_step(self):
         dom = SimDomain.box((1.0, 1.0))
         assert self._digest(dom, dom.center(), dt=1e-4) == (
-            "70a188a37f8e0ad91615cf3ebd2ba919f6dd2002797e72f5ef972c8bee9cd814")
+            "d70219c81ca780016ba8972e94bb24853febc01507bee9ab2f091dedcaeabff7")
 
     def test_nine_dimensional_box_fine_step(self):
-        # nine columns: past numpy's pairwise block of 8
+        # nine coordinates from one start fraction share one table
         dom = SimDomain.box((1.0,) * 9)
         assert self._digest(dom, dom.center(), dt=1e-4) == (
-            "1a7b6f035837b6d3a00af485304ac1fe9804316db0e2039b7e019e653d9f2ff5")
+            "84ff81cef020d68d1aa13b40aaa8036bf25f271b61ee042a34607b42f5d88639")
 
     def test_flat_box_off_center_fine_step(self):
         # starts at (2.25, 0.25), 0.75 from the nearest end and 0.25 from
         # the two long faces
         dom = SimDomain.box((3.0, 0.5))
         assert self._digest(dom, off_center_start(dom), dt=1e-4) == (
-            "cf72e38f765abb8cc765c46013cc6e2f6e9b9c26bc0571a20a3fd16a50b6da6d")
+            "45916371257663acc19a4a3677661e00b558026fd5aa7c44828841c45d41e055")
+
+
+def _exact_interval_survival(t, f):
+    """S_1(t; f), the chance that the twice-speed motion started at f is
+    still in (0, 1) at time t >= 0, from its series, not from the sampler's
+    table: four pairs of images below t = 0.05, the eigen terms k <= 13
+    above, each within 1e-30 of the whole sum."""
+    from scipy.special import erfc
+
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    small = t < 0.05
+    scale = 2.0 * np.sqrt(t[small])
+    with np.errstate(divide="ignore"):  # t = 0 gives erfc(inf) = 0
+        exits = sum((-1.0) ** j * (erfc((j + f) / scale) + erfc((j + 1 - f) / scale))
+                    for j in range(4))
+    out[small] = 1.0 - exits
+    k = np.arange(1, 14, 2) * math.pi
+    out[~small] = np.exp(np.multiply.outer(t[~small], -k * k)) @ (4.0 / k * np.sin(k * f))
+    return out
+
+
+class TestExactBoxLaw:
+    """Box exit times against their exact law."""
+
+    @pytest.mark.parametrize("sides,start,dt", [
+        ((1.0, 1.0), None, None),
+        ((1.0, 1.0), (0.75, 0.5), None),
+        ((1.0, 1.0, 1.0), None, None),
+        ((1.0,) * 9, None, None),
+        ((3.0, 0.5), (2.25, 0.25), None),
+        ((1.0, 1.0), None, 2e-3),
+    ], ids=["square", "square_off_center", "cube", "nine_dimensional", "flat_box_off_center",
+            "square_coarse_step"])
+    def test_survival_matches_the_product_series(self, sides, start, dt):
+        # an exit time is dt * ceil(tau / dt), so it outlives t exactly when
+        # tau outlives dt * floor(t / dt); box survival is the product of the
+        # sides' interval survivals.  At the default dt a shift by one step
+        # moves survival by well under its standard error; the coarse step
+        # shows it.
+        dom = SimDomain.box(sides)
+        start = start or dom.center()
+        cfg = SimConfig(domain=dom, start=start, dt=dt or default_dt(dom), n_paths=100000,
+                        t_grid=default_t_grid(principal_eigenvalue(dom)), seed=2024)
+        est = np.asarray(estimate_survival(cfg, sample_exit_times(cfg)).survival)
+        floor = cfg.dt * np.floor(np.asarray(cfg.t_grid) / cfg.dt)
+        exact = np.prod([_exact_interval_survival(floor / (side * side), x / side)
+                         for x, side in zip(start, sides)], axis=0)
+        z = (est - exact)[1:] / np.sqrt(exact * (1.0 - exact) / cfg.n_paths)[1:]
+        assert np.all(np.abs(z) <= 4.0), z
+
+    @pytest.mark.parametrize("f", [0.5, 0.75, 0.1, 0.01])
+    def test_inverse_keeps_the_stated_cdf_bound(self, f):
+        # T is nondecreasing, so the CDF of T(V) is within 1e-6 of the
+        # exact one exactly when S_1(T(v)) is within 1e-6 of S_1 at the
+        # exact inverse of v, found here by bisection of the series
+        near_zero = np.geomspace(2.0 ** -53, 0.01, 20000)
+        levels = np.concatenate([np.linspace(0.0, 1.0, 60002)[1:-1], near_zero,
+                                 1.0 - near_zero])
+        lo, hi = np.full_like(levels, 1e-14), np.full_like(levels, 10.0)
+        for _ in range(45):
+            mid = np.sqrt(lo * hi)
+            above = _exact_interval_survival(mid, f) > levels
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        exact = _exact_interval_survival(hi, f)
+        assert np.abs(exact - levels).max() <= 1e-9
+        error = np.abs(_exact_interval_survival(_interval_inverse(f)(levels), f) - exact)
+        assert error.max() <= 1e-6
 
 
 class TestSurvival:
@@ -641,6 +655,13 @@ class TestPlumbing:
         ):
             with pytest.raises(InfeasibleParameterError):
                 SimConfig(**{**ok, **patch})
+
+    def test_box_refuses_no_bridge(self):
+        # a box draws its exit times from their exact law: there is no
+        # stepping bias for the bridge correction to remove
+        with pytest.raises(InfeasibleParameterError, match="exact law"):
+            _box_config(bridge_correction=False)
+        assert _box_config(bridge_correction=True).bridge_correction
 
     def test_domain_validation(self):
         with pytest.raises(InfeasibleParameterError):
