@@ -62,7 +62,6 @@ __all__ = [
     "load_custom_table",
     "log_gamma",
     "log_v",
-    "off_center_start",
     "optimal_a",
     "optimize_bound",
     "principal_eigenvalue",
@@ -82,7 +81,6 @@ _MONTECARLO_NAMES = frozenset({
     "default_dt",
     "default_t_grid",
     "estimate_survival",
-    "off_center_start",
     "principal_eigenvalue",
     "sample_exit_times",
 })

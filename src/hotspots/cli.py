@@ -284,9 +284,9 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
     """Monte Carlo check of survival against the V-bound (exit 5 on failure)."""
     # here, not at the top: numpy loads only for the command that needs it
     from .montecarlo import (
+        _MAX_GRID_POINTS,
         SimConfig,
         SimDomain,
-        check_grid_dt,
         check_vbound,
         default_dt,
         default_t_grid,
@@ -321,7 +321,10 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
         raise UsageError("verify-vbound supports vogt|improved only")
     lam = principal_eigenvalue(domain)
     dt_val = default_dt(domain) if dt is None else dt
-    check_grid_dt(lam, grid_points, dt_val)
+    if grid_points > _MAX_GRID_POINTS:
+        raise InfeasibleParameterError(
+            f"grid_points={grid_points} is too many; at most {_MAX_GRID_POINTS} "
+            "fit the time-step cap")
     config = SimConfig(
         domain=domain,
         start=domain.center(),

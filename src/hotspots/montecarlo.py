@@ -64,6 +64,12 @@ _MAX_PATHS = 10 ** 8
 #: default_t_grid ends at lambda_D * t = 12.
 _GRID_DECAY = 12.0
 
+#: Most points a run's t_grid can have.  SimConfig needs dt at most a tenth of
+#: the spacing 12 / (lambda_D (P - 1)), and sample_exit_times steps to
+#: t = 80 / lambda_D (past the grid's end), so P points need at least
+#: 800 (P - 1) / 12 steps: more than _MAX_STEPS once P exceeds this.
+_MAX_GRID_POINTS = 1 + int(_GRID_DECAY * _MAX_STEPS / (10 * _LAMBDA_T_CAP))
+
 
 class DomainShape(enum.Enum):
     BALL = "ball"
@@ -788,25 +794,6 @@ def default_t_grid(lambda_d: float, points: int = 25) -> tuple[float, ...]:
     return tuple(t_max * i / (points - 1) for i in range(points))
 
 
-def check_grid_dt(lambda_d: float, points: int, dt: float) -> None:
-    """Reject a dt that default_t_grid(lambda_d, points) cannot take, before
-    that grid is built.
-
-    SimConfig checks dt against the built grid; this check comes first, so a
-    huge point count fails at once instead of allocating its grid.  Its
-    limit is a hair looser than SimConfig's, whose check on the built grid
-    settles the cases within rounding of the limit.
-    """
-    if points < 2:
-        return
-    spacing = _GRID_DECAY / lambda_d / (points - 1)
-    if not 0.0 < dt <= spacing / 10.0 * (1.0 + 1e-9):
-        raise InfeasibleParameterError(
-            f"dt must be positive and at most one tenth of the t_grid spacing "
-            f"{spacing:.6g}, got {dt!r}"
-        )
-
-
 def default_dt(domain: SimDomain) -> float:
     """1e-4 times the squared characteristic length (radius / shortest side)."""
     if domain.shape is DomainShape.BALL:
@@ -816,15 +803,3 @@ def default_dt(domain: SimDomain) -> float:
         assert domain.sides is not None
         scale = min(domain.sides)
     return 1e-4 * scale * scale
-
-
-def off_center_start(domain: SimDomain, offset_fraction: float = 0.5) -> tuple[float, ...]:
-    """A start point displaced from the center along the first axis."""
-    center = list(domain.center())
-    if domain.shape is DomainShape.BALL:
-        assert domain.radius is not None
-        center[0] += offset_fraction * domain.radius
-    else:
-        assert domain.sides is not None
-        center[0] += 0.5 * offset_fraction * domain.sides[0]
-    return tuple(center)

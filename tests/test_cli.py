@@ -423,6 +423,27 @@ class TestVerifyVBound:
                 assert res.exit_code == 3, (count, extra, res.output)
         assert built == []
 
+    @pytest.mark.parametrize("shape", [
+        ["--dim", "2"],
+        ["--shape", "box", "--sides", "1,1", "--dim", "2"],
+    ], ids=["ball", "box"])
+    def test_grid_past_the_step_cap_exit_three_before_it_is_built(self, invoke,
+                                                                  monkeypatch, shape):
+        # a tiny dt fits a billion points' spacing, but no dt that fits can
+        # run within the step cap: the count is refused before the grid exists
+        import hotspots.montecarlo as mc
+        built = []
+        monkeypatch.setattr(mc, "default_t_grid",
+                            lambda lam, points: built.append(points))
+        res = invoke(["verify-vbound"] + shape + ["--paths", "100",
+                      "--grid-points", "1000000000", "--dt", "1e-12"])
+        assert res.exit_code == 3, res.output
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: grid_points=1000000000 is too many; at most 1500001 "
+            "fit the time-step cap\n")
+        assert built == []
+
     def test_tiny_dt_exit_three_before_sampling(self, invoke, monkeypatch):
         # dt = 1e-9 on the unit disc needs about 1.4e10 steps: refused, not run
         import hotspots.montecarlo as mc
@@ -478,7 +499,7 @@ class TestVerifyVBound:
             assert res.exit_code == 3, res.output
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_lazy_names_resolve_and_table_loads_no_numpy_or_montecarlo():
     # scipy is a test dependency only: the package computes its
     # Clopper-Pearson limits with math, and scipy.special alone was about
     # 0.2 s of every command's cold start (scipy.stats about a second).

@@ -23,15 +23,17 @@ from hotspots import (
     default_t_grid,
     estimate_survival,
     first_bessel_zero,
-    off_center_start,
     principal_eigenvalue,
     sample_exit_times,
 )
 from hotspots.montecarlo import (
+    _GRID_DECAY,
+    _LAMBDA_T_CAP,
+    _MAX_GRID_POINTS,
     _MAX_PATHS,
+    _MAX_STEPS,
     _clopper_pearson,
     _interval_inverse,
-    check_grid_dt,
     _row_sum_squares,
     _survivor_counts,
 )
@@ -53,6 +55,13 @@ def _box_config(sides=(1.0, 1.0), start=None, n_paths=3000, dt=1e-3, seed=42, **
 
 def _survival(cfg):
     return estimate_survival(cfg, sample_exit_times(cfg))
+
+
+def _off_center(dom):
+    """The start half way from the centre to the boundary along the first axis."""
+    start = list(dom.center())
+    start[0] += 0.5 * (dom.radius if dom.shape is DomainShape.BALL else 0.5 * dom.sides[0])
+    return tuple(start)
 
 
 class TestEigenvalue:
@@ -246,23 +255,31 @@ class TestExitTimes:
         assert sample_exit_times(cfg).shape == (10,)
 
 
-def test_grid_dt_check_agrees_with_sim_config():
-    # check_grid_dt runs before the grid exists; at the limit it must accept
-    # what SimConfig accepts, and reject just past it
+def test_sim_config_dt_at_most_a_tenth_of_the_grid_spacing():
+    # SimConfig is the one check of dt against the grid: it accepts the limit
+    # and refuses just past it
     dom = SimDomain.ball(1.0, 2)
     lam = principal_eigenvalue(dom)
     for points in (2, 3, 25, 1000):
         grid = default_t_grid(lam, points)
         limit = min(b - a for a, b in zip(grid, grid[1:])) / 10.0
-        check_grid_dt(lam, points, limit)
         SimConfig(domain=dom, start=dom.center(), dt=limit, n_paths=1,
                   t_grid=grid, seed=0)
         for dt in (limit * (1.0 + 1e-6), 0.0, -limit, math.nan, math.inf):
             with pytest.raises(InfeasibleParameterError):
-                check_grid_dt(lam, points, dt)
-            with pytest.raises(InfeasibleParameterError):
                 SimConfig(domain=dom, start=dom.center(), dt=dt, n_paths=1,
                           t_grid=grid, seed=0)
+
+
+@pytest.mark.parametrize("dom", [SimDomain.ball(1.0, 2), SimDomain.box((1.0, 1.0)),
+                                 SimDomain.ball(3.0, 7)], ids=["disc", "square", "ball7"])
+def test_grid_point_cap_refuses_only_unrunnable_grids(dom):
+    # one point past the cap, even the largest dt SimConfig allows needs more
+    # steps than sample_exit_times takes; no grid is built to show it
+    lam = principal_eigenvalue(dom)
+    points = _MAX_GRID_POINTS + 1
+    largest_dt = _GRID_DECAY / lam / (points - 1) / 10.0
+    assert _LAMBDA_T_CAP / lam / largest_dt > _MAX_STEPS
 
 
 class TestStepKernel:
@@ -337,7 +354,7 @@ class TestGoldenStream:
 
     def test_square_off_center(self):
         dom = SimDomain.box((1.0, 1.0))
-        assert self._digest(dom, off_center_start(dom)) == (
+        assert self._digest(dom, _off_center(dom)) == (
             "c7c83815555800ff8b8f9167a8dd5715285d5942bc473131f9911d65b0fd5078")
 
     def test_ball_d3_from_center(self):
@@ -392,7 +409,7 @@ class TestGoldenStream:
         # starts at (2.25, 0.25), 0.75 from the nearest end and 0.25 from
         # the two long faces
         dom = SimDomain.box((3.0, 0.5))
-        assert self._digest(dom, off_center_start(dom), dt=1e-4) == (
+        assert self._digest(dom, _off_center(dom), dt=1e-4) == (
             "45916371257663acc19a4a3677661e00b558026fd5aa7c44828841c45d41e055")
 
 
@@ -490,7 +507,7 @@ class TestSurvival:
     def test_center_start_dominates_off_center(self):
         center = _survival(_ball_config(n_paths=5000, dt=1e-3))
         dom = SimDomain.ball(1.0, 2)
-        off = SimConfig(domain=dom, start=off_center_start(dom), dt=1e-3,
+        off = SimConfig(domain=dom, start=_off_center(dom), dt=1e-3,
                         n_paths=5000, t_grid=center.t_grid, seed=42)
         off_est = _survival(off)
         for hi_c, lo_o in zip(center.ci_high, off_est.ci_low):
