@@ -34,9 +34,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError",
+    "Ball",
     "BesselZeroRecord",
     "BoundResult",
-    "DomainShape",
+    "Box",
     "FiniteHorizonConstraintError",
     "HotspotsError",
     "InfeasibleParameterError",
@@ -72,7 +73,8 @@ __all__ = [
 
 #: served by `__getattr__` from `hotspots.montecarlo`, which imports numpy
 _MONTECARLO_NAMES = frozenset({
-    "DomainShape",
+    "Ball",
+    "Box",
     "SimConfig",
     "SimDomain",
     "TailEstimate",

@@ -285,8 +285,9 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
     # here, not at the top: numpy loads only for the command that needs it
     from .montecarlo import (
         _MAX_GRID_POINTS,
+        Ball,
+        Box,
         SimConfig,
-        SimDomain,
         check_vbound,
         default_dt,
         default_t_grid,
@@ -300,7 +301,7 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
         if sides is not None:
             raise UsageError("ball shape takes --radius, not --sides")
         radius = 1.0 if radius is None else radius
-        domain = SimDomain.ball(radius, dim)
+        domain = Ball(radius, dim)
     else:
         if radius is not None:
             raise UsageError("box shape takes --sides, not --radius")
@@ -310,7 +311,7 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
             side_vals = tuple(float(s) for s in sides.split(","))
         except ValueError:
             raise UsageError(f"--sides must be comma-separated numbers, got {sides!r}")
-        domain = SimDomain.box(side_vals)
+        domain = Box(side_vals)
         if domain.dim != dim:
             raise UsageError("--dim disagrees with the number of sides")
         if not bridge:
@@ -320,17 +321,18 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
     if vkind is VKind.CUSTOM:
         raise UsageError("verify-vbound supports vogt|improved only")
     lam = principal_eigenvalue(domain)
-    dt_val = default_dt(domain) if dt is None else dt
     if grid_points > _MAX_GRID_POINTS:
         raise InfeasibleParameterError(
             f"grid_points={grid_points} is too many; at most {_MAX_GRID_POINTS} "
             "fit the time-step cap")
+    t_grid = default_t_grid(lam, grid_points)
+    dt_val = default_dt(domain, t_grid) if dt is None else dt
     config = SimConfig(
         domain=domain,
         start=domain.center(),
         dt=dt_val,
         n_paths=paths,
-        t_grid=default_t_grid(lam, grid_points),
+        t_grid=t_grid,
         seed=seed,
         bridge_correction=bridge,
         chunk_size=chunk_size,
@@ -571,8 +573,9 @@ def _build_parser() -> argparse.ArgumentParser:
     option("--dim", required=True, type=int, help="Dimension.")
     option("--paths", default=100000, type=int, help="Simulated paths.")
     option("--dt", type=float,
-           help="Time step (default 1e-4 * characteristic length^2); a box "
-                "reports its exact exit times rounded up to whole steps.")
+           help="Time step (default 1e-4 * characteristic length^2, at most a "
+                "tenth of the grid spacing); a box reports its exact exit "
+                "times rounded up to whole steps.")
     option("--epsilon", default=0.5, type=float, help="Epsilon of the V-bound.")
     option("--vfunction", default="vogt", help="vogt|improved.")
     option("--seed", default=42, type=int, help="Philox key.")
@@ -580,9 +583,11 @@ def _build_parser() -> argparse.ArgumentParser:
     option("--chunk-size", default=65536, type=int,
            help="Paths per chunk: chunk i draws from Philox(key=seed) jumped i "
                 "times, and at most twice this many paths are in flight.")
+    bridge_help = ("Brownian-bridge crossing correction of the ball stepper; "
+                   "a box needs none and refuses --no-bridge.")
+    # Python 3.10's action appends a default that _HelpFormatter shows already
     option("--bridge", default=True, action=argparse.BooleanOptionalAction,
-           help="Brownian-bridge crossing correction of the ball stepper; "
-                "a box needs none and refuses --no-bridge.")
+           help=bridge_help).help = bridge_help
     return parser
 
 

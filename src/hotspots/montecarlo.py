@@ -1,8 +1,8 @@
 """Exit-time Monte Carlo: empirical validation of the V-bound.
 
 Samples the exit times of Brownian motion run at twice the usual speed
-(per-coordinate variance 2t, generator = full Laplacian) from balls and
-boxes, estimates the survival function P(tau_D > t) with Clopper-Pearson
+(per-coordinate variance 2t, generator = full Laplacian) from a Ball or a
+Box, estimates the survival function P(tau_D > t) with Clopper-Pearson
 intervals, and checks it against V(eps, d) * exp(-(1-eps) * lambda_D * t).
 
 Boxes need no time steps.  A box is the product of its intervals and the
@@ -34,7 +34,6 @@ chunk order, however chunks are scheduled.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
@@ -71,54 +70,52 @@ _GRID_DECAY = 12.0
 _MAX_GRID_POINTS = 1 + int(_GRID_DECAY * _MAX_STEPS / (10 * _LAMBDA_T_CAP))
 
 
-class DomainShape(enum.Enum):
-    BALL = "ball"
-    BOX = "box"
+def _check_dim(dim: int) -> None:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise InfeasibleParameterError(f"dim must be an integer >= 1, got {dim!r}")
 
 
 @dataclass(frozen=True)
-class SimDomain:
-    """A ball of given radius centered at the origin, or an axis box
-    prod_i (0, L_i)."""
+class Ball:
+    """The ball of the given radius centered at the origin of R^dim."""
 
-    shape: DomainShape
+    radius: float
     dim: int
-    radius: float | None = None
-    sides: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
-            raise InfeasibleParameterError(f"dim must be an integer >= 1, got {self.dim!r}")
-        if self.shape is DomainShape.BALL:
-            if self.sides is not None:
-                raise InfeasibleParameterError("ball takes no sides")
-            if self.radius is None or not (0.0 < self.radius < math.inf):
-                raise InfeasibleParameterError(
-                    f"ball needs a positive finite radius, got {self.radius!r}"
-                )
-        else:
-            if self.radius is not None:
-                raise InfeasibleParameterError("box takes no radius")
-            if self.sides is None or len(self.sides) != self.dim:
-                raise InfeasibleParameterError("box needs one side per dimension")
-            if not all(0.0 < s < math.inf for s in self.sides):
-                raise InfeasibleParameterError("box sides must be positive and finite")
-            # a tuple keeps the domain hashable, as principal_eigenvalue's cache needs
-            object.__setattr__(self, "sides", tuple(self.sides))
-
-    @classmethod
-    def ball(cls, radius: float, dim: int) -> "SimDomain":
-        return cls(shape=DomainShape.BALL, dim=dim, radius=radius)
-
-    @classmethod
-    def box(cls, sides: tuple[float, ...]) -> "SimDomain":
-        return cls(shape=DomainShape.BOX, dim=len(sides), sides=tuple(sides))
+        _check_dim(self.dim)
+        if not (0.0 < self.radius < math.inf):
+            raise InfeasibleParameterError(
+                f"ball needs a positive finite radius, got {self.radius!r}"
+            )
 
     def center(self) -> tuple[float, ...]:
-        if self.shape is DomainShape.BALL:
-            return (0.0,) * self.dim
-        assert self.sides is not None
+        return (0.0,) * self.dim
+
+
+@dataclass(frozen=True)
+class Box:
+    """The axis box prod_i (0, L_i).  sides is stored as a tuple, so a box
+    given a list is still hashable, as principal_eigenvalue's cache needs."""
+
+    sides: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sides", tuple(self.sides))
+        _check_dim(self.dim)
+        if not all(0.0 < s < math.inf for s in self.sides):
+            raise InfeasibleParameterError("box sides must be positive and finite")
+
+    @property
+    def dim(self) -> int:
+        return len(self.sides)
+
+    def center(self) -> tuple[float, ...]:
         return tuple(0.5 * s for s in self.sides)
+
+
+#: The Monte Carlo domains: annotations name this union.
+SimDomain = Ball | Box
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,7 @@ class SimConfig:
             )
         if self.chunk_size < 1:
             raise InfeasibleParameterError("chunk_size must be >= 1")
-        if self.domain.shape is DomainShape.BOX and not self.bridge_correction:
+        if isinstance(self.domain, Box) and not self.bridge_correction:
             raise InfeasibleParameterError(
                 "a box draws its exit times from their exact law; "
                 "bridge_correction=False applies to balls only"
@@ -180,11 +177,13 @@ class SimConfig:
 
     def fingerprint(self) -> str:
         dom = self.domain
+        if isinstance(dom, Ball):
+            shape = {"shape": "ball", "radius": dom.radius, "sides": None}
+        else:
+            shape = {"shape": "box", "radius": None, "sides": list(dom.sides)}
         payload = {
-            "shape": dom.shape.value,
+            **shape,
             "dim": dom.dim,
-            "radius": dom.radius,
-            "sides": list(dom.sides) if dom.sides is not None else None,
             "start": list(self.start),
             "dt": self.dt,
             "n_paths": self.n_paths,
@@ -230,10 +229,8 @@ class VBoundReport:
 
 def _start_distance(domain: SimDomain, point: tuple[float, ...]) -> float:
     """Distance from point to the boundary; negative outside."""
-    if domain.shape is DomainShape.BALL:
-        assert domain.radius is not None
+    if isinstance(domain, Ball):
         return domain.radius - math.sqrt(sum(c * c for c in point))
-    assert domain.sides is not None
     return min(min(c, s - c) for c, s in zip(point, domain.sides))
 
 
@@ -249,17 +246,15 @@ def principal_eigenvalue(domain: SimDomain) -> float:
 
     Examples
     --------
-    >>> abs(principal_eigenvalue(SimDomain.box((1.0, 1.0))) - 2.0 * math.pi ** 2) < 1e-12
+    >>> abs(principal_eigenvalue(Box((1.0, 1.0))) - 2.0 * math.pi ** 2) < 1e-12
     True
     """
-    if domain.shape is DomainShape.BOX:
-        assert domain.sides is not None
+    if isinstance(domain, Box):
         try:
             lam = math.pi ** 2 * sum(1.0 / (s * s) for s in domain.sides)
         except ZeroDivisionError:  # a side whose square underflows to 0.0
             lam = math.inf
     else:
-        assert domain.radius is not None
         if domain.dim == 1:
             j = 0.5 * math.pi  # first zero of cos = J_{-1/2} direction
         else:
@@ -315,7 +310,7 @@ def _row_sum_squares(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
+def _pool_exit_times(config: SimConfig, ball: Ball, max_steps: int) -> np.ndarray:
     """Exit times of all n_paths from a ball, stepped as one pool of alive
     paths.
 
@@ -329,7 +324,7 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
     contiguous and in chunk order.  The start must lie strictly inside the
     domain.
     """
-    dim = config.domain.dim
+    dim, radius = ball.dim, float(ball.radius)
     dt = config.dt
     n, size = config.n_paths, config.chunk_size
     step_sd = math.sqrt(2.0 * dt)
@@ -337,7 +332,6 @@ def _pool_exit_times(config: SimConfig, max_steps: int) -> np.ndarray:
 
     # gap: the radial distance R - |x| to the boundary, carried from step to
     # step, shape (alive,)
-    radius = float(config.domain.radius)  # type: ignore[arg-type]
     start_gap = radius - np.sqrt(_row_sum_squares(start))
 
     exit_step = np.empty(n, dtype=np.int64)  # pool step each path exits in
@@ -469,7 +463,7 @@ def _interval_inverse(f: float) -> Callable[[np.ndarray], np.ndarray]:
     return inverse
 
 
-def _box_exit_times(config: SimConfig) -> np.ndarray:
+def _box_exit_times(config: SimConfig, box: Box) -> np.ndarray:
     """Exit times of all n_paths from a box, drawn from their exact law.
 
     Coordinate j leaves (0, L_j) at tau_j = L_j^2 T_j(V_j), where T_j is
@@ -487,7 +481,7 @@ def _box_exit_times(config: SimConfig) -> np.ndarray:
     n, size, dt = config.n_paths, config.chunk_size, config.dt
     inverses: dict[float, Callable[[np.ndarray], np.ndarray]] = {}
     columns = []
-    for x, side in zip(config.start, config.domain.sides):  # type: ignore[arg-type]
+    for x, side in zip(config.start, box.sides):
         f = x / side
         if f not in inverses:
             inverses[f] = _interval_inverse(f)
@@ -525,9 +519,9 @@ def sample_exit_times(config: SimConfig) -> np.ndarray:
             f"dt={config.dt!r} needs {steps:.3g} time steps; "
             f"at most {_MAX_STEPS:.0e} are allowed"
         )
-    if config.domain.shape is DomainShape.BOX:
-        return _box_exit_times(config)
-    return _pool_exit_times(config, int(math.ceil(steps)) + 1)
+    if isinstance(config.domain, Box):
+        return _box_exit_times(config, config.domain)
+    return _pool_exit_times(config, config.domain, int(math.ceil(steps)) + 1)
 
 
 #: ln 0.025, the probability each Clopper-Pearson limit leaves in its tail.
@@ -794,12 +788,10 @@ def default_t_grid(lambda_d: float, points: int = 25) -> tuple[float, ...]:
     return tuple(t_max * i / (points - 1) for i in range(points))
 
 
-def default_dt(domain: SimDomain) -> float:
-    """1e-4 times the squared characteristic length (radius / shortest side)."""
-    if domain.shape is DomainShape.BALL:
-        assert domain.radius is not None
-        scale = domain.radius
-    else:
-        assert domain.sides is not None
-        scale = min(domain.sides)
-    return 1e-4 * scale * scale
+def default_dt(domain: SimDomain, t_grid: tuple[float, ...]) -> float:
+    """1e-4 times the squared characteristic length (radius / shortest side),
+    or a tenth of t_grid's smallest spacing, as SimConfig requires, if less:
+    on default_t_grid, for a ball from d = 37 and a unit box from d = 51."""
+    scale = domain.radius if isinstance(domain, Ball) else min(domain.sides)
+    return min([1e-4 * scale * scale,
+                *((b - a) / 10.0 for a, b in zip(t_grid, t_grid[1:]))])

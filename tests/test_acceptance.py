@@ -15,10 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from hotspots import (
+    Ball,
     RatioKind,
     RootFamily,
     SimConfig,
-    SimDomain,
     VKind,
     asymptotic_bound,
     bound_value,
@@ -195,7 +195,7 @@ def test_criterion_5_sqrt_e_family():
 
 def test_criterion_6_monte_carlo_validates_v_bound():
     t0 = time.perf_counter()
-    dom = SimDomain.ball(1.0, 2)
+    dom = Ball(1.0, 2)
     lam = principal_eigenvalue(dom)
     cfg = SimConfig(domain=dom, start=dom.center(), dt=1e-4, n_paths=100000,
                     t_grid=default_t_grid(lam), seed=42)

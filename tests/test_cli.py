@@ -444,6 +444,16 @@ class TestVerifyVBound:
             "fit the time-step cap\n")
         assert built == []
 
+    @pytest.mark.parametrize("domain", [
+        ["--dim", "37"], ["--dim", "40"],
+        ["--shape", "box", "--sides", ",".join(["1"] * 51), "--dim", "51"],
+    ], ids=["ball37", "ball40", "box51"])
+    def test_default_dt_fits_the_grid_in_high_dimension(self, invoke, domain):
+        # there a tenth of the grid's spacing 0.5 / lambda is below 1e-4 L^2,
+        # and the default dt must be that tenth, not a dt SimConfig refuses
+        res = invoke(["verify-vbound", "--paths", "100"] + domain)
+        assert res.exit_code in (0, 5), res.output
+
     def test_tiny_dt_exit_three_before_sampling(self, invoke, monkeypatch):
         # dt = 1e-9 on the unit disc needs about 1.4e10 steps: refused, not run
         import hotspots.montecarlo as mc
@@ -910,7 +920,7 @@ class TestGoldenCli:
             ["bound", "-", "--dim", "7"], ["table", "--", "x"], ["table", "--"],
             ["bound", "--version"], ["--version"], ["--help"], ["bound", "--help"],
             ["bound", "--dim=7=8"], ["--", "bound", "--dim", "7", "--format=csv"],
-        ]) == "666e7a6000a0a25a3bb47a38687b065ac2fae384960d61eb0f2c91dada1c7084"
+        ]) == "07ea052911ccc5a62d5a10b424b8b9c3fe22954170b9fabfe7ce4dff57d7d09f"
 
     def test_value_conversions(self, invoke):
         # each argv once: what int(), float() and a choices check accept

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hotspots import (
     AccuracyError,
-    DomainShape,
+    Ball,
+    Box,
     InfeasibleParameterError,
     SimConfig,
-    SimDomain,
     TailEstimate,
     VKind,
     check_vbound,
@@ -40,14 +40,14 @@ from hotspots.montecarlo import (
 
 
 def _ball_config(n_paths=20000, dt=1e-4, seed=42, radius=1.0, dim=2, **kw):
-    dom = SimDomain.ball(radius, dim)
+    dom = Ball(radius, dim)
     lam = principal_eigenvalue(dom)
     return SimConfig(domain=dom, start=dom.center(), dt=dt, n_paths=n_paths,
                      t_grid=default_t_grid(lam), seed=seed, **kw)
 
 
 def _box_config(sides=(1.0, 1.0), start=None, n_paths=3000, dt=1e-3, seed=42, **kw):
-    dom = SimDomain.box(sides)
+    dom = Box(sides)
     lam = principal_eigenvalue(dom)
     return SimConfig(domain=dom, start=start or dom.center(), dt=dt, n_paths=n_paths,
                      t_grid=default_t_grid(lam), seed=seed, **kw)
@@ -60,39 +60,39 @@ def _survival(cfg):
 def _off_center(dom):
     """The start half way from the centre to the boundary along the first axis."""
     start = list(dom.center())
-    start[0] += 0.5 * (dom.radius if dom.shape is DomainShape.BALL else 0.5 * dom.sides[0])
+    start[0] += 0.5 * (dom.radius if isinstance(dom, Ball) else 0.5 * dom.sides[0])
     return tuple(start)
 
 
 class TestEigenvalue:
     def test_unit_disc(self):
-        lam = principal_eigenvalue(SimDomain.ball(1.0, 2))
+        lam = principal_eigenvalue(Ball(1.0, 2))
         assert lam == pytest.approx(5.7831859629, abs=1e-8)
         j01 = first_bessel_zero(0.0).value
         assert lam == pytest.approx(j01 * j01, rel=1e-12)
 
     def test_unit_square(self):
-        lam = principal_eigenvalue(SimDomain.box((1.0, 1.0)))
+        lam = principal_eigenvalue(Box((1.0, 1.0)))
         assert lam == pytest.approx(2.0 * math.pi**2, rel=1e-12)
 
     def test_ball_radius_two_dim_three(self):
-        lam = principal_eigenvalue(SimDomain.ball(2.0, 3))
+        lam = principal_eigenvalue(Ball(2.0, 3))
         # j_{1/2,1} = pi, so lambda = (pi/2)^2
         assert lam == pytest.approx(math.pi**2 / 4.0, rel=1e-10)
 
     def test_interval(self):
-        lam = principal_eigenvalue(SimDomain.ball(1.0, 1))
+        lam = principal_eigenvalue(Ball(1.0, 1))
         assert lam == pytest.approx((math.pi / 2.0) ** 2, rel=1e-12)
 
     def test_box_sides_given_as_list(self):
         # the eigenvalue is cached per domain, so a list of sides must still
         # give a hashable domain
-        dom = SimDomain(shape=DomainShape.BOX, dim=2, sides=[2.0, 0.5])
+        dom = Box([2.0, 0.5])
         assert dom.sides == (2.0, 0.5)
-        assert principal_eigenvalue(dom) == principal_eigenvalue(SimDomain.box((2.0, 0.5)))
+        assert principal_eigenvalue(dom) == principal_eigenvalue(Box((2.0, 0.5)))
 
     def test_box_scaling(self):
-        lam = principal_eigenvalue(SimDomain.box((2.0, 0.5)))
+        lam = principal_eigenvalue(Box((2.0, 0.5)))
         assert lam == pytest.approx(math.pi**2 * (0.25 + 4.0), rel=1e-12)
 
 
@@ -104,15 +104,15 @@ class TestExitTimes:
         assert abs(tau.mean() - 0.25) <= 3.0 * se + 3e-4
 
     def test_mean_scales_with_radius(self):
-        dom = SimDomain.ball(2.0, 2)
-        cfg = SimConfig(domain=dom, start=dom.center(), dt=default_dt(dom),
+        dom = Ball(2.0, 2)
+        cfg = SimConfig(domain=dom, start=dom.center(), dt=default_dt(dom, (0.0,)),
                         n_paths=10000, t_grid=(0.0,), seed=11)
         tau = sample_exit_times(cfg)
         se = tau.std() / math.sqrt(len(tau))
         assert abs(tau.mean() - 1.0) <= 3.0 * se + 1.5e-3
 
     def test_boundary_start_exits_immediately(self):
-        dom = SimDomain.ball(1.0, 2)
+        dom = Ball(1.0, 2)
         cfg = SimConfig(domain=dom, start=(1.0, 0.0), dt=1e-3, n_paths=500,
                         t_grid=(0.0,), seed=5)
         assert np.all(sample_exit_times(cfg) == 0.0)
@@ -219,7 +219,7 @@ class TestExitTimes:
 
         import hotspots.montecarlo as mc
         monkeypatch.setattr(mc.np.random, "Generator", FrozenGenerator)
-        dom = SimDomain.ball(1.0, 2)
+        dom = Ball(1.0, 2)
         lam = principal_eigenvalue(dom)
         # one chunk, and four chunks of which only two ever join the pool
         for chunk_size in (65536, 4):
@@ -258,7 +258,7 @@ class TestExitTimes:
 def test_sim_config_dt_at_most_a_tenth_of_the_grid_spacing():
     # SimConfig is the one check of dt against the grid: it accepts the limit
     # and refuses just past it
-    dom = SimDomain.ball(1.0, 2)
+    dom = Ball(1.0, 2)
     lam = principal_eigenvalue(dom)
     for points in (2, 3, 25, 1000):
         grid = default_t_grid(lam, points)
@@ -271,8 +271,8 @@ def test_sim_config_dt_at_most_a_tenth_of_the_grid_spacing():
                           t_grid=grid, seed=0)
 
 
-@pytest.mark.parametrize("dom", [SimDomain.ball(1.0, 2), SimDomain.box((1.0, 1.0)),
-                                 SimDomain.ball(3.0, 7)], ids=["disc", "square", "ball7"])
+@pytest.mark.parametrize("dom", [Ball(1.0, 2), Box((1.0, 1.0)),
+                                 Ball(3.0, 7)], ids=["disc", "square", "ball7"])
 def test_grid_point_cap_refuses_only_unrunnable_grids(dom):
     # one point past the cap, even the largest dt SimConfig allows needs more
     # steps than sample_exit_times takes; no grid is built to show it
@@ -306,7 +306,7 @@ class TestStepKernel:
             assert np.array_equal(z, b.standard_normal((m, dim)))
             assert np.array_equal(u, b.uniform(size=m))
 
-    @pytest.mark.parametrize("domain", [SimDomain.ball(1.0, 2), SimDomain.ball(1.0, 3)],
+    @pytest.mark.parametrize("domain", [Ball(1.0, 2), Ball(1.0, 3)],
                              ids=["disc", "ball3"])
     def test_bridge_exponents_never_underflow(self, domain):
         # far from the boundary the bridge exponent runs into the thousands;
@@ -343,72 +343,72 @@ class TestGoldenStream:
         return hashlib.sha256(sample_exit_times(cfg).tobytes()).hexdigest()
 
     def test_disc_from_center(self):
-        dom = SimDomain.ball(1.0, 2)
+        dom = Ball(1.0, 2)
         assert self._digest(dom, dom.center()) == (
             "95a62c6e13065f8f23d9e985afd27b3a0df0c5deb212af42a7be74d60a87ac89")
 
     def test_square_from_center(self):
-        dom = SimDomain.box((1.0, 1.0))
+        dom = Box((1.0, 1.0))
         assert self._digest(dom, dom.center()) == (
             "c1a36af6c9e5547ef10eaac178319f8b3c6f43f1ef32d09251d0076fa811c961")
 
     def test_square_off_center(self):
-        dom = SimDomain.box((1.0, 1.0))
+        dom = Box((1.0, 1.0))
         assert self._digest(dom, _off_center(dom)) == (
             "c7c83815555800ff8b8f9167a8dd5715285d5942bc473131f9911d65b0fd5078")
 
     def test_ball_d3_from_center(self):
         # a sum of three squares: catches a reordered radius reduction
-        dom = SimDomain.ball(1.0, 3)
+        dom = Ball(1.0, 3)
         assert self._digest(dom, dom.center()) == (
             "4cb69483acdeeb10100de9202464417d578ff35e95a4e14a4dde9a84186fcacc")
 
     def test_cube_from_center(self):
-        dom = SimDomain.box((1.0, 1.0, 1.0))
+        dom = Box((1.0, 1.0, 1.0))
         assert self._digest(dom, dom.center()) == (
             "a26aa0189ba03343884f55b21cf8c45a724d2780a73932808de478719629a54f")
 
     def test_square_without_bridge(self):
-        dom = SimDomain.box((1.0, 1.0))
+        dom = Box((1.0, 1.0))
         with pytest.raises(InfeasibleParameterError, match="exact law"):
             self._digest(dom, dom.center(), bridge=False)
 
     def test_long_box_from_center(self):
-        dom = SimDomain.box((10.0, 1.0))
+        dom = Box((10.0, 1.0))
         assert self._digest(dom, dom.center()) == (
             "c9e1fb9c35ec968d40857b31beaf5b4207b8a60b52ac6dc675a3ff24a0036d79")
 
     def test_disc_staggered_chunks(self):
         # ten 64-path chunks, the last of 24 paths
-        dom = SimDomain.ball(1.0, 2)
+        dom = Ball(1.0, 2)
         assert self._digest(dom, dom.center(), chunk_size=64) == (
             "56c91d396fae628e53284287e822462fd79c9d33b6c4acfe1b7c4ec96597c40e")
 
     def test_cube_staggered_chunks(self):
-        dom = SimDomain.box((1.0, 1.0, 1.0))
+        dom = Box((1.0, 1.0, 1.0))
         assert self._digest(dom, dom.center(), chunk_size=64) == (
             "ee42da4b5eb27fe5c76cce2291e61a71c3d781d5222ecb5fa1ab7c6afff3f117")
 
     def test_long_box_staggered_chunks_without_bridge(self):
-        dom = SimDomain.box((10.0, 1.0))
+        dom = Box((10.0, 1.0))
         with pytest.raises(InfeasibleParameterError, match="exact law"):
             self._digest(dom, dom.center(), bridge=False, chunk_size=97)
 
     def test_square_fine_step(self):
-        dom = SimDomain.box((1.0, 1.0))
+        dom = Box((1.0, 1.0))
         assert self._digest(dom, dom.center(), dt=1e-4) == (
             "d70219c81ca780016ba8972e94bb24853febc01507bee9ab2f091dedcaeabff7")
 
     def test_nine_dimensional_box_fine_step(self):
         # nine coordinates from one start fraction share one table
-        dom = SimDomain.box((1.0,) * 9)
+        dom = Box((1.0,) * 9)
         assert self._digest(dom, dom.center(), dt=1e-4) == (
             "84ff81cef020d68d1aa13b40aaa8036bf25f271b61ee042a34607b42f5d88639")
 
     def test_flat_box_off_center_fine_step(self):
         # starts at (2.25, 0.25), 0.75 from the nearest end and 0.25 from
         # the two long faces
-        dom = SimDomain.box((3.0, 0.5))
+        dom = Box((3.0, 0.5))
         assert self._digest(dom, _off_center(dom), dt=1e-4) == (
             "45916371257663acc19a4a3677661e00b558026fd5aa7c44828841c45d41e055")
 
@@ -451,10 +451,11 @@ class TestExactBoxLaw:
         # sides' interval survivals.  At the default dt a shift by one step
         # moves survival by well under its standard error; the coarse step
         # shows it.
-        dom = SimDomain.box(sides)
+        dom = Box(sides)
         start = start or dom.center()
-        cfg = SimConfig(domain=dom, start=start, dt=dt or default_dt(dom), n_paths=100000,
-                        t_grid=default_t_grid(principal_eigenvalue(dom)), seed=2024)
+        grid = default_t_grid(principal_eigenvalue(dom))
+        cfg = SimConfig(domain=dom, start=start, dt=dt or default_dt(dom, grid),
+                        n_paths=100000, t_grid=grid, seed=2024)
         est = np.asarray(estimate_survival(cfg, sample_exit_times(cfg)).survival)
         floor = cfg.dt * np.floor(np.asarray(cfg.t_grid) / cfg.dt)
         exact = np.prod([_exact_interval_survival(floor / (side * side), x / side)
@@ -483,14 +484,14 @@ class TestExactBoxLaw:
 
 class TestSurvival:
     def test_trivial_grid(self):
-        dom = SimDomain.ball(1.0, 2)
+        dom = Ball(1.0, 2)
         cfg = SimConfig(domain=dom, start=dom.center(), dt=1e-3, n_paths=200,
                         t_grid=(0.0,), seed=2)
         est = _survival(cfg)
         assert est.survival == (1.0,)
 
     def test_deep_tail_is_negligible(self):
-        dom = SimDomain.ball(1.0, 2)
+        dom = Ball(1.0, 2)
         lam = principal_eigenvalue(dom)
         cfg = SimConfig(domain=dom, start=dom.center(), dt=1e-3, n_paths=2000,
                         t_grid=(0.0, 10.0 / lam, 30.0 / lam), seed=9)
@@ -506,7 +507,7 @@ class TestSurvival:
 
     def test_center_start_dominates_off_center(self):
         center = _survival(_ball_config(n_paths=5000, dt=1e-3))
-        dom = SimDomain.ball(1.0, 2)
+        dom = Ball(1.0, 2)
         off = SimConfig(domain=dom, start=_off_center(dom), dt=1e-3,
                         n_paths=5000, t_grid=center.t_grid, seed=42)
         off_est = _survival(off)
@@ -514,7 +515,7 @@ class TestSurvival:
             assert hi_c >= lo_o
 
     def test_boundary_start_rejected(self):
-        dom = SimDomain.ball(1.0, 2)
+        dom = Ball(1.0, 2)
         cfg = SimConfig(domain=dom, start=(0.0, 1.0), dt=1e-3, n_paths=100,
                         t_grid=(0.0,), seed=3)
         with pytest.raises(InfeasibleParameterError):
@@ -569,7 +570,7 @@ class TestSurvival:
 class TestVBound:
     def test_disc_passes_reference_epsilons(self):
         est = _survival(_ball_config(n_paths=10000))
-        lam = principal_eigenvalue(SimDomain.ball(1.0, 2))
+        lam = principal_eigenvalue(Ball(1.0, 2))
         for eps in (0.25, 0.5, 0.75):
             for vkind in (VKind.VOGT, VKind.IMPROVED_VOGT):
                 rep = check_vbound(est, vkind, eps, lam, 2)
@@ -578,7 +579,7 @@ class TestVBound:
 
     def test_bound_curve_shape(self):
         est = _survival(_ball_config(n_paths=4000, dt=1e-3))
-        lam = principal_eigenvalue(SimDomain.ball(1.0, 2))
+        lam = principal_eigenvalue(Ball(1.0, 2))
         rep = check_vbound(est, VKind.VOGT, 0.5, lam, 2)
         curve = np.asarray(rep.bound_curve)
         grid = np.asarray(est.t_grid)
@@ -643,8 +644,24 @@ class TestPlumbing:
         assert lo[1] == pytest.approx(betaincinv(n, 1.0, 0.025), rel=1e-15, abs=0.0)
 
     def test_default_dt_scales(self):
-        assert default_dt(SimDomain.ball(2.0, 3)) == pytest.approx(4e-4)
-        assert default_dt(SimDomain.box((1.0, 3.0))) == pytest.approx(1e-4)
+        for dom, dt in ((Ball(2.0, 3), 4e-4), (Box((1.0, 3.0)), 1e-4)):
+            assert default_dt(dom, ()) == pytest.approx(dt)
+            assert default_dt(dom, default_t_grid(principal_eigenvalue(dom))) == dt
+
+    @pytest.mark.parametrize("dom, unclamped", [
+        (Ball(1.0, 37), 1e-4), (Ball(3.0, 200), 9e-4), (Box((1.0,) * 51), 1e-4),
+    ], ids=["ball37", "ball200", "box51"])
+    def test_default_dt_fits_the_grid(self, dom, unclamped):
+        # lambda grows like d^2 on a ball and like d on a box, so in high
+        # dimension a tenth of the default grid's spacing is below 1e-4 L^2,
+        # which SimConfig would refuse
+        grid = default_t_grid(principal_eigenvalue(dom))
+        dt = default_dt(dom, grid)
+        assert dt == min(b - a for a, b in zip(grid, grid[1:])) / 10.0 < unclamped
+        ok = dict(domain=dom, start=dom.center(), n_paths=1, t_grid=grid, seed=0)
+        SimConfig(dt=dt, **ok)
+        with pytest.raises(InfeasibleParameterError, match="one tenth"):
+            SimConfig(dt=unclamped, **ok)
 
     def test_default_grid(self):
         lam = 5.0
@@ -654,7 +671,7 @@ class TestPlumbing:
         assert grid[-1] == pytest.approx(12.0 / lam)
 
     def test_config_validation(self):
-        dom = SimDomain.ball(1.0, 2)
+        dom = Ball(1.0, 2)
         ok = dict(domain=dom, start=(0.0, 0.0), dt=1e-3, n_paths=10,
                   t_grid=(0.0, 0.5), seed=0)
         SimConfig(**ok)
@@ -682,12 +699,12 @@ class TestPlumbing:
 
     def test_domain_validation(self):
         with pytest.raises(InfeasibleParameterError):
-            SimDomain.ball(0.0, 2)
+            Ball(0.0, 2)
         with pytest.raises(InfeasibleParameterError):
-            SimDomain.ball(1.0, 0)
+            Ball(1.0, 0)
         with pytest.raises(InfeasibleParameterError):
-            SimDomain.box(())
+            Box(())
         with pytest.raises(InfeasibleParameterError):
-            SimDomain.box((1.0, -2.0))
-        assert SimDomain.box((1.0, 2.0)).center() == (0.5, 1.0)
-        assert SimDomain.ball(1.0, 3).center() == (0.0, 0.0, 0.0)
+            Box((1.0, -2.0))
+        assert Box((1.0, 2.0)).center() == (0.5, 1.0)
+        assert Ball(1.0, 3).center() == (0.0, 0.0, 0.0)
