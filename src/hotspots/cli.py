@@ -508,7 +508,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _HelpFormatter(argparse.HelpFormatter):
-    """Show the default after the help of every option that has one."""
+    """Wrap help at 78 columns, not at argparse's width from `COLUMNS`, and
+    show the default after the help of every option that has one."""
+
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog, width=78)
 
     def _get_help_string(self, action: argparse.Action) -> str:
         if action.default is None or action.default is argparse.SUPPRESS:
@@ -519,6 +523,7 @@ class _HelpFormatter(argparse.HelpFormatter):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hotspots", allow_abbrev=False, add_help=False,
+        formatter_class=_HelpFormatter,
         description="Upper bounds on the Hot Spots constant for Lipschitz domains.")
     parser.add_argument("--version", action="version",
                         version=f"hotspots, version {__version__}",
@@ -574,8 +579,8 @@ def _build_parser() -> argparse.ArgumentParser:
     option("--paths", default=100000, type=int, help="Simulated paths.")
     option("--dt", type=float,
            help="Time step (default 1e-4 * characteristic length^2, at most a "
-                "tenth of the grid spacing); a box reports its exact exit "
-                "times rounded up to whole steps.")
+                "tenth of the grid spacing); exit times drawn from their exact "
+                "law are reported rounded up to whole steps.")
     option("--epsilon", default=0.5, type=float, help="Epsilon of the V-bound.")
     option("--vfunction", default="vogt", help="vogt|improved.")
     option("--seed", default=42, type=int, help="Philox key.")
@@ -583,8 +588,10 @@ def _build_parser() -> argparse.ArgumentParser:
     option("--chunk-size", default=65536, type=int,
            help="Paths per chunk: chunk i draws from Philox(key=seed) jumped i "
                 "times, and at most twice this many paths are in flight.")
-    bridge_help = ("Brownian-bridge crossing correction of the ball stepper; "
-                   "a box needs none and refuses --no-bridge.")
+    bridge_help = ("Brownian-bridge crossing correction of the ball stepper, "
+                   "which serves --no-bridge and balls above dimension 50; a "
+                   "ball up to dimension 50 and a box draw their exit times "
+                   "from their exact law, and a box refuses --no-bridge.")
     # Python 3.10's action appends a default that _HelpFormatter shows already
     option("--bridge", default=True, action=argparse.BooleanOptionalAction,
            help=bridge_help).help = bridge_help

@@ -11,11 +11,16 @@ exit time of coordinate j from (0, L_j).  Each tau_j is drawn by inverting
 its survival series (_interval_inverse), and each exit time is reported
 rounded up to a whole number of steps dt.
 
-Balls are stepped.  Discrete monitoring alone biases survival upward (a
-path can cross the boundary and come back between monitoring times), which
-could spuriously violate the inequality being validated.  The
-Brownian-bridge correction kills a path between steps with the half-space
-crossing probability
+Nor does a ball entered at its centre, up to dimension 50, with the
+bridge correction on: its exit time is drawn by inverting the centre's
+Bessel eigen-series (_centre_inverse) and reported as a box's is.
+
+Other balls are stepped: off their centre, above dimension 50 (where that
+series cannot be summed in floats to 1e-7), or with bridge_correction off.
+Discrete monitoring alone biases survival upward (a path can cross the
+boundary and come back between monitoring times), which could spuriously
+violate the inequality being validated.  The Brownian-bridge correction
+kills a path between steps with the half-space crossing probability
 
     p = exp(-2 * dist_before * dist_after / (sigma^2 * dt))
       = exp(-dist_before * dist_after / dt)          (sigma^2 = 2)
@@ -24,12 +29,13 @@ using the signed radial distance R - |x| before and after the step.
 
 Reproducibility: paths are split into chunks of chunk_size, and chunk i
 draws from the Philox counter-based stream `Philox(key=seed).jumped(i)` for
-its own paths only.  A box chunk draws one uniform per coordinate per path.
-The ball stepper steps the chunks together as one pool of alive paths (the
-next chunk joins once at most chunk_size paths are alive, so at most
-2 * chunk_size are in flight), but which chunks share a step changes no
-draw.  The same (seed, chunk_size) therefore yields the same exit times, in
-chunk order, however chunks are scheduled.
+its own paths only.  An exact chunk draws one uniform per coordinate of a
+box, or one per path from a ball's centre.  The ball stepper steps the
+chunks together as one pool of alive paths (the next chunk joins once at
+most chunk_size paths are alive, so at most 2 * chunk_size are in flight),
+but which chunks share a step changes no draw.  The same (seed, chunk_size)
+therefore yields the same exit times, in chunk order, however chunks are
+scheduled.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ import numpy as np
 from ._format import payload_checksum
 from .errors import AccuracyError, InfeasibleParameterError
 from .vfunction import VKind, log_v
-from .zeros import first_bessel_zero
+from .specialfun import ascending_series
+from .zeros import first_bessel_zero, next_bessel_zero, zero_spacing
 
 #: Simulation is cut off at lambda_D * t = 80; the chance any of n paths
 #: survives that long is ~ n * e^-80, i.e. never in practice.
@@ -126,11 +133,12 @@ class SimConfig:
     paths, draws from Philox(key=seed) jumped i times.  At most
     2 * chunk_size paths are in flight at once.
 
-    dt is the ball stepper's time step.  A box draws its exit times from
-    their exact law and reports each rounded up to a whole number of steps
+    dt is the ball stepper's time step.  A box, and a ball from its centre
+    up to dimension 50 with bridge_correction, draw their exit times from
+    their exact law and report each rounded up to a whole number of steps
     dt, the law that stepping with the bridge correction approximates.  So
     a box takes no bridge_correction=False: there is no stepping bias to
-    show.
+    show.  A ball with bridge_correction=False is always stepped.
     """
 
     domain: SimDomain
@@ -411,6 +419,27 @@ _TABLE_END = 0.5
 _ODD_K_PI = np.arange(1, 22, 2) * math.pi
 
 
+def _table_inverse(t: np.ndarray, s: np.ndarray, c_1: float,
+                   lam_1: float) -> Callable[[np.ndarray], np.ndarray]:
+    """T with S(T(v)) = v, from S tabulated at ascending nodes t > 0.
+
+    T is linear in v between nodes, and between t = 0 (S = 1) and the first
+    node.  Below the last node's value, where S(t) is taken as
+    c_1 exp(-lam_1 t), T(v) = ln(c_1 / v) / lam_1.  s must be nonincreasing;
+    the returned function maps an array of v in [2^-53, 1] to T(v).
+    """
+    # np.interp needs v ascending: t from the last node down to the first, then 0
+    s_up, t_down = np.append(s[::-1], 1.0), np.append(t[::-1], 0.0)
+
+    def inverse(v: np.ndarray) -> np.ndarray:
+        out = np.interp(v, s_up, t_down)
+        tail = (v < s_up[0]).nonzero()[0]
+        out[tail] = np.log(c_1 / v[tail]) / lam_1
+        return out
+
+    return inverse
+
+
 def _interval_inverse(f: float) -> Callable[[np.ndarray], np.ndarray]:
     """T with S_1(T(v)) = v, for the unit interval entered at f in (0, 1).
 
@@ -425,11 +454,11 @@ def _interval_inverse(f: float) -> Callable[[np.ndarray], np.ndarray]:
       The image series alternates with falling terms, so this is off by at
       most its next pair, 2 erfc(1 / (2 sqrt t)) <= 2 erfc(5) < 3.1e-12;
     - above t = 0.01 by the terms k <= 21, off by less than 1e-23.
-    Between nodes, and between t = 0 and t_0, T is linear in v.  Below the
-    last node's value, T(v) = ln(c_1 / v) / pi^2 with c_1 = 4 sin(pi m) / pi:
-    there the terms k >= 3 are below e^(-8 pi^2 0.5) < 1e-17 of the first.
-    A fraction within 1e-100 of 0 or 1 is taken as 1e-100 from it, so that
-    every node is a finite float; that moves S_1 by less than 1e-100 / sqrt(t).
+    `_table_inverse` inverts the table.  Below the last node's value it
+    takes c_1 = 4 sin(pi m) / pi and lam_1 = pi^2: there the terms k >= 3
+    are below e^(-8 pi^2 0.5) < 1e-17 of the first.  A fraction within
+    1e-100 of 0 or 1 is taken as 1e-100 from it, so that every node is a
+    finite float; that moves S_1 by less than 1e-100 / sqrt(t).
 
     The error in law: for V uniform, the CDF G of T(V) is the chord of
     F = 1 - S_1 between nodes, so for every t
@@ -450,44 +479,146 @@ def _interval_inverse(f: float) -> Callable[[np.ndarray], np.ndarray]:
                 for h in (0.5 / np.sqrt(t[image])).tolist()]
     s[~image] = (np.exp(np.multiply.outer(t[~image], -_ODD_K_PI ** 2))
                  @ (4.0 / _ODD_K_PI * np.sin(_ODD_K_PI * m)))
-    # np.interp needs v ascending: t from _TABLE_END down to t_0, then 0
-    s_up, t_down = np.append(s[::-1], 1.0), np.append(t[::-1], 0.0)
-    c_1 = 4.0 / math.pi * math.sin(math.pi * m)
-
-    def inverse(v: np.ndarray) -> np.ndarray:
-        out = np.interp(v, s_up, t_down)
-        tail = (v < s_up[0]).nonzero()[0]
-        out[tail] = np.log(c_1 / v[tail]) / math.pi ** 2
-        return out
-
-    return inverse
+    return _table_inverse(t, s, 4.0 / math.pi * math.sin(math.pi * m), math.pi ** 2)
 
 
-def _box_exit_times(config: SimConfig, box: Box) -> np.ndarray:
-    """Exit times of all n_paths from a box, drawn from their exact law.
+#: _centre_inverse's budget: P(tau <= t_lo) at most _CDF_FLOOR, the omitted
+#: terms at most _OMITTED, the float error at most _FLOAT_ERROR and the
+#: chords off by at most _CHORD_ERROR.
+_CDF_FLOOR = 1e-7
+_OMITTED = 1e-17
+_FLOAT_ERROR = 1e-7
+_CHORD_ERROR = 8e-7
 
-    Coordinate j leaves (0, L_j) at tau_j = L_j^2 T_j(V_j), where T_j is
-    _interval_inverse at f_j = x_j / L_j (one table per distinct f_j) and
-    the V_j are independent uniforms; the path leaves the box at
-    tau = min_j tau_j.  Chunk i draws one (chunk length, dim) block u from
-    Philox(key=seed) jumped i times, and V = 1 - u lies in [2^-53, 1].
+_UNIT_ROUNDOFF = 2.0 ** -53
 
-    Each exit time is reported as dt * ceil(tau / dt), and at least dt
-    (tau > 0 almost surely): the law that stepping with the bridge
-    correction approximates, P(exit time > t) = S(dt floor(t / dt)).  Box
-    survival is the product of the coordinates' survivals, so its error in
-    law is at most dim times _interval_inverse's.
+
+def _doob_floor(dim: int) -> float:
+    """A t_lo with P(tau <= t_lo) <= _CDF_FLOOR from the unit ball's centre.
+
+    |X_t|^2 is 2t times a chi-square with dim degrees of freedom, and
+    exp(theta |X_s|^2) is a submartingale, so by Doob's inequality
+    P(tau <= t) <= exp(-theta) E exp(theta |X_t|^2)
+    = exp(-theta) (1 - 4 theta t)^(-dim/2).  At its best theta, with
+    r = 1 / (2 dim t) > 1, that is exp(dim/2 (ln r - r + 1)).  The bisection
+    returns its upper end, where the bound holds.
     """
-    n, size, dt = config.n_paths, config.chunk_size, config.dt
-    inverses: dict[float, Callable[[np.ndarray], np.ndarray]] = {}
-    columns = []
-    for x, side in zip(config.start, box.sides):
-        f = x / side
-        if f not in inverses:
-            inverses[f] = _interval_inverse(f)
-        # side^2 / dt overflows to inf on a very long side, and inf * T(1)
-        # would be NaN; capped, such a side still never exits first
-        columns.append((inverses[f], min(side * side / dt, 1e300)))
+    target = 2.0 * math.log(_CDF_FLOOR) / dim
+    lo, hi = 1.0, 64.0  # ln 64 - 63 < 2 ln(1e-7)
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if math.log(mid) - mid + 1.0 > target else (lo, mid)
+    return 1.0 / (2.0 * dim * hi)
+
+
+@functools.lru_cache(maxsize=64)
+def _centre_inverse(dim: int, j_1: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """T with S(T(v)) = v for the unit ball in R^dim entered at its centre,
+    dim >= 2, given j_1 = j_{nu,1}; None where the float error bound below
+    exceeds _FLOAT_ERROR (from dim = 51 on).
+
+    With nu = dim/2 - 1 and j_k = j_{nu,k} (`next_bessel_zero`),
+        S(t) = sum_k c_k exp(-j_k^2 t),
+        c_k = 4 (nu+1) / (j_k^2 S_{nu+1}(j_k^2 / 4))
+            = (j_k/2)^(nu-1) / (Gamma(nu+1) J_{nu+1}(j_k)),
+    with S_mu the normalised ascending series (`ascending_series`).
+
+    The terms.  u = sqrt(x) J_nu(x) solves u'' + q u = 0 with
+    q = 1 - (nu^2 - 1/4)/x^2, and E = u'^2 + q u^2 has E' = q' u^2.  So E
+    grows for nu >= 1/2 and falls for nu = 0, towards its limit 2/pi; at a
+    zero E = j J_{nu+1}(j)^2.  Hence |c_k| <= A (j_k/j_1)^(nu-1/2), with
+    A = |c_1| for dim >= 3 and A = sqrt(2 pi / j_1) for dim = 2.  Zeros
+    are at least s = `zero_spacing` apart, and h(j) = (j/j_1)^(nu-1/2)
+    exp(-j^2 t) falls once j^2 >= (nu-1/2)/(2t), by a factor
+    rho = (1 + s/j)^max(0, nu-1/2) exp(-(2 j s + s^2) t) per step s, which
+    falls with j.  So the terms k > K sum to at most
+    A h(j_K + s) / (1 - rho(j_K + s)) at every t >= t_lo (`_doob_floor`),
+    and K is the first count for which that is at most _OMITTED.  That
+    takes 17 terms at dim = 2, 22 at 10 and 36 at 50.
+
+    The table.  Nodes at most h <= 1/300 apart in ln t run from t_lo to
+    t_end = max_{k >= 2} ln(1e17 (K-1) |c_k|) / j_k^2, past which the terms
+    k >= 2 sum to under 2e-17, so S(t) is c_1 exp(-j_1^2 t) there.  The
+    float error of the table is at most
+        B = 2^-53 sum_k |c_k| ((K + 20 nu + 8) e^-x_k + 22 max(x_k, 1) e^-max(x_k, 1)),
+    x_k = j_k^2 t_lo: K for the sum of the terms, 20 nu for c_k's
+    sensitivity 2 nu to j_k, and 22 x for exp(-j_k^2 t)'s, where each j_k
+    is off by at most 10 units of 2^-53 (Brent's final bracket, and for j_1
+    the rounding of R sqrt(lambda)).  From dim = 51 on B exceeds
+    _FLOAT_ERROR, and None is returned, after the few zeros whose terms
+    alone prove it.  The table is made nonincreasing and at most 1 by a
+    running minimum, which keeps it within B of S.
+
+    The error in law, as for `_interval_inverse`: the CDF G of T(V) is the
+    chord of F = 1 - S between nodes, off by at most
+    (e^h - 1)^2 sup_t t^2 |S''(t)| / 8.  The sup is taken as 1.01 times the
+    largest value on the nodes 1/300 apart, which is within 1e-4 of the
+    largest on a ten times finer grid for dim = 2..50, and h is the largest
+    step <= 1/300 that keeps this at most _CHORD_ERROR.  Below t_lo both G
+    and F are at most _CDF_FLOOR + B.  So |G - F| <= 8e-7 + B + 2e-17
+    < 1e-6 for every t.
+    """
+    nu = 0.5 * dim - 1.0
+    t_lo = _doob_floor(dim)
+    gap = zero_spacing(nu)
+    power = nu - 0.5
+
+    def coefficient(j: float) -> float:
+        log_pref = (nu + 1.0) * math.log(0.5 * j) - math.lgamma(nu + 2.0)
+        return 4.0 * (nu + 1.0) / (j * j * ascending_series(nu + 1.0, 0.25 * j * j, log_pref))
+
+    def float_error(j: np.ndarray, c: np.ndarray) -> float:
+        x = j * j * t_lo
+        x_1 = np.maximum(x, 1.0)
+        return _UNIT_ROUNDOFF * float(np.abs(c) @ (
+            (j.size + 20.0 * nu + 8.0) * np.exp(-x) + 22.0 * x_1 * np.exp(-x_1)))
+
+    zeros, coefs = [j_1], [coefficient(j_1)]
+    amplitude = abs(coefs[0]) if dim > 2 else math.sqrt(2.0 * math.pi / j_1)
+    while True:
+        if float_error(np.array(zeros), np.array(coefs)) > _FLOAT_ERROR:
+            return None
+        j = zeros[-1] + gap  # at most j_{K+1}
+        rho = ((1.0 + gap / j) ** max(0.0, power)
+               * math.exp(-(2.0 * j * gap + gap * gap) * t_lo))
+        if (2.0 * j * j * t_lo >= power and rho < 1.0 and amplitude * (j / j_1) ** power
+                * math.exp(-j * j * t_lo) <= _OMITTED * (1.0 - rho)):
+            break
+        zeros.append(next_bessel_zero(nu, zeros[-1], len(zeros) + 1))
+        coefs.append(coefficient(zeros[-1]))
+    lam, c = np.array(zeros) ** 2, np.array(coefs)
+
+    y_lo = math.log(t_lo)
+    y_end = math.log(max(math.log((len(c) - 1) * abs(c_k) / _OMITTED) / lam_k
+                         for c_k, lam_k in zip(coefs[1:], lam[1:])))
+
+    def nodes(step: float) -> np.ndarray:
+        return np.exp(np.linspace(y_lo, y_end, math.ceil((y_end - y_lo) / step) + 1))
+
+    t = nodes(_TABLE_STEP)
+    curve = 1.01 * float(np.max(t * t * np.abs(np.exp(np.multiply.outer(t, -lam))
+                                               @ (c * lam * lam))))
+    t = nodes(min(_TABLE_STEP, math.log1p(math.sqrt(8.0 * _CHORD_ERROR / curve))))
+    s = np.exp(np.multiply.outer(t, -lam)) @ c
+    s = np.minimum.accumulate(np.minimum(s, 1.0))
+    return _table_inverse(t, s, coefs[0], float(lam[0]))
+
+
+def _exact_exit_times(
+        config: SimConfig,
+        columns: list[tuple[Callable[[np.ndarray], np.ndarray], float]]) -> np.ndarray:
+    """Exit times of all n_paths from independent exact columns, each the
+    inverse T_j of a coordinate's survival and the factor L_j^2 / dt that
+    turns T_j(V) into steps of dt.
+
+    Chunk i draws one (chunk length, len(columns)) block u from
+    Philox(key=seed) jumped i times, and V = 1 - u lies in [2^-53, 1].  A
+    path exits after min_j T_j(V_j) L_j^2 / dt steps, rounded up and at
+    least one (tau > 0 almost surely): each exit time is reported as
+    dt * ceil(tau / dt), the law that stepping with the bridge correction
+    approximates, P(exit time > t) = S(dt floor(t / dt)).
+    """
+    n, size = config.n_paths, config.chunk_size
     steps = np.empty(n, dtype=np.float64)
     for i, lo in enumerate(range(0, n, size)):
         rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(i))
@@ -496,7 +627,50 @@ def _box_exit_times(config: SimConfig, box: Box) -> np.ndarray:
             [inverse(col) * scale for (inverse, scale), col in zip(columns, v.T)])
     np.ceil(steps, out=steps)
     np.maximum(steps, 1.0, out=steps)
-    return dt * steps
+    return config.dt * steps
+
+
+def _box_exit_times(config: SimConfig, box: Box) -> np.ndarray:
+    """Exit times of all n_paths from a box, drawn from their exact law.
+
+    Coordinate j leaves (0, L_j) at tau_j = L_j^2 T_j(V_j), where T_j is
+    _interval_inverse at f_j = x_j / L_j (one table per distinct f_j) and
+    the V_j are independent uniforms; the path leaves the box at
+    tau = min_j tau_j (`_exact_exit_times`).  Box survival is the product
+    of the coordinates' survivals, so its error in law is at most dim times
+    _interval_inverse's.
+    """
+    inverses: dict[float, Callable[[np.ndarray], np.ndarray]] = {}
+    columns = []
+    for x, side in zip(config.start, box.sides):
+        f = x / side
+        if f not in inverses:
+            inverses[f] = _interval_inverse(f)
+        # side^2 / dt overflows to inf on a very long side, and inf * T(1)
+        # would be NaN; capped, such a side still never exits first
+        columns.append((inverses[f], min(side * side / config.dt, 1e300)))
+    return _exact_exit_times(config, columns)
+
+
+def _ball_exit_times(config: SimConfig, ball: Ball) -> np.ndarray | None:
+    """Exit times of all n_paths from the ball's centre, drawn from their
+    exact law as one column of `_exact_exit_times`; None where
+    `_centre_inverse` has no table (dim >= 51).
+
+    tau = R^2 T(V) with T the unit ball's `_centre_inverse`, whose j_1 is
+    recovered from the cached principal eigenvalue, so a run still searches
+    for one Bessel zero.  In dim = 1 the ball is the interval (-R, R),
+    entered at its middle: tau = (2R)^2 T(V) with `_interval_inverse(0.5)`.
+    """
+    radius = ball.radius
+    if ball.dim == 1:
+        inverse, square = _interval_inverse(0.5), 4.0 * radius * radius
+    else:
+        inverse = _centre_inverse(ball.dim, radius * math.sqrt(principal_eigenvalue(ball)))
+        if inverse is None:
+            return None
+        square = radius * radius
+    return _exact_exit_times(config, [(inverse, min(square / config.dt, 1e300))])
 
 
 def sample_exit_times(config: SimConfig) -> np.ndarray:
@@ -505,7 +679,9 @@ def sample_exit_times(config: SimConfig) -> np.ndarray:
     Paths are drawn in chunks of config.chunk_size, each from its own
     stream, and returned in chunk order, so the output does not depend on
     how chunks share steps.  Every exit time is a whole number of steps dt.
-    A start on the boundary exits at t = 0.  A dt that needs more than
+    Boxes, and balls entered at their centre with bridge_correction in
+    dim <= 50, draw them from their exact law; other balls are stepped.  A
+    start on the boundary exits at t = 0.  A dt that needs more than
     _MAX_STEPS steps is rejected before any path is drawn.
     """
     n = config.n_paths
@@ -521,6 +697,10 @@ def sample_exit_times(config: SimConfig) -> np.ndarray:
         )
     if isinstance(config.domain, Box):
         return _box_exit_times(config, config.domain)
+    if config.bridge_correction and not any(config.start):  # from the centre
+        tau = _ball_exit_times(config, config.domain)
+        if tau is not None:
+            return tau
     return _pool_exit_times(config, config.domain, int(math.ceil(steps)) + 1)
 
 
@@ -791,7 +971,9 @@ def default_t_grid(lambda_d: float, points: int = 25) -> tuple[float, ...]:
 def default_dt(domain: SimDomain, t_grid: tuple[float, ...]) -> float:
     """1e-4 times the squared characteristic length (radius / shortest side),
     or a tenth of t_grid's smallest spacing, as SimConfig requires, if less:
-    on default_t_grid, for a ball from d = 37 and a unit box from d = 51."""
+    on default_t_grid, for a ball from d = 37 and a unit box from d = 51.
+    The stepper's time step, and the resolution to which an exact exit time
+    is rounded up."""
     scale = domain.radius if isinstance(domain, Ball) else min(domain.sides)
     return min([1e-4 * scale * scale,
                 *((b - a) / 10.0 for a, b in zip(t_grid, t_grid[1:]))])

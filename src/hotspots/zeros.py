@@ -28,6 +28,10 @@ and raises AccuracyError.  The brackets:
 one more exact test proves that the root between them is the first: Sturm
 spacing for the j-zero (`_first_zero_is_bracketed`), the fall of S for the
 p-root (`_p_series_falls_to`).
+
+`next_bessel_zero` finds the later zeros j_{nu,k}, k >= 2, one from the
+last, on a bracket from the same Sturm comparison; they are floats, with no
+directed squares.
 """
 
 from __future__ import annotations
@@ -192,17 +196,25 @@ def _j_lower(nu: float) -> float:
     return max(math.sqrt((nu + 1.0) * (nu + 5.0)) - 1e-9, _qu_wong_lower(nu))
 
 
+def zero_spacing(nu: float) -> float:
+    """s = pi / sqrt(1 + max(0, 1/4-nu^2)/L^2), with L = `_j_lower`.
+
+    Every zero of J_nu exceeds L, and by Sturm comparison of sqrt(x) J_nu(x),
+    which solves u'' + (1 - (nu^2-1/4)/x^2) u = 0, with sin, zeros beyond L
+    are at least s apart.
+    """
+    lower = _j_lower(nu)
+    return math.pi / math.sqrt(1.0 + max(0.0, 0.25 - nu * nu) / (lower * lower))
+
+
 def _first_zero_is_bracketed(nu: float, sq_up: float) -> bool:
     """Whether a sign change of J_nu below sqrt(sq_up) must be its first zero.
 
-    Every zero exceeds L = `_j_lower`, and by Sturm comparison of
-    sqrt(x) J_nu(x) with sin, zeros beyond L are at least
-    s = pi / sqrt(1 + max(0, 1/4-nu^2)/L^2) apart; so no earlier zero fits
-    if L > sqrt(sq_up) - s.  The 1e-9 slack covers float rounding.
+    Every zero exceeds L = `_j_lower`, and zeros are at least
+    s = `zero_spacing` apart; so no earlier zero fits if
+    L > sqrt(sq_up) - s.  The 1e-9 slack covers float rounding.
     """
-    lower = _j_lower(nu)
-    spacing = math.pi / math.sqrt(1.0 + max(0.0, 0.25 - nu * nu) / (lower * lower))
-    return lower > math.sqrt(sq_up) + 1e-9 - spacing
+    return _j_lower(nu) > math.sqrt(sq_up) + 1e-9 - zero_spacing(nu)
 
 
 def _p_series_falls_to(nu: float, sq_up: float) -> bool:
@@ -291,3 +303,25 @@ def first_p_root(d: int) -> BesselZeroRecord:
     root = _solve(lambda x: _p_series(nu, 0.25 * x * x), math.sqrt(d),
                   math.sqrt(d + 2.0), f"p-root d={d}")
     return _record(nu, RootFamily.P_ROOT, root)
+
+
+def next_bessel_zero(nu: float, previous: float, k: int) -> float:
+    """j_{nu,k}, the k-th positive zero of J_nu (k >= 2), from previous =
+    j_{nu,k-1}; 0 <= nu <= 110, and j_{nu,k} <= 700 as bessel_j needs.
+
+    Brent's method on [previous + s, previous + pi/m], widened by 1e-9 on
+    each side, where J_nu has the sign (-1)^(k-1) of its k-th arch at the
+    lower end and the opposite one at the upper:
+    - s is `zero_spacing`, which zeros beyond j_{nu,1} keep apart;
+    - on [previous, inf) the coefficient 1 - (nu^2-1/4)/x^2 of the equation
+      of sqrt(x) J_nu(x) is at least m^2 = 1 - (nu^2-1/4)/previous^2, and at
+      least 1 for nu <= 1/2 (m = 1), so by Sturm comparison with
+      sin(m (x - previous)) the next zero comes within pi/m.
+    The 1e-9 covers previous's own error and float rounding; at nu = 1/2,
+    where both ends are k pi, it makes a bracket at all.  The result is not
+    a certified record: it sets no directed squares.
+    """
+    m = math.sqrt(1.0 - (nu * nu - 0.25) / (previous * previous)) if nu > 0.5 else 1.0
+    sign = 1.0 if k % 2 else -1.0
+    return _solve(lambda x: sign * bessel_j(nu, x), previous + zero_spacing(nu) - 1e-9,
+                  previous + math.pi / m + 1e-9, f"j-zero nu={nu:g} k={k}")

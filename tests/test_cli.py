@@ -455,10 +455,12 @@ class TestVerifyVBound:
         assert res.exit_code in (0, 5), res.output
 
     def test_tiny_dt_exit_three_before_sampling(self, invoke, monkeypatch):
-        # dt = 1e-9 on the unit disc needs about 1.4e10 steps: refused, not run
+        # dt = 1e-9 on the unit disc needs about 1.4e10 steps: refused, before
+        # either sampler runs
         import hotspots.montecarlo as mc
         runs = []
         monkeypatch.setattr(mc, "_pool_exit_times", lambda *a: runs.append(a))
+        monkeypatch.setattr(mc, "_exact_exit_times", lambda *a: runs.append(a))
         res = invoke(["verify-vbound", "--dim", "2", "--paths", "10",
                       "--dt", "1e-9"])
         assert res.exit_code == 3, res.output
@@ -470,6 +472,7 @@ class TestVerifyVBound:
         import hotspots.montecarlo as mc
         runs = []
         monkeypatch.setattr(mc, "_pool_exit_times", lambda *a: runs.append(a))
+        monkeypatch.setattr(mc, "_exact_exit_times", lambda *a: runs.append(a))
         monkeypatch.setattr(mc, "sample_exit_times", lambda *a: runs.append(a))
         res = invoke(["verify-vbound", "--dim", "2", "--paths", "1000000000000"])
         assert res.exit_code == 3, res.output
@@ -495,6 +498,7 @@ class TestVerifyVBound:
         import hotspots.montecarlo as mc
         runs = []
         monkeypatch.setattr(mc, "_pool_exit_times", lambda *a: runs.append(a))
+        monkeypatch.setattr(mc, "_exact_exit_times", lambda *a: runs.append(a))
         res = invoke(["verify-vbound", "--dim", "2", "--paths", "100000"] + argv)
         assert res.exit_code == 3, res.output
         assert res.stderr == line
@@ -571,6 +575,19 @@ def test_version_flag(invoke):
     assert "hotspots" in res.output
     assert res.output == "hotspots, version 0.1.0\n"
 
+
+
+def test_help_ignores_columns(invoke, monkeypatch):
+    # argparse wraps at the width COLUMNS gives unless the formatter fixes
+    # one; the help is wrapped at 78 columns wherever it runs
+    helps = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps[columns] = [invoke(argv).stdout for argv in (
+            ["--help"], ["table", "--help"], ["bound", "--help"], ["zeros", "--help"],
+            ["asymptotic", "--help"], ["verify-vbound", "--help"])]
+    assert helps["40"] == helps["200"]
+    assert max(len(line) for text in helps["40"] for line in text.splitlines()) <= 78
 
 # How argv is read.  A value option takes the next word even when it starts
 # with "-" (argparse alone would read -1e-05 or -inf as an unknown option and
@@ -849,7 +866,7 @@ class TestGoldenCli:
             ["verify-vbound", "--dim", "2", "--paths", "500"],
             ["verify-vbound", "--shape", "box", "--sides", "1,1", "--dim", "2",
              "--paths", "500"],
-        ]) == "0da9433c002a092c6d2bc2daa4050766a2d2da9570e2afd2e3aec8294e6ca013"
+        ]) == "2dcf464ebc1c8b5cebe2f94ede0df6f3c2f0fe686c2e42d45570ed9be39b0947"
 
     def test_verify_vbound_apart_from_the_intervals(self, invoke):
         # the runs of test_verify_vbound and the small run of test_parse_errors,
@@ -879,7 +896,7 @@ class TestGoldenCli:
                            for row in csv.reader(io.StringIO(out))]
                 h.update(canonical_json([argv, fmt, out, res.stderr, res.exit_code]).encode())
         assert h.hexdigest() == (
-            "a73329ac9e228dcf5b2ab8e0b3d3d76c9ebbf48dfaf03d88a50a2d68329668f5")
+            "6e3acac2029a2c8ddba9ed236a80266de27561a4d79a8e6cd37fc1d29e2d6885")
 
     def test_usage_and_infeasible_errors(self, invoke):
         assert self._digest(invoke, [
@@ -920,7 +937,7 @@ class TestGoldenCli:
             ["bound", "-", "--dim", "7"], ["table", "--", "x"], ["table", "--"],
             ["bound", "--version"], ["--version"], ["--help"], ["bound", "--help"],
             ["bound", "--dim=7=8"], ["--", "bound", "--dim", "7", "--format=csv"],
-        ]) == "07ea052911ccc5a62d5a10b424b8b9c3fe22954170b9fabfe7ce4dff57d7d09f"
+        ]) == "5b127f0dc42056bb64dbf360fc1582267725105822c2c3d47b30a06f6339aee1"
 
     def test_value_conversions(self, invoke):
         # each argv once: what int(), float() and a choices check accept

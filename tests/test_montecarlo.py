@@ -32,6 +32,7 @@ from hotspots.montecarlo import (
     _MAX_GRID_POINTS,
     _MAX_PATHS,
     _MAX_STEPS,
+    _centre_inverse,
     _clopper_pearson,
     _interval_inverse,
     _row_sum_squares,
@@ -39,11 +40,19 @@ from hotspots.montecarlo import (
 )
 
 
-def _ball_config(n_paths=20000, dt=1e-4, seed=42, radius=1.0, dim=2, **kw):
+def _ball_config(n_paths=20000, dt=1e-4, seed=42, radius=1.0, dim=2,
+                 off_center=False, **kw):
+    """A ball run from the centre, drawn from the exact law, or, with
+    off_center, from _off_center's start, which the stepper serves."""
     dom = Ball(radius, dim)
     lam = principal_eigenvalue(dom)
-    return SimConfig(domain=dom, start=dom.center(), dt=dt, n_paths=n_paths,
+    start = _off_center(dom) if off_center else dom.center()
+    return SimConfig(domain=dom, start=start, dt=dt, n_paths=n_paths,
                      t_grid=default_t_grid(lam), seed=seed, **kw)
+
+
+def _stepped_ball_config(**kw):
+    return _ball_config(off_center=True, **kw)
 
 
 def _box_config(sides=(1.0, 1.0), start=None, n_paths=3000, dt=1e-3, seed=42, **kw):
@@ -133,7 +142,7 @@ class TestExitTimes:
         # how many paths follow it
         import hotspots.montecarlo as mc
         philox = np.random.Philox
-        for make in (_ball_config, _box_config):
+        for make in (_stepped_ball_config, _ball_config, _box_config):
             cfg = make(n_paths=5000, dt=1e-3, chunk_size=1024)
             pooled = sample_exit_times(cfg)
             parts = []
@@ -168,7 +177,7 @@ class TestExitTimes:
                 self._rng.random(out=out)
 
         size = 64
-        cfg = _ball_config(n_paths=600, dt=1e-3, chunk_size=size)
+        cfg = _stepped_ball_config(n_paths=600, dt=1e-3, chunk_size=size)
         expect = sample_exit_times(cfg)
         monkeypatch.setattr(mc.np.random, "Generator", RecordingGenerator)
         assert np.array_equal(sample_exit_times(cfg), expect)
@@ -197,9 +206,9 @@ class TestExitTimes:
 
     def test_bridge_correction_reduces_mean(self):
         # without the crossing correction, discrete sampling overstays;
-        # pairing the seed isolates the correction's effect
-        on = _ball_config(n_paths=20000, dt=2e-3, bridge_correction=True)
-        off = _ball_config(n_paths=20000, dt=2e-3, bridge_correction=False)
+        # pairing the seed and the start isolates the correction's effect
+        on = _stepped_ball_config(n_paths=20000, dt=2e-3, bridge_correction=True)
+        off = _stepped_ball_config(n_paths=20000, dt=2e-3, bridge_correction=False)
         tau_on = sample_exit_times(on)
         tau_off = sample_exit_times(off)
         se = tau_off.std() / math.sqrt(len(tau_off))
@@ -223,7 +232,7 @@ class TestExitTimes:
         lam = principal_eigenvalue(dom)
         # one chunk, and four chunks of which only two ever join the pool
         for chunk_size in (65536, 4):
-            cfg = SimConfig(domain=dom, start=dom.center(), dt=1.0 / lam,
+            cfg = SimConfig(domain=dom, start=_off_center(dom), dt=1.0 / lam,
                             n_paths=16, t_grid=(0.0,), seed=1, chunk_size=chunk_size)
             with pytest.raises(AccuracyError):
                 sample_exit_times(cfg)
@@ -246,7 +255,7 @@ class TestExitTimes:
 
     def test_step_cap_rejects_a_tiny_dt(self, monkeypatch):
         import hotspots.montecarlo as mc
-        cfg = _ball_config(n_paths=10, dt=1e-3)
+        cfg = _stepped_ball_config(n_paths=10, dt=1e-3)
         steps = 80.0 / principal_eigenvalue(cfg.domain) / cfg.dt  # about 13833
         monkeypatch.setattr(mc, "_MAX_STEPS", math.floor(steps))
         with pytest.raises(InfeasibleParameterError):
@@ -313,7 +322,7 @@ class TestStepKernel:
         # clamping it keeps exp out of its slow underflow path, and without
         # the clamp numpy reports "underflow encountered in exp" here
         lam = principal_eigenvalue(domain)
-        cfg = SimConfig(domain=domain, start=domain.center(), dt=1e-3, n_paths=200,
+        cfg = SimConfig(domain=domain, start=_off_center(domain), dt=1e-3, n_paths=200,
                         t_grid=default_t_grid(lam), seed=5)
         with np.errstate(all="raise"):
             tau = sample_exit_times(cfg)
@@ -323,9 +332,11 @@ class TestStepKernel:
 class TestGoldenStream:
     """sha256 of sample_exit_times(...).tobytes() for small runs, three
     256-path chunks each (600 paths, dt=1e-3, seed 2024), bridge on.  The
-    staggered cases use smaller chunks, so that many chunks are stepped at
-    once and the last one is short.  A box takes no bridge_correction=False,
-    so its two cases without the bridge check the refusal.
+    staggered cases use smaller chunks, so that there are many and the last
+    one is short.  Boxes and balls from their centre draw from the exact
+    law; the ball off its centre is stepped.  A box takes no
+    bridge_correction=False, so its two cases without the bridge check the
+    refusal.
 
     These freeze the documented Philox stream and the samplers' arithmetic:
     a change that alters any exit time must announce it and re-freeze the
@@ -345,7 +356,7 @@ class TestGoldenStream:
     def test_disc_from_center(self):
         dom = Ball(1.0, 2)
         assert self._digest(dom, dom.center()) == (
-            "95a62c6e13065f8f23d9e985afd27b3a0df0c5deb212af42a7be74d60a87ac89")
+            "8f65d93a7fbe5140da179bb4a7081e567013eeb7eb1ac70663c42f329af21e64")
 
     def test_square_from_center(self):
         dom = Box((1.0, 1.0))
@@ -358,10 +369,17 @@ class TestGoldenStream:
             "c7c83815555800ff8b8f9167a8dd5715285d5942bc473131f9911d65b0fd5078")
 
     def test_ball_d3_from_center(self):
-        # a sum of three squares: catches a reordered radius reduction
+        # the centre law's table for d = 3, whose zeros are k pi
         dom = Ball(1.0, 3)
         assert self._digest(dom, dom.center()) == (
-            "4cb69483acdeeb10100de9202464417d578ff35e95a4e14a4dde9a84186fcacc")
+            "4b308f55b57f482cbeb93cfbe0fa3cefec0d76fd51e6b4b7eef36d7917d362c6")
+
+    def test_ball_d3_off_center(self):
+        # the stepper; a sum of three squares: catches a reordered radius
+        # reduction
+        dom = Ball(1.0, 3)
+        assert self._digest(dom, _off_center(dom)) == (
+            "32100cf4901f75bd3bdc24d5cb2b8748f4b4fb369015e924c0c85cf8500f4baf")
 
     def test_cube_from_center(self):
         dom = Box((1.0, 1.0, 1.0))
@@ -382,7 +400,7 @@ class TestGoldenStream:
         # ten 64-path chunks, the last of 24 paths
         dom = Ball(1.0, 2)
         assert self._digest(dom, dom.center(), chunk_size=64) == (
-            "56c91d396fae628e53284287e822462fd79c9d33b6c4acfe1b7c4ec96597c40e")
+            "f833aa8509da4991addd9c368eb5efcfbd22d83079d61b17520c3607c9c30696")
 
     def test_cube_staggered_chunks(self):
         dom = Box((1.0, 1.0, 1.0))
@@ -480,6 +498,120 @@ class TestExactBoxLaw:
         assert np.abs(exact - levels).max() <= 1e-9
         error = np.abs(_exact_interval_survival(_interval_inverse(f)(levels), f) - exact)
         assert error.max() <= 1e-6
+
+
+
+def _exact_centre_survival(dim, t):
+    """S(t) from the centre of the unit ball in R^dim, dim = 3 or even, from
+    its series and not from the sampler's table: 2 sum_k (-1)^(k+1)
+    exp(-k^2 pi^2 t) at dim = 3, and sum_k c_k exp(-j_k^2 t) with
+    c_k = j_k^(nu-1) / (2^(nu-1) Gamma(nu+1) J_{nu+1}(j_k)) and scipy's zeros
+    otherwise.  80 terms, which are within 1e-20 of the whole sum for
+    t >= 2e-3; below that S is 1 to within 1e-12."""
+    from scipy.special import gamma, jn_zeros, jv
+
+    t = np.asarray(t, dtype=np.float64)
+    if dim == 3:
+        k = np.arange(1, 81)
+        j, c = k * math.pi, 2.0 * (-1.0) ** (k + 1)
+    else:
+        nu = dim // 2 - 1
+        j = jn_zeros(nu, 80)
+        c = j ** (nu - 1) / (2.0 ** (nu - 1) * gamma(nu + 1) * jv(nu + 1, j))
+    out = np.ones_like(t)
+    late = t >= 2e-3
+    out[late] = np.exp(np.multiply.outer(t[late], -j * j)) @ c
+    return out
+
+
+class TestExactBallLaw:
+    """Exit times from a ball's centre against their exact law."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 10])
+    def test_inverse_keeps_the_stated_cdf_bound(self, dim):
+        # as TestExactBoxLaw's test: S(T(v)) within 1e-6 of S at the exact
+        # inverse of v, found by bisection of the series
+        assert abs(_exact_centre_survival(dim, np.array([2e-3]))[0] - 1.0) < 1e-12
+        inverse = _centre_inverse(dim, first_bessel_zero(0.5 * dim - 1.0).value)
+        near_zero = np.geomspace(2.0 ** -53, 0.01, 2000)
+        levels = np.concatenate([np.linspace(0.0, 1.0, 10002)[1:-1], near_zero,
+                                 1.0 - near_zero])
+        lo, hi = np.full_like(levels, 1e-3), np.full_like(levels, 10.0)
+        for _ in range(36):
+            mid = np.sqrt(lo * hi)
+            above = _exact_centre_survival(dim, mid) > levels
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        exact = _exact_centre_survival(dim, hi)
+        assert np.abs(exact - levels).max() <= 1e-9
+        error = np.abs(_exact_centre_survival(dim, inverse(levels)) - exact)
+        assert error.max() <= 1e-6
+
+    @pytest.mark.parametrize("dim", [2, 3, 10])
+    def test_survival_lies_in_the_simultaneous_band(self, dim):
+        # an exit time outlives t exactly when tau outlives dt * floor(t / dt);
+        # at every grid point t > 0 the count of survivors must lie inside
+        # the binomial 95% band, taken simultaneously over the grid points
+        from scipy.stats import binom
+
+        dom = Ball(1.0, dim)
+        grid = default_t_grid(principal_eigenvalue(dom))
+        cfg = SimConfig(domain=dom, start=dom.center(), dt=default_dt(dom, grid),
+                        n_paths=100000, t_grid=grid, seed=2024)
+        est = estimate_survival(cfg, sample_exit_times(cfg))
+        counts = np.rint(np.asarray(est.survival) * cfg.n_paths)[1:]
+        floor = cfg.dt * np.floor(np.asarray(cfg.t_grid) / cfg.dt)
+        exact = _exact_centre_survival(dim, floor)[1:]
+        tail = 0.025 / counts.size
+        assert np.all(binom.cdf(counts, cfg.n_paths, exact) > tail)
+        assert np.all(binom.sf(counts - 1, cfg.n_paths, exact) > tail)
+
+    @pytest.mark.parametrize("radius", [1.0, 2.0])
+    @pytest.mark.parametrize("dim", [2, 3, 10, 50])
+    def test_moments_match_the_rayleigh_sums(self, dim, radius):
+        # tau = R^2 sum_k E_k / j_k^2 with E_k ~ Exp(1) (Kent, Ann. Probab. 6
+        # (1978)), and the Rayleigh sums give E tau = R^2 / (2d) and
+        # Var tau = R^4 / (2 d^2 (d+2)); rounding up to whole steps adds
+        # dt / 2 to the mean and dt^2 / 12 to the variance
+        dom = Ball(radius, dim)
+        grid = default_t_grid(principal_eigenvalue(dom))
+        cfg = SimConfig(domain=dom, start=dom.center(), dt=default_dt(dom, grid),
+                        n_paths=200000, t_grid=grid, seed=2024)
+        tau = sample_exit_times(cfg)
+        mean = radius ** 2 / (2 * dim) + cfg.dt / 2
+        var = radius ** 4 / (2 * dim ** 2 * (dim + 2)) + cfg.dt ** 2 / 12
+        n = tau.size
+        assert abs(tau.mean() - mean) <= 3.0 * math.sqrt(tau.var() / n)
+        fourth = np.mean((tau - tau.mean()) ** 4)
+        assert abs(tau.var() - var) <= 3.0 * math.sqrt((fourth - tau.var() ** 2) / n)
+
+    def test_float_range_ends_at_dimension_50(self):
+        # above it the table's float error bound exceeds 1e-7, and a centred
+        # ball is stepped
+        for dim, drawn in ((50, True), (51, False)):
+            j_1 = first_bessel_zero(0.5 * dim - 1.0).value
+            assert (_centre_inverse(dim, j_1) is not None) == drawn
+
+    def test_interval_is_a_ball_of_dimension_one(self):
+        # (-R, R) entered at 0 is the box (0, 2R) entered at its middle
+        for radius in (1.0, 0.3):
+            ball, box = Ball(radius, 1), Box((2.0 * radius,))
+            kw = dict(dt=1e-3, n_paths=3000, t_grid=(0.0,), seed=8, chunk_size=1000)
+            assert np.array_equal(
+                sample_exit_times(SimConfig(domain=ball, start=ball.center(), **kw)),
+                sample_exit_times(SimConfig(domain=box, start=box.center(), **kw)))
+
+    def test_off_center_no_bridge_and_high_dimension_are_stepped(self, monkeypatch):
+        import hotspots.montecarlo as mc
+        stepped = []
+        monkeypatch.setattr(mc, "_pool_exit_times",
+                            lambda config, ball, max_steps: stepped.append(config))
+        for cfg in (_stepped_ball_config(n_paths=10, dt=1e-3),
+                    _ball_config(n_paths=10, dt=1e-3, bridge_correction=False),
+                    _ball_config(n_paths=10, dt=1e-5, dim=51)):
+            sample_exit_times(cfg)
+            assert stepped[-1] is cfg
+        assert sample_exit_times(_ball_config(n_paths=10, dt=1e-3)).shape == (10,)
+        assert len(stepped) == 3
 
 
 class TestSurvival:

@@ -155,6 +155,18 @@ def test_first_zero_increases_with_order():
         assert lo < hi
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 4.0, 24.0])
+def test_later_zeros_follow_one_another(nu):
+    # each zero from the last, on the Sturm bracket, against scipy's zeros
+    # (k pi at nu = 1/2, whose bracket has both ends at k pi)
+    from scipy.special import jn_zeros
+
+    truth = [math.pi * k for k in range(1, 41)] if nu == 0.5 else jn_zeros(int(nu), 40)
+    zeros = [first_bessel_zero(nu).value]
+    for k in range(2, 41):
+        zeros.append(zeros_mod.next_bessel_zero(nu, zeros[-1], k))
+    assert zeros == pytest.approx(list(truth), rel=4e-15, abs=0.0)
+
 def test_p_root_is_stationary_point_of_scaled_bessel():
     # p minimizes no functional, but x^{1-d/2} J_{d/2}(x) peaks there: the
     # centered difference quotient must vanish to discretization order
