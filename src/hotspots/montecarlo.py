@@ -418,6 +418,23 @@ _IMAGE_END = 0.01
 _TABLE_END = 0.5
 _ODD_K_PI = np.arange(1, 22, 2) * math.pi
 
+#: ln of the size below which a table's term c_k e^(-lam_k t) is left out.
+#: e^-650 is far below every sum such a term joins, and above the smallest
+#: normal float, so no term or product underflows.
+_LN_NEGLIGIBLE = -650.0
+
+
+def _exp_sum(t: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c_k exp(-lam_k t) for each t (all c_k != 0), without the terms
+    where exp(-lam_k t) or the term itself is below e^_LN_NEGLIGIBLE.
+    Every term kept is the same float as in the full sum, and each one left
+    out is below e^-650 max(1, |c_k|)."""
+    exponent = np.multiply.outer(t, -lam)
+    keep = np.minimum(exponent, exponent + np.log(np.abs(c))) >= _LN_NEGLIGIBLE
+    terms = np.zeros_like(exponent)
+    np.exp(exponent, out=terms, where=keep)
+    return terms @ c
+
 
 def _table_inverse(t: np.ndarray, s: np.ndarray, c_1: float,
                    lam_1: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -477,8 +494,7 @@ def _interval_inverse(f: float) -> Callable[[np.ndarray], np.ndarray]:
     image = t <= _IMAGE_END
     s[image] = [math.erf(m * h) - math.erfc((1.0 - m) * h)
                 for h in (0.5 / np.sqrt(t[image])).tolist()]
-    s[~image] = (np.exp(np.multiply.outer(t[~image], -_ODD_K_PI ** 2))
-                 @ (4.0 / _ODD_K_PI * np.sin(_ODD_K_PI * m)))
+    s[~image] = _exp_sum(t[~image], _ODD_K_PI ** 2, 4.0 / _ODD_K_PI * np.sin(_ODD_K_PI * m))
     return _table_inverse(t, s, 4.0 / math.pi * math.sin(math.pi * m), math.pi ** 2)
 
 
@@ -596,10 +612,9 @@ def _centre_inverse(dim: int, j_1: float) -> Callable[[np.ndarray], np.ndarray] 
         return np.exp(np.linspace(y_lo, y_end, math.ceil((y_end - y_lo) / step) + 1))
 
     t = nodes(_TABLE_STEP)
-    curve = 1.01 * float(np.max(t * t * np.abs(np.exp(np.multiply.outer(t, -lam))
-                                               @ (c * lam * lam))))
+    curve = 1.01 * float(np.max(t * t * np.abs(_exp_sum(t, lam, c * lam * lam))))
     t = nodes(min(_TABLE_STEP, math.log1p(math.sqrt(8.0 * _CHORD_ERROR / curve))))
-    s = np.exp(np.multiply.outer(t, -lam)) @ c
+    s = _exp_sum(t, lam, c)
     s = np.minimum.accumulate(np.minimum(s, 1.0))
     return _table_inverse(t, s, coefs[0], float(lam[0]))
 
@@ -712,11 +727,18 @@ _Z_TAIL = 1.959963984540054
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
-#: Caps on the steps of one continued fraction and the Newton steps of one
-#: limit.  Up to n = 10^8 paths, over k = 0..30, n-30..n and random k, a
-#: fraction took at most 114 steps and a limit at most 6.
+#: Caps on the steps of one continued fraction and the evaluations of one
+#: limit.  Over k = 0..59, n-59..n and 200 random k for each of fifteen n
+#: from 1 to 10^8 (3,396 limits), a fraction took at most 115 steps and a
+#: limit at most 2 evaluations.
 _FRACTION_TERMS = 1000
 _NEWTON_STEPS = 100
+
+#: Each limit is returned once its error is proven below this, relative.
+_ROOT_TOL = 1e-13
+
+#: Stands in for a zero denominator of the continued fraction.
+_TINY = 1e-300
 
 
 def _stirling_tail(z: float) -> float:
@@ -757,93 +779,184 @@ def _log_beta_prefactor(x: float, xc: float, a: int, b: int) -> float:
             + _stirling_tail(c) - _stirling_tail(a) - _stirling_tail(b))
 
 
-def _beta_fraction(x: float, a: int, b: int) -> float:
-    """The continued fraction 1 / (1 + d_1 / (1 + d_2 / (1 + ...))) of
-    DLMF 8.17.22, in which I_x(a, b) = x^a (1-x)^b / (a B(a, b)) times it,
-    by the modified Lentz method.
+def _beta_fraction(t: float, on_x: bool, a: int, b: int) -> float:
+    """h with I_x(a, b) = x^a (1-x)^b h / (a B(a, b)), where t is x when
+    on_x and 1 - x otherwise, by the modified Lentz method.
 
-    d_{2m} = m (b - m) x / ((a + 2m - 1)(a + 2m)) and
-    d_{2m+1} = -(a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1)).  It converges
-    fast for x < (a + 1) / (a + b + 2).
+    h = 1 / (1 + d_1 / (1 + d_2 / (1 + ...))) is the continued fraction of
+    DLMF 8.17.22, with d_{2m} = m (b - m) x / ((a + 2m - 1)(a + 2m)) and
+    d_{2m+1} = -(a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1)).  Its even
+    part, h = 1 / (b_0 + N_1 / (D_1 + N_2 / (D_2 + ...))), takes one step
+    per pair: b_0 = 1 + d_1, N_m = -d_{2m-1} d_{2m} and
+    D_m = 1 + d_{2m} + d_{2m+1}.  N_b = 0, so the fraction ends after at
+    most b steps, as a finite sum; it converges fast for
+    x < (a + 1) / (a + b + 2).
+
+    b_0 and D_m cancel where x is near 1, so there they are computed from
+    t = 1 - x, as
+        b_0 = ((a + b) t - (b - 1)) / (a + 1),
+        D_m = (2m (m + a) - (a - 1)(b - 1) + t (2m (m + a) + (a - 1)(a + b)))
+              / ((a + 2m - 1)(a + 2m + 1)),
+    which follow from D_m = 1 - x (2m (m + a) + (a - 1)(a + b))
+    / ((a + 2m - 1)(a + 2m + 1)).  So the fraction sees x to the relative
+    precision of t.  A zero denominator is replaced by _TINY, as Lentz's
+    method prescribes.
     """
-    tiny = 1e-300  # stands in for a zero denominator
-    c = 1.0
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    h = d
-    for m in range(1, _FRACTION_TERMS):
-        for coef in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
-            d = 1.0 + coef * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + coef / c
-            c = c if abs(c) > tiny else tiny
-            h *= d * c
-        if abs(d * c - 1.0) <= 2.3e-16:
+    x = t if on_x else 1.0 - t
+    ab = a + b
+    b_0 = ((a + 1.0 - ab * t) if on_x else (ab * t - (b - 1.0))) / (a + 1.0)
+    d = 1.0 / (b_0 or _TINY)
+    h, c = d, math.inf
+    odd = ab * x / (a + 1.0)  # -d_{2m-1}
+    c_a, c_b = (a - 1.0) * ab, (a - 1.0) * (b - 1.0)
+    s = a + 1.0  # a + 2m - 1
+    for m in range(1, min(b, _FRACTION_TERMS) + 1):
+        s_lo, s = s, s + 1.0
+        s_hi = s + 1.0
+        even = m * (b - m) * x / (s_lo * s)
+        num = odd * even
+        odd = (a + m) * (ab + m) * x / (s * s_hi)
+        if on_x:
+            den = 1.0 + even - odd
+        else:
+            w = 2.0 * m * (m + a)
+            den = (w - c_b + t * (w + c_a)) / (s_lo * s_hi)
+        d = 1.0 / (den + num * d or _TINY)
+        c = den + num / c or _TINY
+        h *= c * d
+        if abs(c * d - 1.0) <= 2.3e-16:
             return h
+        s = s_hi
     raise AccuracyError(f"incomplete beta I_x(a={a}, b={b}) at x={x!r}: "
                         "the continued fraction did not converge")
 
 
-def _log_beta_cdf(x: float, xc: float, a: int, b: int) -> tuple[float, float]:
-    """ln I_x(a, b), the regularized incomplete beta, and its derivative in x;
-    xc = 1 - x as for _log_beta_prefactor."""
-    log_pref = _log_beta_prefactor(x, xc, a, b)
-    if x * (a + b + 2.0) < a + 1.0:
-        h = _beta_fraction(x, a, b)
-        return log_pref + math.log(h / a), a / (x * xc * h)
-    # I_x(a, b) = 1 - I_{1-x}(b, a), whose fraction converges fast here
-    pref = math.exp(log_pref)
-    rest = pref * _beta_fraction(xc, b, a) / b
-    return math.log1p(-rest), pref / (x * xc * (1.0 - rest))
+def _log_beta_cdf(t: float, on_x: bool, a: int, b: int) -> tuple[float, float]:
+    """ln I_x(a, b), the regularized incomplete beta, and its derivative in
+    x, with t as for _beta_fraction."""
+    x, xc = (t, 1.0 - t) if on_x else (1.0 - t, t)
+    h = _beta_fraction(t, on_x, a, b)
+    return _log_beta_prefactor(x, xc, a, b) + math.log(h / a), a / (x * xc * h)
 
 
-def _beta_tail_point(a: int, b: int) -> tuple[float, float]:
-    """(x, 1 - x) with I_x(a, b) = 0.025, for integers a, b >= 1.
-
-    Newton's method on ln I, started from the normal approximation of
-    Abramowitz & Stegun 26.5.22.  ln I is concave in x (a beta density with
-    a, b >= 1 is log-concave, and so is its integral), so the root is
-    approached from below once a step lands there; a step that leaves the
-    bracket known so far, at first [0, a / (a + b)], is replaced by
-    bisection.  The iteration runs on x when a <= b and on 1 - x otherwise,
-    so the variable it carries is the smaller one near the root, and the
-    returned pair has each of x and 1 - x to its own relative precision.
-
-    The fraction sees x only to its absolute precision, so where 1 - x is
-    small ln I is noisy at about 1e-16 x / (1 - x) relative; the iteration
-    also stops once its bracket is as narrow as its step tolerance.  At
-    n = 10^8 that leaves the high limit of a small count about 1e-9 off.
-    """
+def _beta_tail_start(a: int, b: int) -> tuple[float, float]:
+    """(x, 1 - x) near the point where I_x(a, b) = 0.025, by the normal
+    approximation of Abramowitz & Stegun 26.5.22."""
     lam = (_Z_TAIL * _Z_TAIL - 3.0) / 6.0
     ra, rb = 1.0 / (2 * a - 1.0), 1.0 / (2 * b - 1.0)
     h = 2.0 / (ra + rb)
     e = b * math.exp(2.0 * (_Z_TAIL * math.sqrt(h + lam) / h
                             - (rb - ra) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))))
-    # t is x or 1 - x; f < 0 at t_neg and f > 0 at t_pos (the mean)
-    on_x = a <= b
-    t = (a if on_x else e) / (a + e)
-    t_neg, t_pos = (0.0, a / (a + b)) if on_x else (1.0, b / (a + b))
-    lo, hi = sorted((t_neg, t_pos))
+    return a / (a + e), e / (a + e)
+
+
+def _tail_step(t: float, on_x: bool, a: int, b: int, f: float,
+               slope: float) -> tuple[float, float]:
+    """(t_1, e): the next point for _beta_tail_point, and a proven bound e
+    on its distance from the root in x (inf where the proof does not hold).
+
+    t is as for _beta_fraction, f = ln I_x(a, b) - ln 0.025 at x and
+    slope = d ln I / dx there; no further evaluation of I is needed.  With
+    p the beta density and y = 1 - x, I_{x+s} = I_x + p(x) Q(s) exactly,
+    where
+        Q(s) = integral_0^s e^phi(u) du,
+        phi(u) = ln(p(x + u) / p(x)) = (a-1) ln(1 + u/x) + (b-1) ln(1 - u/y).
+    So the root is x + s* with Q(s*) = Delta, where
+    Delta = (0.025 - I_x) / p(x) = expm1(-f) / slope, and Q' = e^phi > 0.
+
+    phi(0) = 0, phi'(u) = psi(x + u) with psi(z) = (a-1)/z - (b-1)/(1-z),
+    and phi''(0) = -(a-1)/x^2 - (b-1)/y^2 =: -kappa, so
+        Q(s) = P(s) + R(s),  P(s) = s + psi s^2/2 + (psi^2 - kappa) s^3/6,
+    with psi = psi(x).  Two Newton steps on P from s = Delta give s_1.
+    R integrates the cubic Taylor remainder of e^phi, whose third
+    derivative is e^phi (phi^(3) + 3 phi' phi'' + phi'^3).  Let r = |s_1|,
+    U the interval from min(0, s_1) - r to max(0, s_1) + r, and z_lo and
+    w_lo the smallest x + u and y - u on U.  On U,
+    m_1 = max |psi| (at an end of U, as psi falls),
+    m_2 = (a-1)/z_lo^2 + (b-1)/w_lo^2 and
+    m_3 = 2 ((a-1)/z_lo^3 + (b-1)/w_lo^3) bound |phi'|, |phi''| and
+    |phi^(3)|; and phi is concave, so phi(u) <= psi u <= |psi| r between 0
+    and s_1.  Hence
+        |Q(s_1) - Delta| <= eps = |P(s_1) - Delta|
+                                  + e^(|psi| r) (m_1^3 + 3 m_1 m_2 + m_3) r^4 / 24.
+    On U, |u| <= 2r and phi(u) >= psi u - m_2 u^2 / 2 >= -2 |psi| r
+    - 2 m_2 r^2, so Q' >= e^(-2 |psi| r - 2 m_2 r^2) there.  So
+    e = (|P(s_1) - Delta| + (m_1^3 + 3 m_1 m_2 + m_3) r^4 / 24)
+        e^(3 |psi| r + 2 m_2 r^2)
+    is at least eps e^(2 |psi| r + 2 m_2 r^2).  If e <= r, then
+    Q(s_1 + e) >= Delta >= Q(s_1 - e), so |s* - s_1| <= e.  The rounding
+    of these few operations is far below _ROOT_TOL.
+    """
+    sign = 1.0 if on_x else -1.0
+    x, y = (t, 1.0 - t) if on_x else (1.0 - t, t)
+    delta = math.expm1(-f) / slope
+    am, bm = a - 1.0, b - 1.0
+    psi = am / x - bm / y
+    cubic = (psi * psi - am / (x * x) - bm / (y * y)) / 6.0
+    s = delta
+    for _ in range(2):
+        s -= ((s * (1.0 + s * (0.5 * psi + s * cubic)) - delta)
+              / (1.0 + s * (psi + 3.0 * s * cubic)))
+    resid = abs(s * (1.0 + s * (0.5 * psi + s * cubic)) - delta)
+    r = abs(s)
+    u_lo, u_hi = min(0.0, s) - r, max(0.0, s) + r
+    z_lo, w_lo = x + u_lo, y - u_hi
+    if not (z_lo > 0.0 and w_lo > 0.0):
+        return t + sign * s, math.inf
+    m_1 = max(abs(am / z_lo - bm / (y - u_lo)), abs(am / (x + u_hi) - bm / w_lo))
+    m_2 = am / (z_lo * z_lo) + bm / (w_lo * w_lo)
+    m_3 = 2.0 * (am / (z_lo * z_lo * z_lo) + bm / (w_lo * w_lo * w_lo))
+    r2 = r * r
+    err = (resid + (m_1 * (m_1 * m_1 + 3.0 * m_2) + m_3) * r2 * r2 / 24.0) * math.exp(
+        2.0 * m_2 * r2 + 3.0 * abs(psi) * r)
+    return t + sign * s, (err if err <= r else math.inf)
+
+
+def _beta_tail_point(a: int, b: int) -> tuple[float, float]:
+    """(x, 1 - x) with I_x(a, b) = 0.025, for integers a, b >= 1, each of x
+    and 1 - x to its own relative precision.
+
+    a = 1 and b = 1 have closed forms.  Otherwise the variable carried, t,
+    is x or 1 - x, whichever is smaller at the Abramowitz & Stegun start.
+    Each round evaluates ln I and its slope at t and takes the step of
+    _tail_step, which needs no other evaluation; the step's point is
+    returned once its proven error is at most _ROOT_TOL times it.  Else it
+    is evaluated next, or the midpoint of the bracket known so far if it
+    falls outside.
+
+    The bracket starts as (0, x_end) in x, with x_end = a / (a + b) when
+    b <= 8 and min(a / (a + b), (a + 1) / (a + b + 2)) otherwise.  It holds
+    the root.  A beta density with a, b >= 1 is log-concave, and a
+    log-concave X has P(X <= E X) >= 1/e and a density at most 1 / sd(X).
+    So P(X <= a / (a + b)) >= 1/e > 0.025.  When a > b >= 9, the mean less
+    (a + 1) / (a + b + 2) is (a - b) / ((a + b)(a + b + 2)) <= sd / sqrt(b),
+    so P(X <= (a + 1) / (a + b + 2)) >= 1/e - 1/3 > 0.025.  Every point
+    evaluated is inside the bracket, so _beta_fraction either ends within
+    b <= 8 steps or sees x < (a + 1) / (a + b + 2), where it converges
+    fast.  No point needs the complement I_x(a, b) = 1 - I_{1-x}(b, a).
+    """
+    if a == 1:  # I_x(1, b) = 1 - (1 - x)^b
+        ln_xc = math.log1p(-0.025) / b
+        return -math.expm1(ln_xc), math.exp(ln_xc)
+    if b == 1:  # I_x(a, 1) = x^a
+        return math.exp(_LN_TAIL / a), -math.expm1(_LN_TAIL / a)
+    x_0, y_0 = _beta_tail_start(a, b)
+    on_x = x_0 <= y_0
+    t = x_0 if on_x else y_0
+    x_end = a / (a + b) if b <= 8 else min(a / (a + b), (a + 1.0) / (a + b + 2.0))
+    below, above = (0.0, x_end) if on_x else (1.0, 1.0 - x_end)
     for _ in range(_NEWTON_STEPS):
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        x, xc = (t, 1.0 - t) if on_x else (1.0 - t, t)
-        f, slope = _log_beta_cdf(x, xc, a, b)
+        if not min(below, above) < t < max(below, above):
+            t = 0.5 * (below + above)
+        f, slope = _log_beta_cdf(t, on_x, a, b)
         f -= _LN_TAIL
         if f < 0.0:
-            t_neg = t
+            below = t
         else:
-            t_pos = t
-        lo, hi = sorted((t_neg, t_pos))
-        step = f / slope if on_x else -f / slope
-        # Newton converges quadratically: after a step below 1e-10 t the
-        # error is far below that
-        if abs(step) <= 1e-10 * t or hi - lo <= 1e-10 * t:
-            if lo <= t - step <= hi:
-                t -= step
+            above = t
+        t, err = _tail_step(t, on_x, a, b, f, slope)
+        if err <= _ROOT_TOL * t:
             return (t, 1.0 - t) if on_x else (1.0 - t, t)
-        t -= step
     raise AccuracyError(f"the point where I_x(a={a}, b={b}) = 0.025 was not found")
 
 
@@ -853,21 +966,14 @@ def _clopper_pearson(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     The limits of Clopper & Pearson (Biometrika 26 (1934) 404-413): the low
     one solves I_x(k, n - k + 1) = 0.025 and the high one
     I_x(k + 1, n - k) = 0.975, that is I_{1-x}(n - k, k + 1) = 0.025.
-    At k = 0 and k = n they have closed forms.  Each distinct k is solved
-    once: the counts of a survival curve repeat in its tail.
+    The low limit of k = 0 is 0 and the high limit of k = n is 1.  Each
+    distinct k is solved once: the counts of a survival curve repeat in its
+    tail.
     """
     counts, where = np.unique(k, return_inverse=True)
-    low, high = [], []
-    for count in counts.tolist():
-        if count == 0:
-            low.append(0.0)
-            high.append(-math.expm1(_LN_TAIL / n))
-        elif count == n:
-            low.append(math.exp(_LN_TAIL / n))
-            high.append(1.0)
-        else:
-            low.append(_beta_tail_point(count, n - count + 1)[0])
-            high.append(_beta_tail_point(n - count, count + 1)[1])
+    counts = counts.tolist()
+    low = [_beta_tail_point(c, n - c + 1)[0] if c else 0.0 for c in counts]
+    high = [_beta_tail_point(n - c, c + 1)[1] if c < n else 1.0 for c in counts]
     return np.array(low)[where], np.array(high)[where]
 
 

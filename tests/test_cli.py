@@ -866,7 +866,7 @@ class TestGoldenCli:
             ["verify-vbound", "--dim", "2", "--paths", "500"],
             ["verify-vbound", "--shape", "box", "--sides", "1,1", "--dim", "2",
              "--paths", "500"],
-        ]) == "2dcf464ebc1c8b5cebe2f94ede0df6f3c2f0fe686c2e42d45570ed9be39b0947"
+        ]) == "6f73b256e02e588a4cf57f177d819c015536900fb0b0266c66ad534a4e46f5fe"
 
     def test_verify_vbound_apart_from_the_intervals(self, invoke):
         # the runs of test_verify_vbound and the small run of test_parse_errors,
@@ -937,7 +937,7 @@ class TestGoldenCli:
             ["bound", "-", "--dim", "7"], ["table", "--", "x"], ["table", "--"],
             ["bound", "--version"], ["--version"], ["--help"], ["bound", "--help"],
             ["bound", "--dim=7=8"], ["--", "bound", "--dim", "7", "--format=csv"],
-        ]) == "5b127f0dc42056bb64dbf360fc1582267725105822c2c3d47b30a06f6339aee1"
+        ]) == "df9bebd92afe3bc5df9bfc08fdbf72654f204f8890f7212cc7a1798c65f1c784"
 
     def test_value_conversions(self, invoke):
         # each argv once: what int(), float() and a choices check accept

@@ -7,9 +7,11 @@ Path counts here are sized for CI speed; the heavy statistical checks at
 import dataclasses
 import hashlib
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from clopper_pearson_reference import LIMITS
 from hotspots import (
     AccuracyError,
     Ball,
@@ -26,15 +28,19 @@ from hotspots import (
     principal_eigenvalue,
     sample_exit_times,
 )
+import hotspots.montecarlo as mc
 from hotspots.montecarlo import (
     _GRID_DECAY,
     _LAMBDA_T_CAP,
     _MAX_GRID_POINTS,
     _MAX_PATHS,
     _MAX_STEPS,
+    _beta_fraction,
+    _beta_tail_point,
     _centre_inverse,
     _clopper_pearson,
     _interval_inverse,
+    _log_beta_cdf,
     _row_sum_squares,
     _survivor_counts,
 )
@@ -324,6 +330,22 @@ class TestStepKernel:
         lam = principal_eigenvalue(domain)
         cfg = SimConfig(domain=domain, start=_off_center(domain), dt=1e-3, n_paths=200,
                         t_grid=default_t_grid(lam), seed=5)
+        with np.errstate(all="raise"):
+            tau = sample_exit_times(cfg)
+        assert np.all(tau > 0.0)
+
+
+    @pytest.mark.parametrize("domain", [
+        Ball(1.0, 2), Ball(1.0, 3), Ball(1.0, 10), Ball(1.0, 50),
+        Box((1.0, 1.0)), Box((1.0, 1.0, 1.0)),
+    ], ids=["disc", "ball3", "ball10", "ball50", "square", "cube"])
+    def test_exact_tables_never_underflow(self, domain):
+        # a table term such as e^(-(21 pi)^2 / 2) is left out, not computed:
+        # np.exp, or the matrix product after it, would report an underflow
+        _centre_inverse.cache_clear()
+        grid = default_t_grid(principal_eigenvalue(domain))
+        cfg = SimConfig(domain=domain, start=domain.center(), dt=default_dt(domain, grid),
+                        n_paths=200, t_grid=grid, seed=5)
         with np.errstate(all="raise"):
             tau = sample_exit_times(cfg)
         assert np.all(tau > 0.0)
@@ -741,6 +763,102 @@ class TestVBound:
                 check_vbound(est, VKind.VOGT, eps, 5.7832, 2)
 
 
+def _scipy_test_counts(n):
+    """0..12, n-12..n and 40 random counts out of n."""
+    rng = np.random.default_rng(n)
+    return np.unique(np.concatenate([np.arange(min(n, 12) + 1),
+                                     np.arange(max(0, n - 12), n + 1),
+                                     rng.integers(0, n + 1, 40)]))
+
+
+def _rel(value, ref):
+    return abs(value / float(ref) - 1.0)
+
+
+class TestClopperPearson:
+    """The limits against references frozen from a 60-digit run
+    (tests/clopper_pearson_reference.py), and each path of the solver."""
+
+    #: survival counts of a 10^4-path unit-disc job on the default 25-point grid
+    CURVE = [10000, 8984, 5794, 3577, 2141, 1271, 774, 463, 276, 161, 107, 66, 37,
+             22, 8, 7, 6, 5, 2, 2, 1, 1, 0, 0, 0]
+
+    @pytest.mark.parametrize("n", sorted(LIMITS))
+    def test_limits_match_the_references(self, n):
+        rows = LIMITS[n]
+        k = np.array([row[0] for row in rows])
+        assert np.array_equal(k, _scipy_test_counts(n))
+        lo, hi = _clopper_pearson(k, n)
+        assert np.all((lo <= k / n) & (k / n <= hi))
+        for (count, ref_lo, ref_hi), got_lo, got_hi in zip(rows, lo.tolist(), hi.tolist()):
+            if ref_lo is None:
+                assert got_lo == 0.0
+            else:
+                assert _rel(got_lo, ref_lo) <= 1e-12, (count, got_lo, ref_lo)
+                # both x and 1 - x, each to its own relative precision
+                x, xc = _beta_tail_point(count, n - count + 1)
+                assert x == got_lo
+                assert _rel(xc, Decimal(1) - Decimal(ref_lo)) <= 1e-12
+            if ref_hi is None:
+                assert got_hi == 1.0
+            else:
+                assert _rel(got_hi, ref_hi) <= 1e-12, (count, got_hi, ref_hi)
+                xc, x = _beta_tail_point(n - count, count + 1)
+                assert x == got_hi
+                assert _rel(xc, Decimal(1) - Decimal(ref_hi)) <= 1e-12
+
+    def test_one_fraction_per_limit_on_a_survival_curve(self, monkeypatch):
+        # 19 distinct counts strictly between 0 and n give 38 limits; the low
+        # limit of 1 has a closed form.  Each limit of a count from 37 (high)
+        # up takes one evaluation; the low limit of 37, both limits of 2 to 22
+        # and the high limit of 1, whose starts are 3e-3 to 0.15 off in ln I,
+        # take two
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = mc._beta_fraction
+        monkeypatch.setattr(mc, "_beta_fraction", counted)
+        _clopper_pearson(np.array(self.CURVE), 10 ** 4)
+        assert len(calls) == 51
+
+    def test_a_start_outside_the_bracket_is_bisected(self, monkeypatch):
+        # the normal-approximation start lands inside the bracket for every
+        # count tried; past the mean, it is replaced by the bracket's midpoint
+        ref = dict((row[0], row[1]) for row in LIMITS[1000])[5]
+        monkeypatch.setattr(mc, "_beta_tail_start", lambda a, b: (0.3, 0.7))
+        x, xc = _beta_tail_point(5, 996)
+        assert _rel(x, ref) <= 1e-12
+        monkeypatch.setattr(mc, "_NEWTON_STEPS", 2)
+        with pytest.raises(AccuracyError, match="was not found"):
+            _beta_tail_point(5, 996)
+
+    def test_no_bound_where_the_proof_would_cross_zero(self):
+        # from x = 1e-4, far below the root near 1.6e-3, the interval of
+        # _tail_step's proof would reach past x = 0, where phi is singular
+        f, slope = _log_beta_cdf(1e-4, True, 5, 996)
+        t, err = mc._tail_step(1e-4, True, 5, 996, f - math.log(0.025), slope)
+        assert t > 1e-4 and err == math.inf
+
+    def test_fraction_raises_where_it_does_not_converge(self):
+        # (a + 1) / (a + b + 2) <= x < a / (a + b): the solver never goes
+        # there, and the fraction refuses to return an unconverged value
+        a, b = 6 * 10 ** 7, 4 * 10 ** 7 + 1
+        x = 0.5 * ((a + 1) / (a + b + 2) + a / (a + b))
+        with pytest.raises(AccuracyError, match="did not converge"):
+            _beta_fraction(1.0 - x, False, a, b)
+
+    def test_fraction_survives_a_zero_denominator(self):
+        # b_0 = 1 - (a + b) x / (a + 1) = 0 at x = 1/2 for (3, 5); the
+        # fraction ends after b = 5 steps, so it holds there:
+        # I_{1/2}(3, 5) = P(Bin(7, 1/2) >= 3) = 99/128
+        for on_x in (True, False):
+            ln_i, _ = _log_beta_cdf(0.5, on_x, 3, 5)
+            assert ln_i == pytest.approx(math.log(99 / 128), rel=1e-14)
+
+
 class TestPlumbing:
     def test_clopper_pearson_edges_and_reference(self):
         lo, hi = _clopper_pearson(np.array([0]), 10)
@@ -758,10 +876,7 @@ class TestPlumbing:
         # scipy is a test dependency only; its betaincinv is the reference
         from scipy.special import betaincinv
 
-        rng = np.random.default_rng(n)
-        k = np.unique(np.concatenate([np.arange(min(n, 12) + 1),
-                                      np.arange(max(0, n - 12), n + 1),
-                                      rng.integers(0, n + 1, 40)]))
+        k = _scipy_test_counts(n)
         lo, hi = _clopper_pearson(k, n)
         kf = k.astype(np.float64)
         ref_lo = np.where(k == 0, 0.0, betaincinv(kf, n - kf + 1.0, 0.025))
