@@ -280,7 +280,7 @@ def asymptotic(dmin: int, dmax: int, points: int, c_param: float, alpha: float,
 def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
                   paths: int, dt: float | None, epsilon: float,
                   vfunction: str, seed: int, grid_points: int,
-                  chunk_size: int, bridge: bool, fmt: str) -> None:
+                  chunk_size: int, fmt: str) -> None:
     """Monte Carlo check of survival against the V-bound (exit 5 on failure)."""
     # here, not at the top: numpy loads only for the command that needs it
     from .montecarlo import (
@@ -314,9 +314,6 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
         domain = Box(side_vals)
         if domain.dim != dim:
             raise UsageError("--dim disagrees with the number of sides")
-        if not bridge:
-            raise UsageError("--no-bridge applies to a ball only: a box draws "
-                             "its exit times from their exact law")
     vkind, _ = _parse_vfunction(vfunction)
     if vkind is VKind.CUSTOM:
         raise UsageError("verify-vbound supports vogt|improved only")
@@ -334,7 +331,6 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
         n_paths=paths,
         t_grid=t_grid,
         seed=seed,
-        bridge_correction=bridge,
         chunk_size=chunk_size,
     )
     vbound_log_v(vkind, epsilon, dim)  # an unusable bound exits 3 before any path is drawn
@@ -359,7 +355,9 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
         "shape": shape, "radius": radius,
         "sides": sides, "dim": dim, "paths": paths, "dt": dt_val,
         "epsilon": epsilon, "vfunction": vfunction, "seed": seed,
-        "grid_points": grid_points, "chunk_size": chunk_size, "bridge": bridge,
+        "grid_points": grid_points, "chunk_size": chunk_size,
+        # a constant: the key stays, so every manifest keeps its bytes
+        "bridge": True,
     }
     _emit(fmt, "verify-vbound", params, result,
           ["t", "survival", "ci_low", "ci_high", "bound"],
@@ -509,10 +507,14 @@ class _Parser(argparse.ArgumentParser):
 
 class _HelpFormatter(argparse.HelpFormatter):
     """Wrap help at 78 columns, not at argparse's width from `COLUMNS`, and
-    show the default after the help of every option that has one."""
+    show the default after the help of every option that has one.
 
-    def __init__(self, prog: str) -> None:
-        super().__init__(prog, width=78)
+    The top level caps its help column at 17: there the longest name,
+    verify-vbound, is too long for the column on any Python, and 3.13 would
+    otherwise widen the column to fit it."""
+
+    def __init__(self, prog: str, max_help_position: int = 24) -> None:
+        super().__init__(prog, max_help_position=max_help_position, width=78)
 
     def _get_help_string(self, action: argparse.Action) -> str:
         if action.default is None or action.default is argparse.SUPPRESS:
@@ -523,7 +525,7 @@ class _HelpFormatter(argparse.HelpFormatter):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hotspots", allow_abbrev=False, add_help=False,
-        formatter_class=_HelpFormatter,
+        formatter_class=functools.partial(_HelpFormatter, max_help_position=17),
         description="Upper bounds on the Hot Spots constant for Lipschitz domains.")
     parser.add_argument("--version", action="version",
                         version=f"hotspots, version {__version__}",
@@ -578,23 +580,16 @@ def _build_parser() -> argparse.ArgumentParser:
     option("--dim", required=True, type=int, help="Dimension.")
     option("--paths", default=100000, type=int, help="Simulated paths.")
     option("--dt", type=float,
-           help="Time step (default 1e-4 * characteristic length^2, at most a "
-                "tenth of the grid spacing); exit times drawn from their exact "
-                "law are reported rounded up to whole steps.")
+           help="Time step: each exit time is drawn from its exact law and "
+                "reported rounded up to whole steps (default 1e-4 * "
+                "characteristic length^2, at most a tenth of the grid spacing).")
     option("--epsilon", default=0.5, type=float, help="Epsilon of the V-bound.")
     option("--vfunction", default="vogt", help="vogt|improved.")
     option("--seed", default=42, type=int, help="Philox key.")
     option("--grid-points", default=25, type=int, help="Points on the time grid.")
     option("--chunk-size", default=65536, type=int,
            help="Paths per chunk: chunk i draws from Philox(key=seed) jumped i "
-                "times, and at most twice this many paths are in flight.")
-    bridge_help = ("Brownian-bridge crossing correction of the ball stepper, "
-                   "which serves --no-bridge and balls above dimension 50; a "
-                   "ball up to dimension 50 and a box draw their exit times "
-                   "from their exact law, and a box refuses --no-bridge.")
-    # Python 3.10's action appends a default that _HelpFormatter shows already
-    option("--bridge", default=True, action=argparse.BooleanOptionalAction,
-           help=bridge_help).help = bridge_help
+                "times, and chunks are drawn one at a time.")
     return parser
 
 

@@ -5,44 +5,28 @@ Samples the exit times of Brownian motion run at twice the usual speed
 Box, estimates the survival function P(tau_D > t) with Clopper-Pearson
 intervals, and checks it against V(eps, d) * exp(-(1-eps) * lambda_D * t).
 
-Boxes need no time steps.  A box is the product of its intervals and the
-coordinates move independently, so tau = min_j tau_j, where tau_j is the
-exit time of coordinate j from (0, L_j).  Each tau_j is drawn by inverting
-its survival series (_interval_inverse), and each exit time is reported
-rounded up to a whole number of steps dt.
-
-Nor does a ball entered at its centre, up to dimension 50, with the
-bridge correction on: its exit time is drawn by inverting the centre's
-Bessel eigen-series (_centre_inverse) and reported as a box's is.
-
-Other balls are stepped: off their centre, above dimension 50 (where that
-series cannot be summed in floats to 1e-7), or with bridge_correction off.
-Discrete monitoring alone biases survival upward (a path can cross the
-boundary and come back between monitoring times), which could spuriously
-violate the inequality being validated.  The Brownian-bridge correction
-kills a path between steps with the half-space crossing probability
-
-    p = exp(-2 * dist_before * dist_after / (sigma^2 * dt))
-      = exp(-dist_before * dist_after / dt)          (sigma^2 = 2)
-
-using the signed radial distance R - |x| before and after the step.
+Every exit time is drawn from its exact law; nothing is stepped.  A box is
+the product of its intervals and the coordinates move independently, so
+tau = min_j tau_j, where tau_j is the exit time of coordinate j from
+(0, L_j).  Each tau_j is drawn by inverting its survival series
+(_interval_inverse).  A ball is entered at its centre only, and its exit
+time is drawn by inverting the centre's Bessel eigen-series
+(_centre_inverse), tabulated in floats up to dimension 50 and in fixed
+point above.  Each exit time is reported rounded up to a whole number of
+steps dt.
 
 Reproducibility: paths are split into chunks of chunk_size, and chunk i
 draws from the Philox counter-based stream `Philox(key=seed).jumped(i)` for
-its own paths only.  An exact chunk draws one uniform per coordinate of a
-box, or one per path from a ball's centre.  The ball stepper steps the
-chunks together as one pool of alive paths (the next chunk joins once at
-most chunk_size paths are alive, so at most 2 * chunk_size are in flight),
-but which chunks share a step changes no draw.  The same (seed, chunk_size)
-therefore yields the same exit times, in chunk order, however chunks are
-scheduled.
+its own paths only: one uniform per coordinate of a box, or one per path
+from a ball's centre.  The same (seed, chunk_size) therefore yields the
+same exit times, in chunk order.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -51,28 +35,29 @@ import numpy as np
 from ._format import payload_checksum
 from .errors import AccuracyError, InfeasibleParameterError
 from .vfunction import VKind, log_v
-from .specialfun import ascending_series
+from .specialfun import ascending_series, series_bits, series_sum
 from .zeros import first_bessel_zero, next_bessel_zero, zero_spacing
 
-#: Simulation is cut off at lambda_D * t = 80; the chance any of n paths
+#: The horizon of a run is lambda_D * t = 80; the chance any of n paths
 #: survives that long is ~ n * e^-80, i.e. never in practice.
 _LAMBDA_T_CAP = 80.0
 
-#: Most time steps a path may take: about 1.4e-7 is the smallest dt on the
-#: unit disc, so a tiny dt fails at once instead of running for hours.
+#: Most steps dt a run may count up to its horizon (or the grid's end, if
+#: later).  Exit times are reported in whole steps dt, and a dt that needs
+#: more steps is refused before any path is drawn.
 _MAX_STEPS = 10 ** 8
 
 #: Most paths one simulation may take.  A run holds about 24 B per path (exit
-#: step, exit time and grid index), so 10^8 paths need about 2.4 GB and hours
-#: of stepping; a larger count fails at once instead of in numpy's allocator.
+#: time, its grid index and a temporary), so 10^8 paths need about 2.4 GB; a
+#: larger count fails at once instead of in numpy's allocator.
 _MAX_PATHS = 10 ** 8
 
 #: default_t_grid ends at lambda_D * t = 12.
 _GRID_DECAY = 12.0
 
 #: Most points a run's t_grid can have.  SimConfig needs dt at most a tenth of
-#: the spacing 12 / (lambda_D (P - 1)), and sample_exit_times steps to
-#: t = 80 / lambda_D (past the grid's end), so P points need at least
+#: the spacing 12 / (lambda_D (P - 1)), and sample_exit_times counts steps dt
+#: up to t = 80 / lambda_D (past the grid's end), so P points need at least
 #: 800 (P - 1) / 12 steps: more than _MAX_STEPS once P exceeds this.
 _MAX_GRID_POINTS = 1 + int(_GRID_DECAY * _MAX_STEPS / (10 * _LAMBDA_T_CAP))
 
@@ -130,15 +115,12 @@ class SimConfig:
     """Everything one simulation depends on (and nothing else).
 
     chunk_size is the unit of the random stream: chunk i, of chunk_size
-    paths, draws from Philox(key=seed) jumped i times.  At most
-    2 * chunk_size paths are in flight at once.
+    paths, draws from Philox(key=seed) jumped i times.  Chunks are drawn one
+    at a time, so at most chunk_size paths' draws are in flight at once.
 
-    dt is the ball stepper's time step.  A box, and a ball from its centre
-    up to dimension 50 with bridge_correction, draw their exit times from
-    their exact law and report each rounded up to a whole number of steps
-    dt, the law that stepping with the bridge correction approximates.  So
-    a box takes no bridge_correction=False: there is no stepping bias to
-    show.  A ball with bridge_correction=False is always stepped.
+    dt is the resolution of the exit times: each is drawn from its exact
+    law and reported rounded up to a whole number of steps dt.  A ball
+    starts at its centre, where its law is known; a box anywhere inside.
     """
 
     domain: SimDomain
@@ -147,7 +129,6 @@ class SimConfig:
     n_paths: int
     t_grid: tuple[float, ...]
     seed: int
-    bridge_correction: bool = True
     chunk_size: int = 65536
 
     def __post_init__(self) -> None:
@@ -163,11 +144,6 @@ class SimConfig:
             )
         if self.chunk_size < 1:
             raise InfeasibleParameterError("chunk_size must be >= 1")
-        if isinstance(self.domain, Box) and not self.bridge_correction:
-            raise InfeasibleParameterError(
-                "a box draws its exit times from their exact law; "
-                "bridge_correction=False applies to balls only"
-            )
         if not (0 <= self.seed < 2 ** 64):
             raise InfeasibleParameterError("seed must be a 64-bit unsigned integer")
         grid = self.t_grid
@@ -180,6 +156,9 @@ class SimConfig:
             raise InfeasibleParameterError(
                 "dt must be at most one tenth of the smallest t_grid spacing"
             )
+        if isinstance(self.domain, Ball) and any(self.start):
+            raise InfeasibleParameterError(
+                "a ball's exit times are drawn from its centre; start must be the centre")
         if _start_distance(self.domain, self.start) < -1e-12:
             raise InfeasibleParameterError("start lies outside the domain")
 
@@ -197,7 +176,8 @@ class SimConfig:
             "n_paths": self.n_paths,
             "t_grid": list(self.t_grid),
             "seed": self.seed,
-            "bridge_correction": self.bridge_correction,
+            # a constant: the key stays, so every fingerprint keeps its bytes
+            "bridge_correction": True,
             "chunk_size": self.chunk_size,
         }
         return payload_checksum(payload)
@@ -277,137 +257,6 @@ def principal_eigenvalue(domain: SimDomain) -> float:
             "finite float: its size is out of range"
         )
     return lam
-
-
-#: Bridge exponents are clamped here before exp: exp(-700) ~ 1e-304 is still
-#: a normal float, and exp of anything past the underflow threshold (~708) is
-#: an order of magnitude slower.
-_EXPONENT_CAP = 700.0
-
-
-def _crossing_probability(before: np.ndarray, after: np.ndarray,
-                          dt: float) -> np.ndarray:
-    """exp(-before * after / dt) with the exponent clamped at _EXPONENT_CAP.
-
-    The test u < p then differs from the unclamped one only when the
-    uniform draw u is exactly 0.0, which has probability 2^-53.
-    """
-    a = before * after
-    a /= dt
-    np.minimum(a, _EXPONENT_CAP, out=a)
-    np.negative(a, out=a)
-    np.exp(a, out=a)
-    return a
-
-
-def _row_sum_squares(a: np.ndarray) -> np.ndarray:
-    """add.reduce(a * a, axis=1), the sum np.linalg.norm takes a root of.
-
-    Below eight columns numpy adds a row left to right, and so does this
-    loop over the columns, which is several times faster than a reduction
-    along a short axis.  From eight columns on numpy sums in pairwise
-    blocks, so there the reduction itself is kept.
-    """
-    if a.shape[1] >= 8:
-        return np.add.reduce(a * a, axis=1)
-    col = a[:, 0]
-    out = col * col
-    for j in range(1, a.shape[1]):
-        col = a[:, j]
-        out += col * col
-    return out
-
-
-def _pool_exit_times(config: SimConfig, ball: Ball, max_steps: int) -> np.ndarray:
-    """Exit times of all n_paths from a ball, stepped as one pool of alive
-    paths.
-
-    Chunk i holds paths i*chunk_size onwards (the last chunk may be shorter)
-    and draws from Philox(key=seed) jumped i times: each of its steps draws
-    one (alive_i, dim) normal block, then one (alive_i,) uniform block, for
-    its own alive paths, and its k-th step ends at t = dt * k.  Its exit
-    times therefore do not depend on which other chunks share its steps.
-    The next chunk joins whenever the pool holds at most chunk_size alive
-    paths, so at most 2 * chunk_size are in flight; each chunk's rows stay
-    contiguous and in chunk order.  The start must lie strictly inside the
-    domain.
-    """
-    dim, radius = ball.dim, float(ball.radius)
-    dt = config.dt
-    n, size = config.n_paths, config.chunk_size
-    step_sd = math.sqrt(2.0 * dt)
-    start = np.asarray(config.start, dtype=np.float64).reshape(1, dim)
-
-    # gap: the radial distance R - |x| to the boundary, carried from step to
-    # step, shape (alive,)
-    start_gap = radius - np.sqrt(_row_sum_squares(start))
-
-    exit_step = np.empty(n, dtype=np.int64)  # pool step each path exits in
-    joins: list[int] = []  # pool step chunk i joined at
-    alive = np.empty(0, dtype=np.int64)  # path index of each pool row
-    x = np.empty((0, dim), dtype=np.float64)
-    gap = start_gap[:0]
-    pool: list[tuple[np.random.Generator, int]] = []  # (stream, end of its rows)
-    joined = 0
-
-    for step in itertools.count():
-        while joined < n and alive.size <= size:
-            take = min(size, n - joined)
-            rng = np.random.Generator(
-                np.random.Philox(key=config.seed).jumped(joined // size))
-            joins.append(step)
-            alive = np.concatenate([alive, np.arange(joined, joined + take)])
-            x = np.concatenate([x, np.broadcast_to(start, (take, dim))])
-            gap = np.concatenate([gap, np.broadcast_to(start_gap, (take,))])
-            pool.append((rng, alive.size))
-            joined += take
-        m = alive.size
-        if m == 0:
-            break
-        # row 0 belongs to the oldest chunk, which has taken the most steps
-        if step - joins[alive[0] // size] == max_steps:
-            raise AccuracyError(
-                f"{pool[0][1]} paths still alive at lambda*t = {_LAMBDA_T_CAP:g}; "
-                "exit-time sampling did not terminate"
-            )
-
-        x_new = np.empty((m, dim), dtype=np.float64)
-        u = np.empty(m, dtype=np.float64)
-        lo = 0
-        for rng, hi in pool:
-            rng.standard_normal(out=x_new[lo:hi])
-            rng.random(out=u[lo:hi])
-            lo = hi
-        x_new *= step_sd
-        x_new += x
-
-        # The bridge test also runs on rows that already exited, where it
-        # cannot change the outcome.  There the two distances sum to at most
-        # the step length sqrt(2 dt) |Z|, so the exponent is at most |Z|^2 / 2
-        # and cannot overflow.
-        gap_new = radius - np.sqrt(_row_sum_squares(x_new))
-        exited = gap_new <= 0.0
-        if config.bridge_correction:
-            exited |= u < _crossing_probability(gap, gap_new, dt)
-
-        if np.count_nonzero(exited):
-            exit_step[alive[exited]] = step
-            keep = (~exited).nonzero()[0]
-            alive = alive.take(keep)
-            x = x_new.take(keep, axis=0)
-            gap = gap_new.take(keep)
-            # each chunk's kept rows end where its old end falls among keep;
-            # a chunk with none left leaves the pool
-            ends = np.searchsorted(keep, [hi for _, hi in pool]).tolist()
-            pool = [(rng, hi) for (rng, _), hi, lo in zip(pool, ends, [0] + ends)
-                    if hi > lo]
-        else:
-            x, gap = x_new, gap_new
-
-    # a path of chunk i that exits in pool step k took k - joins[i] + 1 steps
-    for i, j in enumerate(joins):
-        exit_step[i * size:(i + 1) * size] -= j - 1
-    return dt * exit_step
 
 
 #: _interval_inverse's table: nodes at most _TABLE_STEP apart in ln t up to
@@ -527,11 +376,143 @@ def _doob_floor(dim: int) -> float:
     return 1.0 / (2.0 * dim * hi)
 
 
-@functools.lru_cache(maxsize=64)
-def _centre_inverse(dim: int, j_1: float) -> Callable[[np.ndarray], np.ndarray] | None:
-    """T with S(T(v)) = v for the unit ball in R^dim entered at its centre,
-    dim >= 2, given j_1 = j_{nu,1}; None where the float error bound below
-    exceeds _FLOAT_ERROR (from dim = 51 on).
+#: _fixed_point_table's precision: each z_k = j_k^2 / 4 over 2^_ZERO_BITS,
+#: proven within z_k 2^-_ZERO_SLACK of the true zero; S_nu and S_nu+1
+#: summed with _EXTRA_BITS more fractional bits than `ascending_series`
+#: takes; each term over 2^_TERM_BITS; decimal arithmetic at _DIGITS digits.
+_ZERO_BITS = 140
+_ZERO_SLACK = 120
+_EXTRA_BITS = 80
+_TERM_BITS = 120
+_DIGITS = 60
+
+#: sup |S''| is taken as _CURVE_MARGIN times its largest value on
+#: _COARSE_STEPS + 1 evenly spaced nodes from t_lo to t_end.
+_COARSE_STEPS = 400
+_CURVE_MARGIN = 1.01
+
+
+def _refined_zero(nu: float, j: float):
+    """(z, c, r) for a float zero j of J_nu: z / 2^140 within z 2^-120 of
+    the true zero of S_nu near j^2 / 4, c = c_k of
+    `_centre_table` at z as a decimal, and r, c's relative error from its
+    sum of S_nu+1 (`_fixed_point_table`)."""
+    from decimal import Decimal
+
+    p, q = nu.as_integer_ratio()
+    m, b = j.as_integer_ratio()
+    z = (m * m << _ZERO_BITS) // (4 * b * b)
+    prec = series_bits((nu + 1.0) * math.log(0.5 * j) - math.lgamma(nu + 2.0)) + _EXTRA_BITS
+    for _ in range(2):  # Newton, with S_nu' = -S_nu+1 / (nu+1)
+        s_nu = series_sum(nu, z, _ZERO_BITS, prec)[0]
+        s_up = series_sum(nu + 1.0, z, _ZERO_BITS, prec - _EXTRA_BITS)[0]
+        z += ((p + q) * s_nu << (_ZERO_BITS - _EXTRA_BITS)) // (q * s_up)
+    delta = z >> _ZERO_SLACK
+    below, k_below = series_sum(nu, z - delta, _ZERO_BITS, prec)
+    above, k_above = series_sum(nu, z + delta, _ZERO_BITS, prec)
+    if not (below * above < 0 and abs(below) > 4 * k_below and abs(above) > 4 * k_above):
+        raise AccuracyError(f"j-zero nu={nu:g}: no proven sign change near {j!r}")
+    s_up, k_up = series_sum(nu + 1.0, z, _ZERO_BITS, prec)
+    c = Decimal((p + q) << (_ZERO_BITS + prec)) / Decimal(q * z * s_up)
+    return z, c, 4 * k_up / (abs(s_up) - 8 * k_up)
+
+
+def _fixed_point_table(nu: float, zeros: list[float], t_lo: float,
+                       t_end: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(t, s, c_1, lam_1) of `_centre_table` for dim >= 51, summed in fixed
+    point from the float zeros j_1..j_K, on nodes t_i = t_lo + i h evenly
+    spaced up to t_end.
+
+    The zeros (`_refined_zero`).  z = j^2 / 4 is taken exactly as an int
+    over 2^140, and moved by two Newton steps on S_nu, whose derivative is
+    S_nu' = -S_nu+1 / (nu+1); the derivative needs only the float's
+    precision.  S_nu is summed by `series_sum` with 80 bits more than
+    `ascending_series` takes for J_nu+1, at most 1 bit fewer than it takes
+    for J_nu (their prefactors differ by 2 (nu+1) / j_k <= 2), so its
+    proven error is under 4K units of 2^-P.  Where S_nu(z -+ delta),
+    delta = z 2^-120, are of opposite signs and each larger than that error,
+    a zero of S_nu lies within delta of z, which is checked for every zero
+    (AccuracyError otherwise).  One Newton step leaves up to 1.2e-29
+    relative over dim = 51..222, the second far below 2^-120.
+
+    The terms.  T_k(t) = c_k exp(-4 z_k t) with
+    c_k = (nu+1) / (z_k S_nu+1(z_k)), S_nu+1 summed as S_nu; its error of
+    under 4K units is at most r_k = 4K / (|s| - 8K) of c_k, for its sum s.
+    At the zero, d ln c_k / d ln z_k = nu (at a zero of J_nu,
+    x J_nu+1'(x) = -(nu+1) J_nu+1(x)), so to first order z_k's error moves
+    T_k(t) by at most (nu + 4 z_k t) 2^-120 relative, and |T_k(t)| times
+    that falls with t (nu >= 24.5), so its value at t_lo bounds it.  The
+    signs of c_k alternate, starting positive: J_nu+1 = -J_nu' at the
+    zeros of J_nu, and J_nu' alternates there.  So each |T_k| is carried
+    over 2^120, from floor(|c_k| exp(-4 z_k t_lo) 2^120), and stepped from
+    node to node by floor(|T_k| F_k / 2^120), F_k = floor(exp(-4 z_k h) 2^120):
+    decimal's exp is correctly rounded, so the decimal operations at 60
+    digits are off by under 1e-57 relative, and the floors by under one
+    unit each.  Over n = count + 1 nodes, |T_k| is then off by at most
+    (count + 3) 2^-119 (|T_k(t_lo)| + 1) besides its zero and c_k errors.
+    A term that reaches 0 stays 0 and is dropped.  Hence, with x_k = 4 z_k t_lo,
+        B = sum_k |T_k(t_lo)| ((nu + x_k) 2^-120 + r_k + (count + 3) 2^-119)
+            + K (count + 3) 2^-119 + 2^-53,
+    the last term for rounding each sum to a float, bounds the table's
+    error.  B is checked against _FLOAT_ERROR (AccuracyError otherwise); it
+    is at most 1e-14 for dim = 51..222, at dim = 222, where the largest
+    term is 1.7e17 at t_lo.  The float nodes t_lo + i h lie within
+    2^-52 t_end of the exact ones, which moves S by at most
+    2^-52 t_end sup |S'| < 2.4e-15 (t_end sup |S'| is at most 10.6, at
+    dim = 222).
+
+    The chords.  h is the largest step t_end - t_lo over a whole number
+    that keeps h^2 sup |S''| / 8 at most _CHORD_ERROR.  S'' = sum_k
+    (4 z_k)^2 T_k is summed as the table is, on 401 coarse nodes, and its
+    sup is taken as 1.01 times the largest of those values: the largest on
+    a ten times finer grid is at most 1.0014 times it for dim = 51..222
+    (at dim = 52).  Past t_end, c_1 and lam_1 are the floats of c_1 and
+    4 z_1.
+    """
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        refined = [_refined_zero(nu, j) for j in zeros]
+        lam = [Decimal(4 * z) / (1 << _ZERO_BITS) for z, _, _ in refined]
+        unit = Decimal(1 << _TERM_BITS)
+        first = [int(abs(c) * (-l * Decimal(t_lo)).exp() * unit)
+                 for (_, c, _), l in zip(refined, lam)]
+
+        def sums(step: float, count: int, weights: list[int]) -> list[int]:
+            """sum_k w_k |T_k(t_lo + i step)| for i < count, |T_k| over 2^120."""
+            factors = [int((-l * Decimal(step)).exp() * unit) for l in lam]
+            terms, out = list(first), []
+            for _ in range(count):
+                while not terms[-1]:  # a term that reaches 0 stays 0
+                    terms.pop()
+                out.append(sum(map(operator.mul, terms, weights)))
+                terms = [(x * f) >> _TERM_BITS for x, f in zip(terms, factors)]
+            return out
+
+        # S'' = sum_k lam_k^2 T_k, lam_k^2 over 2^40
+        signs = [(-1) ** k for k in range(len(lam))]
+        coarse = (t_end - t_lo) / _COARSE_STEPS
+        curve = sums(coarse, _COARSE_STEPS + 1, [sign * (16 * z * z >> (2 * _ZERO_BITS - 40))
+                                                 for sign, (z, _, _) in zip(signs, refined)])
+        sup = _CURVE_MARGIN * max(map(abs, curve)) / (1 << (_TERM_BITS + 40))
+        count = math.ceil((t_end - t_lo) / math.sqrt(8.0 * _CHORD_ERROR / sup))
+        step = (t_end - t_lo) / count
+        s = np.array([x / (1 << _TERM_BITS) for x in sums(step, count + 1, signs)])
+    rounding = (count + 3) * 2.0 ** (1 - _TERM_BITS)
+    error = sum(x / float(1 << _TERM_BITS) * ((nu + float(l) * t_lo) * 2.0 ** -_ZERO_SLACK
+                                             + r + rounding)
+                for x, l, (_, _, r) in zip(first, lam, refined))
+    error += len(lam) * rounding + _UNIT_ROUNDOFF
+    if not error <= _FLOAT_ERROR:
+        raise AccuracyError(f"the centre's table for nu={nu:g} is off by up to {error:.3g}")
+    return t_lo + step * np.arange(count + 1), s, float(refined[0][1]), float(lam[0])
+
+
+def _centre_table(dim: int, j_1: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(t, s, c_1, lam_1): S tabulated at nodes t from t_lo to t_end, for the
+    unit ball in R^dim entered at its centre, dim >= 2, given j_1 = j_{nu,1},
+    and the first term c_1 exp(-lam_1 t) that S is past t_end.
 
     With nu = dim/2 - 1 and j_k = j_{nu,k} (`next_bessel_zero`),
         S(t) = sum_k c_k exp(-j_k^2 t),
@@ -550,29 +531,34 @@ def _centre_inverse(dim: int, j_1: float) -> Callable[[np.ndarray], np.ndarray] 
     falls with j.  So the terms k > K sum to at most
     A h(j_K + s) / (1 - rho(j_K + s)) at every t >= t_lo (`_doob_floor`),
     and K is the first count for which that is at most _OMITTED.  That
-    takes 17 terms at dim = 2, 22 at 10 and 36 at 50.
+    takes 17 terms at dim = 2, 22 at 10, 36 at 50 and 73 at 222.
 
-    The table.  Nodes at most h <= 1/300 apart in ln t run from t_lo to
+    The table.  Nodes run from t_lo to
     t_end = max_{k >= 2} ln(1e17 (K-1) |c_k|) / j_k^2, past which the terms
-    k >= 2 sum to under 2e-17, so S(t) is c_1 exp(-j_1^2 t) there.  The
-    float error of the table is at most
+    k >= 2 sum to under 2e-17, so S(t) is c_1 exp(-j_1^2 t) there.  Summed
+    in floats, the table is off by at most
         B = 2^-53 sum_k |c_k| ((K + 20 nu + 8) e^-x_k + 22 max(x_k, 1) e^-max(x_k, 1)),
     x_k = j_k^2 t_lo: K for the sum of the terms, 20 nu for c_k's
     sensitivity 2 nu to j_k, and 22 x for exp(-j_k^2 t)'s, where each j_k
     is off by at most 10 units of 2^-53 (Brent's final bracket, and for j_1
-    the rounding of R sqrt(lambda)).  From dim = 51 on B exceeds
-    _FLOAT_ERROR, and None is returned, after the few zeros whose terms
-    alone prove it.  The table is made nonincreasing and at most 1 by a
-    running minimum, which keeps it within B of S.
+    the rounding of R sqrt(lambda)).  Up to dim = 50 B is at most
+    _FLOAT_ERROR and the table is summed in floats.  From dim = 51 on it is
+    not, and the table is summed in fixed point instead, with its own
+    bound B (`_fixed_point_table`).  Either table is made nonincreasing and
+    at most 1 by a running minimum, which keeps it within B of S.
 
     The error in law, as for `_interval_inverse`: the CDF G of T(V) is the
-    chord of F = 1 - S between nodes, off by at most
+    chord of F = 1 - S between nodes t_i, off by at most
+    (t_{i+1} - t_i)^2 sup |S''| / 8 between them.  In floats the nodes are
+    at most h <= 1/300 apart in ln t, so that is at most
     (e^h - 1)^2 sup_t t^2 |S''(t)| / 8.  The sup is taken as 1.01 times the
     largest value on the nodes 1/300 apart, which is within 1e-4 of the
     largest on a ten times finer grid for dim = 2..50, and h is the largest
-    step <= 1/300 that keeps this at most _CHORD_ERROR.  Below t_lo both G
-    and F are at most _CDF_FLOOR + B.  So |G - F| <= 8e-7 + B + 2e-17
-    < 1e-6 for every t.
+    step <= 1/300 that keeps this at most _CHORD_ERROR.  In fixed point
+    the nodes are evenly spaced, and their spacing keeps the chords within
+    _CHORD_ERROR too.  Below t_lo both G and F are at most
+    _CDF_FLOOR + B.  So |G - F| <= 8e-7 + B + 2e-17 < 1e-6 for every t,
+    with 2.4e-15 more in fixed point for the float nodes.
     """
     nu = 0.5 * dim - 1.0
     t_lo = _doob_floor(dim)
@@ -583,17 +569,9 @@ def _centre_inverse(dim: int, j_1: float) -> Callable[[np.ndarray], np.ndarray] 
         log_pref = (nu + 1.0) * math.log(0.5 * j) - math.lgamma(nu + 2.0)
         return 4.0 * (nu + 1.0) / (j * j * ascending_series(nu + 1.0, 0.25 * j * j, log_pref))
 
-    def float_error(j: np.ndarray, c: np.ndarray) -> float:
-        x = j * j * t_lo
-        x_1 = np.maximum(x, 1.0)
-        return _UNIT_ROUNDOFF * float(np.abs(c) @ (
-            (j.size + 20.0 * nu + 8.0) * np.exp(-x) + 22.0 * x_1 * np.exp(-x_1)))
-
     zeros, coefs = [j_1], [coefficient(j_1)]
     amplitude = abs(coefs[0]) if dim > 2 else math.sqrt(2.0 * math.pi / j_1)
     while True:
-        if float_error(np.array(zeros), np.array(coefs)) > _FLOAT_ERROR:
-            return None
         j = zeros[-1] + gap  # at most j_{K+1}
         rho = ((1.0 + gap / j) ** max(0.0, power)
                * math.exp(-(2.0 * j * gap + gap * gap) * t_lo))
@@ -603,20 +581,31 @@ def _centre_inverse(dim: int, j_1: float) -> Callable[[np.ndarray], np.ndarray] 
         zeros.append(next_bessel_zero(nu, zeros[-1], len(zeros) + 1))
         coefs.append(coefficient(zeros[-1]))
     lam, c = np.array(zeros) ** 2, np.array(coefs)
+    t_end = max(math.log((len(c) - 1) * abs(c_k) / _OMITTED) / lam_k
+                for c_k, lam_k in zip(coefs[1:], lam[1:]))
 
-    y_lo = math.log(t_lo)
-    y_end = math.log(max(math.log((len(c) - 1) * abs(c_k) / _OMITTED) / lam_k
-                         for c_k, lam_k in zip(coefs[1:], lam[1:])))
+    x = lam * t_lo
+    x_1 = np.maximum(x, 1.0)
+    if _UNIT_ROUNDOFF * float(np.abs(c) @ ((c.size + 20.0 * nu + 8.0) * np.exp(-x)
+                                            + 22.0 * x_1 * np.exp(-x_1))) > _FLOAT_ERROR:
+        t, s, c_1, lam_1 = _fixed_point_table(nu, zeros, t_lo, t_end)
+    else:
+        y_lo, y_end = math.log(t_lo), math.log(t_end)
 
-    def nodes(step: float) -> np.ndarray:
-        return np.exp(np.linspace(y_lo, y_end, math.ceil((y_end - y_lo) / step) + 1))
+        def nodes(step: float) -> np.ndarray:
+            return np.exp(np.linspace(y_lo, y_end, math.ceil((y_end - y_lo) / step) + 1))
 
-    t = nodes(_TABLE_STEP)
-    curve = 1.01 * float(np.max(t * t * np.abs(_exp_sum(t, lam, c * lam * lam))))
-    t = nodes(min(_TABLE_STEP, math.log1p(math.sqrt(8.0 * _CHORD_ERROR / curve))))
-    s = _exp_sum(t, lam, c)
-    s = np.minimum.accumulate(np.minimum(s, 1.0))
-    return _table_inverse(t, s, coefs[0], float(lam[0]))
+        t = nodes(_TABLE_STEP)
+        curve = 1.01 * float(np.max(t * t * np.abs(_exp_sum(t, lam, c * lam * lam))))
+        t = nodes(min(_TABLE_STEP, math.log1p(math.sqrt(8.0 * _CHORD_ERROR / curve))))
+        s, c_1, lam_1 = _exp_sum(t, lam, c), coefs[0], float(lam[0])
+    return t, np.minimum.accumulate(np.minimum(s, 1.0)), c_1, lam_1
+
+
+@functools.lru_cache(maxsize=64)
+def _centre_inverse(dim: int, j_1: float) -> Callable[[np.ndarray], np.ndarray]:
+    """T with S(T(v)) = v, from `_centre_table`, which states its error."""
+    return _table_inverse(*_centre_table(dim, j_1))
 
 
 def _exact_exit_times(
@@ -630,8 +619,7 @@ def _exact_exit_times(
     Philox(key=seed) jumped i times, and V = 1 - u lies in [2^-53, 1].  A
     path exits after min_j T_j(V_j) L_j^2 / dt steps, rounded up and at
     least one (tau > 0 almost surely): each exit time is reported as
-    dt * ceil(tau / dt), the law that stepping with the bridge correction
-    approximates, P(exit time > t) = S(dt floor(t / dt)).
+    dt * ceil(tau / dt), so P(exit time > t) = S(dt floor(t / dt)).
     """
     n, size = config.n_paths, config.chunk_size
     steps = np.empty(n, dtype=np.float64)
@@ -667,10 +655,9 @@ def _box_exit_times(config: SimConfig, box: Box) -> np.ndarray:
     return _exact_exit_times(config, columns)
 
 
-def _ball_exit_times(config: SimConfig, ball: Ball) -> np.ndarray | None:
+def _ball_exit_times(config: SimConfig, ball: Ball) -> np.ndarray:
     """Exit times of all n_paths from the ball's centre, drawn from their
-    exact law as one column of `_exact_exit_times`; None where
-    `_centre_inverse` has no table (dim >= 51).
+    exact law as one column of `_exact_exit_times`.
 
     tau = R^2 T(V) with T the unit ball's `_centre_inverse`, whose j_1 is
     recovered from the cached principal eigenvalue, so a run still searches
@@ -682,8 +669,6 @@ def _ball_exit_times(config: SimConfig, ball: Ball) -> np.ndarray | None:
         inverse, square = _interval_inverse(0.5), 4.0 * radius * radius
     else:
         inverse = _centre_inverse(ball.dim, radius * math.sqrt(principal_eigenvalue(ball)))
-        if inverse is None:
-            return None
         square = radius * radius
     return _exact_exit_times(config, [(inverse, min(square / config.dt, 1e300))])
 
@@ -692,12 +677,10 @@ def sample_exit_times(config: SimConfig) -> np.ndarray:
     """n_paths independent exit-time samples, deterministic given the seed.
 
     Paths are drawn in chunks of config.chunk_size, each from its own
-    stream, and returned in chunk order, so the output does not depend on
-    how chunks share steps.  Every exit time is a whole number of steps dt.
-    Boxes, and balls entered at their centre with bridge_correction in
-    dim <= 50, draw them from their exact law; other balls are stepped.  A
-    start on the boundary exits at t = 0.  A dt that needs more than
-    _MAX_STEPS steps is rejected before any path is drawn.
+    stream, and returned in chunk order.  Every exit time is drawn from its
+    exact law and reported as a whole number of steps dt.  A start on a
+    box's boundary exits at t = 0.  A dt that needs more than _MAX_STEPS
+    steps is rejected before any path is drawn.
     """
     n = config.n_paths
     if _start_distance(config.domain, config.start) <= 0.0:
@@ -712,11 +695,7 @@ def sample_exit_times(config: SimConfig) -> np.ndarray:
         )
     if isinstance(config.domain, Box):
         return _box_exit_times(config, config.domain)
-    if config.bridge_correction and not any(config.start):  # from the centre
-        tau = _ball_exit_times(config, config.domain)
-        if tau is not None:
-            return tau
-    return _pool_exit_times(config, config.domain, int(math.ceil(steps)) + 1)
+    return _ball_exit_times(config, config.domain)
 
 
 #: ln 0.025, the probability each Clopper-Pearson limit leaves in its tail.
@@ -1078,8 +1057,7 @@ def default_dt(domain: SimDomain, t_grid: tuple[float, ...]) -> float:
     """1e-4 times the squared characteristic length (radius / shortest side),
     or a tenth of t_grid's smallest spacing, as SimConfig requires, if less:
     on default_t_grid, for a ball from d = 37 and a unit box from d = 51.
-    The stepper's time step, and the resolution to which an exact exit time
-    is rounded up."""
+    The resolution to which each exit time is rounded up."""
     scale = domain.radius if isinstance(domain, Ball) else min(domain.sides)
     return min([1e-4 * scale * scale,
                 *((b - a) / 10.0 for a, b in zip(t_grid, t_grid[1:]))])

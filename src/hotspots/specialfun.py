@@ -118,10 +118,22 @@ def ascending_series(nu: float, z: float, log_pref: float) -> float:
     sets P.  For nu <= 120 and x <= 700 the sum is off by under
     2^-62 / max(1, exp(log_pref)) before its final rounding (module doc).
     """
-    prec = 60 + _GUARD_BITS + max(0, math.ceil(log_pref / _LOG2))
-    p, q = nu.as_integer_ratio()
+    prec = series_bits(log_pref)
     a, b = z.as_integer_ratio()
-    e = b.bit_length() - 1
+    return series_sum(nu, a, b.bit_length() - 1, prec)[0] / (1 << prec)
+
+
+def series_bits(log_pref: float) -> int:
+    """P, the fractional bits of the sum (module doc), for a prefactor of
+    exp(log_pref)."""
+    return 60 + _GUARD_BITS + max(0, math.ceil(log_pref / _LOG2))
+
+
+def series_sum(nu: float, a: int, e: int, prec: int) -> tuple[int, int]:
+    """(s, K): s / 2^prec is S_nu(a / 2^e), summed in fixed point with prec
+    fractional bits over its K terms after t_0 (module doc), so it is off by
+    under 4K units of 2^-prec."""
+    p, q = nu.as_integer_ratio()
     aq = a * q
     term = s = 1 << prec
     k = 0
@@ -129,4 +141,4 @@ def ascending_series(nu: float, z: float, log_pref: float) -> float:
         k += 1
         term = -(((term * aq) >> e) // (k * (p + k * q)))
         s += term
-    return s / (1 << prec)
+    return s, k

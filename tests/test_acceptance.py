@@ -204,6 +204,10 @@ def test_criterion_6_monte_carlo_validates_v_bound():
     mean = float(tau.mean())
     se = float(tau.std() / math.sqrt(len(tau)))
     mean_ok = abs(mean - 0.25) <= 3.0 * se
+    # Var tau = R^4 / (2 d^2 (d+2)) = 1/32, plus dt^2 / 12 from whole steps
+    var = float(tau.var())
+    var_se = math.sqrt((float(np.mean((tau - mean) ** 4)) - var * var) / len(tau))
+    var_ok = abs(var - (1.0 / 32.0 + cfg.dt ** 2 / 12.0)) <= 3.0 * var_se
 
     est = estimate_survival(cfg, tau)
     surv = np.asarray(est.survival)
@@ -217,10 +221,11 @@ def test_criterion_6_monte_carlo_validates_v_bound():
             assert rep.passed, (eps, vkind, rep.worst_margin)
 
     elapsed = time.perf_counter() - t0
-    ok = mean_ok and tail_ok and elapsed < 120.0
+    ok = mean_ok and var_ok and tail_ok and elapsed < 120.0
     _report(6, ok,
             f"100k paths from the disc center: mean {mean:.5f} vs 0.25 "
-            f"(|gap| = {abs(mean-0.25)/se:.2f} SE), tail nonincreasing, "
+            f"(|gap| = {abs(mean-0.25)/se:.2f} SE), variance {var:.5f} vs 1/32 "
+            f"(|gap| = {abs(var - 1.0 / 32.0) / var_se:.2f} SE), tail nonincreasing, "
             f"V-bound holds for eps in {{0.25, 0.5, 0.75}} x {{vogt, improved}} "
             f"(worst margin {min(margins.values()):.2e}), {elapsed:.0f}s < 120s")
 

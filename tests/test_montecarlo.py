@@ -1,4 +1,4 @@
-"""Exit-time simulation: eigenvalues, means, tails, bridge, and reproducibility.
+"""Exit-time simulation: eigenvalues, means, tails, exact laws, and reproducibility.
 
 Path counts here are sized for CI speed; the heavy statistical checks at
 100k paths live in the acceptance suite.
@@ -11,6 +11,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from centre_survival_reference import GRID_200, NODES
 from clopper_pearson_reference import LIMITS
 from hotspots import (
     AccuracyError,
@@ -38,27 +39,20 @@ from hotspots.montecarlo import (
     _beta_fraction,
     _beta_tail_point,
     _centre_inverse,
+    _centre_table,
     _clopper_pearson,
     _interval_inverse,
     _log_beta_cdf,
-    _row_sum_squares,
     _survivor_counts,
 )
 
 
-def _ball_config(n_paths=20000, dt=1e-4, seed=42, radius=1.0, dim=2,
-                 off_center=False, **kw):
-    """A ball run from the centre, drawn from the exact law, or, with
-    off_center, from _off_center's start, which the stepper serves."""
+def _ball_config(n_paths=20000, dt=1e-4, seed=42, radius=1.0, dim=2, **kw):
+    """A ball run from its centre, the only start a ball takes."""
     dom = Ball(radius, dim)
     lam = principal_eigenvalue(dom)
-    start = _off_center(dom) if off_center else dom.center()
-    return SimConfig(domain=dom, start=start, dt=dt, n_paths=n_paths,
+    return SimConfig(domain=dom, start=dom.center(), dt=dt, n_paths=n_paths,
                      t_grid=default_t_grid(lam), seed=seed, **kw)
-
-
-def _stepped_ball_config(**kw):
-    return _ball_config(off_center=True, **kw)
 
 
 def _box_config(sides=(1.0, 1.0), start=None, n_paths=3000, dt=1e-3, seed=42, **kw):
@@ -72,10 +66,11 @@ def _survival(cfg):
     return estimate_survival(cfg, sample_exit_times(cfg))
 
 
-def _off_center(dom):
-    """The start half way from the centre to the boundary along the first axis."""
-    start = list(dom.center())
-    start[0] += 0.5 * (dom.radius if isinstance(dom, Ball) else 0.5 * dom.sides[0])
+def _off_center(box):
+    """The start half way from the box's centre to its boundary along the
+    first axis."""
+    start = list(box.center())
+    start[0] += 0.25 * box.sides[0]
     return tuple(start)
 
 
@@ -127,8 +122,8 @@ class TestExitTimes:
         assert abs(tau.mean() - 1.0) <= 3.0 * se + 1.5e-3
 
     def test_boundary_start_exits_immediately(self):
-        dom = Ball(1.0, 2)
-        cfg = SimConfig(domain=dom, start=(1.0, 0.0), dt=1e-3, n_paths=500,
+        dom = Box((1.0, 1.0))
+        cfg = SimConfig(domain=dom, start=(1.0, 0.5), dt=1e-3, n_paths=500,
                         t_grid=(0.0,), seed=5)
         assert np.all(sample_exit_times(cfg) == 0.0)
 
@@ -148,7 +143,7 @@ class TestExitTimes:
         # how many paths follow it
         import hotspots.montecarlo as mc
         philox = np.random.Philox
-        for make in (_stepped_ball_config, _ball_config, _box_config):
+        for make in (_ball_config, _box_config):
             cfg = make(n_paths=5000, dt=1e-3, chunk_size=1024)
             pooled = sample_exit_times(cfg)
             parts = []
@@ -158,90 +153,6 @@ class TestExitTimes:
                 parts.append(sample_exit_times(dataclasses.replace(cfg, n_paths=take)))
             monkeypatch.setattr(mc.np.random, "Philox", philox)
             assert np.array_equal(np.concatenate(parts), pooled)
-
-    def test_pool_admits_a_chunk_once_at_most_chunk_size_paths_remain(self, monkeypatch):
-        # record every draw; chunks are created, and draw within a step, in
-        # chunk order, so a draw from a chunk no later than the previous one
-        # starts a new step
-        import hotspots.montecarlo as mc
-        real = np.random.Generator
-        draws = []  # (chunk, rows) of each normal block
-
-        class RecordingGenerator:
-            created = 0
-
-            def __init__(self, bit_generator):
-                self._rng = real(bit_generator)
-                self.chunk = RecordingGenerator.created
-                RecordingGenerator.created += 1
-
-            def standard_normal(self, *, out):
-                draws.append((self.chunk, out.shape[0]))
-                self._rng.standard_normal(out=out)
-
-            def random(self, *, out):
-                self._rng.random(out=out)
-
-        size = 64
-        cfg = _stepped_ball_config(n_paths=600, dt=1e-3, chunk_size=size)
-        expect = sample_exit_times(cfg)
-        monkeypatch.setattr(mc.np.random, "Generator", RecordingGenerator)
-        assert np.array_equal(sample_exit_times(cfg), expect)
-        assert RecordingGenerator.created == 10
-
-        steps = []
-        for chunk, rows in draws:
-            if not steps or chunk <= steps[-1][-1][0]:
-                steps.append([])
-            steps[-1].append((chunk, rows))
-        first_step = {}
-        for s, step in enumerate(steps):
-            assert sum(rows for _, rows in step) <= 2 * size
-            for chunk, rows in step:
-                assert rows > 0  # a chunk with no path left stops drawing
-                if chunk not in first_step:
-                    first_step[chunk] = s
-                    assert rows == min(size, 600 - chunk * size)
-                    # the pool before this chunk joined held at most size paths
-                    assert sum(r for c, r in step if c < chunk) <= size
-            if len(first_step) < 10:
-                # a chunk still waits only while the pool is over size
-                assert sum(rows for _, rows in step) > size
-        assert list(first_step) == list(range(10))  # chunks join in chunk order
-        assert first_step[0] == first_step[1] == 0
-
-    def test_bridge_correction_reduces_mean(self):
-        # without the crossing correction, discrete sampling overstays;
-        # pairing the seed and the start isolates the correction's effect
-        on = _stepped_ball_config(n_paths=20000, dt=2e-3, bridge_correction=True)
-        off = _stepped_ball_config(n_paths=20000, dt=2e-3, bridge_correction=False)
-        tau_on = sample_exit_times(on)
-        tau_off = sample_exit_times(off)
-        se = tau_off.std() / math.sqrt(len(tau_off))
-        assert tau_on.mean() < tau_off.mean() - se
-
-    def test_survivor_overflow_raises(self, monkeypatch):
-        # freeze the driving noise so no path can ever exit
-        class FrozenGenerator:
-            def __init__(self, bit_generator):
-                pass
-
-            def standard_normal(self, *, out):
-                out[...] = 0.0
-
-            def random(self, *, out):
-                out[...] = 1.0
-
-        import hotspots.montecarlo as mc
-        monkeypatch.setattr(mc.np.random, "Generator", FrozenGenerator)
-        dom = Ball(1.0, 2)
-        lam = principal_eigenvalue(dom)
-        # one chunk, and four chunks of which only two ever join the pool
-        for chunk_size in (65536, 4):
-            cfg = SimConfig(domain=dom, start=_off_center(dom), dt=1.0 / lam,
-                            n_paths=16, t_grid=(0.0,), seed=1, chunk_size=chunk_size)
-            with pytest.raises(AccuracyError):
-                sample_exit_times(cfg)
 
     def test_a_zero_draw_exits_in_the_first_step(self, monkeypatch):
         # u = 0.0, which has probability 2^-53, gives T = 0; on a side whose
@@ -261,7 +172,7 @@ class TestExitTimes:
 
     def test_step_cap_rejects_a_tiny_dt(self, monkeypatch):
         import hotspots.montecarlo as mc
-        cfg = _stepped_ball_config(n_paths=10, dt=1e-3)
+        cfg = _ball_config(n_paths=10, dt=1e-3)
         steps = 80.0 / principal_eigenvalue(cfg.domain) / cfg.dt  # about 13833
         monkeypatch.setattr(mc, "_MAX_STEPS", math.floor(steps))
         with pytest.raises(InfeasibleParameterError):
@@ -298,50 +209,17 @@ def test_grid_point_cap_refuses_only_unrunnable_grids(dom):
 
 
 class TestStepKernel:
-    @pytest.mark.parametrize("dim", range(1, 13))
-    def test_row_reductions_match_numpy(self, dim):
-        # the column loop must give the bits of the norm it replaces, at
-        # widths on both sides of numpy's pairwise block of 8
-        rng = np.random.default_rng(dim)
-        for m in (1, 5, 257):
-            a = rng.standard_normal((m, dim)) * 10.0 ** rng.integers(-4, 5, dim)
-            assert np.array_equal(np.sqrt(_row_sum_squares(a)),
-                                  np.linalg.norm(a, axis=1))
-
-    def test_draws_into_buffers_match_the_sized_calls(self):
-        # the pool writes each chunk's draws into its rows of a shared buffer;
-        # uniform computes 0 + 1 * next_double, so random gives the same bits
-        a = np.random.Generator(np.random.Philox(key=7))
-        b = np.random.Generator(np.random.Philox(key=7))
-        for m, dim in ((1, 1), (5, 3), (1000, 2)):
-            z = np.empty((m, dim))
-            u = np.empty(m)
-            a.standard_normal(out=z)
-            a.random(out=u)
-            assert np.array_equal(z, b.standard_normal((m, dim)))
-            assert np.array_equal(u, b.uniform(size=m))
-
-    @pytest.mark.parametrize("domain", [Ball(1.0, 2), Ball(1.0, 3)],
-                             ids=["disc", "ball3"])
-    def test_bridge_exponents_never_underflow(self, domain):
-        # far from the boundary the bridge exponent runs into the thousands;
-        # clamping it keeps exp out of its slow underflow path, and without
-        # the clamp numpy reports "underflow encountered in exp" here
-        lam = principal_eigenvalue(domain)
-        cfg = SimConfig(domain=domain, start=_off_center(domain), dt=1e-3, n_paths=200,
-                        t_grid=default_t_grid(lam), seed=5)
-        with np.errstate(all="raise"):
-            tau = sample_exit_times(cfg)
-        assert np.all(tau > 0.0)
-
+    """The kernel every exit time comes from: an exact table, inverted, and
+    its time reported in whole steps dt."""
 
     @pytest.mark.parametrize("domain", [
-        Ball(1.0, 2), Ball(1.0, 3), Ball(1.0, 10), Ball(1.0, 50),
-        Box((1.0, 1.0)), Box((1.0, 1.0, 1.0)),
-    ], ids=["disc", "ball3", "ball10", "ball50", "square", "cube"])
+        Ball(1.0, 2), Ball(1.0, 3), Ball(1.0, 10), Ball(1.0, 50), Ball(1.0, 51),
+        Ball(1.0, 222), Box((1.0, 1.0)), Box((1.0, 1.0, 1.0)),
+    ], ids=["disc", "ball3", "ball10", "ball50", "ball51", "ball222", "square", "cube"])
     def test_exact_tables_never_underflow(self, domain):
         # a table term such as e^(-(21 pi)^2 / 2) is left out, not computed:
-        # np.exp, or the matrix product after it, would report an underflow
+        # np.exp, or the matrix product after it, would report an underflow.
+        # From d = 51 the terms are ints, and one that reaches 0 is dropped
         _centre_inverse.cache_clear()
         grid = default_t_grid(principal_eigenvalue(domain))
         cfg = SimConfig(domain=domain, start=domain.center(), dt=default_dt(domain, grid),
@@ -353,12 +231,10 @@ class TestStepKernel:
 
 class TestGoldenStream:
     """sha256 of sample_exit_times(...).tobytes() for small runs, three
-    256-path chunks each (600 paths, dt=1e-3, seed 2024), bridge on.  The
-    staggered cases use smaller chunks, so that there are many and the last
-    one is short.  Boxes and balls from their centre draw from the exact
-    law; the ball off its centre is stepped.  A box takes no
-    bridge_correction=False, so its two cases without the bridge check the
-    refusal.
+    256-path chunks each (600 paths, dt=1e-3, seed 2024).  The staggered
+    cases use smaller chunks, so that there are many and the last one is
+    short.  Every case draws from an exact law: a box from any start, a
+    ball from its centre.
 
     These freeze the documented Philox stream and the samplers' arithmetic:
     a change that alters any exit time must announce it and re-freeze the
@@ -368,11 +244,10 @@ class TestGoldenStream:
     """
 
     @staticmethod
-    def _digest(domain, start, bridge=True, chunk_size=256, dt=1e-3):
+    def _digest(domain, start, chunk_size=256, dt=1e-3):
         lam = principal_eigenvalue(domain)
         cfg = SimConfig(domain=domain, start=start, dt=dt, n_paths=600,
-                        t_grid=default_t_grid(lam), seed=2024, chunk_size=chunk_size,
-                        bridge_correction=bridge)
+                        t_grid=default_t_grid(lam), seed=2024, chunk_size=chunk_size)
         return hashlib.sha256(sample_exit_times(cfg).tobytes()).hexdigest()
 
     def test_disc_from_center(self):
@@ -396,22 +271,10 @@ class TestGoldenStream:
         assert self._digest(dom, dom.center()) == (
             "4b308f55b57f482cbeb93cfbe0fa3cefec0d76fd51e6b4b7eef36d7917d362c6")
 
-    def test_ball_d3_off_center(self):
-        # the stepper; a sum of three squares: catches a reordered radius
-        # reduction
-        dom = Ball(1.0, 3)
-        assert self._digest(dom, _off_center(dom)) == (
-            "32100cf4901f75bd3bdc24d5cb2b8748f4b4fb369015e924c0c85cf8500f4baf")
-
     def test_cube_from_center(self):
         dom = Box((1.0, 1.0, 1.0))
         assert self._digest(dom, dom.center()) == (
             "a26aa0189ba03343884f55b21cf8c45a724d2780a73932808de478719629a54f")
-
-    def test_square_without_bridge(self):
-        dom = Box((1.0, 1.0))
-        with pytest.raises(InfeasibleParameterError, match="exact law"):
-            self._digest(dom, dom.center(), bridge=False)
 
     def test_long_box_from_center(self):
         dom = Box((10.0, 1.0))
@@ -428,11 +291,6 @@ class TestGoldenStream:
         dom = Box((1.0, 1.0, 1.0))
         assert self._digest(dom, dom.center(), chunk_size=64) == (
             "ee42da4b5eb27fe5c76cce2291e61a71c3d781d5222ecb5fa1ab7c6afff3f117")
-
-    def test_long_box_staggered_chunks_without_bridge(self):
-        dom = Box((10.0, 1.0))
-        with pytest.raises(InfeasibleParameterError, match="exact law"):
-            self._digest(dom, dom.center(), bridge=False, chunk_size=97)
 
     def test_square_fine_step(self):
         dom = Box((1.0, 1.0))
@@ -568,27 +426,36 @@ class TestExactBallLaw:
         error = np.abs(_exact_centre_survival(dim, inverse(levels)) - exact)
         assert error.max() <= 1e-6
 
-    @pytest.mark.parametrize("dim", [2, 3, 10])
+    @pytest.mark.parametrize("dim", [2, 3, 10, 200])
     def test_survival_lies_in_the_simultaneous_band(self, dim):
         # an exit time outlives t exactly when tau outlives dt * floor(t / dt);
         # at every grid point t > 0 the count of survivors must lie inside
-        # the binomial 95% band, taken simultaneously over the grid points
+        # the binomial 95% band, taken simultaneously over the grid points.
+        # At d = 200 the default grid ends at 12 / lambda ~ 1e-3, where S is
+        # still 1 - 1e-20, so there the grid spans the law's bulk instead and
+        # S comes from the frozen literals
         from scipy.stats import binom
 
         dom = Ball(1.0, dim)
-        grid = default_t_grid(principal_eigenvalue(dom))
+        if dim == 200:
+            grid = tuple(0.0012 + 0.00015 * i for i in range(25))
+        else:
+            grid = default_t_grid(principal_eigenvalue(dom))
         cfg = SimConfig(domain=dom, start=dom.center(), dt=default_dt(dom, grid),
                         n_paths=100000, t_grid=grid, seed=2024)
         est = estimate_survival(cfg, sample_exit_times(cfg))
         counts = np.rint(np.asarray(est.survival) * cfg.n_paths)[1:]
         floor = cfg.dt * np.floor(np.asarray(cfg.t_grid) / cfg.dt)
-        exact = _exact_centre_survival(dim, floor)[1:]
+        if dim == 200:
+            exact = np.array([float(dict(GRID_200)[t]) for t in floor.tolist()])[1:]
+        else:
+            exact = _exact_centre_survival(dim, floor)[1:]
         tail = 0.025 / counts.size
         assert np.all(binom.cdf(counts, cfg.n_paths, exact) > tail)
         assert np.all(binom.sf(counts - 1, cfg.n_paths, exact) > tail)
 
     @pytest.mark.parametrize("radius", [1.0, 2.0])
-    @pytest.mark.parametrize("dim", [2, 3, 10, 50])
+    @pytest.mark.parametrize("dim", [2, 3, 10, 50, 51, 200, 222])
     def test_moments_match_the_rayleigh_sums(self, dim, radius):
         # tau = R^2 sum_k E_k / j_k^2 with E_k ~ Exp(1) (Kent, Ann. Probab. 6
         # (1978)), and the Rayleigh sums give E tau = R^2 / (2d) and
@@ -606,12 +473,25 @@ class TestExactBallLaw:
         fourth = np.mean((tau - tau.mean()) ** 4)
         assert abs(tau.var() - var) <= 3.0 * math.sqrt((fourth - tau.var() ** 2) / n)
 
-    def test_float_range_ends_at_dimension_50(self):
-        # above it the table's float error bound exceeds 1e-7, and a centred
-        # ball is stepped
-        for dim, drawn in ((50, True), (51, False)):
-            j_1 = first_bessel_zero(0.5 * dim - 1.0).value
-            assert (_centre_inverse(dim, j_1) is not None) == drawn
+    def test_float_range_ends_at_dimension_50(self, monkeypatch):
+        # above it the table's float error bound exceeds 1e-7, and the table
+        # is summed in fixed point
+        fixed = []
+        real = mc._fixed_point_table
+        monkeypatch.setattr(mc, "_fixed_point_table",
+                            lambda *args: fixed.append(args) or real(*args))
+        for dim, in_fixed_point in ((50, False), (51, True)):
+            _centre_table(dim, first_bessel_zero(0.5 * dim - 1.0).value)
+            assert len(fixed) == in_fixed_point
+
+    @pytest.mark.parametrize("dim", sorted(NODES))
+    def test_fixed_point_table_matches_the_references(self, dim):
+        # 23 nodes from t_lo, where the terms reach 1e16 at d = 200, to
+        # t_end, against 50-digit literals (centre_survival_reference.py)
+        t, s, _, _ = _centre_table(dim, first_bessel_zero(0.5 * dim - 1.0).value)
+        for i, t_ref, s_ref in NODES[dim]:
+            assert t[i] == t_ref
+            assert abs(s[i] - float(s_ref)) <= 1e-9, (i, s[i], s_ref)
 
     def test_interval_is_a_ball_of_dimension_one(self):
         # (-R, R) entered at 0 is the box (0, 2R) entered at its middle
@@ -621,19 +501,6 @@ class TestExactBallLaw:
             assert np.array_equal(
                 sample_exit_times(SimConfig(domain=ball, start=ball.center(), **kw)),
                 sample_exit_times(SimConfig(domain=box, start=box.center(), **kw)))
-
-    def test_off_center_no_bridge_and_high_dimension_are_stepped(self, monkeypatch):
-        import hotspots.montecarlo as mc
-        stepped = []
-        monkeypatch.setattr(mc, "_pool_exit_times",
-                            lambda config, ball, max_steps: stepped.append(config))
-        for cfg in (_stepped_ball_config(n_paths=10, dt=1e-3),
-                    _ball_config(n_paths=10, dt=1e-3, bridge_correction=False),
-                    _ball_config(n_paths=10, dt=1e-5, dim=51)):
-            sample_exit_times(cfg)
-            assert stepped[-1] is cfg
-        assert sample_exit_times(_ball_config(n_paths=10, dt=1e-3)).shape == (10,)
-        assert len(stepped) == 3
 
 
 class TestSurvival:
@@ -659,18 +526,9 @@ class TestSurvival:
         assert all(lo <= s <= hi for lo, s, hi in
                    zip(est.ci_low, est.survival, est.ci_high))
 
-    def test_center_start_dominates_off_center(self):
-        center = _survival(_ball_config(n_paths=5000, dt=1e-3))
-        dom = Ball(1.0, 2)
-        off = SimConfig(domain=dom, start=_off_center(dom), dt=1e-3,
-                        n_paths=5000, t_grid=center.t_grid, seed=42)
-        off_est = _survival(off)
-        for hi_c, lo_o in zip(center.ci_high, off_est.ci_low):
-            assert hi_c >= lo_o
-
     def test_boundary_start_rejected(self):
-        dom = Ball(1.0, 2)
-        cfg = SimConfig(domain=dom, start=(0.0, 1.0), dt=1e-3, n_paths=100,
+        dom = Box((1.0, 1.0))
+        cfg = SimConfig(domain=dom, start=(0.5, 1.0), dt=1e-3, n_paths=100,
                         t_grid=(0.0,), seed=3)
         with pytest.raises(InfeasibleParameterError):
             estimate_survival(cfg, sample_exit_times(cfg))
@@ -932,17 +790,11 @@ class TestPlumbing:
             dict(seed=-1),
             dict(seed=2**64),
             dict(start=(2.0, 0.0)),  # outside
+            dict(start=(0.5, 0.0)),  # a ball starts at its centre only
             dict(chunk_size=0),
         ):
             with pytest.raises(InfeasibleParameterError):
                 SimConfig(**{**ok, **patch})
-
-    def test_box_refuses_no_bridge(self):
-        # a box draws its exit times from their exact law: there is no
-        # stepping bias for the bridge correction to remove
-        with pytest.raises(InfeasibleParameterError, match="exact law"):
-            _box_config(bridge_correction=False)
-        assert _box_config(bridge_correction=True).bridge_correction
 
     def test_domain_validation(self):
         with pytest.raises(InfeasibleParameterError):
