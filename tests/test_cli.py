@@ -811,9 +811,11 @@ class TestGoldenCli:
     These freeze every byte the command line writes, text and CSV as well as
     JSON: a change to any number, column, label or message must announce it
     and re-freeze the digest.  The values were produced with numpy 2.4 on
-    x86-64 Linux; the verify-vbound runs depend on numpy's exp, log, sqrt
-    and interp and the C library's erf and erfc, and their interval cells on
-    the C library's log, log1p, exp and expm1.
+    x86-64 Linux; the verify-vbound runs depend on numpy's exp, log and
+    sqrt and the C library's erf and erfc, and their interval cells on the
+    C library's log, log1p, exp and expm1.  They do not depend on numpy's
+    interp: the exit-time tables are inverted by exact searches and a
+    separate multiply and add per draw.
     """
 
     @staticmethod

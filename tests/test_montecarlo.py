@@ -42,8 +42,10 @@ from hotspots.montecarlo import (
     _centre_table,
     _clopper_pearson,
     _interval_inverse,
+    _interval_table,
     _log_beta_cdf,
     _survivor_counts,
+    _table_inverse,
 )
 
 
@@ -219,14 +221,81 @@ class TestStepKernel:
     def test_exact_tables_never_underflow(self, domain):
         # a table term such as e^(-(21 pi)^2 / 2) is left out, not computed:
         # np.exp, or the matrix product after it, would report an underflow.
-        # From d = 51 the terms are ints, and one that reaches 0 is dropped
+        # From d = 51 the terms are ints, and one that reaches 0 is dropped.
+        # Both caches are cleared, so that every table is built here
         _centre_inverse.cache_clear()
+        _interval_inverse.cache_clear()
         grid = default_t_grid(principal_eigenvalue(domain))
         cfg = SimConfig(domain=domain, start=domain.center(), dt=default_dt(domain, grid),
                         n_paths=200, t_grid=grid, seed=5)
         with np.errstate(all="raise"):
             tau = sample_exit_times(cfg)
         assert np.all(tau > 0.0)
+
+
+def _interp_inverse(table, v):
+    """T(v) from the table (t, s, c_1, lam_1) by numpy's interp over the
+    values ascending, and by the first term's inverse below them: the
+    reference that _table_inverse's guide table must match byte for byte."""
+    t, s, c_1, lam_1 = table
+    out = np.interp(v, np.append(s[::-1], 1.0), np.append(t[::-1], 0.0))
+    tail = v < s[-1]
+    out[tail] = np.log(c_1 / v[tail]) / lam_1
+    return out
+
+
+class TestTableLookup:
+    """_table_inverse's guide table, and the cache of interval tables."""
+
+    @pytest.mark.parametrize("kind,arg", [
+        ("interval", 0.5), ("interval", 0.25), ("interval", 1e-3), ("centre", 2),
+        ("centre", 3), ("centre", 50), ("centre", 51), ("centre", 222),
+    ], ids=["interval0.5", "interval0.25", "interval1e-3", "centre2", "centre3",
+            "centre50", "centre51", "centre222"])
+    def test_lookup_matches_interp_byte_for_byte(self, kind, arg, monkeypatch):
+        if kind == "interval":
+            table = _interval_table(arg)
+        else:
+            table = _centre_table(arg, first_bessel_zero(0.5 * arg - 1.0).value)
+        inverse = _table_inverse(*table)
+        s_up = np.append(table[1][::-1], 1.0)
+        rng = np.random.Generator(np.random.Philox(key=30))
+        v = np.concatenate([s_up, np.nextafter(s_up, 0.0), np.nextafter(s_up, 2.0),
+                            [1.0, 2.0 ** -53], 1.0 - rng.random(200000)])
+        v = v[(v >= 2.0 ** -53) & (v <= 1.0)]
+        searched, search = [], np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda a, x, *args: searched.append(x) or search(a, x, *args))
+        got = inverse(v)
+        monkeypatch.undo()
+        assert got.tobytes() == _interp_inverse(table, v).tobytes()
+
+        # both branches are taken: a bucket [b/m, (b+1)/m] with one node
+        # resolves without a search, on either side of its node, and only
+        # buckets with at least two are searched
+        n = s_up.size
+        m = min(mc._GUIDE_MAX, max(mc._GUIDE_MIN, 1 << (4 * n - 1).bit_length()))
+        b = np.floor(v * m)
+        first = np.searchsorted(s_up, b / m, "left")
+        nodes = np.searchsorted(s_up, (b + 1) / m, "right") - first
+        node = s_up[np.minimum(first, n - 1)]
+        was_searched = np.isin(v, np.concatenate(searched))
+        assert was_searched.any() and np.all(nodes[was_searched] >= 2)
+        one = (nodes == 1) & ~was_searched
+        assert np.any(one & (v >= node) & (node > b / m))
+        assert np.any(one & (v < node))
+        assert was_searched[-200000:].mean() < 0.02  # of the random draws
+
+    def test_interval_tables_are_built_once(self):
+        # the square and the cube start at fraction 1/2 on every side
+        _interval_inverse.cache_clear()
+        sample_exit_times(_box_config(n_paths=100))
+        sample_exit_times(_box_config(sides=(1.0, 1.0, 1.0), n_paths=100))
+        assert _interval_inverse.cache_info().misses == 1
+        # fractions f and 1 - f share one table
+        _interval_inverse.cache_clear()
+        sample_exit_times(_box_config(start=(0.25, 0.75), n_paths=100))
+        assert _interval_inverse.cache_info().misses == 1
 
 
 class TestGoldenStream:
@@ -239,8 +308,11 @@ class TestGoldenStream:
     These freeze the documented Philox stream and the samplers' arithmetic:
     a change that alters any exit time must announce it and re-freeze the
     checksums.  The values were produced with numpy 2.4 on x86-64; a numpy
-    whose exp, log, sqrt or interp rounds differently, or a C library whose
-    erf or erfc does, would change them too.
+    whose exp, log or sqrt rounds differently, or a C library whose erf or
+    erfc does, would change them too.  They do not depend on numpy's
+    interp: each draw's node is found by searchsorted and a guide table,
+    which are exact, and its time by a separate multiply and add, each
+    rounded once.
     """
 
     @staticmethod
