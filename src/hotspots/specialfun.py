@@ -4,8 +4,11 @@ Evaluation of J_nu(x) for real order 0 <= nu <= 120 and 0 <= x <= MAX_ARG =
 700 to the value contract |error| <= 1e-12 |J_nu(x)| + 3e-14, which the test
 suite checks against mpmath and scipy.  |J_nu| <= 1, so the floor is
 relative to the function's scale; near a zero, or where J_nu is tiny, the
-relative error can be large.  Nothing certified rests on this contract: `zeros` proves its
-bounds in exact arithmetic and uses these values only to find roots.
+relative error can be large.  Nothing certified rests on this contract.
+The j-zero's certificate in `zeros` rests on the sum's proven error below
+instead: a fixed-point sum s with |s| > 4K units proves the sign of S(z),
+whatever lgamma and exp return, and `bessel_j` hands such signs to its
+caller on request.  Everything else `zeros` proves in exact arithmetic.
 
 One regime serves the whole domain: J_nu(x) = (x/2)^nu / Gamma(nu+1) S(z),
 z = x^2/4, with the ascending series S(z) = sum_k T_k, T_k = (-z)^k / (k!
@@ -79,11 +82,12 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def bessel_j(nu: float, x: float) -> float:
+def bessel_j(nu: float, x: float, signs: dict[float, int] | None = None) -> float:
     """Evaluate J_nu(x) for 0 <= nu <= 120, 0 <= x <= 700 (see the module doc).
 
     The prefactor (x/2)^nu / Gamma(nu+1) times the ascending series S(x^2/4),
-    which `ascending_series` sums in fixed point.
+    which `ascending_series` sums in fixed point; signs, if given, gains the
+    sign of S at z = 0.25 * x * x where the sum proves it (`ascending_series`).
 
     Examples
     --------
@@ -105,10 +109,11 @@ def bessel_j(nu: float, x: float) -> float:
     log_pref = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
     if log_pref < -745.0:
         return 0.0
-    return math.exp(log_pref) * ascending_series(nu, 0.25 * x * x, log_pref)
+    return math.exp(log_pref) * ascending_series(nu, 0.25 * x * x, log_pref, signs)
 
 
-def ascending_series(nu: float, z: float, log_pref: float) -> float:
+def ascending_series(nu: float, z: float, log_pref: float,
+                     signs: dict[float, int] | None = None) -> float:
     """S_nu(z) = sum_k (-z)^k / (k! (nu+1)_k), to the precision that
     J_nu = exp(log_pref) S_nu needs (module doc), rounded to a float.
 
@@ -117,10 +122,17 @@ def ascending_series(nu: float, z: float, log_pref: float) -> float:
     t_k = 0.  log_pref is ln((x/2)^nu / Gamma(nu+1)) at z = x^2/4, and only
     sets P.  For nu <= 120 and x <= 700 the sum is off by under
     2^-62 / max(1, exp(log_pref)) before its final rounding (module doc).
+
+    The sum s over its K terms is off by under 4K units of 2^-P, whatever
+    log_pref is, so |s| > 4K proves the sign of S_nu(z); signs, if given,
+    then maps z to that sign, +1 or -1.
     """
     prec = series_bits(log_pref)
     a, b = z.as_integer_ratio()
-    return series_sum(nu, a, b.bit_length() - 1, prec)[0] / (1 << prec)
+    s, terms = series_sum(nu, a, b.bit_length() - 1, prec)
+    if signs is not None and abs(s) > 4 * terms:
+        signs[z] = 1 if s > 0 else -1
+    return s / (1 << prec)
 
 
 def series_bits(log_pref: float) -> int:

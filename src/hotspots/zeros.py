@@ -24,10 +24,18 @@ and raises AccuracyError.  The brackets:
   floats (for d <= 200 no term of S exceeds 1.5 near the root, so it does
   not cancel).
 
-`_exact_sign` then proves the directed squares in integer arithmetic, and
-one more exact test proves that the root between them is the first: Sturm
-spacing for the j-zero (`_first_zero_is_bracketed`), the fall of S for the
-p-root (`_p_series_falls_to`).
+`_record` then certifies directed squares sq_down < sq_up on a grid around
+root^2: S is proven positive at some z in [sq_down/4, root^2/4] and negative
+at some z in [root^2/4, sq_up/4], so a root of S lies between them, and one
+more exact test proves it the first: Sturm spacing for the j-zero
+(`_first_zero_is_bracketed`), the fall of S for the p-root
+(`_p_series_falls_to`).  The j-zero takes both signs from Brent's own J
+evaluations: `bessel_j` sums S in fixed point with a proven error (the
+`specialfun` module doc) and reports the sign of S at each z = fl(x^2)/4
+where the sum exceeds that error.  Where those signs do not bracket root^2
+within the grid margin, and always for the p-root, whose Brent runs on the
+float `_p_series`, `_exact_sign` proves the signs at sq_down/4 and sq_up/4
+in integer arithmetic instead.
 
 `next_bessel_zero` finds the later zeros j_{nu,k}, k >= 2, one from the
 last, on a bracket from the same Sturm comparison; they are floats, with no
@@ -233,14 +241,19 @@ def _p_series_falls_to(nu: float, sq_up: float) -> bool:
     return 5 * a * q < 12 * b * (p + 2 * q)
 
 
-def _record(nu: float, family: RootFamily, root: float) -> BesselZeroRecord:
-    """Directed squares on the 2^-44 grid around root^2, proven by exact signs.
+def _record(nu: float, family: RootFamily, root: float,
+            signs: dict[float, int]) -> BesselZeroRecord:
+    """Directed squares on the 2^-44 grid around root^2, proven by signs of S.
 
-    S is positive at 0, so S(sq_up/4) < 0 puts the first root below sq_up;
-    S(sq_down/4) > 0 adds a root between the two, the first one for J by
-    `_first_zero_is_bracketed` and for p by `_p_series_falls_to`.  A failed
-    sign widens the bracket 16-fold; a failed p fall cannot be mended by a
-    wider bracket and raises AccuracyError at once.
+    signs maps z to a sign of S(z) already proven (by `bessel_j`).  The
+    bracket [sq_down, sq_up] is the pair of grid points around
+    sq = fl(root^2), each moved two grid units outward.  It holds a root of
+    S if signs has a positive z with sq_down <= 4z <= sq and a negative z
+    with sq <= 4z <= sq_up (sq only orders the two), or else if `_exact_sign`
+    proves S(sq_down/4) > 0 > S(sq_up/4).  That root is the first one for J
+    by `_first_zero_is_bracketed` and for p by `_p_series_falls_to`.  Failing
+    both sign proofs widens the bracket 16-fold; a failed p fall cannot be
+    mended by a wider bracket and raises AccuracyError at once.
     """
     sq = root * root
     exp = math.frexp(sq)[1] - _GRID_BITS
@@ -249,8 +262,10 @@ def _record(nu: float, family: RootFamily, root: float) -> BesselZeroRecord:
         margin = 2 * 16 ** tries
         sq_down = math.ldexp(grid - margin, exp)
         sq_up = math.ldexp(grid + 1 + margin, exp)
-        if (_exact_sign(nu, 0.25 * sq_up, family) < 0
-                and _exact_sign(nu, 0.25 * sq_down, family) > 0
+        proven = (any(sign > 0 and sq_down <= 4.0 * z <= sq for z, sign in signs.items())
+                  and any(sign < 0 and sq <= 4.0 * z <= sq_up for z, sign in signs.items()))
+        if ((proven or (_exact_sign(nu, 0.25 * sq_up, family) < 0
+                        and _exact_sign(nu, 0.25 * sq_down, family) > 0))
                 and (family is RootFamily.P_ROOT
                      or _first_zero_is_bracketed(nu, sq_up))):
             if family is RootFamily.P_ROOT and not _p_series_falls_to(nu, sq_up):
@@ -282,9 +297,10 @@ def first_bessel_zero(nu: float) -> BesselZeroRecord:
             f"first_bessel_zero supports 0 <= nu <= 110, got {nu!r}"
         )
     upper = _qu_wong_upper(nu) if nu >= 1.0 else 3.8318
-    root = _solve(lambda x: bessel_j(nu, x), _j_lower(nu), upper,
+    signs: dict[float, int] = {}
+    root = _solve(lambda x: bessel_j(nu, x, signs), _j_lower(nu), upper,
                   f"j-zero nu={nu:g}")
-    return _record(nu, RootFamily.J_ZERO, root)
+    return _record(nu, RootFamily.J_ZERO, root, signs)
 
 
 def first_p_root(d: int) -> BesselZeroRecord:
@@ -302,7 +318,7 @@ def first_p_root(d: int) -> BesselZeroRecord:
     nu = 0.5 * d
     root = _solve(lambda x: _p_series(nu, 0.25 * x * x), math.sqrt(d),
                   math.sqrt(d + 2.0), f"p-root d={d}")
-    return _record(nu, RootFamily.P_ROOT, root)
+    return _record(nu, RootFamily.P_ROOT, root, {})
 
 
 def next_bessel_zero(nu: float, previous: float, k: int) -> float:

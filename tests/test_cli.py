@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import hotspots.cli as cli_mod
 import hotspots.zeros as zeros_mod
-from hotspots import AccuracyError, TailEstimate, VKind, log_v, optimal_a, bound_value
+from hotspots import AccuracyError, TailEstimate, VKind, bessel_j, log_v, optimal_a, bound_value
 from hotspots._format import canonical_json, payload_checksum
 
 try:
@@ -92,6 +92,8 @@ class TestZeros:
         assert "--nu" in res.stderr
 
     def test_uncertified_root_exit_four(self, invoke, monkeypatch):
+        # neither J's proven signs nor the exact ones bracket the root
+        monkeypatch.setattr(zeros_mod, "bessel_j", lambda nu, x, signs=None: bessel_j(nu, x))
         monkeypatch.setattr(zeros_mod, "_exact_sign", lambda nu, z, family: 0)
         res = invoke(["zeros", "--nu", "1"])
         assert res.exit_code == 4

@@ -286,6 +286,13 @@ class TestTableLookup:
         assert np.any(one & (v < node))
         assert was_searched[-200000:].mean() < 0.02  # of the random draws
 
+    @pytest.mark.parametrize("f", [1e-10, 1e-14, 1e-20, 1e-100])
+    def test_interval_table_near_a_face_is_ordered(self, f):
+        # the image sum meets the eigen series with a rise, and dips below
+        # 0 where S_1 is below its error; the lookup needs neither
+        s = _interval_table(f)[1]
+        assert np.all(np.diff(s) <= 0.0) and np.all(s >= 0.0) and s[0] <= 1.0
+
     def test_interval_tables_are_built_once(self):
         # the square and the cube start at fraction 1/2 on every side
         _interval_inverse.cache_clear()

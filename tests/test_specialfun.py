@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from hotspots import InfeasibleParameterError, bessel_j, log_gamma, specialfun
 from hotspots.specialfun import MAX_ARG, MAX_ORDER
+from hotspots.zeros import RootFamily, _exact_sign
 
 # (nu, x, J_nu(x)) frozen at 20 significant digits.
 MPMATH_POINTS = [
@@ -146,6 +147,29 @@ class TestBesselAccuracy:
         # far below the turning point: (x/2)^nu / Gamma(nu+1) ~ 1e-272
         assert 0.0 <= bessel_j(120.0, 0.5) < 1e-260
         assert bessel_j(90.0, 5e-300) == 0.0
+
+
+class TestProvenSigns:
+    """bessel_j reports the sign of S(x^2/4) where its fixed-point sum
+    proves it (more than 4K units from 0), and returns the same value with
+    or without the report."""
+
+    def test_signs_match_exact_signs(self):
+        for nu in NU_GRID:
+            for x in X_GRID:
+                signs = {}
+                value = bessel_j(nu, x, signs)
+                assert repr(value) == repr(bessel_j(nu, x)), (nu, x)
+                if x > 0.0 and value != 0.0:
+                    z = 0.25 * x * x
+                    assert signs == {z: _exact_sign(nu, z, RootFamily.J_ZERO)}, (nu, x)
+
+    def test_no_sign_without_a_sum(self):
+        # x = 0 and a prefactor below e^-745 return before summing S
+        for nu, x in [(0.0, 0.0), (3.0, 0.0), (90.0, 5e-300)]:
+            signs = {}
+            bessel_j(nu, x, signs)
+            assert signs == {}, (nu, x)
 
 
 class TestGoldenGrid:

@@ -296,13 +296,18 @@ class TestGoldenRecords:
             "81889fce0bf97a6c8d1b67cdfaf5a8614d7e521c9178505a517076204cb6e026")
 
 
+def _unproven_j(nu, x, signs=None):
+    """bessel_j that reports no proven sign."""
+    return bessel_j(nu, x)
+
+
 @pytest.fixture()
 def j_calls(monkeypatch):
     calls = [0]
 
-    def counting(nu, x):
+    def counting(nu, x, signs=None):
         calls[0] += 1
-        return bessel_j(nu, x)
+        return bessel_j(nu, x, signs)
 
     monkeypatch.setattr(zeros_mod, "bessel_j", counting)
     return calls
@@ -460,6 +465,8 @@ class TestExactSign:
 
     def test_failed_sign_widens_then_raises(self, monkeypatch):
         narrow = first_bessel_zero(3.0)
+        # J proves no sign, so the exact signs decide every bracket
+        monkeypatch.setattr(zeros_mod, "bessel_j", _unproven_j)
         undecided = [2]
 
         def flaky(nu, z, family):
@@ -479,3 +486,70 @@ class TestExactSign:
             first_bessel_zero(3.0)
         with pytest.raises(AccuracyError):
             first_p_root(7)
+
+
+class TestProvenSigns:
+    """The j-zero's squares rest on the signs that Brent's own J evaluations
+    prove, and fall back on `_exact_sign` only where those do not bracket
+    the root."""
+
+    @staticmethod
+    def _counted_exact_sign(monkeypatch):
+        calls = []
+
+        def counting(nu, z, family):
+            calls.append(z)
+            return _exact_sign(nu, z, family)
+
+        monkeypatch.setattr(zeros_mod, "_exact_sign", counting)
+        return calls
+
+    def test_j_zeros_take_no_exact_sign(self, monkeypatch):
+        calls = self._counted_exact_sign(monkeypatch)
+        for nu in [d / 2 - 1 for d in range(2, 201)] + TWENTIETHS:
+            first_bessel_zero(nu)
+        assert calls == []
+
+    def test_reported_signs_are_exact(self, monkeypatch):
+        reported = []
+
+        def keeping(nu, x, signs=None):
+            value = bessel_j(nu, x, signs)
+            reported.append((nu, signs))
+            return value
+
+        monkeypatch.setattr(zeros_mod, "bessel_j", keeping)
+        for d in range(2, 201):
+            first_bessel_zero(d / 2 - 1)
+        checked = {(nu, z, sign) for nu, signs in reported for z, sign in signs.items()}
+        assert len(checked) > 1000
+        for nu, z, sign in checked:
+            assert _exact_sign(nu, z, RootFamily.J_ZERO) == sign, (nu, z)
+
+    def test_unproven_signs_give_the_same_records(self, monkeypatch):
+        orders = [d / 2 - 1 for d in range(2, 201)]
+        proven = [first_bessel_zero(nu) for nu in orders]
+        monkeypatch.setattr(zeros_mod, "bessel_j", _unproven_j)
+        calls = self._counted_exact_sign(monkeypatch)
+        assert [first_bessel_zero(nu) for nu in orders] == proven
+        assert len(calls) == 2 * len(orders)  # both ends, at the first margin
+
+    def test_signs_must_lie_in_the_bracket(self, monkeypatch):
+        rec = first_bessel_zero(3.0)
+        sq = rec.value * rec.value
+        down, up = rec.value_squared_down, rec.value_squared_up
+        cases = [  # 4z of the positive sign, 4z of the negative one, exact calls
+            (down, up, 0),  # the bracket's own ends
+            (sq, math.nextafter(sq, math.inf), 0),  # the positive one at root^2
+            (math.nextafter(down, 0.0), up, 2),  # the positive one below sq_down
+            (down, math.nextafter(up, math.inf), 2),  # the negative one above sq_up
+            (math.nextafter(sq, math.inf), math.nextafter(sq, 0.0), 2),  # swapped
+            (math.nextafter(sq, 0.0), down, 2),  # both below root^2
+            (up, math.nextafter(sq, math.inf), 2),  # both above root^2
+        ]
+        calls = self._counted_exact_sign(monkeypatch)
+        for positive, negative, exact_calls in cases:
+            calls.clear()
+            signs = {0.25 * positive: 1, 0.25 * negative: -1}
+            assert zeros_mod._record(3.0, RootFamily.J_ZERO, rec.value, signs) == rec
+            assert len(calls) == exact_calls, (positive, negative)
