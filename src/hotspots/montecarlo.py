@@ -11,9 +11,8 @@ tau = min_j tau_j, where tau_j is the exit time of coordinate j from
 (0, L_j).  Each tau_j is drawn by inverting its survival series
 (_interval_inverse).  A ball is entered at its centre only, and its exit
 time is drawn by inverting the centre's Bessel eigen-series
-(_centre_inverse), tabulated in floats up to dimension 50 and in fixed
-point above.  Each exit time is reported rounded up to a whole number of
-steps dt.
+(_centre_inverse), summed in fixed point.  Each exit time is reported
+rounded up to a whole number of steps dt.
 
 Reproducibility: paths are split into chunks of chunk_size, and chunk i
 draws from the Philox counter-based stream `Philox(key=seed).jumped(i)` for
@@ -35,7 +34,7 @@ import numpy as np
 from ._format import payload_checksum
 from .errors import AccuracyError, InfeasibleParameterError
 from .vfunction import VKind, log_v
-from .specialfun import ascending_series, series_bits, series_sum
+from .specialfun import series_bits, series_sum
 from .zeros import first_bessel_zero, next_bessel_zero, zero_spacing
 
 #: The horizon of a run is lambda_D * t = 80; the chance any of n paths
@@ -76,6 +75,8 @@ class Ball:
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
+        if self.dim > 222:  # first_bessel_zero finds zeros of J_nu for nu <= 110
+            raise InfeasibleParameterError(f"a ball supports dim <= 222, got {self.dim}")
         if not (0.0 < self.radius < math.inf):
             raise InfeasibleParameterError(
                 f"ball needs a positive finite radius, got {self.radius!r}"
@@ -415,14 +416,12 @@ def _interval_inverse(f: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 #: _centre_inverse's budget: P(tau <= t_lo) at most _CDF_FLOOR, the omitted
-#: terms at most _OMITTED, the float error at most _FLOAT_ERROR and the
-#: chords off by at most _CHORD_ERROR.
+#: terms at most _OMITTED, the table's sums off by at most _SUM_ERROR and
+#: the chords off by at most _CHORD_ERROR.
 _CDF_FLOOR = 1e-7
 _OMITTED = 1e-17
-_FLOAT_ERROR = 1e-7
+_SUM_ERROR = 1e-7
 _CHORD_ERROR = 8e-7
-
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _doob_floor(dim: int) -> float:
@@ -453,26 +452,41 @@ _EXTRA_BITS = 80
 _TERM_BITS = 120
 _DIGITS = 60
 
-#: sup |S''| is taken as _CURVE_MARGIN times its largest value on
-#: _COARSE_STEPS + 1 evenly spaced nodes from t_lo to t_end.
-_COARSE_STEPS = 400
+#: _fixed_point_table's grid unit t_lo 2^-_UNIT_BITS, its segments per
+#: doubling of t, 2^_SEGMENT_BITS, and the 2^_CURVE_BITS + 1 points of each
+#: segment from which sup |S''| is taken, as _CURVE_MARGIN times the most.
+_UNIT_BITS = 20
+_SEGMENT_BITS = 4
+_CURVE_BITS = 2
 _CURVE_MARGIN = 1.01
 
 
 def _refined_zero(nu: float, j: float):
     """(z, c, r) for a float zero j of J_nu: z / 2^140 within z 2^-120 of
-    the true zero of S_nu near j^2 / 4, c = c_k of
-    `_centre_table` at z as a decimal, and r, c's relative error from its
-    sum of S_nu+1 (`_fixed_point_table`)."""
-    from decimal import Decimal
+    the true zero of S_nu near j^2 / 4, c = c_k of `_centre_table` at z as
+    a decimal, and r, c's relative error from its sum of S_nu+1.
+
+    z = j^2 / 4 is taken exactly as an int over 2^140, and moved by two
+    Newton steps on S_nu, whose derivative S_nu' = -S_nu+1 / (nu+1) needs
+    only the float's precision: S_nu+1 is summed once, at j.  S_nu is
+    summed by `series_sum` with 80 bits more than `ascending_series` takes
+    for J_nu+1, at most 1 bit fewer than it takes for J_nu (their
+    prefactors differ by 2 (nu+1) / j <= 2): its proven error is under 4K
+    units of 2^-P.  Where S_nu(z -+ z 2^-120) are of opposite signs, each
+    larger than that error, a zero lies within z 2^-120 of z (AccuracyError
+    otherwise).  One Newton step leaves up to 1.3e-29 relative over
+    dim = 2..222, the second far below 2^-120.  c = (nu+1) / (z S_nu+1(z)),
+    off by at most r = 4K / (|s| - 8K) for the sum s of S_nu+1.
+    """
+    from decimal import Context
 
     p, q = nu.as_integer_ratio()
     m, b = j.as_integer_ratio()
     z = (m * m << _ZERO_BITS) // (4 * b * b)
     prec = series_bits((nu + 1.0) * math.log(0.5 * j) - math.lgamma(nu + 2.0)) + _EXTRA_BITS
-    for _ in range(2):  # Newton, with S_nu' = -S_nu+1 / (nu+1)
+    s_up = series_sum(nu + 1.0, z, _ZERO_BITS, prec - _EXTRA_BITS)[0]
+    for _ in range(2):  # Newton, with S_nu' = -S_nu+1 / (nu+1) taken at j
         s_nu = series_sum(nu, z, _ZERO_BITS, prec)[0]
-        s_up = series_sum(nu + 1.0, z, _ZERO_BITS, prec - _EXTRA_BITS)[0]
         z += ((p + q) * s_nu << (_ZERO_BITS - _EXTRA_BITS)) // (q * s_up)
     delta = z >> _ZERO_SLACK
     below, k_below = series_sum(nu, z - delta, _ZERO_BITS, prec)
@@ -480,100 +494,115 @@ def _refined_zero(nu: float, j: float):
     if not (below * above < 0 and abs(below) > 4 * k_below and abs(above) > 4 * k_above):
         raise AccuracyError(f"j-zero nu={nu:g}: no proven sign change near {j!r}")
     s_up, k_up = series_sum(nu + 1.0, z, _ZERO_BITS, prec)
-    c = Decimal((p + q) << (_ZERO_BITS + prec)) / Decimal(q * z * s_up)
+    c = Context(prec=_DIGITS).divide((p + q) << (_ZERO_BITS + prec), q * z * s_up)
     return z, c, 4 * k_up / (abs(s_up) - 8 * k_up)
 
 
-def _fixed_point_table(nu: float, zeros: list[float], t_lo: float,
-                       t_end: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(t, s, c_1, lam_1) of `_centre_table` for dim >= 51, summed in fixed
-    point from the float zeros j_1..j_K, on nodes t_i = t_lo + i h evenly
-    spaced up to t_end.
+def _fixed_point_table(nu: float, refined: list, t_lo: float,
+                       t_end: float) -> tuple[np.ndarray, np.ndarray]:
+    """(t, s): `_centre_table`'s S at nodes t from t_lo to t_end, summed in
+    fixed point from the refined zeros (z_k, c_k, r_k) of `_refined_zero`.
 
-    The zeros (`_refined_zero`).  z = j^2 / 4 is taken exactly as an int
-    over 2^140, and moved by two Newton steps on S_nu, whose derivative is
-    S_nu' = -S_nu+1 / (nu+1); the derivative needs only the float's
-    precision.  S_nu is summed by `series_sum` with 80 bits more than
-    `ascending_series` takes for J_nu+1, at most 1 bit fewer than it takes
-    for J_nu (their prefactors differ by 2 (nu+1) / j_k <= 2), so its
-    proven error is under 4K units of 2^-P.  Where S_nu(z -+ delta),
-    delta = z 2^-120, are of opposite signs and each larger than that error,
-    a zero of S_nu lies within delta of z, which is checked for every zero
-    (AccuracyError otherwise).  One Newton step leaves up to 1.2e-29
-    relative over dim = 51..222, the second far below 2^-120.
-
-    The terms.  T_k(t) = c_k exp(-4 z_k t) with
-    c_k = (nu+1) / (z_k S_nu+1(z_k)), S_nu+1 summed as S_nu; its error of
-    under 4K units is at most r_k = 4K / (|s| - 8K) of c_k, for its sum s.
-    At the zero, d ln c_k / d ln z_k = nu (at a zero of J_nu,
+    The terms.  T_k(t) = c_k exp(-4 z_k t).  At the zero,
+    d ln c_k / d ln z_k = nu (at a zero of J_nu,
     x J_nu+1'(x) = -(nu+1) J_nu+1(x)), so to first order z_k's error moves
-    T_k(t) by at most (nu + 4 z_k t) 2^-120 relative, and |T_k(t)| times
-    that falls with t (nu >= 24.5), so its value at t_lo bounds it.  The
-    signs of c_k alternate, starting positive: J_nu+1 = -J_nu' at the
-    zeros of J_nu, and J_nu' alternates there.  So each |T_k| is carried
-    over 2^120, from floor(|c_k| exp(-4 z_k t_lo) 2^120), and stepped from
-    node to node by floor(|T_k| F_k / 2^120), F_k = floor(exp(-4 z_k h) 2^120):
-    decimal's exp is correctly rounded, so the decimal operations at 60
-    digits are off by under 1e-57 relative, and the floors by under one
-    unit each.  Over n = count + 1 nodes, |T_k| is then off by at most
-    (count + 3) 2^-119 (|T_k(t_lo)| + 1) besides its zero and c_k errors.
-    A term that reaches 0 stays 0 and is dropped.  Hence, with x_k = 4 z_k t_lo,
-        B = sum_k |T_k(t_lo)| ((nu + x_k) 2^-120 + r_k + (count + 3) 2^-119)
-            + K (count + 3) 2^-119 + 2^-53,
-    the last term for rounding each sum to a float, bounds the table's
-    error.  B is checked against _FLOAT_ERROR (AccuracyError otherwise); it
-    is at most 1e-14 for dim = 51..222, at dim = 222, where the largest
-    term is 1.7e17 at t_lo.  The float nodes t_lo + i h lie within
-    2^-52 t_end of the exact ones, which moves S by at most
-    2^-52 t_end sup |S'| < 2.4e-15 (t_end sup |S'| is at most 10.6, at
-    dim = 222).
+    T_k(t) by at most (nu + x) 2^-120 relative, x = 4 z_k t.  |T_k(t)| times
+    that is |c_k| (nu + x) e^-x, which falls for x >= 1 - nu; so over
+    t >= t_lo it is at most its value at x = max(x_k, 1 - nu), with
+    x_k = 4 z_k t_lo (x_k < 1 - nu only below dim = 4).  The signs of c_k
+    alternate, starting positive: J_nu+1 = -J_nu' at the zeros of J_nu,
+    and J_nu' alternates there.
 
-    The chords.  h is the largest step t_end - t_lo over a whole number
-    that keeps h^2 sup |S''| / 8 at most _CHORD_ERROR.  S'' = sum_k
-    (4 z_k)^2 T_k is summed as the table is, on 401 coarse nodes, and its
-    sup is taken as 1.01 times the largest of those values: the largest on
-    a ten times finer grid is at most 1.0014 times it for dim = 51..222
-    (at dim = 52).  Past t_end, c_1 and lam_1 are the floats of c_1 and
-    4 z_1.
+    The nodes.  They lie on the grid t_lo + i h, h = t_lo 2^-20.  Each
+    |T_k| is carried as an int over 2^120, from floor(|c_k| e^-x_k 2^120),
+    and stepped by 2^e units h to floor(|T_k| F_k(e) / 2^120), where F_k(e)
+    is floor(exp(-4 z_k 2^e h) 2^120) off by under 2^(e+1) units: F_k(0) is
+    the floor of decimal's correctly rounded exp, and F_k(e+1) the floor of
+    F_k(e)^2 / 2^120, which doubles the error and adds under one unit.  The
+    decimal operations at 60 digits are off by under 1e-57 relative.  Over
+    N steps of M units h in all, |T_k| is then off by at most
+    (N + 2M + 2) 2^-120 (|T_k(t_lo)| + 1) besides its zero and c_k errors.
+    A term that reaches 0 stays 0 and is dropped.  Hence
+        B = sum_k |T_k(t_lo)| ((nu + x) e^(x_k - x) 2^-120 + r_k
+                               + (N + 2M + 2) 2^-120)
+            + K (N + 2M + 2) 2^-120 + 2^-53,  x = max(x_k, 1 - nu),
+    the last term for rounding each sum to a float, bounds the table's
+    error.  B is checked against _SUM_ERROR (AccuracyError otherwise); it
+    is at most 7.8e-12 for dim = 2..222, at dim = 222, where the largest
+    term is 1.7e17 at t_lo.  The float of the node t_lo (1 + i 2^-20) is
+    within 2^-53 t of it, which moves S by at most 2^-53 sup_t t |S'(t)|
+    < 4.8e-16 (sup_t t |S'(t)| is at most 4.26, at dim = 222).
+
+    The chords.  Each doubling [t_lo 2^g, t_lo 2^(g+1)] up to t_end is cut
+    into 16 equal segments, each crossed in equal steps of the most units
+    h, a power of two, whose length l keeps l^2 sup |S''| / 8 at most
+    _CHORD_ERROR on it; the table stops at the first node past t_end.
+    S'' = sum_k (4 z_k)^2 T_k is summed as the table is, at 5 evenly spaced
+    points of each segment, and its sup there taken as 1.01 times the most
+    of those: the most on a ten times finer grid is at most 1.0039 times it
+    for dim = 2..222 (at dim = 136).  No step is shorter than
+    t_lo 2^-11 = 512 h (AccuracyError for one below h).
     """
     from decimal import Decimal, localcontext
 
+    h = math.ldexp(t_lo, -_UNIT_BITS)
+    end = math.ceil((t_end - t_lo) / h)
+    doublings = (-(-end >> _UNIT_BITS)).bit_length()  # t_lo 2^doublings >= t_end
     with localcontext() as ctx:
         ctx.prec = _DIGITS
-        refined = [_refined_zero(nu, j) for j in zeros]
         lam = [Decimal(4 * z) / (1 << _ZERO_BITS) for z, _, _ in refined]
         unit = Decimal(1 << _TERM_BITS)
         first = [int(abs(c) * (-l * Decimal(t_lo)).exp() * unit)
                  for (_, c, _), l in zip(refined, lam)]
+        powers = [[int((-l * Decimal(h)).exp() * unit) for l in lam]]
+    for _ in range(_UNIT_BITS + doublings):  # F_k(e) for e = 1, 2, ...
+        powers.append([f * f >> _TERM_BITS for f in powers[-1]])
 
-        def sums(step: float, count: int, weights: list[int]) -> list[int]:
-            """sum_k w_k |T_k(t_lo + i step)| for i < count, |T_k| over 2^120."""
-            factors = [int((-l * Decimal(step)).exp() * unit) for l in lam]
-            terms, out = list(first), []
-            for _ in range(count):
-                while not terms[-1]:  # a term that reaches 0 stays 0
-                    terms.pop()
-                out.append(sum(map(operator.mul, terms, weights)))
-                terms = [(x * f) >> _TERM_BITS for x, f in zip(terms, factors)]
-            return out
+    def sums(steps: list[int], total: Callable[[list[int]], int]) -> list[int]:
+        """total(|T_k| over 2^120 for each k left), at t_lo and after each
+        step of 2^e units h for e in steps."""
+        terms = list(first)
+        out = [total(terms)]
+        for e in steps:
+            terms = [x * f >> _TERM_BITS for x, f in zip(terms, powers[e])]
+            while terms and not terms[-1]:  # a term that reaches 0 stays 0
+                terms.pop()
+            out.append(total(terms))
+        return out
 
-        # S'' = sum_k lam_k^2 T_k, lam_k^2 over 2^40
-        signs = [(-1) ** k for k in range(len(lam))]
-        coarse = (t_end - t_lo) / _COARSE_STEPS
-        curve = sums(coarse, _COARSE_STEPS + 1, [sign * (16 * z * z >> (2 * _ZERO_BITS - 40))
-                                                 for sign, (z, _, _) in zip(signs, refined)])
-        sup = _CURVE_MARGIN * max(map(abs, curve)) / (1 << (_TERM_BITS + 40))
-        count = math.ceil((t_end - t_lo) / math.sqrt(8.0 * _CHORD_ERROR / sup))
-        step = (t_end - t_lo) / count
-        s = np.array([x / (1 << _TERM_BITS) for x in sums(step, count + 1, signs)])
-    rounding = (count + 3) * 2.0 ** (1 - _TERM_BITS)
-    error = sum(x / float(1 << _TERM_BITS) * ((nu + float(l) * t_lo) * 2.0 ** -_ZERO_SLACK
-                                             + r + rounding)
-                for x, l, (_, _, r) in zip(first, lam, refined))
-    error += len(lam) * rounding + _UNIT_ROUNDOFF
-    if not error <= _FLOAT_ERROR:
+    # the segments of doubling g span 2^(_UNIT_BITS + g - _SEGMENT_BITS) units h
+    segments = [_UNIT_BITS + g - _SEGMENT_BITS
+                for g in range(doublings) for _ in range(1 << _SEGMENT_BITS)]
+    width = 1 << _CURVE_BITS
+    weights = [(-1) ** k * (16 * z * z >> (2 * _ZERO_BITS - 40))  # lam_k^2 over 2^40,
+               for k, (z, _, _) in enumerate(refined)]  # so S'' is over 2^160
+    curve = sums([e - _CURVE_BITS for e in segments for _ in range(width)],
+                 lambda terms: abs(sum(map(operator.mul, terms, weights))))
+    steps, start = [], 0
+    for i, span in enumerate(segments):
+        if start >= end:
+            break
+        sup = _CURVE_MARGIN * max(curve[i * width:(i + 1) * width + 1]) / (1 << 160)
+        e = min(span, math.floor(math.log2(math.sqrt(8.0 * _CHORD_ERROR / sup) / h)))
+        if e < 0:
+            raise AccuracyError(f"the centre's table for nu={nu:g} needs steps below h")
+        count = -(-min(1 << span, end - start) >> e)
+        steps += [e] * count
+        start += count << e
+    s = np.array([x / (1 << _TERM_BITS) for x in
+                  sums(steps, lambda terms: sum(terms[::2]) - sum(terms[1::2]))])
+    t = t_lo * np.ldexp(np.cumsum([1 << _UNIT_BITS, *(1 << e for e in steps)], dtype=float),
+                        -_UNIT_BITS)
+    rounding = (len(steps) + 2 * start + 2) * 2.0 ** -_TERM_BITS
+    error = len(lam) * rounding + 2.0 ** -53
+    for x, l, (_, _, r) in zip(first, lam, refined):
+        x_k = float(l) * t_lo
+        x_top = max(x_k, 1.0 - nu)
+        error += x / (1 << _TERM_BITS) * (
+            (nu + x_top) * math.exp(x_k - x_top) * 2.0 ** -_ZERO_SLACK + r + rounding)
+    if not error <= _SUM_ERROR:
         raise AccuracyError(f"the centre's table for nu={nu:g} is off by up to {error:.3g}")
-    return t_lo + step * np.arange(count + 1), s, float(refined[0][1]), float(lam[0])
+    return t, s
 
 
 def _centre_table(dim: int, j_1: float) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -585,7 +614,9 @@ def _centre_table(dim: int, j_1: float) -> tuple[np.ndarray, np.ndarray, float, 
         S(t) = sum_k c_k exp(-j_k^2 t),
         c_k = 4 (nu+1) / (j_k^2 S_{nu+1}(j_k^2 / 4))
             = (j_k/2)^(nu-1) / (Gamma(nu+1) J_{nu+1}(j_k)),
-    with S_mu the normalised ascending series (`ascending_series`).
+    with S_mu the normalised ascending series (`ascending_series`).  Each
+    float zero is refined, and its c_k computed, in fixed point
+    (`_refined_zero`).
 
     The terms.  u = sqrt(x) J_nu(x) solves u'' + q u = 0 with
     q = 1 - (nu^2 - 1/4)/x^2, and E = u'^2 + q u^2 has E' = q' u^2.  So E
@@ -602,42 +633,23 @@ def _centre_table(dim: int, j_1: float) -> tuple[np.ndarray, np.ndarray, float, 
 
     The table.  Nodes run from t_lo to
     t_end = max_{k >= 2} ln(1e17 (K-1) |c_k|) / j_k^2, past which the terms
-    k >= 2 sum to under 2e-17, so S(t) is c_1 exp(-j_1^2 t) there.  Summed
-    in floats, the table is off by at most
-        B = 2^-53 sum_k |c_k| ((K + 20 nu + 8) e^-x_k + 22 max(x_k, 1) e^-max(x_k, 1)),
-    x_k = j_k^2 t_lo: K for the sum of the terms, 20 nu for c_k's
-    sensitivity 2 nu to j_k, and 22 x for exp(-j_k^2 t)'s, where each j_k
-    is off by at most 10 units of 2^-53 (Brent's final bracket, and for j_1
-    the rounding of R sqrt(lambda)).  Up to dim = 50 B is at most
-    _FLOAT_ERROR and the table is summed in floats.  From dim = 51 on it is
-    not, and the table is summed in fixed point instead, with its own
-    bound B (`_fixed_point_table`).  Either table is made nonincreasing and
-    at most 1 by a running minimum, which keeps it within B of S.
-
-    The error in law, as for `_interval_table`: the CDF G of T(V) is the
-    chord of F = 1 - S between nodes t_i, off by at most
-    (t_{i+1} - t_i)^2 sup |S''| / 8 between them.  In floats the nodes are
-    at most h <= 1/300 apart in ln t, so that is at most
-    (e^h - 1)^2 sup_t t^2 |S''(t)| / 8.  The sup is taken as 1.01 times the
-    largest value on the nodes 1/300 apart, which is within 1e-4 of the
-    largest on a ten times finer grid for dim = 2..50, and h is the largest
-    step <= 1/300 that keeps this at most _CHORD_ERROR.  In fixed point
-    the nodes are evenly spaced, and their spacing keeps the chords within
-    _CHORD_ERROR too.  Below t_lo both G and F are at most
-    _CDF_FLOOR + B.  So |G - F| <= 8e-7 + B + 2e-17 < 1e-6 for every t,
-    with 2.4e-15 more in fixed point for the float nodes.
+    k >= 2 sum to under 2e-17, so S(t) is c_1 exp(-j_1^2 t) there.  It is
+    summed in fixed point, off by at most its computed bound B <= _SUM_ERROR
+    (`_fixed_point_table`), and made nonincreasing and at most 1 by a
+    running minimum, which keeps it within B of S.  As for
+    `_interval_table`, the CDF G of T(V) is the chord of F = 1 - S between
+    nodes t_i, off by at most (t_{i+1} - t_i)^2 sup |S''| / 8 <= _CHORD_ERROR
+    between them (`_fixed_point_table`).  Below t_lo both G and F are at
+    most _CDF_FLOOR + B.  So |G - F| <= 8e-7 + B + 2e-17 + 4.8e-16 < 1e-6
+    for every t, the last term for the float nodes.
     """
     nu = 0.5 * dim - 1.0
     t_lo = _doob_floor(dim)
     gap = zero_spacing(nu)
     power = nu - 0.5
-
-    def coefficient(j: float) -> float:
-        log_pref = (nu + 1.0) * math.log(0.5 * j) - math.lgamma(nu + 2.0)
-        return 4.0 * (nu + 1.0) / (j * j * ascending_series(nu + 1.0, 0.25 * j * j, log_pref))
-
-    zeros, coefs = [j_1], [coefficient(j_1)]
-    amplitude = abs(coefs[0]) if dim > 2 else math.sqrt(2.0 * math.pi / j_1)
+    zeros, refined = [j_1], [_refined_zero(nu, j_1)]
+    c_1 = float(refined[0][1])
+    amplitude = abs(c_1) if dim > 2 else math.sqrt(2.0 * math.pi / j_1)
     while True:
         j = zeros[-1] + gap  # at most j_{K+1}
         rho = ((1.0 + gap / j) ** max(0.0, power)
@@ -646,27 +658,12 @@ def _centre_table(dim: int, j_1: float) -> tuple[np.ndarray, np.ndarray, float, 
                 * math.exp(-j * j * t_lo) <= _OMITTED * (1.0 - rho)):
             break
         zeros.append(next_bessel_zero(nu, zeros[-1], len(zeros) + 1))
-        coefs.append(coefficient(zeros[-1]))
-    lam, c = np.array(zeros) ** 2, np.array(coefs)
-    t_end = max(math.log((len(c) - 1) * abs(c_k) / _OMITTED) / lam_k
-                for c_k, lam_k in zip(coefs[1:], lam[1:]))
-
-    x = lam * t_lo
-    x_1 = np.maximum(x, 1.0)
-    if _UNIT_ROUNDOFF * float(np.abs(c) @ ((c.size + 20.0 * nu + 8.0) * np.exp(-x)
-                                            + 22.0 * x_1 * np.exp(-x_1))) > _FLOAT_ERROR:
-        t, s, c_1, lam_1 = _fixed_point_table(nu, zeros, t_lo, t_end)
-    else:
-        y_lo, y_end = math.log(t_lo), math.log(t_end)
-
-        def nodes(step: float) -> np.ndarray:
-            return np.exp(np.linspace(y_lo, y_end, math.ceil((y_end - y_lo) / step) + 1))
-
-        t = nodes(_TABLE_STEP)
-        curve = 1.01 * float(np.max(t * t * np.abs(_exp_sum(t, lam, c * lam * lam))))
-        t = nodes(min(_TABLE_STEP, math.log1p(math.sqrt(8.0 * _CHORD_ERROR / curve))))
-        s, c_1, lam_1 = _exp_sum(t, lam, c), coefs[0], float(lam[0])
-    return t, np.minimum.accumulate(np.minimum(s, 1.0)), c_1, lam_1
+        refined.append(_refined_zero(nu, zeros[-1]))
+    t_end = max(math.log((len(refined) - 1) * abs(float(c)) / _OMITTED) * (1 << _ZERO_BITS)
+                / (4 * z) for z, c, _ in refined[1:])
+    t, s = _fixed_point_table(nu, refined, t_lo, t_end)
+    return (t, np.minimum.accumulate(np.minimum(s, 1.0)), c_1,
+            4 * refined[0][0] / (1 << _ZERO_BITS))
 
 
 @functools.lru_cache(maxsize=64)

@@ -333,6 +333,37 @@ class TestVerifyVBound:
         assert res.exit_code == 4
         assert "accuracy" in res.output
 
+    @pytest.mark.parametrize("fault, line", [
+        ("zero", "accuracy error: j-zero nu=0: no proven sign change near "),
+        ("budget", "accuracy error: the centre's table for nu=0 is off by up to 1.11e-16\n"),
+    ], ids=["zero_off_its_root", "budget_below_the_bound"])
+    def test_centre_table_refusals_exit_four(self, invoke, monkeypatch, fault, line):
+        # a float zero moved off its root leaves no proven sign change near
+        # it; a budget below the table's computed bound refuses the table
+        import hotspots.montecarlo as mc
+        if fault == "zero":
+            real = mc.next_bessel_zero
+            monkeypatch.setattr(mc, "next_bessel_zero",
+                                lambda nu, previous, k: real(nu, previous, k) + 1e-3)
+        else:
+            monkeypatch.setattr(mc, "_SUM_ERROR", 1e-20)
+        mc._centre_inverse.cache_clear()  # so that the disc's table is built here
+        res = invoke(SMALL_MC)
+        assert res.exit_code == 4, res.output
+        assert res.stdout == ""
+        assert res.stderr.startswith(line)
+
+    def test_ball_above_dimension_222_exit_three(self, invoke):
+        # the zeros of J_nu are found for nu <= 110, that is d <= 222; the
+        # refusal names the dimension given, and a box of that dimension runs
+        res = invoke(["verify-vbound", "--dim", "223", "--paths", "100"])
+        assert res.exit_code == 3, res.output
+        assert res.stdout == ""
+        assert res.stderr == "error: a ball supports dim <= 222, got 223\n"
+        res = invoke(["verify-vbound", "--shape", "box", "--sides", ",".join(["1"] * 223),
+                      "--dim", "223", "--paths", "100"])
+        assert res.exit_code == 0, res.output
+
     def test_usage_errors(self, invoke):
         assert invoke(["verify-vbound", "--shape", "box",
                        "--dim", "2"]).exit_code == 2
