@@ -31,8 +31,8 @@ whose b -> infinity limit is exactly the two-parameter bound above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import FiniteHorizonConstraintError, InfeasibleParameterError
 from .vfunction import CustomTable, VKind, log_v, log_v_curve
 
@@ -40,23 +40,18 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS_EDGE = 1e-6
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(record("BoundResult",
+                         "d r epsilon_star a_star bound evaluations vkind")):
     """Minimizer and value for one dimension."""
 
-    d: int
-    r: float
-    epsilon_star: float
-    a_star: float
-    bound: float
-    evaluations: int
-    vkind: VKind
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.bound > 1.0:
-            raise InfeasibleParameterError(
-                f"bound must exceed 1, got {self.bound!r}"
-            )
+    def __new__(cls, d: int, r: float, epsilon_star: float, a_star: float,
+                bound: float, evaluations: int, vkind: VKind):
+        if not bound > 1.0:
+            raise InfeasibleParameterError(f"bound must exceed 1, got {bound!r}")
+        return super().__new__(cls, d, r, epsilon_star, a_star, bound,
+                               evaluations, vkind)
 
 
 def bound_value(d: int, r: float, vkind: VKind, epsilon: float, a: float,

@@ -14,7 +14,6 @@ accuracy failure, 5 V-bound check failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import math
@@ -55,6 +54,8 @@ def _emit(fmt: str, subcommand: str, parameters: dict, result: dict,
         # "manifest" before "result"
         print('{"manifest":' + canonical_json(manifest) + ',"result":' + body + "}")
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -83,6 +84,8 @@ def _parse_ratio(spec: str, d: int) -> tuple[RatioKind, float]:
 
 def _parse_vfunction(spec: str) -> tuple[VKind, CustomTable | None]:
     if spec.startswith("custom:"):
+        import csv  # for csv.Error below
+
         path = spec.split(":", 1)[1]
         try:
             return VKind.CUSTOM, load_custom_table(path)

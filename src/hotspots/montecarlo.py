@@ -27,11 +27,11 @@ import functools
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._format import payload_checksum
+from ._record import record
 from .errors import AccuracyError, InfeasibleParameterError
 from .vfunction import VKind, log_v
 from .specialfun import series_bits, series_sum
@@ -66,38 +66,37 @@ def _check_dim(dim: int) -> None:
         raise InfeasibleParameterError(f"dim must be an integer >= 1, got {dim!r}")
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(record("Ball", "radius dim")):
     """The ball of the given radius centered at the origin of R^dim."""
 
-    radius: float
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        if self.dim > 222:  # first_bessel_zero finds zeros of J_nu for nu <= 110
-            raise InfeasibleParameterError(f"a ball supports dim <= 222, got {self.dim}")
-        if not (0.0 < self.radius < math.inf):
+    def __new__(cls, radius: float, dim: int):
+        _check_dim(dim)
+        if dim > 222:  # first_bessel_zero finds zeros of J_nu for nu <= 110
+            raise InfeasibleParameterError(f"a ball supports dim <= 222, got {dim}")
+        if not (0.0 < radius < math.inf):
             raise InfeasibleParameterError(
-                f"ball needs a positive finite radius, got {self.radius!r}"
+                f"ball needs a positive finite radius, got {radius!r}"
             )
+        return super().__new__(cls, radius, dim)
 
     def center(self) -> tuple[float, ...]:
         return (0.0,) * self.dim
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(record("Box", "sides")):
     """The axis box prod_i (0, L_i).  sides is stored as a tuple, so a box
     given a list is still hashable, as principal_eigenvalue's cache needs."""
 
-    sides: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sides", tuple(self.sides))
-        _check_dim(self.dim)
-        if not all(0.0 < s < math.inf for s in self.sides):
+    def __new__(cls, sides: tuple[float, ...]):
+        sides = tuple(sides)
+        _check_dim(len(sides))
+        if not all(0.0 < s < math.inf for s in sides):
             raise InfeasibleParameterError("box sides must be positive and finite")
+        return super().__new__(cls, sides)
 
     @property
     def dim(self) -> int:
@@ -111,8 +110,7 @@ class Box:
 SimDomain = Ball | Box
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(record("SimConfig", "domain start dt n_paths t_grid seed chunk_size")):
     """Everything one simulation depends on (and nothing else).
 
     chunk_size is the unit of the random stream: chunk i, of chunk_size
@@ -124,44 +122,46 @@ class SimConfig:
     starts at its centre, where its law is known; a box anywhere inside.
     """
 
-    domain: SimDomain
-    start: tuple[float, ...]
-    dt: float
-    n_paths: int
-    t_grid: tuple[float, ...]
-    seed: int
-    chunk_size: int = 65536
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.start) != self.domain.dim:
+    def __new__(cls, domain: SimDomain, start: tuple[float, ...], dt: float,
+                n_paths: int, t_grid: tuple[float, ...], seed: int,
+                chunk_size: int = 65536):
+        if len(start) != domain.dim:
             raise InfeasibleParameterError("start point has wrong dimension")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise InfeasibleParameterError(f"dt must be positive, got {self.dt!r}")
-        if self.n_paths < 1:
+        if not (dt > 0.0 and math.isfinite(dt)):
+            raise InfeasibleParameterError(f"dt must be positive, got {dt!r}")
+        # a float or bool would pass the range checks below, then run another
+        # seed's stream or fail inside numpy
+        for name, value in (("n_paths", n_paths), ("chunk_size", chunk_size),
+                            ("seed", seed)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InfeasibleParameterError(f"{name} must be an integer, got {value!r}")
+        if n_paths < 1:
             raise InfeasibleParameterError("n_paths must be >= 1")
-        if self.n_paths > _MAX_PATHS:
+        if n_paths > _MAX_PATHS:
             raise InfeasibleParameterError(
-                f"n_paths={self.n_paths} is too many; at most {_MAX_PATHS:.0e} are allowed"
+                f"n_paths={n_paths} is too many; at most {_MAX_PATHS:.0e} are allowed"
             )
-        if self.chunk_size < 1:
+        if chunk_size < 1:
             raise InfeasibleParameterError("chunk_size must be >= 1")
-        if not (0 <= self.seed < 2 ** 64):
+        if not (0 <= seed < 2 ** 64):
             raise InfeasibleParameterError("seed must be a 64-bit unsigned integer")
-        grid = self.t_grid
-        if any(t < 0.0 for t in grid):
+        if any(t < 0.0 for t in t_grid):
             raise InfeasibleParameterError("t_grid times must be >= 0")
-        diffs = [b - a for a, b in zip(grid, grid[1:])]
+        diffs = [b - a for a, b in zip(t_grid, t_grid[1:])]
         if any(h <= 0.0 for h in diffs):
             raise InfeasibleParameterError("t_grid must be strictly increasing")
-        if diffs and self.dt > min(diffs) / 10.0:
+        if diffs and dt > min(diffs) / 10.0:
             raise InfeasibleParameterError(
                 "dt must be at most one tenth of the smallest t_grid spacing"
             )
-        if isinstance(self.domain, Ball) and any(self.start):
+        if isinstance(domain, Ball) and any(start):
             raise InfeasibleParameterError(
                 "a ball's exit times are drawn from its centre; start must be the centre")
-        if _start_distance(self.domain, self.start) < -1e-12:
+        if _start_distance(domain, start) < -1e-12:
             raise InfeasibleParameterError("start lies outside the domain")
+        return super().__new__(cls, domain, start, dt, n_paths, t_grid, seed, chunk_size)
 
     def fingerprint(self) -> str:
         dom = self.domain
@@ -184,36 +184,31 @@ class SimConfig:
         return payload_checksum(payload)
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(record("TailEstimate",
+                          "t_grid survival ci_low ci_high n_paths config_fingerprint")):
     """Empirical survival probabilities with 95% confidence intervals."""
 
-    t_grid: tuple[float, ...]
-    survival: tuple[float, ...]
-    ci_low: tuple[float, ...]
-    ci_high: tuple[float, ...]
-    n_paths: int
-    config_fingerprint: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.t_grid)
-        if not (len(self.survival) == len(self.ci_low) == len(self.ci_high) == n):
+    def __new__(cls, t_grid: tuple[float, ...], survival: tuple[float, ...],
+                ci_low: tuple[float, ...], ci_high: tuple[float, ...], n_paths: int,
+                config_fingerprint: str):
+        n = len(t_grid)
+        if not (len(survival) == len(ci_low) == len(ci_high) == n):
             raise InfeasibleParameterError("tail estimate arrays must align")
-        if any(b > a + 1e-15 for a, b in zip(self.survival, self.survival[1:])):
+        if any(b > a + 1e-15 for a, b in zip(survival, survival[1:])):
             raise AccuracyError("survival must be nonincreasing over t_grid")
-        for lo, s, hi in zip(self.ci_low, self.survival, self.ci_high):
+        for lo, s, hi in zip(ci_low, survival, ci_high):
             if not (lo <= s <= hi):
                 raise AccuracyError("confidence interval must contain the estimate")
+        return super().__new__(cls, t_grid, survival, ci_low, ci_high, n_paths,
+                               config_fingerprint)
 
 
-@dataclass(frozen=True)
-class VBoundReport:
+class VBoundReport(record("VBoundReport", "passed worst_margin worst_index bound_curve")):
     """Outcome of one V-bound check against a tail estimate."""
 
-    passed: bool
-    worst_margin: float
-    worst_index: int
-    bound_curve: tuple[float, ...]
+    __slots__ = ()
 
 
 def _start_distance(domain: SimDomain, point: tuple[float, ...]) -> float:
@@ -223,15 +218,16 @@ def _start_distance(domain: SimDomain, point: tuple[float, ...]) -> float:
     return min(min(c, s - c) for c, s in zip(point, domain.sides))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def principal_eigenvalue(domain: SimDomain) -> float:
     """First Dirichlet eigenvalue of the (full) Laplacian on the domain.
 
     With the twice-speed convention the exit-time tail decays at exactly this
     rate.  Ball of radius R in dimension d: j_{d/2-1,1}^2 / R^2; box with
     sides L: pi^2 * sum_i 1/L_i^2.  Cached, so a caller and sample_exit_times
-    share one Bessel root search.  A domain so large that the eigenvalue
-    underflows to 0.0, or so small that it overflows, is rejected.
+    share one Bessel root search; the cache is typed, as a domain is a tuple
+    and equals the plain tuple of its fields.  A domain so large that the
+    eigenvalue underflows to 0.0, or so small that it overflows, is rejected.
 
     Examples
     --------

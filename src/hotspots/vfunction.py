@@ -17,7 +17,6 @@ so it stays accurate as eps -> 1.
 from __future__ import annotations
 
 import bisect
-import csv
 import enum
 import math
 import os
@@ -131,6 +130,8 @@ def load_custom_table(rows: Sequence[Sequence[str]] | str | os.PathLike) -> Cust
     strictly increasing epsilon inside (0, 1] and nonnegative log V.
     """
     if isinstance(rows, (str, os.PathLike)):
+        import csv
+
         with open(rows, newline="") as fh:
             raw = [row for row in csv.reader(fh) if row and not
                    row[0].lstrip().startswith("#")]

@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable
 
+from ._record import record
 from .errors import AccuracyError, InfeasibleParameterError
 from .specialfun import bessel_j
 
@@ -66,8 +66,8 @@ class RootFamily(enum.Enum):
     P_ROOT = "proot"
 
 
-@dataclass(frozen=True)
-class BesselZeroRecord:
+class BesselZeroRecord(record("BesselZeroRecord",
+                              "nu family value value_squared_up value_squared_down")):
     """A computed root with directed-rounding companions.
 
     value_squared_down <= value^2 <= value_squared_up is proven for both
@@ -75,18 +75,17 @@ class BesselZeroRecord:
     squares, and has no earlier root (module doc).
     """
 
-    nu: float
-    family: RootFamily
-    value: float
-    value_squared_up: float
-    value_squared_down: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.value > 0.0:
-            raise AccuracyError(f"root must be positive, got {self.value!r}")
-        sq = self.value * self.value
-        if not (self.value_squared_down <= sq <= self.value_squared_up):
+    def __new__(cls, nu: float, family: RootFamily, value: float,
+                value_squared_up: float, value_squared_down: float):
+        if not value > 0.0:
+            raise AccuracyError(f"root must be positive, got {value!r}")
+        sq = value * value
+        if not (value_squared_down <= sq <= value_squared_up):
             raise AccuracyError("directed square interval does not contain value^2")
+        return super().__new__(cls, nu, family, value, value_squared_up,
+                               value_squared_down)
 
 
 def _exact_sign(nu: float, z, family: RootFamily) -> int:

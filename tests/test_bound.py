@@ -108,6 +108,17 @@ class TestOptimize:
             assert res.evaluations > 0
             assert isinstance(res, BoundResult)
 
+    def test_every_result_construction_path_is_checked(self):
+        res = _optimize(3)
+        fields = dict(zip(res._fields, res))
+        assert BoundResult(*res) == BoundResult(**fields) == BoundResult._make(res) == res
+        for make in (lambda: BoundResult(*res[:4], 1.0, *res[5:]),
+                     lambda: BoundResult(**{**fields, "bound": 1.0}),
+                     lambda: BoundResult._make(res[:4] + (1.0,) + res[5:]),
+                     lambda: res._replace(bound=1.0)):
+            with pytest.raises(InfeasibleParameterError, match="bound must exceed 1"):
+                make()
+
     def test_optimum_dominates_grid(self):
         rng = random.Random(7)
         for _ in range(5):

@@ -4,7 +4,6 @@ Path counts here are sized for CI speed; the heavy statistical checks at
 100k paths live in the acceptance suite.
 """
 
-import dataclasses
 import hashlib
 import math
 from decimal import Decimal
@@ -101,7 +100,12 @@ class TestEigenvalue:
         # give a hashable domain
         dom = Box([2.0, 0.5])
         assert dom.sides == (2.0, 0.5)
-        assert principal_eigenvalue(dom) == principal_eigenvalue(Box((2.0, 0.5)))
+        assert dom == Box((2.0, 0.5)) and hash(dom) == hash(Box((2.0, 0.5)))
+        lam = principal_eigenvalue(dom)
+        hits = principal_eigenvalue.cache_info().hits
+        assert principal_eigenvalue(Box((2.0, 0.5))) == lam
+        assert principal_eigenvalue.cache_info().hits == hits + 1
+        assert dom._replace(sides=[1.0, 3.0]).sides == (1.0, 3.0)
 
     def test_box_scaling(self):
         lam = principal_eigenvalue(Box((2.0, 0.5)))
@@ -152,7 +156,7 @@ class TestExitTimes:
             for i, take in enumerate([1024, 1024, 1024, 1024, 904]):
                 monkeypatch.setattr(mc.np.random, "Philox",
                                     lambda key, i=i: philox(key=key).jumped(i))
-                parts.append(sample_exit_times(dataclasses.replace(cfg, n_paths=take)))
+                parts.append(sample_exit_times(cfg._replace(n_paths=take)))
             monkeypatch.setattr(mc.np.random, "Philox", philox)
             assert np.array_equal(np.concatenate(parts), pooled)
 
@@ -663,7 +667,7 @@ class TestSurvival:
         cfg = _ball_config(n_paths=mc._MAX_PATHS)
         for n in (mc._MAX_PATHS + 1, 10 ** 12):
             with pytest.raises(InfeasibleParameterError, match="at most 1e\\+08"):
-                dataclasses.replace(cfg, n_paths=n)
+                cfg._replace(n_paths=n)
 
     def test_fingerprint_tracks_config(self):
         a = _ball_config(n_paths=100, dt=1e-3)
@@ -671,7 +675,7 @@ class TestSurvival:
         assert a.fingerprint() == a.fingerprint()
         assert a.fingerprint() != b.fingerprint()
         assert len(a.fingerprint()) == 64
-        assert dataclasses.replace(a, n_paths=200).fingerprint() != a.fingerprint()
+        assert a._replace(n_paths=200).fingerprint() != a.fingerprint()
 
 
 class TestVBound:
@@ -890,6 +894,37 @@ class TestPlumbing:
         ):
             with pytest.raises(InfeasibleParameterError):
                 SimConfig(**{**ok, **patch})
+
+    @pytest.mark.parametrize("name", ["seed", "n_paths", "chunk_size"])
+    @pytest.mark.parametrize("value", [1.5, 10.0, True])
+    def test_config_counts_must_be_integers(self, name, value):
+        # seed=1.5 would run seed 1's stream under another fingerprint; a
+        # float count would fail later inside range or numpy
+        cfg = _ball_config(n_paths=10, dt=1e-3)
+        with pytest.raises(InfeasibleParameterError, match=f"{name} must be an integer"):
+            SimConfig(**{**cfg._asdict(), name: value})
+
+    def test_every_record_construction_path_is_checked(self):
+        cfg = _ball_config(n_paths=10, dt=1e-3)
+        fields = cfg._asdict()
+        assert SimConfig(*cfg) == SimConfig(**fields) == SimConfig._make(cfg) == cfg
+        for make in (lambda: SimConfig(*cfg[:3], 0, *cfg[4:]),
+                     lambda: SimConfig(**{**fields, "n_paths": 0}),
+                     lambda: SimConfig._make(cfg[:3] + (0,) + cfg[4:]),
+                     lambda: cfg._replace(n_paths=0)):
+            with pytest.raises(InfeasibleParameterError, match="n_paths must be >= 1"):
+                make()
+        for make in (lambda: Ball._make((0.0, 2)), lambda: Ball(1.0, 2)._replace(dim=223),
+                     lambda: Box._make(([1.0, -1.0],)),
+                     lambda: Box((1.0,))._replace(sides=())):
+            with pytest.raises(InfeasibleParameterError):
+                make()
+        est = _survival(cfg)
+        with pytest.raises(AccuracyError, match="nonincreasing"):
+            est._replace(survival=est.survival[::-1])
+        with pytest.raises(InfeasibleParameterError, match="align"):
+            TailEstimate._make(est[:1] + ((),) + est[2:])
+        assert Ball(1.0, 2) == (1.0, 2) and Ball(1.0, 2)[1] == 2
 
     def test_domain_validation(self):
         with pytest.raises(InfeasibleParameterError):

@@ -2,10 +2,14 @@
 it never uses, no module defines a private name the package never reads, the
 package imports nothing beyond the standard library and numpy, only
 `montecarlo` imports numpy and no module imports `montecarlo` when it loads,
-and `hotspots.__all__` is sorted and names only what the package defines."""
+no module imports `dataclasses`, a cold `import hotspots.cli` loads none of
+the modules it defers, and `hotspots.__all__` is sorted and names only what
+the package defines."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import hotspots
@@ -154,6 +158,38 @@ def test_numpy_loads_only_with_montecarlo():
     mutated = sources["cli.py"] + "\nfrom .montecarlo import SimConfig\n"
     assert _eager_montecarlo_imports(ast.parse(mutated)) == [mutated.count("\n")]
     assert _eager_montecarlo_imports(ast.parse("from . import montecarlo")) == [1]
+
+
+def _dataclasses_imports(tree: ast.Module) -> list[int]:
+    """Lines of each import, at any depth, of `dataclasses`."""
+    return [line for line, name in _imports(ast.walk(tree))
+            if name.split(".")[0] == "dataclasses"]
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize: a quarter of the CLI's
+    # import, so the records are named tuples
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = {name: _dataclasses_imports(ast.parse(text)) for name, text in sources.items()}
+    assert len(found) >= 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    mutated = sources["zeros.py"] + "\n\ndef _f():\n    from dataclasses import replace\n"
+    assert _dataclasses_imports(ast.parse(mutated)) == [mutated.count("\n")]
+    assert _dataclasses_imports(ast.parse("import dataclasses as dc")) == [1]
+
+
+def test_cold_cli_import_defers_heavy_modules():
+    # every command pays for this import before it starts; a module the bare
+    # interpreter has already loaded is not counted
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent),
+                                                       os.environ.get("PYTHONPATH")]))}
+    deferred = ["dataclasses", "inspect", "csv", "numpy"]
+    code = ("import sys; before = set(sys.modules); import hotspots.cli; "
+            f"print(*[m for m in {deferred!r} if m in sys.modules and m not in before])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == []
 
 
 def test_all_is_sorted_and_resolves():

@@ -232,6 +232,24 @@ def test_record_validation_guards():
                          value_squared_up=5.9, value_squared_down=5.0)
 
 
+def test_every_record_construction_path_is_checked():
+    # a record is a named tuple: positional, keyword, _make and _replace all
+    # go through the checks
+    rec = first_bessel_zero(0.0)
+    fields = dict(zip(rec._fields, rec))
+    assert BesselZeroRecord(*rec) == BesselZeroRecord(**fields) == BesselZeroRecord._make(rec)
+    assert rec == tuple(rec) and rec[2] == rec.value
+    missed = (rec.value_squared_down, rec.value_squared_down)  # both below value^2
+    for make in (lambda: BesselZeroRecord(*rec[:3], *missed),
+                 lambda: BesselZeroRecord(**{**fields, "value_squared_up": missed[0]}),
+                 lambda: BesselZeroRecord._make(rec[:3] + missed),
+                 lambda: rec._replace(value_squared_up=missed[0])):
+        with pytest.raises(AccuracyError, match="does not contain"):
+            make()
+    with pytest.raises(AttributeError):
+        rec.value = 3.0
+
+
 def _digest(floats):
     """sha256 over repr of each float, one per line."""
     h = hashlib.sha256()
