@@ -1,10 +1,10 @@
-"""Directed decimal rounding and canonical JSON helpers."""
+"""Directed decimal rounding and canonical JSON helpers; the JSON helpers
+import json and hashlib when first called, as text output never needs them."""
 
 from __future__ import annotations
 
 import decimal
-import hashlib
-import json
+import functools
 from typing import Any
 
 _CEIL = decimal.ROUND_CEILING
@@ -40,16 +40,21 @@ def format_sig(x: float, n: int) -> str:
     return format(q.normalize(_CONTEXT) if q == q.to_integral_value() else q, "f")
 
 
-#: json.dumps builds an encoder on each call given keyword arguments; this
-#: one is built once (it holds no state between encodes)
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+@functools.cache
+def _encoder():
+    """The canonical encoder, built once (json.dumps would build one per call)."""
+    import json
+
+    return json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON: sorted keys, compact separators, repr floats."""
-    return _ENCODER.encode(payload)
+    return _encoder().encode(payload)
 
 
 def payload_checksum(payload: Any) -> str:
     """sha256 over the canonical JSON encoding of payload."""
+    import hashlib
+
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()

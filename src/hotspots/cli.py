@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import math
 import sys
 from typing import Any, Callable, Iterable
@@ -43,6 +42,8 @@ def _emit(fmt: str, subcommand: str, parameters: dict, result: dict,
           text: Callable[[], str]) -> None:
     """Print the manifest and result (json), header and rows (csv) or text()."""
     if fmt == "json":
+        import hashlib
+
         body = canonical_json(result)  # serialized once: hashed, then printed
         manifest = {
             "subcommand": subcommand,

@@ -34,7 +34,7 @@ from ._format import payload_checksum
 from ._record import record
 from .errors import AccuracyError, InfeasibleParameterError
 from .vfunction import VKind, log_v
-from .specialfun import series_bits, series_sum
+from .specialfun import proven_sign, series_bits, series_sum
 from .zeros import first_bessel_zero, next_bessel_zero, zero_spacing
 
 #: The horizon of a run is lambda_D * t = 80; the chance any of n paths
@@ -218,14 +218,21 @@ def _start_distance(domain: SimDomain, point: tuple[float, ...]) -> float:
     return min(min(c, s - c) for c, s in zip(point, domain.sides))
 
 
+@functools.lru_cache(maxsize=64)
+def _ball_zero(dim: int) -> float:
+    """j_{dim/2-1,1} (pi/2, cos's first zero, for dim = 1), cached, as every
+    ball's eigenvalue in R^dim and its centre's table need it."""
+    return first_bessel_zero(0.5 * dim - 1.0).value if dim > 1 else 0.5 * math.pi
+
+
 @functools.lru_cache(maxsize=64, typed=True)
 def principal_eigenvalue(domain: SimDomain) -> float:
     """First Dirichlet eigenvalue of the (full) Laplacian on the domain.
 
     With the twice-speed convention the exit-time tail decays at exactly this
     rate.  Ball of radius R in dimension d: j_{d/2-1,1}^2 / R^2; box with
-    sides L: pi^2 * sum_i 1/L_i^2.  Cached, so a caller and sample_exit_times
-    share one Bessel root search; the cache is typed, as a domain is a tuple
+    sides L: pi^2 * sum_i 1/L_i^2.  Cached, as a caller and sample_exit_times
+    both need it; the cache is typed, as a domain is a tuple
     and equals the plain tuple of its fields.  A domain so large that the
     eigenvalue underflows to 0.0, or so small that it overflows, is rejected.
 
@@ -234,20 +241,13 @@ def principal_eigenvalue(domain: SimDomain) -> float:
     >>> abs(principal_eigenvalue(Box((1.0, 1.0))) - 2.0 * math.pi ** 2) < 1e-12
     True
     """
-    if isinstance(domain, Box):
-        try:
+    try:
+        if isinstance(domain, Box):
             lam = math.pi ** 2 * sum(1.0 / (s * s) for s in domain.sides)
-        except ZeroDivisionError:  # a side whose square underflows to 0.0
-            lam = math.inf
-    else:
-        if domain.dim == 1:
-            j = 0.5 * math.pi  # first zero of cos = J_{-1/2} direction
         else:
-            j = first_bessel_zero(0.5 * domain.dim - 1.0).value
-        try:
-            lam = (j / domain.radius) ** 2
-        except OverflowError:
-            lam = math.inf
+            lam = (_ball_zero(domain.dim) / domain.radius) ** 2
+    except (ZeroDivisionError, OverflowError):  # a side's square is 0.0, or lam > 1e308
+        lam = math.inf
     if not 0.0 < lam < math.inf:
         raise InfeasibleParameterError(
             f"the domain's principal eigenvalue is {lam!r}, not a positive "
@@ -467,12 +467,12 @@ def _refined_zero(nu: float, j: float):
     only the float's precision: S_nu+1 is summed once, at j.  S_nu is
     summed by `series_sum` with 80 bits more than `ascending_series` takes
     for J_nu+1, at most 1 bit fewer than it takes for J_nu (their
-    prefactors differ by 2 (nu+1) / j <= 2): its proven error is under 4K
-    units of 2^-P.  Where S_nu(z -+ z 2^-120) are of opposite signs, each
-    larger than that error, a zero lies within z 2^-120 of z (AccuracyError
-    otherwise).  One Newton step leaves up to 1.3e-29 relative over
-    dim = 2..222, the second far below 2^-120.  c = (nu+1) / (z S_nu+1(z)),
-    off by at most r = 4K / (|s| - 8K) for the sum s of S_nu+1.
+    prefactors differ by 2 (nu+1) / j <= 2).  Where the sums prove
+    S_nu(z -+ z 2^-120) of opposite signs (`proven_sign`), a zero lies
+    within z 2^-120 of z (AccuracyError otherwise).  One Newton step leaves
+    up to 1.3e-29 relative over dim = 2..222, the second far below 2^-120.
+    c = (nu+1) / (z S_nu+1(z)), off by at most r = 4K / (|s| - 8K) for the
+    sum s of S_nu+1, whose error is under 4K units (`series_sum`).
     """
     from decimal import Context
 
@@ -487,7 +487,7 @@ def _refined_zero(nu: float, j: float):
     delta = z >> _ZERO_SLACK
     below, k_below = series_sum(nu, z - delta, _ZERO_BITS, prec)
     above, k_above = series_sum(nu, z + delta, _ZERO_BITS, prec)
-    if not (below * above < 0 and abs(below) > 4 * k_below and abs(above) > 4 * k_above):
+    if proven_sign(below, k_below) * proven_sign(above, k_above) != -1:
         raise AccuracyError(f"j-zero nu={nu:g}: no proven sign change near {j!r}")
     s_up, k_up = series_sum(nu + 1.0, z, _ZERO_BITS, prec)
     c = Context(prec=_DIGITS).divide((p + q) << (_ZERO_BITS + prec), q * z * s_up)
@@ -601,12 +601,12 @@ def _fixed_point_table(nu: float, refined: list, t_lo: float,
     return t, s
 
 
-def _centre_table(dim: int, j_1: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _centre_table(dim: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(t, s, c_1, lam_1): S tabulated at nodes t from t_lo to t_end, for the
-    unit ball in R^dim entered at its centre, dim >= 2, given j_1 = j_{nu,1},
-    and the first term c_1 exp(-lam_1 t) that S is past t_end.
+    unit ball in R^dim entered at its centre, dim >= 2, and the first term
+    c_1 exp(-lam_1 t) that S is past t_end.
 
-    With nu = dim/2 - 1 and j_k = j_{nu,k} (`next_bessel_zero`),
+    With nu = dim/2 - 1 and j_k = j_{nu,k} (`_ball_zero`, `next_bessel_zero`),
         S(t) = sum_k c_k exp(-j_k^2 t),
         c_k = 4 (nu+1) / (j_k^2 S_{nu+1}(j_k^2 / 4))
             = (j_k/2)^(nu-1) / (Gamma(nu+1) J_{nu+1}(j_k)),
@@ -640,6 +640,7 @@ def _centre_table(dim: int, j_1: float) -> tuple[np.ndarray, np.ndarray, float, 
     for every t, the last term for the float nodes.
     """
     nu = 0.5 * dim - 1.0
+    j_1 = _ball_zero(dim)
     t_lo = _doob_floor(dim)
     gap = zero_spacing(nu)
     power = nu - 0.5
@@ -663,9 +664,9 @@ def _centre_table(dim: int, j_1: float) -> tuple[np.ndarray, np.ndarray, float, 
 
 
 @functools.lru_cache(maxsize=64)
-def _centre_inverse(dim: int, j_1: float) -> Callable[[np.ndarray], np.ndarray]:
+def _centre_inverse(dim: int) -> Callable[[np.ndarray], np.ndarray]:
     """T with S(T(v)) = v, from `_centre_table`, which states its error."""
-    return _table_inverse(*_centre_table(dim, j_1))
+    return _table_inverse(*_centre_table(dim))
 
 
 def _exact_exit_times(
@@ -718,17 +719,15 @@ def _ball_exit_times(config: SimConfig, ball: Ball) -> np.ndarray:
     """Exit times of all n_paths from the ball's centre, drawn from their
     exact law as one column of `_exact_exit_times`.
 
-    tau = R^2 T(V) with T the unit ball's `_centre_inverse`, whose j_1 is
-    recovered from the cached principal eigenvalue, so a run still searches
-    for one Bessel zero.  In dim = 1 the ball is the interval (-R, R),
+    tau = R^2 T(V) with T the unit ball's `_centre_inverse`, which balls of
+    every radius share.  In dim = 1 the ball is the interval (-R, R),
     entered at its middle: tau = (2R)^2 T(V) with `_interval_inverse(0.5)`.
     """
     radius = ball.radius
     if ball.dim == 1:
         inverse, square = _interval_inverse(0.5), 4.0 * radius * radius
     else:
-        inverse = _centre_inverse(ball.dim, radius * math.sqrt(principal_eigenvalue(ball)))
-        square = radius * radius
+        inverse, square = _centre_inverse(ball.dim), radius * radius
     return _exact_exit_times(config, [(inverse, min(square / config.dt, 1e300))])
 
 

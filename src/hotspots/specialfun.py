@@ -5,17 +5,16 @@ Evaluation of J_nu(x) for real order 0 <= nu <= 120 and 0 <= x <= MAX_ARG =
 suite checks against mpmath and scipy.  |J_nu| <= 1, so the floor is
 relative to the function's scale; near a zero, or where J_nu is tiny, the
 relative error can be large.  Nothing certified rests on this contract.
-The j-zero's certificate in `zeros` rests on the sum's proven error below
-instead: a fixed-point sum s with |s| > 4K units proves the sign of S(z),
-whatever lgamma and exp return, and `bessel_j` hands such signs to its
-caller on request.  Everything else `zeros` proves in exact arithmetic.
+Every sign that `zeros` and `montecarlo` certify rests on the sum's proven
+error below instead: a fixed-point sum s with |s| > 4K units proves the
+sign of S(z), whatever lgamma and exp return (`proven_sign`), and
+`bessel_j` hands such signs to its caller on request.
 
 One regime serves the whole domain: J_nu(x) = (x/2)^nu / Gamma(nu+1) S(z),
 z = x^2/4, with the ascending series S(z) = sum_k T_k, T_k = (-z)^k / (k!
-(nu+1)_k), that `zeros._exact_sign` proves.  S is summed in fixed point on
-Python ints with P fractional bits, so its terms cancel without loss.  The
-sum stops at the first zero term t_K, as every later term is zero too, and
-it is off by under 4K units of 2^-P:
+(nu+1)_k), summed in fixed point on Python ints with P fractional bits, so
+its terms cancel without loss.  The sum stops at the first zero term t_K,
+as every later term is zero too, and it is off by under 4K units of 2^-P:
 
 - Each term is t_k = r_k t_{k-1} + delta_k, with r_k = T_k / T_{k-1} exact;
   its two floors put delta_k in [0, 2) units.
@@ -123,15 +122,14 @@ def ascending_series(nu: float, z: float, log_pref: float,
     sets P.  For nu <= 120 and x <= 700 the sum is off by under
     2^-62 / max(1, exp(log_pref)) before its final rounding (module doc).
 
-    The sum s over its K terms is off by under 4K units of 2^-P, whatever
-    log_pref is, so |s| > 4K proves the sign of S_nu(z); signs, if given,
-    then maps z to that sign, +1 or -1.
+    signs, if given, maps z to the sign of S_nu(z) where the sum proves it
+    (`proven_sign`), whatever log_pref is.
     """
     prec = series_bits(log_pref)
     a, b = z.as_integer_ratio()
     s, terms = series_sum(nu, a, b.bit_length() - 1, prec)
-    if signs is not None and abs(s) > 4 * terms:
-        signs[z] = 1 if s > 0 else -1
+    if signs is not None and (sign := proven_sign(s, terms)):
+        signs[z] = sign
     return s / (1 << prec)
 
 
@@ -154,3 +152,11 @@ def series_sum(nu: float, a: int, e: int, prec: int) -> tuple[int, int]:
         term = -(((term * aq) >> e) // (k * (p + k * q)))
         s += term
     return s, k
+
+
+def proven_sign(s: int, terms: int) -> int:
+    """The sign of S, +1 or -1, that a `series_sum` s of S over its terms
+    proves, as s is off by under 4 terms units; 0 where |s| <= 4 terms.  An
+    integer combination sum_i w_i s_i of such sums at one precision takes
+    terms = sum_i |w_i| K_i."""
+    return (s > 4 * terms) - (s < -4 * terms)

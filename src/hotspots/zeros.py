@@ -34,8 +34,9 @@ evaluations: `bessel_j` sums S in fixed point with a proven error (the
 `specialfun` module doc) and reports the sign of S at each z = fl(x^2)/4
 where the sum exceeds that error.  Where those signs do not bracket root^2
 within the grid margin, and always for the p-root, whose Brent runs on the
-float `_p_series`, `_exact_sign` proves the signs at sq_down/4 and sq_up/4
-in integer arithmetic instead.
+float `_p_series`, `_series_sign` proves the signs at sq_down/4 and
+sq_up/4 from the same fixed-point sums instead: of S_nu for the j-zero, and
+of S_nu and S_nu+1, combined exactly on their ints, for the p-root.
 
 `next_bessel_zero` finds the later zeros j_{nu,k}, k >= 2, one from the
 last, on a bracket from the same Sturm comparison; they are floats, with no
@@ -50,13 +51,12 @@ from typing import Callable
 
 from ._record import record
 from .errors import AccuracyError, InfeasibleParameterError
-from .specialfun import bessel_j
+from .specialfun import bessel_j, proven_sign, series_bits, series_sum
 
 #: the directed squares sit on a grid of 2^-_GRID_BITS relative spacing
 _GRID_BITS = 44
 #: how often a failed sign may widen the bracket (16x each time)
 _WIDEN_TRIES = 4
-_SIGN_TERMS = 4096
 
 
 class RootFamily(enum.Enum):
@@ -88,35 +88,23 @@ class BesselZeroRecord(record("BesselZeroRecord",
                                value_squared_down)
 
 
-def _exact_sign(nu: float, z, family: RootFamily) -> int:
-    """Exact sign of S(z) (module doc) for float or Fraction nu and z >= 0.
+def _series_sign(nu: float, z: float, family: RootFamily) -> int:
+    """Sign of S(z) (module doc) that `series_sum` proves, or 0 (`proven_sign`),
+    with the bits that `series_bits` gives J_nu at x = 2 sqrt(z).
 
-    With nu = p/q, z = a/b, A = aq and q_k = b k (p+kq), terms 0..K sum to
-    N_K / (q_1 ... q_K), N_0 = 1, N_k = N_{k-1} q_k + w_k (-A)^k on ints.  Before
-    adding term k, sign(N_{k-1}) is proven once the terms shrink from k on
-    (w_{k+1} A < w_k q_{k+1}) and the alternating tail is below the partial sum
-    (|N_{k-1}| q_k > w_k A^k); 0 means undecided within _SIGN_TERMS terms.
-
-    >>> _exact_sign(0.5, 2.4674, RootFamily.J_ZERO)  # (pi/2)^2 = 2.46740110...
-    1
-    >>> _exact_sign(0.5, 2.4675, RootFamily.J_ZERO)
-    -1
+    The p-root's S is S_nu(z) - 2z S_nu+1(z) / (nu+1) (S_nu' = -S_nu+1 / (nu+1)),
+    so with nu = p/q, z = a/2^e it has the sign of (p+q) 2^e s_nu - 2aq s_nu+1.
     """
-    p, q = nu.as_integer_ratio()
+    prec = series_bits(nu * math.log(math.sqrt(z)) - math.lgamma(nu + 1.0))
     a, b = z.as_integer_ratio()
-    big_a = a * q
-    dw = 2 if family is RootFamily.P_ROOT else 0  # w_k = 1 + dw k
-    num, power, q_k = 1, 1, b * (p + q)
-    for k in range(1, _SIGN_TERMS + 2):
-        power *= big_a
-        w_k = 1 + dw * k
-        head, term = num * q_k, w_k * power
-        q_next = b * (k + 1) * (p + (k + 1) * q)
-        if (w_k + dw) * big_a < w_k * q_next and abs(head) > term:
-            return (num > 0) - (num < 0)
-        num = head - term if k % 2 else head + term
-        q_k = q_next
-    return 0
+    e = b.bit_length() - 1
+    s, terms = series_sum(nu, a, e, prec)
+    if family is RootFamily.P_ROOT:
+        p, q = nu.as_integer_ratio()
+        s_up, terms_up = series_sum(nu + 1.0, a, e, prec)
+        scale, weight = (p + q) << e, 2 * a * q
+        s, terms = scale * s - weight * s_up, scale * terms + weight * terms_up
+    return proven_sign(s, terms)
 
 
 def _p_series(nu: float, z: float) -> float:
@@ -248,7 +236,7 @@ def _record(nu: float, family: RootFamily, root: float,
     bracket [sq_down, sq_up] is the pair of grid points around
     sq = fl(root^2), each moved two grid units outward.  It holds a root of
     S if signs has a positive z with sq_down <= 4z <= sq and a negative z
-    with sq <= 4z <= sq_up (sq only orders the two), or else if `_exact_sign`
+    with sq <= 4z <= sq_up (sq only orders the two), or else if `_series_sign`
     proves S(sq_down/4) > 0 > S(sq_up/4).  That root is the first one for J
     by `_first_zero_is_bracketed` and for p by `_p_series_falls_to`.  Failing
     both sign proofs widens the bracket 16-fold; a failed p fall cannot be
@@ -263,8 +251,8 @@ def _record(nu: float, family: RootFamily, root: float,
         sq_up = math.ldexp(grid + 1 + margin, exp)
         proven = (any(sign > 0 and sq_down <= 4.0 * z <= sq for z, sign in signs.items())
                   and any(sign < 0 and sq <= 4.0 * z <= sq_up for z, sign in signs.items()))
-        if ((proven or (_exact_sign(nu, 0.25 * sq_up, family) < 0
-                        and _exact_sign(nu, 0.25 * sq_down, family) > 0))
+        if ((proven or (_series_sign(nu, 0.25 * sq_up, family) < 0
+                        and _series_sign(nu, 0.25 * sq_down, family) > 0))
                 and (family is RootFamily.P_ROOT
                      or _first_zero_is_bracketed(nu, sq_up))):
             if family is RootFamily.P_ROOT and not _p_series_falls_to(nu, sq_up):

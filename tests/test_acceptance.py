@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from exact_sign_reference import _exact_sign
 
 from hotspots import (
     Ball,
@@ -37,7 +38,7 @@ from hotspots import (
 from hotspots.asymptotic import A_SLOPE, _one_minus_eps, epsilon_d
 from hotspots.cli import compute_table_rows
 from hotspots.ratio import bessel_exact_from_records, displayed_squares
-from hotspots.zeros import _exact_sign, _first_zero_is_bracketed, _p_series_falls_to
+from hotspots.zeros import _first_zero_is_bracketed, _p_series_falls_to
 
 # Reference table: d -> (p^2, j^2, r, epsilon, a, bound); thirty cells total.
 REFERENCE_TABLE = {
@@ -261,7 +262,9 @@ def _certified(d, p2, j2, r, j_up):
 
     p2: the p-series is negative at p2/4 and positive at 0.  j2: the J-series
     is positive at j2/4 and negative at j_up/4, and no zero of J lies below
-    that sign change.
+    that sign change.  Every sign comes from exact_sign_reference.py's
+    integer sums, which share no code with the fixed-point sums that the
+    package certifies its records from.
     """
     nu = 0.5 * d - 1.0
     return (_exact_sign(0.5 * d, p2 / 4, RootFamily.P_ROOT) < 0
@@ -273,8 +276,9 @@ def _certified(d, p2, j2, r, j_up):
 
 def _p_record_certified(d):
     """Exact proof that the p record's two squares bracket the first p-root:
-    the p-series is positive at the lower end, negative at the upper, and
-    falls all the way up to it."""
+    the p-series is positive at the lower end (by the reference's exact
+    sums, as in `_certified`), negative at the upper, and falls all the way
+    up to it."""
     rec = first_p_root(d)
     return (_exact_sign(rec.nu, Fraction(rec.value_squared_down) / 4, RootFamily.P_ROOT) > 0
             and _exact_sign(rec.nu, Fraction(rec.value_squared_up) / 4, RootFamily.P_ROOT) < 0

@@ -92,9 +92,9 @@ class TestZeros:
         assert "--nu" in res.stderr
 
     def test_uncertified_root_exit_four(self, invoke, monkeypatch):
-        # neither J's proven signs nor the exact ones bracket the root
+        # neither J's proven signs nor those at the bracket's ends bracket the root
         monkeypatch.setattr(zeros_mod, "bessel_j", lambda nu, x, signs=None: bessel_j(nu, x))
-        monkeypatch.setattr(zeros_mod, "_exact_sign", lambda nu, z, family: 0)
+        monkeypatch.setattr(zeros_mod, "_series_sign", lambda nu, z, family: 0)
         res = invoke(["zeros", "--nu", "1"])
         assert res.exit_code == 4
         assert "no exact sign change" in res.stderr
@@ -426,7 +426,8 @@ class TestVerifyVBound:
         assert json.loads(res.output)["manifest"]["parameters"]["radius"] is None
 
     def test_one_bessel_root_per_ball_run(self, invoke, monkeypatch):
-        # the CLI and sample_exit_times both need lambda; one root search serves
+        # the CLI and sample_exit_times both need lambda, and the centre's
+        # table j_1; one root search serves all three
         import hotspots.montecarlo as mc
         real = mc.first_bessel_zero
         orders = []
@@ -436,7 +437,8 @@ class TestVerifyVBound:
             return real(nu)
 
         monkeypatch.setattr(mc, "first_bessel_zero", counting)
-        mc.principal_eigenvalue.cache_clear()
+        for cached in (mc.principal_eigenvalue, mc._ball_zero, mc._centre_inverse):
+            cached.cache_clear()
         res = invoke(SMALL_MC)
         assert res.exit_code == 0, res.output
         assert orders == [0.0]

@@ -260,7 +260,7 @@ class TestTableLookup:
         if kind == "interval":
             table = _interval_table(arg)
         else:
-            table = _centre_table(arg, first_bessel_zero(0.5 * arg - 1.0).value)
+            table = _centre_table(arg)
         inverse = _table_inverse(*table)
         s_up = np.append(table[1][::-1], 1.0)
         rng = np.random.Generator(np.random.Philox(key=30))
@@ -307,6 +307,16 @@ class TestTableLookup:
         _interval_inverse.cache_clear()
         sample_exit_times(_box_config(start=(0.25, 0.75), n_paths=100))
         assert _interval_inverse.cache_info().misses == 1
+
+    def test_centre_tables_are_built_once_per_dimension(self):
+        # the unit ball's table serves every radius, whose eigenvalue would
+        # give back j_1 only to within an ulp
+        _centre_inverse.cache_clear()
+        for radius in (1.0, 0.3, 3.3):
+            ball = Ball(radius, 4)
+            sample_exit_times(SimConfig(domain=ball, start=ball.center(), dt=1e-3,
+                                        n_paths=100, t_grid=(0.0,), seed=3))
+        assert _centre_inverse.cache_info().misses == 1
 
 
 class TestGoldenStream:
@@ -507,7 +517,7 @@ class TestExactBallLaw:
         # is itself within only 2e-8 of S near its cut
         cut = np.array([_centre_cut(dim)])
         assert abs(_exact_centre_survival(dim, cut)[0] - 1.0) < (2e-8 if dim == 50 else 1e-12)
-        inverse = _centre_inverse(dim, first_bessel_zero(0.5 * dim - 1.0).value)
+        inverse = _centre_inverse(dim)
         near_zero = np.geomspace(2.0 ** -53, 0.01, 2000)
         levels = np.concatenate([np.linspace(0.0, 1.0, 10002)[1:-1], near_zero,
                                  1.0 - near_zero])
@@ -572,7 +582,7 @@ class TestExactBallLaw:
         # no step may be shorter than the grid's unit h = t_lo 2^-20
         monkeypatch.setattr(mc, "_CHORD_ERROR", 1e-30)
         with pytest.raises(AccuracyError, match="needs steps below h"):
-            _centre_table(2, first_bessel_zero(0.0).value)
+            _centre_table(2)
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 110.0])
     def test_a_zero_off_its_root_is_refused(self, nu):
@@ -587,7 +597,7 @@ class TestExactBallLaw:
     def test_fixed_point_table_matches_the_references(self, dim):
         # 23 nodes from t_lo, where the terms reach 1e16 at d = 200, to
         # t_end, against 50-digit literals (centre_survival_reference.py)
-        t, s, _, _ = _centre_table(dim, first_bessel_zero(0.5 * dim - 1.0).value)
+        t, s, _, _ = _centre_table(dim)
         for i, t_ref, s_ref in NODES[dim]:
             assert t[i] == t_ref
             assert abs(s[i] - float(s_ref)) <= 1e-9, (i, s[i], s_ref)

@@ -2,9 +2,10 @@
 it never uses, no module defines a private name the package never reads, the
 package imports nothing beyond the standard library and numpy, only
 `montecarlo` imports numpy and no module imports `montecarlo` when it loads,
-no module imports `dataclasses`, a cold `import hotspots.cli` loads none of
-the modules it defers, and `hotspots.__all__` is sorted and names only what
-the package defines."""
+no module imports `dataclasses`, the tests' exact-sign reference imports
+nothing from the package, a cold `import hotspots.cli` loads none of the
+modules it defers, and `hotspots.__all__` is sorted and names only what the
+package defines."""
 
 import ast
 import os
@@ -178,13 +179,31 @@ def test_no_module_imports_dataclasses():
     assert _dataclasses_imports(ast.parse("import dataclasses as dc")) == [1]
 
 
+def _package_imports(tree: ast.Module) -> list[int]:
+    """Lines of each import, at any depth, of the package or a module in it."""
+    return [line for line, name in _imports(ast.walk(tree))
+            if name.split(".")[0] == "hotspots"]
+
+
+def test_the_exact_sign_reference_imports_nothing_from_the_package():
+    # criterion 8 re-proves the package's signs with it: as for
+    # perfbench/oracles.py, a check that shared the producer's code would
+    # share its faults
+    source = (TESTS / "exact_sign_reference.py").read_text()
+    assert "def _exact_sign(" in source
+    assert _package_imports(ast.parse(source)) == []
+    mutated = source + "\n\ndef _f():\n    from hotspots.zeros import RootFamily\n"
+    assert _package_imports(ast.parse(mutated)) == [mutated.count("\n")]
+    assert _package_imports(ast.parse("import hotspots.specialfun as sf")) == [1]
+
+
 def test_cold_cli_import_defers_heavy_modules():
     # every command pays for this import before it starts; a module the bare
     # interpreter has already loaded is not counted
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent),
                                                        os.environ.get("PYTHONPATH")]))}
-    deferred = ["dataclasses", "inspect", "csv", "numpy"]
+    deferred = ["dataclasses", "inspect", "csv", "hashlib", "json", "numpy"]
     code = ("import sys; before = set(sys.modules); import hotspots.cli; "
             f"print(*[m for m in {deferred!r} if m in sys.modules and m not in before])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -11,12 +11,12 @@ import math
 
 import pytest
 import scipy.special as sp
+from exact_sign_reference import _exact_sign
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotspots import InfeasibleParameterError, bessel_j, log_gamma, specialfun
+from hotspots import InfeasibleParameterError, RootFamily, bessel_j, log_gamma, specialfun
 from hotspots.specialfun import MAX_ARG, MAX_ORDER
-from hotspots.zeros import RootFamily, _exact_sign
 
 # (nu, x, J_nu(x)) frozen at 20 significant digits.
 MPMATH_POINTS = [
@@ -170,6 +170,13 @@ class TestProvenSigns:
             signs = {}
             bessel_j(nu, x, signs)
             assert signs == {}, (nu, x)
+
+    def test_a_sign_needs_more_than_the_proven_error(self):
+        # a sum over K terms is off by under 4K units, so |s| = 4K proves nothing
+        for terms in (1, 973):
+            bound = 4 * terms
+            assert [specialfun.proven_sign(s, terms)
+                    for s in (-bound - 1, -bound, 0, bound, bound + 1)] == [-1, 0, 0, 0, 1]
 
 
 class TestGoldenGrid:

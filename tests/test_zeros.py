@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from exact_sign_reference import _SIGN_TERMS, _exact_sign
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from hotspots import (
     first_bessel_zero,
     first_p_root,
 )
-from hotspots.zeros import _exact_sign, _first_zero_is_bracketed, _p_series_falls_to
+from hotspots.zeros import _first_zero_is_bracketed, _p_series_falls_to
 
 J_ZERO_TRUTH = {
     0.0: 2.404825557695772768622,
@@ -416,7 +417,8 @@ class TestSingleEvaluation:
 
 
 class TestExactSign:
-    """Signs of the two series in exact arithmetic, and the records built on them."""
+    """Signs of the two series in exact arithmetic (exact_sign_reference.py),
+    and the records built on them."""
 
     def test_half_order_brackets_pi(self):
         # S_{1/2}(x^2/4) has the sign of sin(x); the 50-digit pair puts S near
@@ -437,7 +439,7 @@ class TestExactSign:
 
     def test_undecided_beyond_the_term_cap(self):
         # the terms fall below |S| only past k = e sqrt(z) ~ 27,000
-        assert zeros_mod._SIGN_TERMS < 27000
+        assert _SIGN_TERMS < 27000
         for family in RootFamily:
             assert _exact_sign(0.5, 1e8, family) == 0
 
@@ -483,23 +485,24 @@ class TestExactSign:
 
     def test_failed_sign_widens_then_raises(self, monkeypatch):
         narrow = first_bessel_zero(3.0)
-        # J proves no sign, so the exact signs decide every bracket
+        # J proves no sign, so the signs at the bracket's ends decide it
         monkeypatch.setattr(zeros_mod, "bessel_j", _unproven_j)
         undecided = [2]
+        series_sign = zeros_mod._series_sign
 
         def flaky(nu, z, family):
             if undecided[0]:
                 undecided[0] -= 1
                 return 0
-            return _exact_sign(nu, z, family)
+            return series_sign(nu, z, family)
 
-        monkeypatch.setattr(zeros_mod, "_exact_sign", flaky)
+        monkeypatch.setattr(zeros_mod, "_series_sign", flaky)
         wide = first_bessel_zero(3.0)
         assert wide.value == narrow.value
         assert wide.value_squared_down < narrow.value_squared_down
         assert wide.value_squared_up > narrow.value_squared_up
 
-        monkeypatch.setattr(zeros_mod, "_exact_sign", lambda nu, z, family: 0)
+        monkeypatch.setattr(zeros_mod, "_series_sign", lambda nu, z, family: 0)
         with pytest.raises(AccuracyError):
             first_bessel_zero(3.0)
         with pytest.raises(AccuracyError):
@@ -508,22 +511,23 @@ class TestExactSign:
 
 class TestProvenSigns:
     """The j-zero's squares rest on the signs that Brent's own J evaluations
-    prove, and fall back on `_exact_sign` only where those do not bracket
-    the root."""
+    prove, and fall back on `_series_sign` at the bracket's ends only where
+    those do not bracket the root; the p-root's always take that fallback."""
 
     @staticmethod
-    def _counted_exact_sign(monkeypatch):
+    def _counted_series_sign(monkeypatch):
         calls = []
+        series_sign = zeros_mod._series_sign
 
         def counting(nu, z, family):
             calls.append(z)
-            return _exact_sign(nu, z, family)
+            return series_sign(nu, z, family)
 
-        monkeypatch.setattr(zeros_mod, "_exact_sign", counting)
+        monkeypatch.setattr(zeros_mod, "_series_sign", counting)
         return calls
 
     def test_j_zeros_take_no_exact_sign(self, monkeypatch):
-        calls = self._counted_exact_sign(monkeypatch)
+        calls = self._counted_series_sign(monkeypatch)
         for nu in [d / 2 - 1 for d in range(2, 201)] + TWENTIETHS:
             first_bessel_zero(nu)
         assert calls == []
@@ -548,7 +552,7 @@ class TestProvenSigns:
         orders = [d / 2 - 1 for d in range(2, 201)]
         proven = [first_bessel_zero(nu) for nu in orders]
         monkeypatch.setattr(zeros_mod, "bessel_j", _unproven_j)
-        calls = self._counted_exact_sign(monkeypatch)
+        calls = self._counted_series_sign(monkeypatch)
         assert [first_bessel_zero(nu) for nu in orders] == proven
         assert len(calls) == 2 * len(orders)  # both ends, at the first margin
 
@@ -565,9 +569,22 @@ class TestProvenSigns:
             (math.nextafter(sq, 0.0), down, 2),  # both below root^2
             (up, math.nextafter(sq, math.inf), 2),  # both above root^2
         ]
-        calls = self._counted_exact_sign(monkeypatch)
+        calls = self._counted_series_sign(monkeypatch)
         for positive, negative, exact_calls in cases:
             calls.clear()
             signs = {0.25 * positive: 1, 0.25 * negative: -1}
             assert zeros_mod._record(3.0, RootFamily.J_ZERO, rec.value, signs) == rec
             assert len(calls) == exact_calls, (positive, negative)
+
+    @pytest.mark.parametrize("family", list(RootFamily))
+    def test_fallback_signs_match_the_reference(self, family):
+        # the fallback proves both ends of every record, at its first
+        # margin, with the signs the reference's exact sums give
+        find = (first_p_root if family is RootFamily.P_ROOT
+                else lambda d: first_bessel_zero(0.5 * d - 1.0))
+        for d in range(2, 201):
+            rec = find(d)
+            for sq, sign in ((rec.value_squared_down, 1), (rec.value_squared_up, -1)):
+                z = 0.25 * sq
+                assert zeros_mod._series_sign(rec.nu, z, family) == sign, (d, sq)
+                assert _exact_sign(rec.nu, z, family) == sign, (d, sq)
