@@ -325,7 +325,7 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
     if grid_points > _MAX_GRID_POINTS:
         raise InfeasibleParameterError(
             f"grid_points={grid_points} is too many; at most {_MAX_GRID_POINTS} "
-            "fit the time-step cap")
+            "are allowed")
     t_grid = default_t_grid(lam, grid_points)
     dt_val = default_dt(domain, t_grid) if dt is None else dt
     config = SimConfig(

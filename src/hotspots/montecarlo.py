@@ -12,7 +12,8 @@ tau = min_j tau_j, where tau_j is the exit time of coordinate j from
 (_interval_inverse).  A ball is entered at its centre only, and its exit
 time is drawn by inverting the centre's Bessel eigen-series
 (_centre_inverse), summed in fixed point.  Each exit time is reported
-rounded up to a whole number of steps dt.
+rounded up to a whole number of steps dt; one beyond the largest float
+reads as inf.
 
 Reproducibility: paths are split into chunks of chunk_size, and chunk i
 draws from the Philox counter-based stream `Philox(key=seed).jumped(i)` for
@@ -37,28 +38,19 @@ from .vfunction import VKind, log_v
 from .specialfun import proven_sign, series_bits, series_sum
 from .zeros import first_bessel_zero, next_bessel_zero, zero_spacing
 
-#: The horizon of a run is lambda_D * t = 80; the chance any of n paths
-#: survives that long is ~ n * e^-80, i.e. never in practice.
-_LAMBDA_T_CAP = 80.0
-
-#: Most steps dt a run may count up to its horizon (or the grid's end, if
-#: later).  Exit times are reported in whole steps dt, and a dt that needs
-#: more steps is refused before any path is drawn.
-_MAX_STEPS = 10 ** 8
-
 #: Most paths one simulation may take.  A run holds about 24 B per path (exit
 #: time, its grid index and a temporary), so 10^8 paths need about 2.4 GB; a
 #: larger count fails at once instead of in numpy's allocator.
 _MAX_PATHS = 10 ** 8
 
+#: Most points verify-vbound's time grid may have.  A run holds under 600 B
+#: per grid point (the grid, the survival curve, its two limits and the
+#: bound as float tuples and lists, and the JSON text), so 1,500,001 points
+#: need under 1 GB; a larger count is refused before the grid is built.
+_MAX_GRID_POINTS = 1_500_001
+
 #: default_t_grid ends at lambda_D * t = 12.
 _GRID_DECAY = 12.0
-
-#: Most points a run's t_grid can have.  SimConfig needs dt at most a tenth of
-#: the spacing 12 / (lambda_D (P - 1)), and sample_exit_times counts steps dt
-#: up to t = 80 / lambda_D (past the grid's end), so P points need at least
-#: 800 (P - 1) / 12 steps: more than _MAX_STEPS once P exceeds this.
-_MAX_GRID_POINTS = 1 + int(_GRID_DECAY * _MAX_STEPS / (10 * _LAMBDA_T_CAP))
 
 
 def _check_dim(dim: int) -> None:
@@ -87,7 +79,7 @@ class Ball(record("Ball", "radius dim")):
 
 class Box(record("Box", "sides")):
     """The axis box prod_i (0, L_i).  sides is stored as a tuple, so a box
-    given a list is still hashable, as principal_eigenvalue's cache needs."""
+    given a list is still an immutable, hashable record."""
 
     __slots__ = ()
 
@@ -118,8 +110,9 @@ class SimConfig(record("SimConfig", "domain start dt n_paths t_grid seed chunk_s
     at a time, so at most chunk_size paths' draws are in flight at once.
 
     dt is the resolution of the exit times: each is drawn from its exact
-    law and reported rounded up to a whole number of steps dt.  A ball
-    starts at its centre, where its law is known; a box anywhere inside.
+    law and reported rounded up to a whole number of steps dt, so a finer
+    dt costs nothing.  t_grid holds finite times >= 0, strictly increasing.
+    A ball starts at its centre, where its law is known; a box anywhere inside.
     """
 
     __slots__ = ()
@@ -147,8 +140,8 @@ class SimConfig(record("SimConfig", "domain start dt n_paths t_grid seed chunk_s
             raise InfeasibleParameterError("chunk_size must be >= 1")
         if not (0 <= seed < 2 ** 64):
             raise InfeasibleParameterError("seed must be a 64-bit unsigned integer")
-        if any(t < 0.0 for t in t_grid):
-            raise InfeasibleParameterError("t_grid times must be >= 0")
+        if not all(0.0 <= t < math.inf for t in t_grid):
+            raise InfeasibleParameterError("t_grid times must be finite and >= 0")
         diffs = [b - a for a, b in zip(t_grid, t_grid[1:])]
         if any(h <= 0.0 for h in diffs):
             raise InfeasibleParameterError("t_grid must be strictly increasing")
@@ -225,16 +218,13 @@ def _ball_zero(dim: int) -> float:
     return first_bessel_zero(0.5 * dim - 1.0).value if dim > 1 else 0.5 * math.pi
 
 
-@functools.lru_cache(maxsize=64, typed=True)
 def principal_eigenvalue(domain: SimDomain) -> float:
     """First Dirichlet eigenvalue of the (full) Laplacian on the domain.
 
     With the twice-speed convention the exit-time tail decays at exactly this
     rate.  Ball of radius R in dimension d: j_{d/2-1,1}^2 / R^2; box with
-    sides L: pi^2 * sum_i 1/L_i^2.  Cached, as a caller and sample_exit_times
-    both need it; the cache is typed, as a domain is a tuple
-    and equals the plain tuple of its fields.  A domain so large that the
-    eigenvalue underflows to 0.0, or so small that it overflows, is rejected.
+    sides L: pi^2 * sum_i 1/L_i^2.  A domain so large that the eigenvalue
+    underflows to 0.0, or so small that it overflows, is rejected.
 
     Examples
     --------
@@ -669,29 +659,45 @@ def _centre_inverse(dim: int) -> Callable[[np.ndarray], np.ndarray]:
     return _table_inverse(*_centre_table(dim))
 
 
+def _column_times(t: np.ndarray, square: float, dt: float) -> np.ndarray:
+    """square * t rounded up to whole steps dt, dt * ceil(t (square / dt)),
+    in place; unrounded where a step is below 1e-300 of square, far below a
+    float's resolution, and 0 where t = 0, not inf * 0.  A time beyond the
+    largest float reads as inf."""
+    scale = square / dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scale <= 1e300:
+            t *= scale
+            np.ceil(t, out=t)
+            t *= dt
+        else:
+            np.multiply(t, square, out=t, where=t > 0.0)
+    return t
+
+
 def _exact_exit_times(
         config: SimConfig,
         columns: list[tuple[Callable[[np.ndarray], np.ndarray], float]]) -> np.ndarray:
     """Exit times of all n_paths from independent exact columns, each the
-    inverse T_j of a coordinate's survival and the factor L_j^2 / dt that
-    turns T_j(V) into steps of dt.
+    inverse T_j of a coordinate's survival and the square L_j^2 that scales
+    T_j(V) to a time.
 
     Chunk i draws one (chunk length, len(columns)) block u from
     Philox(key=seed) jumped i times, and V = 1 - u lies in [2^-53, 1].  A
-    path exits after min_j T_j(V_j) L_j^2 / dt steps, rounded up and at
-    least one (tau > 0 almost surely): each exit time is reported as
-    dt * ceil(tau / dt), so P(exit time > t) = S(dt floor(t / dt)).
+    path exits at tau = min_j L_j^2 T_j(V_j), reported rounded up to whole
+    steps and at least one (tau > 0 almost surely): as dt * ceil(tau / dt),
+    so P(exit time > t) = S(dt floor(t / dt)).  Rounding keeps order, so
+    each column is rounded first (`_column_times`).
     """
-    n, size = config.n_paths, config.chunk_size
-    steps = np.empty(n, dtype=np.float64)
+    n, size, dt = config.n_paths, config.chunk_size, config.dt
+    times = np.empty(n, dtype=np.float64)
     for i, lo in enumerate(range(0, n, size)):
         rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(i))
         v = 1.0 - rng.random((min(size, n - lo), len(columns)))
-        steps[lo:lo + len(v)] = np.minimum.reduce(
-            [inverse(col) * scale for (inverse, scale), col in zip(columns, v.T)])
-    np.ceil(steps, out=steps)
-    np.maximum(steps, 1.0, out=steps)
-    return config.dt * steps
+        times[lo:lo + len(v)] = np.minimum.reduce(
+            [_column_times(inverse(col), square, dt)
+             for (inverse, square), col in zip(columns, v.T)])
+    return np.maximum(times, dt, out=times)
 
 
 def _box_exit_times(config: SimConfig, box: Box) -> np.ndarray:
@@ -708,10 +714,7 @@ def _box_exit_times(config: SimConfig, box: Box) -> np.ndarray:
     columns = []
     for x, side in zip(config.start, box.sides):
         f = x / side
-        # side^2 / dt overflows to inf on a very long side, and inf * T(1)
-        # would be NaN; capped, such a side still never exits first
-        columns.append((_interval_inverse(min(f, 1.0 - f)),
-                        min(side * side / config.dt, 1e300)))
+        columns.append((_interval_inverse(min(f, 1.0 - f)), side * side))
     return _exact_exit_times(config, columns)
 
 
@@ -728,7 +731,7 @@ def _ball_exit_times(config: SimConfig, ball: Ball) -> np.ndarray:
         inverse, square = _interval_inverse(0.5), 4.0 * radius * radius
     else:
         inverse, square = _centre_inverse(ball.dim), radius * radius
-    return _exact_exit_times(config, [(inverse, min(square / config.dt, 1e300))])
+    return _exact_exit_times(config, [(inverse, square)])
 
 
 def sample_exit_times(config: SimConfig) -> np.ndarray:
@@ -736,21 +739,12 @@ def sample_exit_times(config: SimConfig) -> np.ndarray:
 
     Paths are drawn in chunks of config.chunk_size, each from its own
     stream, and returned in chunk order.  Every exit time is drawn from its
-    exact law and reported as a whole number of steps dt.  A start on a
-    box's boundary exits at t = 0.  A dt that needs more than _MAX_STEPS
-    steps is rejected before any path is drawn.
+    exact law and reported rounded up to a whole number of steps dt, so a
+    finer dt only shrinks that rounding; an exit time beyond the largest
+    float reads as inf.  A start on a box's boundary exits at t = 0.
     """
-    n = config.n_paths
     if _start_distance(config.domain, config.start) <= 0.0:
-        return np.zeros(n, dtype=np.float64)
-    t_cap = max(config.t_grid[-1] if config.t_grid else 0.0,
-                _LAMBDA_T_CAP / principal_eigenvalue(config.domain))
-    steps = t_cap / config.dt
-    if not steps <= _MAX_STEPS:
-        raise InfeasibleParameterError(
-            f"dt={config.dt!r} needs {steps:.3g} time steps; "
-            f"at most {_MAX_STEPS:.0e} are allowed"
-        )
+        return np.zeros(config.n_paths, dtype=np.float64)
     if isinstance(config.domain, Box):
         return _box_exit_times(config, config.domain)
     return _ball_exit_times(config, config.domain)
@@ -1109,11 +1103,15 @@ def default_t_grid(lambda_d: float, points: int = 25) -> tuple[float, ...]:
 
     For a high-dimensional ball the grid ends before most paths exit: at
     d = 200, S(12/lambda_d) = 1 - 2e-22, so a check on this grid there
-    compares a survival curve of ones with the bound.
+    compares a survival curve of ones with the bound.  A domain so large
+    that a point of the grid overflows a float is rejected.
     """
     if points < 2:
         raise InfeasibleParameterError("need at least 2 grid points")
     t_max = _GRID_DECAY / lambda_d
+    if not math.isfinite(t_max * (points - 1)):
+        raise InfeasibleParameterError(f"the time grid to 12 / lambda = {t_max!r} "
+                                       "overflows a float: its size is out of range")
     return tuple(t_max * i / (points - 1) for i in range(points))
 
 

@@ -389,8 +389,8 @@ class TestVerifyVBound:
 
     @pytest.mark.filterwarnings("error")
     def test_long_box_axis_is_quiet(self, invoke):
-        # the long side's side^2 / dt overflows to inf, which the box sampler
-        # caps before it scales a draw: no RuntimeWarning may reach stderr
+        # the long side's side^2 / dt overflows to inf, so its exit times are
+        # inf, never computed as a NaN: no RuntimeWarning may reach stderr
         res = invoke(["verify-vbound", "--shape", "box", "--sides", "1e300,1", "--dim",
                       "2", "--dt", "1e-3", "--paths", "10"])
         assert res.exit_code == 0, res.exception
@@ -426,8 +426,8 @@ class TestVerifyVBound:
         assert json.loads(res.output)["manifest"]["parameters"]["radius"] is None
 
     def test_one_bessel_root_per_ball_run(self, invoke, monkeypatch):
-        # the CLI and sample_exit_times both need lambda, and the centre's
-        # table j_1; one root search serves all three
+        # lambda and the centre's table both need j_1; one root search serves
+        # both.  The cached zero and table are cleared, so both are made here
         import hotspots.montecarlo as mc
         real = mc.first_bessel_zero
         orders = []
@@ -437,11 +437,30 @@ class TestVerifyVBound:
             return real(nu)
 
         monkeypatch.setattr(mc, "first_bessel_zero", counting)
-        for cached in (mc.principal_eigenvalue, mc._ball_zero, mc._centre_inverse):
+        for cached in (mc._ball_zero, mc._centre_inverse):
             cached.cache_clear()
         res = invoke(SMALL_MC)
         assert res.exit_code == 0, res.output
         assert orders == [0.0]
+
+    @pytest.mark.parametrize("domain", [
+        ["--dim", "2"], ["--shape", "box", "--sides", "1,1", "--dim", "2"],
+    ], ids=["ball", "box"])
+    def test_one_eigenvalue_per_run(self, invoke, monkeypatch, domain):
+        # the command computes lambda once, for its grid and its bound; the
+        # sampler needs none
+        import hotspots.montecarlo as mc
+        real = mc.principal_eigenvalue
+        domains = []
+
+        def counting(dom):
+            domains.append(dom)
+            return real(dom)
+
+        monkeypatch.setattr(mc, "principal_eigenvalue", counting)
+        res = invoke(["verify-vbound", *domain, "--paths", "100"])
+        assert res.exit_code == 0, res.output
+        assert len(domains) == 1
 
     def test_oversized_grid_rejected_before_it_is_built(self, invoke, monkeypatch):
         # a billion grid points cannot fit any dt the run uses; the check must
@@ -463,8 +482,9 @@ class TestVerifyVBound:
     ], ids=["ball", "box"])
     def test_grid_past_the_step_cap_exit_three_before_it_is_built(self, invoke,
                                                                   monkeypatch, shape):
-        # a tiny dt fits a billion points' spacing, but no dt that fits can
-        # run within the step cap: the count is refused before the grid exists
+        # a tiny dt fits a billion points' spacing, but the grid would not fit
+        # the memory cap on grid points: the count is refused before the grid
+        # exists
         import hotspots.montecarlo as mc
         built = []
         monkeypatch.setattr(mc, "default_t_grid",
@@ -475,7 +495,7 @@ class TestVerifyVBound:
         assert res.stdout == ""
         assert res.stderr == (
             "error: grid_points=1000000000 is too many; at most 1500001 "
-            "fit the time-step cap\n")
+            "are allowed\n")
         assert built == []
 
     @pytest.mark.parametrize("domain", [
@@ -488,16 +508,34 @@ class TestVerifyVBound:
         res = invoke(["verify-vbound", "--paths", "100"] + domain)
         assert res.exit_code in (0, 5), res.output
 
-    def test_tiny_dt_exit_three_before_sampling(self, invoke, monkeypatch):
-        # dt = 1e-9 on the unit disc needs about 1.4e10 steps: refused, before
-        # any path is drawn
-        import hotspots.montecarlo as mc
-        runs = []
-        monkeypatch.setattr(mc, "_exact_exit_times", lambda *a: runs.append(a))
-        res = invoke(["verify-vbound", "--dim", "2", "--paths", "10",
-                      "--dt", "1e-9"])
-        assert res.exit_code == 3, res.output
-        assert runs == []
+    @pytest.mark.parametrize("domain", [
+        ["--dim", "2"], ["--shape", "box", "--sides", "1,1", "--dim", "2"],
+    ], ids=["disc", "square"])
+    def test_a_fine_dt_runs(self, invoke, domain):
+        # nothing is stepped, so dt = 1e-9 costs no more than the default
+        res = invoke(["verify-vbound", *domain, "--paths", "2000", "--dt", "1e-9"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["manifest"]["parameters"]["dt"] == 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_domain_size_exits_zero_or_three(self, invoke):
+        # balls and squares of side 10^k, k = -320..320: a size whose
+        # eigenvalue or time grid overflows a float exits 3 with one line on
+        # stderr, and every other one runs quietly
+        sizes = [f"1e{k}" for k in range(-320, 321, 10)] + ["9e153", "1e154", "1e160"]
+        for size in sizes:
+            for domain in (["--radius", size],
+                           ["--shape", "box", "--sides", f"{size},{size}"]):
+                res = invoke(["verify-vbound", "--dim", "2", "--paths", "100", *domain])
+                assert res.exit_code in (0, 3), (domain, res.output)
+                if res.exit_code == 0:
+                    assert res.stderr == "", domain
+                else:
+                    assert res.stdout == "" and res.stderr.startswith("error: "), domain
+        res = invoke(["verify-vbound", "--dim", "2", "--paths", "100", "--radius", "1e154"])
+        assert res.stderr == (
+            "error: the time grid to 12 / lambda = inf overflows a float: "
+            "its size is out of range\n")
 
     def test_huge_path_count_exit_three_before_sampling(self, invoke, monkeypatch):
         # 10^12 paths would need 8 TB for the exit steps alone: refused by
@@ -781,8 +819,9 @@ def _argv(tables):
     # Monte Carlo sizes stay small (paths <= 200, dt >= 1e-3, finite lengths
     # <= 2, always given) so each run takes well under a second; a huge grid
     # count is rejected before its grid is built, and so is a length whose
-    # principal eigenvalue underflows to 0 or overflows
-    extreme = ["1e300", "1e-300"]
+    # principal eigenvalue underflows to 0 or overflows, or whose time grid
+    # overflows (a disc of radius 1e154 or 1e160)
+    extreme = ["1e300", "1e-300", "1e154", "1e160"]
     side = st.sampled_from(["0.5", "1", "2", "0.3", "0", "-1", "nan", "inf", "x", ""] + extreme)
     verify = _options(**{
         "--shape": st.sampled_from(["ball", "box", "nope"]),

@@ -6,6 +6,7 @@ Path counts here are sized for CI speed; the heavy statistical checks at
 
 import hashlib
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -30,16 +31,14 @@ from hotspots import (
 )
 import hotspots.montecarlo as mc
 from hotspots.montecarlo import (
-    _GRID_DECAY,
-    _LAMBDA_T_CAP,
     _MAX_GRID_POINTS,
     _MAX_PATHS,
-    _MAX_STEPS,
     _beta_fraction,
     _beta_tail_point,
     _centre_inverse,
     _centre_table,
     _clopper_pearson,
+    _column_times,
     _interval_inverse,
     _interval_table,
     _log_beta_cdf,
@@ -96,15 +95,12 @@ class TestEigenvalue:
         assert lam == pytest.approx((math.pi / 2.0) ** 2, rel=1e-12)
 
     def test_box_sides_given_as_list(self):
-        # the eigenvalue is cached per domain, so a list of sides must still
-        # give a hashable domain
+        # a list of sides is stored as a tuple, so the box is still an
+        # immutable, hashable record
         dom = Box([2.0, 0.5])
         assert dom.sides == (2.0, 0.5)
         assert dom == Box((2.0, 0.5)) and hash(dom) == hash(Box((2.0, 0.5)))
-        lam = principal_eigenvalue(dom)
-        hits = principal_eigenvalue.cache_info().hits
-        assert principal_eigenvalue(Box((2.0, 0.5))) == lam
-        assert principal_eigenvalue.cache_info().hits == hits + 1
+        assert principal_eigenvalue(dom) == principal_eigenvalue(Box((2.0, 0.5)))
         assert dom._replace(sides=[1.0, 3.0]).sides == (1.0, 3.0)
 
     def test_box_scaling(self):
@@ -176,15 +172,52 @@ class TestExitTimes:
         with np.errstate(invalid="raise"):
             assert np.array_equal(sample_exit_times(cfg), np.full(4, 1e-3))
 
-    def test_step_cap_rejects_a_tiny_dt(self, monkeypatch):
-        import hotspots.montecarlo as mc
-        cfg = _ball_config(n_paths=10, dt=1e-3)
-        steps = 80.0 / principal_eigenvalue(cfg.domain) / cfg.dt  # about 13833
-        monkeypatch.setattr(mc, "_MAX_STEPS", math.floor(steps))
-        with pytest.raises(InfeasibleParameterError):
-            sample_exit_times(cfg)
-        monkeypatch.setattr(mc, "_MAX_STEPS", math.ceil(steps))
-        assert sample_exit_times(cfg).shape == (10,)
+    def test_a_finer_dt_only_shrinks_the_rounding(self):
+        # nothing is stepped, so every dt SimConfig takes runs: at one seed
+        # and chunking, each exit time is the same exact time rounded up to
+        # whole steps dt.  At dt = 1e-320, 1 / dt overflows, and the times
+        # are left unrounded.
+        for make in (_ball_config, _box_config):
+            coarse, fine, finest = (
+                sample_exit_times(make(n_paths=3000, dt=dt, chunk_size=1024))
+                for dt in (1e-3, 1e-12, 1e-320))
+            assert np.all(fine <= coarse) and np.all(coarse - fine <= 1e-3)
+            assert np.all(finest <= fine) and np.all(fine - finest <= 1e-12)
+            assert np.all(finest > 0.0)
+
+    def test_an_exit_past_the_largest_float_reads_as_inf(self, monkeypatch):
+        # V = 2^-53, the last draw, exits after about 6.4 R^2 from the disc's
+        # centre and 3.7 L^2 from the square's: past 1.8e308 here.  It reads
+        # as inf, the grid's end is finite, and numpy raises nothing
+        class LastDraw:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, shape):
+                return np.full(shape, 1.0 - 2.0 ** -53)
+
+        monkeypatch.setattr(mc.np.random, "Generator", LastDraw)
+        for dom in (Ball(9e153, 2), Box((1e154, 1e154))):
+            grid = default_t_grid(principal_eigenvalue(dom), 2)
+            cfg = SimConfig(domain=dom, start=dom.center(), dt=default_dt(dom, grid),
+                            n_paths=5, t_grid=grid, seed=0)
+            with np.errstate(all="raise"):
+                tau = sample_exit_times(cfg)
+            assert np.all(tau == math.inf) and math.isfinite(grid[-1])
+            assert estimate_survival(cfg, tau).survival == (1.0, 1.0)
+
+    def test_column_times_never_warn(self):
+        # rounded where a step is at least 1e-300 of L^2, exact below; a
+        # time past the largest float is inf, and t = 0 exits at 0, also
+        # where L^2 = inf
+        t = [0.0, 0.5, 2.0]
+        for square, dt, times in ((1e308, 1e304, [0.0, 5e307, math.inf]),
+                                  (1.0, 0.3, [0.0, 0.6, 2.1]),
+                                  (1e308, 1e-300, [0.0, 5e307, math.inf]),
+                                  (math.inf, 1e-3, [0.0, math.inf, math.inf])):
+            with np.errstate(all="raise"):
+                got = _column_times(np.array(t), square, dt)
+            np.testing.assert_allclose(got, times, rtol=1e-15)
 
 
 def test_sim_config_dt_at_most_a_tenth_of_the_grid_spacing():
@@ -203,15 +236,45 @@ def test_sim_config_dt_at_most_a_tenth_of_the_grid_spacing():
                           t_grid=grid, seed=0)
 
 
-@pytest.mark.parametrize("dom", [Ball(1.0, 2), Box((1.0, 1.0)),
-                                 Ball(3.0, 7)], ids=["disc", "square", "ball7"])
-def test_grid_point_cap_refuses_only_unrunnable_grids(dom):
-    # one point past the cap, even the largest dt SimConfig allows needs more
-    # steps than sample_exit_times takes; no grid is built to show it
-    lam = principal_eigenvalue(dom)
-    points = _MAX_GRID_POINTS + 1
-    largest_dt = _GRID_DECAY / lam / (points - 1) / 10.0
-    assert _LAMBDA_T_CAP / lam / largest_dt > _MAX_STEPS
+@pytest.mark.parametrize("domain", [
+    ["--dim", "2"], ["--shape", "box", "--sides", "1,1", "--dim", "2"],
+    ["--radius", "3", "--dim", "7"],
+], ids=["disc", "square", "ball7"])
+def test_grid_point_cap_bounds_a_runs_memory(invoke, domain):
+    # _MAX_GRID_POINTS states that a run holds under 600 B per grid point,
+    # so that the cap's 1,500,001 points need under 1 GB; a run of 20,000
+    # points is traced, its exit-time table built beforehand
+    argv = ["verify-vbound", *domain, "--paths", "100", "--grid-points"]
+    assert invoke(argv + ["2"]).exit_code == 0
+    tracemalloc.start()
+    try:
+        res = invoke(argv + ["20000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    assert peak < 600 * 20000
+    assert 600 * _MAX_GRID_POINTS < 1e9
+
+
+@pytest.mark.parametrize("grid", [(0.0, math.nan, 1.0), (0.0, math.inf),
+                                  (0.0, 1.0, math.nan)])
+def test_sim_config_refuses_a_nan_or_infinite_grid_time(grid):
+    # each comparison with a NaN is false, and an infinite spacing is no
+    # bound on dt, so the order and spacing checks alone would pass these
+    dom = Ball(1.0, 2)
+    with pytest.raises(InfeasibleParameterError, match="t_grid times must be finite"):
+        SimConfig(domain=dom, start=dom.center(), dt=1e-3, n_paths=1, t_grid=grid, seed=0)
+
+
+def test_default_grid_refuses_points_past_the_largest_float():
+    # at radius 1e154, 12 / lambda overflows; at 9e153 it is 1.7e308, so the
+    # grid's last point overflows unless the grid has only two
+    for dom, points in ((Ball(1e154, 2), 2), (Ball(9e153, 2), 3), (Ball(9e153, 2), 25),
+                        (Box((1e154, 1e154)), 25)):
+        with pytest.raises(InfeasibleParameterError, match="its size is out of range"):
+            default_t_grid(principal_eigenvalue(dom), points)
+    assert default_t_grid(principal_eigenvalue(Ball(9e153, 2)), 2)[-1] < math.inf
 
 
 class TestStepKernel:
