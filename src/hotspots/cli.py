@@ -330,7 +330,6 @@ def verify_vbound(shape: str, radius: float | None, sides: str | None, dim: int,
     dt_val = default_dt(domain, t_grid) if dt is None else dt
     config = SimConfig(
         domain=domain,
-        start=domain.center(),
         dt=dt_val,
         n_paths=paths,
         t_grid=t_grid,

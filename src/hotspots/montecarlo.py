@@ -5,21 +5,21 @@ Samples the exit times of Brownian motion run at twice the usual speed
 Box, estimates the survival function P(tau_D > t) with Clopper-Pearson
 intervals, and checks it against V(eps, d) * exp(-(1-eps) * lambda_D * t).
 
-Every exit time is drawn from its exact law; nothing is stepped.  A box is
-the product of its intervals and the coordinates move independently, so
-tau = min_j tau_j, where tau_j is the exit time of coordinate j from
-(0, L_j).  Each tau_j is drawn by inverting its survival series
-(_interval_inverse).  A ball is entered at its centre only, and its exit
-time is drawn by inverting the centre's Bessel eigen-series
-(_centre_inverse), summed in fixed point.  Each exit time is reported
+Every path starts at the domain's centre, and every exit time is drawn
+from its exact law; nothing is stepped.  A ball's exit time is drawn by
+inverting the centre's Bessel eigen-series (_centre_inverse), summed in
+fixed point.  A box is the product of its intervals and the coordinates
+move independently, so tau = min_j tau_j, where tau_j is the exit time of
+coordinate j from the middle of (0, L_j): the ball of radius L_j/2 in
+R^1, drawn from the same kind of table.  Each exit time is reported
 rounded up to a whole number of steps dt; one beyond the largest float
 reads as inf.
 
 Reproducibility: paths are split into chunks of chunk_size, and chunk i
 draws from the Philox counter-based stream `Philox(key=seed).jumped(i)` for
 its own paths only: one uniform per coordinate of a box, or one per path
-from a ball's centre.  The same (seed, chunk_size) therefore yields the
-same exit times, in chunk order.
+of a ball.  The same (seed, chunk_size) therefore yields the same exit
+times, in chunk order.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class Box(record("Box", "sides")):
 SimDomain = Ball | Box
 
 
-class SimConfig(record("SimConfig", "domain start dt n_paths t_grid seed chunk_size")):
+class SimConfig(record("SimConfig", "domain dt n_paths t_grid seed chunk_size")):
     """Everything one simulation depends on (and nothing else).
 
     chunk_size is the unit of the random stream: chunk i, of chunk_size
@@ -112,16 +112,13 @@ class SimConfig(record("SimConfig", "domain start dt n_paths t_grid seed chunk_s
     dt is the resolution of the exit times: each is drawn from its exact
     law and reported rounded up to a whole number of steps dt, so a finer
     dt costs nothing.  t_grid holds finite times >= 0, strictly increasing.
-    A ball starts at its centre, where its law is known; a box anywhere inside.
+    Every path starts at the domain's centre, the start the V-bound needs.
     """
 
     __slots__ = ()
 
-    def __new__(cls, domain: SimDomain, start: tuple[float, ...], dt: float,
-                n_paths: int, t_grid: tuple[float, ...], seed: int,
-                chunk_size: int = 65536):
-        if len(start) != domain.dim:
-            raise InfeasibleParameterError("start point has wrong dimension")
+    def __new__(cls, domain: SimDomain, dt: float, n_paths: int,
+                t_grid: tuple[float, ...], seed: int, chunk_size: int = 65536):
         if not (dt > 0.0 and math.isfinite(dt)):
             raise InfeasibleParameterError(f"dt must be positive, got {dt!r}")
         # a float or bool would pass the range checks below, then run another
@@ -149,12 +146,7 @@ class SimConfig(record("SimConfig", "domain start dt n_paths t_grid seed chunk_s
             raise InfeasibleParameterError(
                 "dt must be at most one tenth of the smallest t_grid spacing"
             )
-        if isinstance(domain, Ball) and any(start):
-            raise InfeasibleParameterError(
-                "a ball's exit times are drawn from its centre; start must be the centre")
-        if _start_distance(domain, start) < -1e-12:
-            raise InfeasibleParameterError("start lies outside the domain")
-        return super().__new__(cls, domain, start, dt, n_paths, t_grid, seed, chunk_size)
+        return super().__new__(cls, domain, dt, n_paths, t_grid, seed, chunk_size)
 
     def fingerprint(self) -> str:
         dom = self.domain
@@ -165,7 +157,8 @@ class SimConfig(record("SimConfig", "domain start dt n_paths t_grid seed chunk_s
         payload = {
             **shape,
             "dim": dom.dim,
-            "start": list(self.start),
+            # every run starts at the centre: the key stays, as bridge_correction's does
+            "start": list(dom.center()),
             "dt": self.dt,
             "n_paths": self.n_paths,
             "t_grid": list(self.t_grid),
@@ -204,13 +197,6 @@ class VBoundReport(record("VBoundReport", "passed worst_margin worst_index bound
     __slots__ = ()
 
 
-def _start_distance(domain: SimDomain, point: tuple[float, ...]) -> float:
-    """Distance from point to the boundary; negative outside."""
-    if isinstance(domain, Ball):
-        return domain.radius - math.sqrt(sum(c * c for c in point))
-    return min(min(c, s - c) for c, s in zip(point, domain.sides))
-
-
 @functools.lru_cache(maxsize=64)
 def _ball_zero(dim: int) -> float:
     """j_{dim/2-1,1} (pi/2, cos's first zero, for dim = 1), cached, as every
@@ -246,37 +232,10 @@ def principal_eigenvalue(domain: SimDomain) -> float:
     return lam
 
 
-#: _interval_table's nodes: at most _TABLE_STEP apart in ln t up to
-#: _TABLE_END, summed by the image series up to _IMAGE_END and by the odd
-#: terms k = 1..21 of the eigen series above it.
-_TABLE_STEP = 1.0 / 300.0
-_IMAGE_END = 0.01
-_TABLE_END = 0.5
-_ODD_K_PI = np.arange(1, 22, 2) * math.pi
-
-#: ln of the size below which a table's term c_k e^(-lam_k t) is left out.
-#: e^-650 is far below every sum such a term joins, and above the smallest
-#: normal float, so no term or product underflows.
-_LN_NEGLIGIBLE = -650.0
-
-
-def _exp_sum(t: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_k c_k exp(-lam_k t) for each t (all c_k != 0), without the terms
-    where exp(-lam_k t) or the term itself is below e^_LN_NEGLIGIBLE.
-    Every term kept is the same float as in the full sum, and each one left
-    out is below e^-650 max(1, |c_k|)."""
-    exponent = np.multiply.outer(t, -lam)
-    keep = np.minimum(exponent, exponent + np.log(np.abs(c))) >= _LN_NEGLIGIBLE
-    terms = np.zeros_like(exponent)
-    np.exp(exponent, out=terms, where=keep)
-    return terms @ c
-
-
 #: _table_inverse's guide has the fewest buckets, a power of two, that give
-#: each node at least four, but at least _GUIDE_MIN and at most _GUIDE_MAX
-#: (two arrays of 256 KB): only start fractions below about 1e-3 reach it.
+#: each node at least four, but at least _GUIDE_MIN: 8,192 for the centre
+#: tables' 1,206 to 1,666 nodes.
 _GUIDE_MIN = 1 << 10
-_GUIDE_MAX = 1 << 15
 
 
 def _table_inverse(t: np.ndarray, s: np.ndarray, c_1: float,
@@ -318,7 +277,7 @@ def _table_inverse(t: np.ndarray, s: np.ndarray, c_1: float,
     slopes = np.zeros(n)  # 0 past the last node, and for tied pairs
     np.divide(np.diff(t_down), rise, out=slopes[:-1], where=rise > 0.0)
 
-    m = min(_GUIDE_MAX, max(_GUIDE_MIN, 1 << (4 * n - 1).bit_length()))
+    m = max(_GUIDE_MIN, 1 << (4 * n - 1).bit_length())
     last = np.searchsorted(s_up, np.arange(m + 1) / m, "right") - 1
     lo = np.maximum(last, 0)  # a draw below s_up[0] takes the tail
     # the nodes in (b/m, (b+1)/m]; one at (b+1)/m is above every v of the
@@ -341,64 +300,6 @@ def _table_inverse(t: np.ndarray, s: np.ndarray, c_1: float,
         return out
 
     return inverse
-
-
-def _interval_table(f: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(t, s, c_1, lam_1): S_1 tabulated at nodes t, for the unit interval
-    entered at f in (0, 1), and the first term c_1 exp(-lam_1 t) that S_1
-    is taken as past the last node.
-
-    S_1(t) = sum_{k odd} 4/(k pi) sin(k pi f) exp(-(k pi)^2 t) is the chance
-    that the twice-speed motion started at f is still in (0, 1) at time t.
-
-    S_1 is tabulated at nodes t_i at most 1/300 apart in ln t, from
-    t_0 = (m/10)^2, with m = min(f, 1 - f), to 0.5:
-    - up to t = 0.01 by the first pair of images,
-      erf(m / (2 sqrt t)) - erfc((1 - m) / (2 sqrt t)), which falls with t.
-      The image series alternates with falling terms, so this is off by at
-      most its next pair, 2 erfc(1 / (2 sqrt t)) <= 2 erfc(5) < 3.1e-12;
-    - above t = 0.01 by the terms k <= 21, off by less than 1e-23.
-    The values are then capped at 1, made nonincreasing by a running minimum
-    and floored at 0, as `_table_inverse` needs.  S_1 falls and lies in
-    [0, 1], so every value stays within 3.1e-12 of it.  Only starts within
-    about 1e-10 of a face change: there the two sums meet with a rise at
-    t = 0.01, and the image sum dips below 0 where S_1 is below its error.
-    `_table_inverse` inverts the table.  Past the last node it takes
-    c_1 = 4 sin(pi m) / pi and lam_1 = pi^2: there the terms k >= 3
-    are below e^(-8 pi^2 0.5) < 1e-17 of the first.  A fraction within
-    1e-100 of 0 or 1 is taken as 1e-100 from it, so that every node is a
-    finite float; that moves S_1 by less than 1e-100 / sqrt(t).
-
-    The error in law: for V uniform, the CDF G of T(V) is the chord of
-    F = 1 - S_1 between nodes, so for every t
-        |G(t) - F(t)| <= (t_{i+1} - t_i)^2 max |F''| / 8
-                      <= (e^(1/300) - 1)^2 sup_t t^2 |S_1''(t)| / 8 < 9.7e-7,
-    where sup_t t^2 |S_1''(t)| is 16 / (pi e^2) ~ 0.6893: the first term's
-    maximum, at t = 2 / pi^2 and f = 1/2, and the largest found on a fine
-    grid of t and f.  Below t_0 both G and F are at most about
-    F(t_0) <= 2 erfc(5).  With the series' errors, |G - F| < 1e-6 for every
-    t and f.
-    """
-    m = max(min(f, 1.0 - f), 1e-100)
-    y_0, y_end = 2.0 * math.log(0.1 * m), math.log(_TABLE_END)
-    t = np.exp(np.linspace(y_0, y_end, math.ceil((y_end - y_0) / _TABLE_STEP) + 1))
-    s = np.empty_like(t)
-    image = t <= _IMAGE_END
-    s[image] = [math.erf(m * h) - math.erfc((1.0 - m) * h)
-                for h in (0.5 / np.sqrt(t[image])).tolist()]
-    s[~image] = _exp_sum(t[~image], _ODD_K_PI ** 2, 4.0 / _ODD_K_PI * np.sin(_ODD_K_PI * m))
-    s = np.maximum(np.minimum.accumulate(np.minimum(s, 1.0)), 0.0)
-    return t, s, 4.0 / math.pi * math.sin(math.pi * m), math.pi ** 2
-
-
-@functools.lru_cache(maxsize=64)
-def _interval_inverse(f: float) -> Callable[[np.ndarray], np.ndarray]:
-    """T with S_1(T(v)) = v, from `_interval_table`, which states its error.
-
-    S_1 is the same from f and 1 - f, and `_box_exit_times` asks for
-    min(f, 1 - f), so one cached table serves both.
-    """
-    return _table_inverse(*_interval_table(f))
 
 
 #: _centre_inverse's budget: P(tau <= t_lo) at most _CDF_FLOOR, the omitted
@@ -484,18 +385,42 @@ def _refined_zero(nu: float, j: float):
     return z, c, 4 * k_up / (abs(s_up) - 8 * k_up)
 
 
+#: pi to 60 digits, within 5e-60 of it, for `_half_order_zero`.
+_PI = "3.14159265358979323846264338327950288419716939937510582097494"
+
+
+def _half_order_zero(j: float):
+    """(z, c, r) of `_refined_zero` for a float zero j of
+    J_-1/2(x) = sqrt(2 / (pi x)) cos x, in closed form.
+
+    j is about (k - 1/2) pi, and z = floor(((k - 1/2) pi)^2 / 4 2^140),
+    c = (-1)^(k+1) 2 / ((k - 1/2) pi) and r = 1e-58.  Decimal arithmetic at
+    60 digits rounds each operation to within 5e-60 relative, and _PI is
+    within 2e-60 of pi relative, so z is within z 2^-120 of the true zero
+    and c within 1.2e-59 of c_k relative.
+    """
+    from decimal import Context, Decimal
+
+    k = round(j / math.pi + 0.5)
+    ctx = Context(prec=_DIGITS)
+    root = ctx.multiply(ctx.divide(2 * k - 1, 2), Decimal(_PI))
+    z = int(ctx.multiply(ctx.multiply(root, root), 1 << (_ZERO_BITS - 2)))
+    return z, ctx.divide(2 if k % 2 else -2, root), 1e-58
+
+
 def _fixed_point_table(nu: float, refined: list, t_lo: float,
                        t_end: float) -> tuple[np.ndarray, np.ndarray]:
     """(t, s): `_centre_table`'s S at nodes t from t_lo to t_end, summed in
-    fixed point from the refined zeros (z_k, c_k, r_k) of `_refined_zero`.
+    fixed point from the refined zeros (z_k, c_k, r_k) of `_refined_zero`
+    (`_half_order_zero` at nu = -1/2).
 
     The terms.  T_k(t) = c_k exp(-4 z_k t).  At the zero,
     d ln c_k / d ln z_k = nu (at a zero of J_nu,
     x J_nu+1'(x) = -(nu+1) J_nu+1(x)), so to first order z_k's error moves
-    T_k(t) by at most (nu + x) 2^-120 relative, x = 4 z_k t.  |T_k(t)| times
-    that is |c_k| (nu + x) e^-x, which falls for x >= 1 - nu; so over
-    t >= t_lo it is at most its value at x = max(x_k, 1 - nu), with
-    x_k = 4 z_k t_lo (x_k < 1 - nu only below dim = 4).  The signs of c_k
+    T_k(t) by at most (|nu| + x) 2^-120 relative, x = 4 z_k t.  |T_k(t)|
+    times that is |c_k| (|nu| + x) e^-x, which falls for x >= 1 - |nu|; so
+    over t >= t_lo it is at most its value at x = max(x_k, 1 - |nu|), with
+    x_k = 4 z_k t_lo (x_k < 1 - |nu| only below dim = 4).  The signs of c_k
     alternate, starting positive: J_nu+1 = -J_nu' at the zeros of J_nu,
     and J_nu' alternates there.
 
@@ -509,15 +434,16 @@ def _fixed_point_table(nu: float, refined: list, t_lo: float,
     N steps of M units h in all, |T_k| is then off by at most
     (N + 2M + 2) 2^-120 (|T_k(t_lo)| + 1) besides its zero and c_k errors.
     A term that reaches 0 stays 0 and is dropped.  Hence
-        B = sum_k |T_k(t_lo)| ((nu + x) e^(x_k - x) 2^-120 + r_k
+        B = sum_k |T_k(t_lo)| ((|nu| + x) e^(x_k - x) 2^-120 + r_k
                                + (N + 2M + 2) 2^-120)
-            + K (N + 2M + 2) 2^-120 + 2^-53,  x = max(x_k, 1 - nu),
+            + K (N + 2M + 2) 2^-120 + 2^-53,  x = max(x_k, 1 - |nu|),
     the last term for rounding each sum to a float, bounds the table's
     error.  B is checked against _SUM_ERROR (AccuracyError otherwise); it
-    is at most 7.8e-12 for dim = 2..222, at dim = 222, where the largest
-    term is 1.7e17 at t_lo.  The float of the node t_lo (1 + i 2^-20) is
-    within 2^-53 t of it, which moves S by at most 2^-53 sup_t t |S'(t)|
-    < 4.8e-16 (sup_t t |S'(t)| is at most 4.26, at dim = 222).
+    is at most 7.8e-12 for dim = 1..222, at dim = 222, where the largest
+    term is 1.7e17 at t_lo (1.1e-16 at dim = 1).  The float of the node
+    t_lo (1 + i 2^-20) is within 2^-53 t of it, which moves S by at most
+    2^-53 sup_t t |S'(t)| < 4.8e-16 (sup_t t |S'(t)| is at most 4.26, at
+    dim = 222; 0.47 at dim = 1).
 
     The chords.  Each doubling [t_lo 2^g, t_lo 2^(g+1)] up to t_end is cut
     into 16 equal segments, each crossed in equal steps of the most units
@@ -526,8 +452,8 @@ def _fixed_point_table(nu: float, refined: list, t_lo: float,
     S'' = sum_k (4 z_k)^2 T_k is summed as the table is, at 5 evenly spaced
     points of each segment, and its sup there taken as 1.01 times the most
     of those: the most on a ten times finer grid is at most 1.0039 times it
-    for dim = 2..222 (at dim = 136).  No step is shorter than
-    t_lo 2^-11 = 512 h (AccuracyError for one below h).
+    for dim = 1..222 (at dim = 136; 1.00003 at dim = 1).  No step is
+    shorter than t_lo 2^-11 = 512 h (AccuracyError for one below h).
     """
     from decimal import Decimal, localcontext
 
@@ -583,9 +509,9 @@ def _fixed_point_table(nu: float, refined: list, t_lo: float,
     error = len(lam) * rounding + 2.0 ** -53
     for x, l, (_, _, r) in zip(first, lam, refined):
         x_k = float(l) * t_lo
-        x_top = max(x_k, 1.0 - nu)
+        x_top = max(x_k, 1.0 - abs(nu))
         error += x / (1 << _TERM_BITS) * (
-            (nu + x_top) * math.exp(x_k - x_top) * 2.0 ** -_ZERO_SLACK + r + rounding)
+            (abs(nu) + x_top) * math.exp(x_k - x_top) * 2.0 ** -_ZERO_SLACK + r + rounding)
     if not error <= _SUM_ERROR:
         raise AccuracyError(f"the centre's table for nu={nu:g} is off by up to {error:.3g}")
     return t, s
@@ -593,38 +519,43 @@ def _fixed_point_table(nu: float, refined: list, t_lo: float,
 
 def _centre_table(dim: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(t, s, c_1, lam_1): S tabulated at nodes t from t_lo to t_end, for the
-    unit ball in R^dim entered at its centre, dim >= 2, and the first term
+    unit ball in R^dim entered at its centre, and the first term
     c_1 exp(-lam_1 t) that S is past t_end.
 
     With nu = dim/2 - 1 and j_k = j_{nu,k} (`_ball_zero`, `next_bessel_zero`),
         S(t) = sum_k c_k exp(-j_k^2 t),
         c_k = 4 (nu+1) / (j_k^2 S_{nu+1}(j_k^2 / 4))
             = (j_k/2)^(nu-1) / (Gamma(nu+1) J_{nu+1}(j_k)),
-    with S_mu the normalised ascending series (`ascending_series`).  Each
-    float zero is refined, and its c_k computed, in fixed point
-    (`_refined_zero`).
+    with S_mu the normalised ascending series (`ascending_series`): the
+    Bessel eigen-series of the centre's exit law (Ciesielski & Taylor,
+    Trans. AMS 103 (1962) 434-450).  Each float zero is refined, and its
+    c_k computed, in fixed point (`_refined_zero`).  At dim = 1, the
+    interval (-1, 1), nu = -1/2, j_k = (k - 1/2) pi and
+    c_k = (-1)^(k+1) 2 / j_k are closed forms (`_half_order_zero`).
 
     The terms.  u = sqrt(x) J_nu(x) solves u'' + q u = 0 with
     q = 1 - (nu^2 - 1/4)/x^2, and E = u'^2 + q u^2 has E' = q' u^2.  So E
     grows for nu >= 1/2 and falls for nu = 0, towards its limit 2/pi; at a
     zero E = j J_{nu+1}(j)^2.  Hence |c_k| <= A (j_k/j_1)^(nu-1/2), with
-    A = |c_1| for dim >= 3 and A = sqrt(2 pi / j_1) for dim = 2.  Zeros
-    are at least s = `zero_spacing` apart, and h(j) = (j/j_1)^(nu-1/2)
-    exp(-j^2 t) falls once j^2 >= (nu-1/2)/(2t), by a factor
-    rho = (1 + s/j)^max(0, nu-1/2) exp(-(2 j s + s^2) t) per step s, which
-    falls with j.  So the terms k > K sum to at most
+    A = |c_1| for dim >= 3 and A = sqrt(2 pi / j_1) for dim = 2.  At
+    dim = 1, |c_k| = 2 / j_k = A (j_k/j_1)^-1 exactly, with A = |c_1|.
+    Zeros are at least s = `zero_spacing` apart (exactly pi at dim = 1,
+    where Qu and Wong's bound behind `zero_spacing` does not apply), and
+    h(j) = (j/j_1)^(nu-1/2) exp(-j^2 t) falls once j^2 >= (nu-1/2)/(2t),
+    by a factor rho = (1 + s/j)^max(0, nu-1/2) exp(-(2 j s + s^2) t) per
+    step s, which falls with j.  So the terms k > K sum to at most
     A h(j_K + s) / (1 - rho(j_K + s)) at every t >= t_lo (`_doob_floor`),
     and K is the first count for which that is at most _OMITTED.  That
-    takes 17 terms at dim = 2, 22 at 10, 36 at 50 and 73 at 222.
+    takes 16 terms at dim = 1, 17 at 2, 22 at 10, 36 at 50 and 73 at 222.
 
     The table.  Nodes run from t_lo to
     t_end = max_{k >= 2} ln(1e17 (K-1) |c_k|) / j_k^2, past which the terms
     k >= 2 sum to under 2e-17, so S(t) is c_1 exp(-j_1^2 t) there.  It is
     summed in fixed point, off by at most its computed bound B <= _SUM_ERROR
     (`_fixed_point_table`), and made nonincreasing and at most 1 by a
-    running minimum, which keeps it within B of S.  As for
-    `_interval_table`, the CDF G of T(V) is the chord of F = 1 - S between
-    nodes t_i, off by at most (t_{i+1} - t_i)^2 sup |S''| / 8 <= _CHORD_ERROR
+    running minimum, which keeps it within B of S.  For V uniform, the CDF
+    G of T(V) (`_table_inverse`) is the chord of F = 1 - S between nodes
+    t_i, off by at most (t_{i+1} - t_i)^2 sup |S''| / 8 <= _CHORD_ERROR
     between them (`_fixed_point_table`).  Below t_lo both G and F are at
     most _CDF_FLOOR + B.  So |G - F| <= 8e-7 + B + 2e-17 + 4.8e-16 < 1e-6
     for every t, the last term for the float nodes.
@@ -632,11 +563,14 @@ def _centre_table(dim: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     nu = 0.5 * dim - 1.0
     j_1 = _ball_zero(dim)
     t_lo = _doob_floor(dim)
-    gap = zero_spacing(nu)
+    if dim == 1:  # the zeros (k - 1/2) pi, pi apart
+        gap, refine = math.pi, _half_order_zero
+    else:
+        gap, refine = zero_spacing(nu), functools.partial(_refined_zero, nu)
     power = nu - 0.5
-    zeros, refined = [j_1], [_refined_zero(nu, j_1)]
+    zeros, refined = [j_1], [refine(j_1)]
     c_1 = float(refined[0][1])
-    amplitude = abs(c_1) if dim > 2 else math.sqrt(2.0 * math.pi / j_1)
+    amplitude = abs(c_1) if dim != 2 else math.sqrt(2.0 * math.pi / j_1)
     while True:
         j = zeros[-1] + gap  # at most j_{K+1}
         rho = ((1.0 + gap / j) ** max(0.0, power)
@@ -644,8 +578,9 @@ def _centre_table(dim: int) -> tuple[np.ndarray, np.ndarray, float, float]:
         if (2.0 * j * j * t_lo >= power and rho < 1.0 and amplitude * (j / j_1) ** power
                 * math.exp(-j * j * t_lo) <= _OMITTED * (1.0 - rho)):
             break
-        zeros.append(next_bessel_zero(nu, zeros[-1], len(zeros) + 1))
-        refined.append(_refined_zero(nu, zeros[-1]))
+        zeros.append(zeros[-1] + gap if dim == 1
+                     else next_bessel_zero(nu, zeros[-1], len(zeros) + 1))
+        refined.append(refine(zeros[-1]))
     t_end = max(math.log((len(refined) - 1) * abs(float(c)) / _OMITTED) * (1 << _ZERO_BITS)
                 / (4 * z) for z, c, _ in refined[1:])
     t, s = _fixed_point_table(nu, refined, t_lo, t_end)
@@ -701,50 +636,38 @@ def _exact_exit_times(
 
 
 def _box_exit_times(config: SimConfig, box: Box) -> np.ndarray:
-    """Exit times of all n_paths from a box, drawn from their exact law.
+    """Exit times of all n_paths from a box's centre, drawn from their exact
+    law.
 
-    Coordinate j leaves (0, L_j) at tau_j = L_j^2 T_j(V_j), where T_j is
-    the cached _interval_inverse at f_j = x_j / L_j, or at 1 - f_j if that
-    is less (one table per distance from a face), and the V_j are
-    independent uniforms; the path leaves the box at tau = min_j tau_j
-    (`_exact_exit_times`).  Box survival is the product of the
-    coordinates' survivals, so its error in law is at most dim times
-    _interval_table's.
+    From its middle, side j is the ball of radius L_j/2 in R^1, so its
+    coordinate leaves at tau_j = (L_j/2)^2 T(V_j), with T the cached
+    `_centre_inverse(1)` and the V_j independent uniforms; the path leaves
+    the box at tau = min_j tau_j (`_exact_exit_times`).  Box survival is
+    the product of the coordinates' survivals, so its error in law is at
+    most dim times the table's.
     """
-    columns = []
-    for x, side in zip(config.start, box.sides):
-        f = x / side
-        columns.append((_interval_inverse(min(f, 1.0 - f)), side * side))
-    return _exact_exit_times(config, columns)
+    inverse = _centre_inverse(1)
+    return _exact_exit_times(config, [(inverse, 0.25 * side * side) for side in box.sides])
 
 
 def _ball_exit_times(config: SimConfig, ball: Ball) -> np.ndarray:
     """Exit times of all n_paths from the ball's centre, drawn from their
-    exact law as one column of `_exact_exit_times`.
-
-    tau = R^2 T(V) with T the unit ball's `_centre_inverse`, which balls of
-    every radius share.  In dim = 1 the ball is the interval (-R, R),
-    entered at its middle: tau = (2R)^2 T(V) with `_interval_inverse(0.5)`.
+    exact law as one column of `_exact_exit_times`: tau = R^2 T(V) with T
+    the unit ball's `_centre_inverse`, which balls of every radius share.
     """
-    radius = ball.radius
-    if ball.dim == 1:
-        inverse, square = _interval_inverse(0.5), 4.0 * radius * radius
-    else:
-        inverse, square = _centre_inverse(ball.dim), radius * radius
-    return _exact_exit_times(config, [(inverse, square)])
+    return _exact_exit_times(config, [(_centre_inverse(ball.dim), ball.radius * ball.radius)])
 
 
 def sample_exit_times(config: SimConfig) -> np.ndarray:
-    """n_paths independent exit-time samples, deterministic given the seed.
+    """n_paths independent exit-time samples from the domain's centre,
+    deterministic given the seed.
 
     Paths are drawn in chunks of config.chunk_size, each from its own
     stream, and returned in chunk order.  Every exit time is drawn from its
     exact law and reported rounded up to a whole number of steps dt, so a
     finer dt only shrinks that rounding; an exit time beyond the largest
-    float reads as inf.  A start on a box's boundary exits at t = 0.
+    float reads as inf.
     """
-    if _start_distance(config.domain, config.start) <= 0.0:
-        return np.zeros(config.n_paths, dtype=np.float64)
     if isinstance(config.domain, Box):
         return _box_exit_times(config, config.domain)
     return _ball_exit_times(config, config.domain)
@@ -1028,10 +951,6 @@ def estimate_survival(config: SimConfig, tau: np.ndarray) -> TailEstimate:
     tau holds the config's exit times, as sample_exit_times(config) returns
     them; a NaN among them is refused.
     """
-    if _start_distance(config.domain, config.start) <= 0.0:
-        raise InfeasibleParameterError(
-            "tail estimation needs a start strictly inside the domain"
-        )
     tau = np.asarray(tau, dtype=np.float64)
     if tau.shape != (config.n_paths,):
         raise InfeasibleParameterError(

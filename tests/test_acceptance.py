@@ -198,7 +198,7 @@ def test_criterion_6_monte_carlo_validates_v_bound():
     t0 = time.perf_counter()
     dom = Ball(1.0, 2)
     lam = principal_eigenvalue(dom)
-    cfg = SimConfig(domain=dom, start=dom.center(), dt=1e-4, n_paths=100000,
+    cfg = SimConfig(domain=dom, dt=1e-4, n_paths=100000,
                     t_grid=default_t_grid(lam), seed=42)
 
     tau = sample_exit_times(cfg)

@@ -885,11 +885,11 @@ class TestGoldenCli:
     These freeze every byte the command line writes, text and CSV as well as
     JSON: a change to any number, column, label or message must announce it
     and re-freeze the digest.  The values were produced with numpy 2.4 on
-    x86-64 Linux; the verify-vbound runs depend on numpy's exp, log and
-    sqrt and the C library's erf and erfc, and their interval cells on the
-    C library's log, log1p, exp and expm1.  They do not depend on numpy's
-    interp: the exit-time tables are inverted by exact searches and a
-    separate multiply and add per draw.
+    x86-64 Linux; the verify-vbound runs depend on numpy's log and the C
+    library's exp and log, and their interval cells on the C library's log,
+    log1p, exp and expm1.  They do not depend on numpy's interp: the
+    exit-time tables are inverted by exact searches and a separate multiply
+    and add per draw.
     """
 
     @staticmethod
@@ -936,24 +936,24 @@ class TestGoldenCli:
         ]) == "09f2cec2877acfdbcbe06dfee270fd87b0663e5326a1b89c5608de4ab0a85d24"
 
     def test_verify_vbound(self, invoke):
+        # the disc and the unit square hashed apart, so that a change to one
+        # domain's sampler shows which digest it moves
+        assert self._digest(invoke, [["verify-vbound", "--dim", "2", "--paths", "500"]]) == (
+            "a342d3d4e609a70fd6ba28d40d5273ac49f293a91ced1024da1cfdbfc64da0e1")
         assert self._digest(invoke, [
-            ["verify-vbound", "--dim", "2", "--paths", "500"],
             ["verify-vbound", "--shape", "box", "--sides", "1,1", "--dim", "2",
              "--paths", "500"],
-        ]) == "6f73b256e02e588a4cf57f177d819c015536900fb0b0266c66ad534a4e46f5fe"
+        ]) == "20efc3d542f6ad4b977e0ee438c621181df4e7a1777e3cd351dd3c102deded8a"
 
-    def test_verify_vbound_apart_from_the_intervals(self, invoke):
-        # the runs of test_verify_vbound and the small run of test_parse_errors,
-        # without the cells the Clopper-Pearson limits feed (the CSV ci_low
-        # and ci_high columns; the JSON ci_low, ci_high, worst_margin and the
-        # checksum over them): exit times, survival, t-grid, bound curve,
-        # passed flag, fingerprint and the text report stay as they are
+    def test_verify_vbound_d51(self, invoke):
+        # no other golden output pins a centre table above d = 50
+        assert self._digest(invoke, [["verify-vbound", "--dim", "51", "--paths", "500"]]) == (
+            "0401f6b80e9a75d6594fbdc06ba7a7813264b397d9f5fda1177d5b46ec36de52")
+
+    @staticmethod
+    def _hash_apart_from_the_intervals(invoke, argvs):
         h = hashlib.sha256()
-        for argv in (["verify-vbound", "--dim", "2", "--paths", "500"],
-                     ["verify-vbound", "--shape", "box", "--sides", "1,1", "--dim", "2",
-                      "--paths", "500"],
-                     ["verify-vbound", "--dim", "2", "--paths", "200", "--dt", "1e-3",
-                      "--grid-points", "6"]):
+        for argv in argvs:
             for fmt in ("text", "json", "csv"):
                 res = invoke(argv + ["--format", fmt])
                 out = res.stdout
@@ -969,8 +969,24 @@ class TestGoldenCli:
                             if not name.startswith("ci_")]
                            for row in csv.reader(io.StringIO(out))]
                 h.update(canonical_json([argv, fmt, out, res.stderr, res.exit_code]).encode())
-        assert h.hexdigest() == (
-            "6e3acac2029a2c8ddba9ed236a80266de27561a4d79a8e6cd37fc1d29e2d6885")
+        return h.hexdigest()
+
+    def test_verify_vbound_apart_from_the_intervals(self, invoke):
+        # the runs of test_verify_vbound and the small run of test_parse_errors,
+        # without the cells the Clopper-Pearson limits feed (the CSV ci_low
+        # and ci_high columns; the JSON ci_low, ci_high, worst_margin and the
+        # checksum over them): exit times, survival, t-grid, bound curve,
+        # passed flag, fingerprint and the text report stay as they are.
+        # The disc runs and the square run are hashed apart
+        assert self._hash_apart_from_the_intervals(invoke, [
+            ["verify-vbound", "--dim", "2", "--paths", "500"],
+            ["verify-vbound", "--dim", "2", "--paths", "200", "--dt", "1e-3",
+             "--grid-points", "6"],
+        ]) == "b8e374278fac2a75d54ceeb7f9b7497a45e37bb7dc8fe58553bf825e4dd192b2"
+        assert self._hash_apart_from_the_intervals(invoke, [
+            ["verify-vbound", "--shape", "box", "--sides", "1,1", "--dim", "2",
+             "--paths", "500"],
+        ]) == "77943c5b3f517fcd869addeefe1bf2ae94b49cb466af71d16bc0e1428efd2dce"
 
     def test_usage_and_infeasible_errors(self, invoke):
         assert self._digest(invoke, [

@@ -39,8 +39,6 @@ from hotspots.montecarlo import (
     _centre_table,
     _clopper_pearson,
     _column_times,
-    _interval_inverse,
-    _interval_table,
     _log_beta_cdf,
     _survivor_counts,
     _table_inverse,
@@ -48,30 +46,21 @@ from hotspots.montecarlo import (
 
 
 def _ball_config(n_paths=20000, dt=1e-4, seed=42, radius=1.0, dim=2, **kw):
-    """A ball run from its centre, the only start a ball takes."""
     dom = Ball(radius, dim)
     lam = principal_eigenvalue(dom)
-    return SimConfig(domain=dom, start=dom.center(), dt=dt, n_paths=n_paths,
+    return SimConfig(domain=dom, dt=dt, n_paths=n_paths,
                      t_grid=default_t_grid(lam), seed=seed, **kw)
 
 
-def _box_config(sides=(1.0, 1.0), start=None, n_paths=3000, dt=1e-3, seed=42, **kw):
+def _box_config(sides=(1.0, 1.0), n_paths=3000, dt=1e-3, seed=42, **kw):
     dom = Box(sides)
     lam = principal_eigenvalue(dom)
-    return SimConfig(domain=dom, start=start or dom.center(), dt=dt, n_paths=n_paths,
+    return SimConfig(domain=dom, dt=dt, n_paths=n_paths,
                      t_grid=default_t_grid(lam), seed=seed, **kw)
 
 
 def _survival(cfg):
     return estimate_survival(cfg, sample_exit_times(cfg))
-
-
-def _off_center(box):
-    """The start half way from the box's centre to its boundary along the
-    first axis."""
-    start = list(box.center())
-    start[0] += 0.25 * box.sides[0]
-    return tuple(start)
 
 
 class TestEigenvalue:
@@ -117,17 +106,11 @@ class TestExitTimes:
 
     def test_mean_scales_with_radius(self):
         dom = Ball(2.0, 2)
-        cfg = SimConfig(domain=dom, start=dom.center(), dt=default_dt(dom, (0.0,)),
+        cfg = SimConfig(domain=dom, dt=default_dt(dom, (0.0,)),
                         n_paths=10000, t_grid=(0.0,), seed=11)
         tau = sample_exit_times(cfg)
         se = tau.std() / math.sqrt(len(tau))
         assert abs(tau.mean() - 1.0) <= 3.0 * se + 1.5e-3
-
-    def test_boundary_start_exits_immediately(self):
-        dom = Box((1.0, 1.0))
-        cfg = SimConfig(domain=dom, start=(1.0, 0.5), dt=1e-3, n_paths=500,
-                        t_grid=(0.0,), seed=5)
-        assert np.all(sample_exit_times(cfg) == 0.0)
 
     def test_deterministic_replay(self):
         for make in (_ball_config, _box_config):
@@ -199,7 +182,7 @@ class TestExitTimes:
         monkeypatch.setattr(mc.np.random, "Generator", LastDraw)
         for dom in (Ball(9e153, 2), Box((1e154, 1e154))):
             grid = default_t_grid(principal_eigenvalue(dom), 2)
-            cfg = SimConfig(domain=dom, start=dom.center(), dt=default_dt(dom, grid),
+            cfg = SimConfig(domain=dom, dt=default_dt(dom, grid),
                             n_paths=5, t_grid=grid, seed=0)
             with np.errstate(all="raise"):
                 tau = sample_exit_times(cfg)
@@ -228,11 +211,11 @@ def test_sim_config_dt_at_most_a_tenth_of_the_grid_spacing():
     for points in (2, 3, 25, 1000):
         grid = default_t_grid(lam, points)
         limit = min(b - a for a, b in zip(grid, grid[1:])) / 10.0
-        SimConfig(domain=dom, start=dom.center(), dt=limit, n_paths=1,
+        SimConfig(domain=dom, dt=limit, n_paths=1,
                   t_grid=grid, seed=0)
         for dt in (limit * (1.0 + 1e-6), 0.0, -limit, math.nan, math.inf):
             with pytest.raises(InfeasibleParameterError):
-                SimConfig(domain=dom, start=dom.center(), dt=dt, n_paths=1,
+                SimConfig(domain=dom, dt=dt, n_paths=1,
                           t_grid=grid, seed=0)
 
 
@@ -264,7 +247,7 @@ def test_sim_config_refuses_a_nan_or_infinite_grid_time(grid):
     # bound on dt, so the order and spacing checks alone would pass these
     dom = Ball(1.0, 2)
     with pytest.raises(InfeasibleParameterError, match="t_grid times must be finite"):
-        SimConfig(domain=dom, start=dom.center(), dt=1e-3, n_paths=1, t_grid=grid, seed=0)
+        SimConfig(domain=dom, dt=1e-3, n_paths=1, t_grid=grid, seed=0)
 
 
 def test_default_grid_refuses_points_past_the_largest_float():
@@ -286,14 +269,12 @@ class TestStepKernel:
         Ball(1.0, 222), Box((1.0, 1.0)), Box((1.0, 1.0, 1.0)),
     ], ids=["disc", "ball3", "ball10", "ball50", "ball51", "ball222", "square", "cube"])
     def test_exact_tables_never_underflow(self, domain):
-        # a table term such as e^(-(21 pi)^2 / 2) is left out, not computed:
-        # np.exp, or the matrix product after it, would report an underflow.
-        # A ball's terms are ints, and one that reaches 0 is dropped.
-        # Both caches are cleared, so that every table is built here
+        # a table's terms are ints, and one that reaches 0 is dropped, so
+        # nothing underflows; a box's sides draw from the d = 1 table.  The
+        # cache is cleared, so that every table is built here
         _centre_inverse.cache_clear()
-        _interval_inverse.cache_clear()
         grid = default_t_grid(principal_eigenvalue(domain))
-        cfg = SimConfig(domain=domain, start=domain.center(), dt=default_dt(domain, grid),
+        cfg = SimConfig(domain=domain, dt=default_dt(domain, grid),
                         n_paths=200, t_grid=grid, seed=5)
         with np.errstate(all="raise"):
             tau = sample_exit_times(cfg)
@@ -312,18 +293,11 @@ def _interp_inverse(table, v):
 
 
 class TestTableLookup:
-    """_table_inverse's guide table, and the cache of interval tables."""
+    """_table_inverse's guide table, and the cache of centre tables."""
 
-    @pytest.mark.parametrize("kind,arg", [
-        ("interval", 0.5), ("interval", 0.25), ("interval", 1e-3), ("centre", 2),
-        ("centre", 3), ("centre", 50), ("centre", 51), ("centre", 222),
-    ], ids=["interval0.5", "interval0.25", "interval1e-3", "centre2", "centre3",
-            "centre50", "centre51", "centre222"])
-    def test_lookup_matches_interp_byte_for_byte(self, kind, arg, monkeypatch):
-        if kind == "interval":
-            table = _interval_table(arg)
-        else:
-            table = _centre_table(arg)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 50, 51, 222], ids="centre{}".format)
+    def test_lookup_matches_interp_byte_for_byte(self, dim, monkeypatch):
+        table = _centre_table(dim)
         inverse = _table_inverse(*table)
         s_up = np.append(table[1][::-1], 1.0)
         rng = np.random.Generator(np.random.Philox(key=30))
@@ -341,7 +315,7 @@ class TestTableLookup:
         # resolves without a search, on either side of its node, and only
         # buckets with at least two are searched
         n = s_up.size
-        m = min(mc._GUIDE_MAX, max(mc._GUIDE_MIN, 1 << (4 * n - 1).bit_length()))
+        m = max(mc._GUIDE_MIN, 1 << (4 * n - 1).bit_length())
         b = np.floor(v * m)
         first = np.searchsorted(s_up, b / m, "left")
         nodes = np.searchsorted(s_up, (b + 1) / m, "right") - first
@@ -353,23 +327,14 @@ class TestTableLookup:
         assert np.any(one & (v < node))
         assert was_searched[-200000:].mean() < 0.02  # of the random draws
 
-    @pytest.mark.parametrize("f", [1e-10, 1e-14, 1e-20, 1e-100])
-    def test_interval_table_near_a_face_is_ordered(self, f):
-        # the image sum meets the eigen series with a rise, and dips below
-        # 0 where S_1 is below its error; the lookup needs neither
-        s = _interval_table(f)[1]
-        assert np.all(np.diff(s) <= 0.0) and np.all(s >= 0.0) and s[0] <= 1.0
-
     def test_interval_tables_are_built_once(self):
-        # the square and the cube start at fraction 1/2 on every side
-        _interval_inverse.cache_clear()
+        # every side of every box, and every interval, draws from the one
+        # d = 1 table
+        _centre_inverse.cache_clear()
         sample_exit_times(_box_config(n_paths=100))
-        sample_exit_times(_box_config(sides=(1.0, 1.0, 1.0), n_paths=100))
-        assert _interval_inverse.cache_info().misses == 1
-        # fractions f and 1 - f share one table
-        _interval_inverse.cache_clear()
-        sample_exit_times(_box_config(start=(0.25, 0.75), n_paths=100))
-        assert _interval_inverse.cache_info().misses == 1
+        sample_exit_times(_box_config(sides=(1.0, 3.0, 0.2), n_paths=100, dt=1e-5))
+        sample_exit_times(_ball_config(n_paths=100, dim=1, dt=1e-3))
+        assert _centre_inverse.cache_info().misses == 1
 
     def test_centre_tables_are_built_once_per_dimension(self):
         # the unit ball's table serves every radius, whose eigenvalue would
@@ -377,7 +342,7 @@ class TestTableLookup:
         _centre_inverse.cache_clear()
         for radius in (1.0, 0.3, 3.3):
             ball = Ball(radius, 4)
-            sample_exit_times(SimConfig(domain=ball, start=ball.center(), dt=1e-3,
+            sample_exit_times(SimConfig(domain=ball, dt=1e-3,
                                         n_paths=100, t_grid=(0.0,), seed=3))
         assert _centre_inverse.cache_info().misses == 1
 
@@ -386,85 +351,73 @@ class TestGoldenStream:
     """sha256 of sample_exit_times(...).tobytes() for small runs, three
     256-path chunks each (600 paths, dt=1e-3, seed 2024).  The staggered
     cases use smaller chunks, so that there are many and the last one is
-    short.  Every case draws from an exact law: a box from any start, a
-    ball from its centre.
+    short.  Every case draws from its domain's centre, from an exact law
+    that a fixed-point centre table holds: the d = 1 table for each side of
+    a box.
 
     These freeze the documented Philox stream and the samplers' arithmetic:
     a change that alters any exit time must announce it and re-freeze the
     checksums.  The values were produced with numpy 2.4 on x86-64; a numpy
-    whose exp, log or sqrt rounds differently, or a C library whose erf or
-    erfc does, would change them too.  They do not depend on numpy's
-    interp: each draw's node is found by searchsorted and a guide table,
-    which are exact, and its time by a separate multiply and add, each
-    rounded once.
+    or C library whose log rounds differently would change them too.  They
+    do not depend on numpy's interp: each draw's node is found by
+    searchsorted and a guide table, which are exact, and its time by a
+    separate multiply and add, each rounded once.
     """
 
     @staticmethod
-    def _digest(domain, start, chunk_size=256, dt=1e-3):
+    def _digest(domain, chunk_size=256, dt=1e-3):
         lam = principal_eigenvalue(domain)
-        cfg = SimConfig(domain=domain, start=start, dt=dt, n_paths=600,
+        cfg = SimConfig(domain=domain, dt=dt, n_paths=600,
                         t_grid=default_t_grid(lam), seed=2024, chunk_size=chunk_size)
         return hashlib.sha256(sample_exit_times(cfg).tobytes()).hexdigest()
 
     def test_disc_from_center(self):
         dom = Ball(1.0, 2)
-        assert self._digest(dom, dom.center()) == (
+        assert self._digest(dom) == (
             "8f65d93a7fbe5140da179bb4a7081e567013eeb7eb1ac70663c42f329af21e64")
 
     def test_square_from_center(self):
         dom = Box((1.0, 1.0))
-        assert self._digest(dom, dom.center()) == (
+        assert self._digest(dom) == (
             "c1a36af6c9e5547ef10eaac178319f8b3c6f43f1ef32d09251d0076fa811c961")
-
-    def test_square_off_center(self):
-        dom = Box((1.0, 1.0))
-        assert self._digest(dom, _off_center(dom)) == (
-            "c7c83815555800ff8b8f9167a8dd5715285d5942bc473131f9911d65b0fd5078")
 
     def test_ball_d3_from_center(self):
         # the centre law's table for d = 3, whose zeros are k pi
         dom = Ball(1.0, 3)
-        assert self._digest(dom, dom.center()) == (
+        assert self._digest(dom) == (
             "8ba7fd90cb68b4aa1663a8b7e17c3e728c1076e564db00d3b1ef84de3d607bf0")
 
     def test_cube_from_center(self):
         dom = Box((1.0, 1.0, 1.0))
-        assert self._digest(dom, dom.center()) == (
+        assert self._digest(dom) == (
             "a26aa0189ba03343884f55b21cf8c45a724d2780a73932808de478719629a54f")
 
     def test_long_box_from_center(self):
         dom = Box((10.0, 1.0))
-        assert self._digest(dom, dom.center()) == (
+        assert self._digest(dom) == (
             "c9e1fb9c35ec968d40857b31beaf5b4207b8a60b52ac6dc675a3ff24a0036d79")
 
     def test_disc_staggered_chunks(self):
         # ten 64-path chunks, the last of 24 paths
         dom = Ball(1.0, 2)
-        assert self._digest(dom, dom.center(), chunk_size=64) == (
+        assert self._digest(dom, chunk_size=64) == (
             "f833aa8509da4991addd9c368eb5efcfbd22d83079d61b17520c3607c9c30696")
 
     def test_cube_staggered_chunks(self):
         dom = Box((1.0, 1.0, 1.0))
-        assert self._digest(dom, dom.center(), chunk_size=64) == (
+        assert self._digest(dom, chunk_size=64) == (
             "ee42da4b5eb27fe5c76cce2291e61a71c3d781d5222ecb5fa1ab7c6afff3f117")
 
     def test_square_fine_step(self):
         dom = Box((1.0, 1.0))
-        assert self._digest(dom, dom.center(), dt=1e-4) == (
+        assert self._digest(dom, dt=1e-4) == (
             "d70219c81ca780016ba8972e94bb24853febc01507bee9ab2f091dedcaeabff7")
 
     def test_nine_dimensional_box_fine_step(self):
-        # nine coordinates from one start fraction share one table
+        # nine coordinates share the one d = 1 table
         dom = Box((1.0,) * 9)
-        assert self._digest(dom, dom.center(), dt=1e-4) == (
+        assert self._digest(dom, dt=1e-4) == (
             "84ff81cef020d68d1aa13b40aaa8036bf25f271b61ee042a34607b42f5d88639")
-
-    def test_flat_box_off_center_fine_step(self):
-        # starts at (2.25, 0.25), 0.75 from the nearest end and 0.25 from
-        # the two long faces
-        dom = Box((3.0, 0.5))
-        assert self._digest(dom, _off_center(dom), dt=1e-4) == (
-            "45916371257663acc19a4a3677661e00b558026fd5aa7c44828841c45d41e055")
 
 
 def _exact_interval_survival(t, f):
@@ -490,38 +443,36 @@ def _exact_interval_survival(t, f):
 class TestExactBoxLaw:
     """Box exit times against their exact law."""
 
-    @pytest.mark.parametrize("sides,start,dt", [
-        ((1.0, 1.0), None, None),
-        ((1.0, 1.0), (0.75, 0.5), None),
-        ((1.0, 1.0, 1.0), None, None),
-        ((1.0,) * 9, None, None),
-        ((3.0, 0.5), (2.25, 0.25), None),
-        ((1.0, 1.0), None, 2e-3),
-    ], ids=["square", "square_off_center", "cube", "nine_dimensional", "flat_box_off_center",
-            "square_coarse_step"])
-    def test_survival_matches_the_product_series(self, sides, start, dt):
+    @pytest.mark.parametrize("sides,dt", [
+        ((1.0, 1.0), None),
+        ((1.0, 1.0, 1.0), None),
+        ((1.0,) * 9, None),
+        ((1.0, 1.0), 2e-3),
+    ], ids=["square", "cube", "nine_dimensional", "square_coarse_step"])
+    def test_survival_matches_the_product_series(self, sides, dt):
         # an exit time is dt * ceil(tau / dt), so it outlives t exactly when
         # tau outlives dt * floor(t / dt); box survival is the product of the
         # sides' interval survivals.  At the default dt a shift by one step
         # moves survival by well under its standard error; the coarse step
         # shows it.
         dom = Box(sides)
-        start = start or dom.center()
         grid = default_t_grid(principal_eigenvalue(dom))
-        cfg = SimConfig(domain=dom, start=start, dt=dt or default_dt(dom, grid),
+        cfg = SimConfig(domain=dom, dt=dt or default_dt(dom, grid),
                         n_paths=100000, t_grid=grid, seed=2024)
         est = np.asarray(estimate_survival(cfg, sample_exit_times(cfg)).survival)
         floor = cfg.dt * np.floor(np.asarray(cfg.t_grid) / cfg.dt)
-        exact = np.prod([_exact_interval_survival(floor / (side * side), x / side)
-                         for x, side in zip(start, sides)], axis=0)
+        exact = np.prod([_exact_interval_survival(floor / (side * side), 0.5)
+                         for side in sides], axis=0)
         z = (est - exact)[1:] / np.sqrt(exact * (1.0 - exact) / cfg.n_paths)[1:]
         assert np.all(np.abs(z) <= 4.0), z
 
-    @pytest.mark.parametrize("f", [0.5, 0.75, 0.1, 0.01])
-    def test_inverse_keeps_the_stated_cdf_bound(self, f):
+    def test_inverse_keeps_the_stated_cdf_bound(self):
         # T is nondecreasing, so the CDF of T(V) is within 1e-6 of the
         # exact one exactly when S_1(T(v)) is within 1e-6 of S_1 at the
-        # exact inverse of v, found here by bisection of the series
+        # exact inverse of v, found here by bisection of the series.  A side
+        # draws from the d = 1 centre table, the interval (-1, 1): a time
+        # there is 1/4 of one in the unit interval entered at f = 1/2
+        f = 0.5
         near_zero = np.geomspace(2.0 ** -53, 0.01, 20000)
         levels = np.concatenate([np.linspace(0.0, 1.0, 60002)[1:-1], near_zero,
                                  1.0 - near_zero])
@@ -532,9 +483,8 @@ class TestExactBoxLaw:
             lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
         exact = _exact_interval_survival(hi, f)
         assert np.abs(exact - levels).max() <= 1e-9
-        error = np.abs(_exact_interval_survival(_interval_inverse(f)(levels), f) - exact)
+        error = np.abs(_exact_interval_survival(0.25 * _centre_inverse(1)(levels), f) - exact)
         assert error.max() <= 1e-6
-
 
 
 def _centre_cut(dim):
@@ -609,7 +559,7 @@ class TestExactBallLaw:
             grid = tuple(0.0012 + 0.00015 * i for i in range(25))
         else:
             grid = default_t_grid(principal_eigenvalue(dom))
-        cfg = SimConfig(domain=dom, start=dom.center(), dt=default_dt(dom, grid),
+        cfg = SimConfig(domain=dom, dt=default_dt(dom, grid),
                         n_paths=100000, t_grid=grid, seed=2024)
         est = estimate_survival(cfg, sample_exit_times(cfg))
         counts = np.rint(np.asarray(est.survival) * cfg.n_paths)[1:]
@@ -623,15 +573,16 @@ class TestExactBallLaw:
         assert np.all(binom.sf(counts - 1, cfg.n_paths, exact) > tail)
 
     @pytest.mark.parametrize("radius", [1.0, 2.0])
-    @pytest.mark.parametrize("dim", [2, 3, 10, 50, 51, 200, 222])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 50, 51, 200, 222])
     def test_moments_match_the_rayleigh_sums(self, dim, radius):
         # tau = R^2 sum_k E_k / j_k^2 with E_k ~ Exp(1) (Kent, Ann. Probab. 6
         # (1978)), and the Rayleigh sums give E tau = R^2 / (2d) and
-        # Var tau = R^4 / (2 d^2 (d+2)); rounding up to whole steps adds
+        # Var tau = R^4 / (2 d^2 (d+2)), at d = 1 R^2 / 2 and R^4 / 6 from
+        # j_k = (k - 1/2) pi; rounding up to whole steps adds
         # dt / 2 to the mean and dt^2 / 12 to the variance
         dom = Ball(radius, dim)
         grid = default_t_grid(principal_eigenvalue(dom))
-        cfg = SimConfig(domain=dom, start=dom.center(), dt=default_dt(dom, grid),
+        cfg = SimConfig(domain=dom, dt=default_dt(dom, grid),
                         n_paths=200000, t_grid=grid, seed=2024)
         tau = sample_exit_times(cfg)
         mean = radius ** 2 / (2 * dim) + cfg.dt / 2
@@ -671,14 +622,14 @@ class TestExactBallLaw:
             ball, box = Ball(radius, 1), Box((2.0 * radius,))
             kw = dict(dt=1e-3, n_paths=3000, t_grid=(0.0,), seed=8, chunk_size=1000)
             assert np.array_equal(
-                sample_exit_times(SimConfig(domain=ball, start=ball.center(), **kw)),
-                sample_exit_times(SimConfig(domain=box, start=box.center(), **kw)))
+                sample_exit_times(SimConfig(domain=ball, **kw)),
+                sample_exit_times(SimConfig(domain=box, **kw)))
 
 
 class TestSurvival:
     def test_trivial_grid(self):
         dom = Ball(1.0, 2)
-        cfg = SimConfig(domain=dom, start=dom.center(), dt=1e-3, n_paths=200,
+        cfg = SimConfig(domain=dom, dt=1e-3, n_paths=200,
                         t_grid=(0.0,), seed=2)
         est = _survival(cfg)
         assert est.survival == (1.0,)
@@ -686,7 +637,7 @@ class TestSurvival:
     def test_deep_tail_is_negligible(self):
         dom = Ball(1.0, 2)
         lam = principal_eigenvalue(dom)
-        cfg = SimConfig(domain=dom, start=dom.center(), dt=1e-3, n_paths=2000,
+        cfg = SimConfig(domain=dom, dt=1e-3, n_paths=2000,
                         t_grid=(0.0, 10.0 / lam, 30.0 / lam), seed=9)
         est = _survival(cfg)
         assert est.survival[-1] <= 1e-6
@@ -697,13 +648,6 @@ class TestSurvival:
         assert np.all(np.diff(surv) <= 1e-15)
         assert all(lo <= s <= hi for lo, s, hi in
                    zip(est.ci_low, est.survival, est.ci_high))
-
-    def test_boundary_start_rejected(self):
-        dom = Box((1.0, 1.0))
-        cfg = SimConfig(domain=dom, start=(0.5, 1.0), dt=1e-3, n_paths=100,
-                        t_grid=(0.0,), seed=3)
-        with pytest.raises(InfeasibleParameterError):
-            estimate_survival(cfg, sample_exit_times(cfg))
 
     def test_exit_time_count_must_match(self):
         cfg = _ball_config(n_paths=100, dt=1e-3)
@@ -935,7 +879,7 @@ class TestPlumbing:
         grid = default_t_grid(principal_eigenvalue(dom))
         dt = default_dt(dom, grid)
         assert dt == min(b - a for a, b in zip(grid, grid[1:])) / 10.0 < unclamped
-        ok = dict(domain=dom, start=dom.center(), n_paths=1, t_grid=grid, seed=0)
+        ok = dict(domain=dom, n_paths=1, t_grid=grid, seed=0)
         SimConfig(dt=dt, **ok)
         with pytest.raises(InfeasibleParameterError, match="one tenth"):
             SimConfig(dt=unclamped, **ok)
@@ -949,11 +893,9 @@ class TestPlumbing:
 
     def test_config_validation(self):
         dom = Ball(1.0, 2)
-        ok = dict(domain=dom, start=(0.0, 0.0), dt=1e-3, n_paths=10,
-                  t_grid=(0.0, 0.5), seed=0)
+        ok = dict(domain=dom, dt=1e-3, n_paths=10, t_grid=(0.0, 0.5), seed=0)
         SimConfig(**ok)
         for patch in (
-            dict(start=(0.0, 0.0, 0.0)),
             dict(dt=0.0),
             dict(dt=0.2),  # more than a tenth of the grid spacing
             dict(n_paths=0),
@@ -961,8 +903,6 @@ class TestPlumbing:
             dict(t_grid=(-1.0, 0.5)),
             dict(seed=-1),
             dict(seed=2**64),
-            dict(start=(2.0, 0.0)),  # outside
-            dict(start=(0.5, 0.0)),  # a ball starts at its centre only
             dict(chunk_size=0),
         ):
             with pytest.raises(InfeasibleParameterError):
@@ -981,9 +921,9 @@ class TestPlumbing:
         cfg = _ball_config(n_paths=10, dt=1e-3)
         fields = cfg._asdict()
         assert SimConfig(*cfg) == SimConfig(**fields) == SimConfig._make(cfg) == cfg
-        for make in (lambda: SimConfig(*cfg[:3], 0, *cfg[4:]),
+        for make in (lambda: SimConfig(*cfg[:2], 0, *cfg[3:]),
                      lambda: SimConfig(**{**fields, "n_paths": 0}),
-                     lambda: SimConfig._make(cfg[:3] + (0,) + cfg[4:]),
+                     lambda: SimConfig._make(cfg[:2] + (0,) + cfg[3:]),
                      lambda: cfg._replace(n_paths=0)):
             with pytest.raises(InfeasibleParameterError, match="n_paths must be >= 1"):
                 make()
