@@ -6,14 +6,14 @@ Box, estimates the survival function P(tau_D > t) with Clopper-Pearson
 intervals, and checks it against V(eps, d) * exp(-(1-eps) * lambda_D * t).
 
 Every path starts at the domain's centre, and every exit time is drawn
-from its exact law; nothing is stepped.  A ball's exit time is drawn by
-inverting the centre's Bessel eigen-series (_centre_inverse), summed in
-fixed point.  A box is the product of its intervals and the coordinates
-move independently, so tau = min_j tau_j, where tau_j is the exit time of
-coordinate j from the middle of (0, L_j): the ball of radius L_j/2 in
-R^1, drawn from the same kind of table.  Each exit time is reported
-rounded up to a whole number of steps dt; one beyond the largest float
-reads as inf.
+from its exact law; nothing is stepped.  One table serves each dimension:
+the centre's Bessel eigen-series, summed in fixed point (_centre_inverse).
+A ball draws from its own dimension's table.  A box is the product of its
+intervals and the coordinates move independently, so tau = min_j tau_j,
+where tau_j is the exit time of coordinate j from the middle of (0, L_j):
+the ball of radius L_j/2 in R^1, drawn from the d = 1 table.  Each exit
+time is reported rounded up to a whole number of steps dt; one beyond the
+largest float reads as inf.
 
 Reproducibility: paths are split into chunks of chunk_size, and chunk i
 draws from the Philox counter-based stream `Philox(key=seed).jumped(i)` for
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from collections.abc import Callable
 
@@ -58,6 +59,17 @@ def _check_dim(dim: int) -> None:
         raise InfeasibleParameterError(f"dim must be an integer >= 1, got {dim!r}")
 
 
+def _length(value: float) -> float:
+    """A ball's radius or a box's side as a float, so that equal sizes print
+    alike; a bool or a non-real is refused, one past the floats reads inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InfeasibleParameterError(f"a domain size must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 class Ball(record("Ball", "radius dim")):
     """The ball of the given radius centered at the origin of R^dim."""
 
@@ -67,24 +79,22 @@ class Ball(record("Ball", "radius dim")):
         _check_dim(dim)
         if dim > 222:  # first_bessel_zero finds zeros of J_nu for nu <= 110
             raise InfeasibleParameterError(f"a ball supports dim <= 222, got {dim}")
+        radius = _length(radius)
         if not (0.0 < radius < math.inf):
             raise InfeasibleParameterError(
                 f"ball needs a positive finite radius, got {radius!r}"
             )
         return super().__new__(cls, radius, dim)
 
-    def center(self) -> tuple[float, ...]:
-        return (0.0,) * self.dim
-
 
 class Box(record("Box", "sides")):
-    """The axis box prod_i (0, L_i).  sides is stored as a tuple, so a box
-    given a list is still an immutable, hashable record."""
+    """The axis box prod_i (0, L_i).  sides is stored as a tuple of floats,
+    so a box given a list is still an immutable, hashable record."""
 
     __slots__ = ()
 
     def __new__(cls, sides: tuple[float, ...]):
-        sides = tuple(sides)
+        sides = tuple(map(_length, sides))
         _check_dim(len(sides))
         if not all(0.0 < s < math.inf for s in sides):
             raise InfeasibleParameterError("box sides must be positive and finite")
@@ -93,9 +103,6 @@ class Box(record("Box", "sides")):
     @property
     def dim(self) -> int:
         return len(self.sides)
-
-    def center(self) -> tuple[float, ...]:
-        return tuple(0.5 * s for s in self.sides)
 
 
 #: The Monte Carlo domains: annotations name this union.
@@ -150,15 +157,16 @@ class SimConfig(record("SimConfig", "domain dt n_paths t_grid seed chunk_size"))
 
     def fingerprint(self) -> str:
         dom = self.domain
+        # every run starts at the centre: "start" stays, as bridge_correction does
         if isinstance(dom, Ball):
-            shape = {"shape": "ball", "radius": dom.radius, "sides": None}
+            shape = {"shape": "ball", "radius": dom.radius, "sides": None,
+                     "start": [0.0] * dom.dim}
         else:
-            shape = {"shape": "box", "radius": None, "sides": list(dom.sides)}
+            shape = {"shape": "box", "radius": None, "sides": list(dom.sides),
+                     "start": [0.5 * side for side in dom.sides]}
         payload = {
             **shape,
             "dim": dom.dim,
-            # every run starts at the centre: the key stays, as bridge_correction's does
-            "start": list(dom.center()),
             "dt": self.dt,
             "n_paths": self.n_paths,
             "t_grid": list(self.t_grid),
@@ -361,7 +369,8 @@ def _refined_zero(nu: float, j: float):
     prefactors differ by 2 (nu+1) / j <= 2).  Where the sums prove
     S_nu(z -+ z 2^-120) of opposite signs (`proven_sign`), a zero lies
     within z 2^-120 of z (AccuracyError otherwise).  One Newton step leaves
-    up to 1.3e-29 relative over dim = 2..222, the second far below 2^-120.
+    up to 1.3e-29 relative over dim = 1..222 (1.3e-31 at dim = 1), the
+    second far below 2^-120.
     c = (nu+1) / (z S_nu+1(z)), off by at most r = 4K / (|s| - 8K) for the
     sum s of S_nu+1, whose error is under 4K units (`series_sum`).
     """
@@ -385,34 +394,10 @@ def _refined_zero(nu: float, j: float):
     return z, c, 4 * k_up / (abs(s_up) - 8 * k_up)
 
 
-#: pi to 60 digits, within 5e-60 of it, for `_half_order_zero`.
-_PI = "3.14159265358979323846264338327950288419716939937510582097494"
-
-
-def _half_order_zero(j: float):
-    """(z, c, r) of `_refined_zero` for a float zero j of
-    J_-1/2(x) = sqrt(2 / (pi x)) cos x, in closed form.
-
-    j is about (k - 1/2) pi, and z = floor(((k - 1/2) pi)^2 / 4 2^140),
-    c = (-1)^(k+1) 2 / ((k - 1/2) pi) and r = 1e-58.  Decimal arithmetic at
-    60 digits rounds each operation to within 5e-60 relative, and _PI is
-    within 2e-60 of pi relative, so z is within z 2^-120 of the true zero
-    and c within 1.2e-59 of c_k relative.
-    """
-    from decimal import Context, Decimal
-
-    k = round(j / math.pi + 0.5)
-    ctx = Context(prec=_DIGITS)
-    root = ctx.multiply(ctx.divide(2 * k - 1, 2), Decimal(_PI))
-    z = int(ctx.multiply(ctx.multiply(root, root), 1 << (_ZERO_BITS - 2)))
-    return z, ctx.divide(2 if k % 2 else -2, root), 1e-58
-
-
 def _fixed_point_table(nu: float, refined: list, t_lo: float,
                        t_end: float) -> tuple[np.ndarray, np.ndarray]:
     """(t, s): `_centre_table`'s S at nodes t from t_lo to t_end, summed in
-    fixed point from the refined zeros (z_k, c_k, r_k) of `_refined_zero`
-    (`_half_order_zero` at nu = -1/2).
+    fixed point from the refined zeros (z_k, c_k, r_k) of `_refined_zero`.
 
     The terms.  T_k(t) = c_k exp(-4 z_k t).  At the zero,
     d ln c_k / d ln z_k = nu (at a zero of J_nu,
@@ -530,8 +515,8 @@ def _centre_table(dim: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     Bessel eigen-series of the centre's exit law (Ciesielski & Taylor,
     Trans. AMS 103 (1962) 434-450).  Each float zero is refined, and its
     c_k computed, in fixed point (`_refined_zero`).  At dim = 1, the
-    interval (-1, 1), nu = -1/2, j_k = (k - 1/2) pi and
-    c_k = (-1)^(k+1) 2 / j_k are closed forms (`_half_order_zero`).
+    interval (-1, 1), nu = -1/2, the float zeros are (k - 1/2) pi, pi
+    apart, and c_k = (-1)^(k+1) 2 / j_k.
 
     The terms.  u = sqrt(x) J_nu(x) solves u'' + q u = 0 with
     q = 1 - (nu^2 - 1/4)/x^2, and E = u'^2 + q u^2 has E' = q' u^2.  So E
@@ -563,24 +548,20 @@ def _centre_table(dim: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     nu = 0.5 * dim - 1.0
     j_1 = _ball_zero(dim)
     t_lo = _doob_floor(dim)
-    if dim == 1:  # the zeros (k - 1/2) pi, pi apart
-        gap, refine = math.pi, _half_order_zero
-    else:
-        gap, refine = zero_spacing(nu), functools.partial(_refined_zero, nu)
+    gap = math.pi if dim == 1 else zero_spacing(nu)  # the zeros' least spacing
     power = nu - 0.5
-    zeros, refined = [j_1], [refine(j_1)]
+    last, refined = j_1, [_refined_zero(nu, j_1)]
     c_1 = float(refined[0][1])
     amplitude = abs(c_1) if dim != 2 else math.sqrt(2.0 * math.pi / j_1)
     while True:
-        j = zeros[-1] + gap  # at most j_{K+1}
+        j = last + gap  # at most j_{K+1}; at dim = 1, j_{K+1} = (K + 1/2) pi
         rho = ((1.0 + gap / j) ** max(0.0, power)
                * math.exp(-(2.0 * j * gap + gap * gap) * t_lo))
         if (2.0 * j * j * t_lo >= power and rho < 1.0 and amplitude * (j / j_1) ** power
                 * math.exp(-j * j * t_lo) <= _OMITTED * (1.0 - rho)):
             break
-        zeros.append(zeros[-1] + gap if dim == 1
-                     else next_bessel_zero(nu, zeros[-1], len(zeros) + 1))
-        refined.append(refine(zeros[-1]))
+        last = j if dim == 1 else next_bessel_zero(nu, last, len(refined) + 1)
+        refined.append(_refined_zero(nu, last))
     t_end = max(math.log((len(refined) - 1) * abs(float(c)) / _OMITTED) * (1 << _ZERO_BITS)
                 / (4 * z) for z, c, _ in refined[1:])
     t, s = _fixed_point_table(nu, refined, t_lo, t_end)
@@ -635,42 +616,23 @@ def _exact_exit_times(
     return np.maximum(times, dt, out=times)
 
 
-def _box_exit_times(config: SimConfig, box: Box) -> np.ndarray:
-    """Exit times of all n_paths from a box's centre, drawn from their exact
-    law.
-
-    From its middle, side j is the ball of radius L_j/2 in R^1, so its
-    coordinate leaves at tau_j = (L_j/2)^2 T(V_j), with T the cached
-    `_centre_inverse(1)` and the V_j independent uniforms; the path leaves
-    the box at tau = min_j tau_j (`_exact_exit_times`).  Box survival is
-    the product of the coordinates' survivals, so its error in law is at
-    most dim times the table's.
-    """
-    inverse = _centre_inverse(1)
-    return _exact_exit_times(config, [(inverse, 0.25 * side * side) for side in box.sides])
-
-
-def _ball_exit_times(config: SimConfig, ball: Ball) -> np.ndarray:
-    """Exit times of all n_paths from the ball's centre, drawn from their
-    exact law as one column of `_exact_exit_times`: tau = R^2 T(V) with T
-    the unit ball's `_centre_inverse`, which balls of every radius share.
-    """
-    return _exact_exit_times(config, [(_centre_inverse(ball.dim), ball.radius * ball.radius)])
-
-
 def sample_exit_times(config: SimConfig) -> np.ndarray:
-    """n_paths independent exit-time samples from the domain's centre,
-    deterministic given the seed.
+    """n_paths exit times from the domain's centre, deterministic given
+    the seed: for each path, the least of `_exact_exit_times`' columns,
+    rounded up to a whole number of steps dt (inf past the largest float).
 
-    Paths are drawn in chunks of config.chunk_size, each from its own
-    stream, and returned in chunk order.  Every exit time is drawn from its
-    exact law and reported rounded up to a whole number of steps dt, so a
-    finer dt only shrinks that rounding; an exit time beyond the largest
-    float reads as inf.
+    A ball of radius R is one column, R^2 T(V), with T the unit ball's
+    `_centre_inverse`.  A box's coordinates move independently, and from
+    its middle side j is the ball of radius L_j/2 in R^1: a column
+    (L_j/2)^2 T(V_j), with T from `_centre_inverse(1)`.  Box survival is
+    the product of the sides', so its error in law is at most dim times
+    the table's.
     """
-    if isinstance(config.domain, Box):
-        return _box_exit_times(config, config.domain)
-    return _ball_exit_times(config, config.domain)
+    dom = config.domain
+    if isinstance(dom, Box):
+        return _exact_exit_times(config, [(_centre_inverse(1), 0.25 * s * s)
+                                          for s in dom.sides])
+    return _exact_exit_times(config, [(_centre_inverse(dom.dim), dom.radius * dom.radius)])
 
 
 #: ln 0.025, the probability each Clopper-Pearson limit leaves in its tail.

@@ -39,8 +39,8 @@ sq_up/4 from the same fixed-point sums instead: of S_nu for the j-zero, and
 of S_nu and S_nu+1, combined exactly on their ints, for the p-root.
 
 `next_bessel_zero` finds the later zeros j_{nu,k}, k >= 2, one from the
-last, on a bracket from the same Sturm comparison; they are floats, with no
-directed squares.
+last, on a bracket from the same Sturm comparison, proven by `bessel_j`'s
+signs to hold exactly one zero; they are floats, with no directed squares.
 """
 
 from __future__ import annotations
@@ -312,19 +312,27 @@ def next_bessel_zero(nu: float, previous: float, k: int) -> float:
     """j_{nu,k}, the k-th positive zero of J_nu (k >= 2), from previous =
     j_{nu,k-1}; 0 <= nu <= 110, and j_{nu,k} <= 700 as bessel_j needs.
 
-    Brent's method on [previous + s, previous + pi/m], widened by 1e-9 on
-    each side, where J_nu has the sign (-1)^(k-1) of its k-th arch at the
-    lower end and the opposite one at the upper:
+    Brent's method on [lo, hi] = [previous + s, previous + pi/m], widened
+    by 1e-9 on each side, which holds j_k:
     - s is `zero_spacing`, which zeros beyond j_{nu,1} keep apart;
     - on [previous, inf) the coefficient 1 - (nu^2-1/4)/x^2 of the equation
       of sqrt(x) J_nu(x) is at least m^2 = 1 - (nu^2-1/4)/previous^2, and at
       least 1 for nu <= 1/2 (m = 1), so by Sturm comparison with
       sin(m (x - previous)) the next zero comes within pi/m.
     The 1e-9 covers previous's own error and float rounding; at nu = 1/2,
-    where both ends are k pi, it makes a bracket at all.  The result is not
-    a certified record: it sets no directed squares.
+    where both ends are k pi, it makes a bracket at all.  AccuracyError is
+    raised unless `bessel_j` proves the sign (-1)^(k-1) of the k-th arch at
+    lo and the opposite one at hi, and hi - lo < 2s (at most 1.61 s over
+    d = 2..222).  The bracket then holds an odd number of zeros and is too
+    short for three, so it holds one: j_k, a float with no directed squares.
     """
     m = math.sqrt(1.0 - (nu * nu - 0.25) / (previous * previous)) if nu > 0.5 else 1.0
-    sign = 1.0 if k % 2 else -1.0
-    return _solve(lambda x: sign * bessel_j(nu, x), previous + zero_spacing(nu) - 1e-9,
-                  previous + math.pi / m + 1e-9, f"j-zero nu={nu:g} k={k}")
+    sign, s = (1 if k % 2 else -1), zero_spacing(nu)
+    lo, hi = previous + s - 1e-9, previous + math.pi / m + 1e-9
+    what = f"j-zero nu={nu:g} k={k}"
+    signs: dict[float, int] = {}
+    root = _solve(lambda x: sign * bessel_j(nu, x, signs), lo, hi, what)
+    if not (signs.get(0.25 * lo * lo) == sign == -signs.get(0.25 * hi * hi, 0)
+            and hi - lo < 2.0 * s):
+        raise AccuracyError(f"{what}: one zero is not proven in [{lo:.9g}, {hi:.9g}]")
+    return root

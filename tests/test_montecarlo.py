@@ -598,11 +598,11 @@ class TestExactBallLaw:
         with pytest.raises(AccuracyError, match="needs steps below h"):
             _centre_table(2)
 
-    @pytest.mark.parametrize("nu", [0.0, 0.5, 110.0])
-    def test_a_zero_off_its_root_is_refused(self, nu):
+    @pytest.mark.parametrize("dim", [1, 2, 3, 222])
+    def test_a_zero_off_its_root_is_refused(self, dim):
         # two Newton steps from 1e-3 away leave the zero far outside
         # z -+ z 2^-120, where the signs of S_nu then agree
-        j = first_bessel_zero(nu).value
+        nu, j = 0.5 * dim - 1.0, mc._ball_zero(dim)
         mc._refined_zero(nu, j)
         with pytest.raises(AccuracyError, match="no proven sign change"):
             mc._refined_zero(nu, j + 1e-3)
@@ -948,5 +948,20 @@ class TestPlumbing:
             Box(())
         with pytest.raises(InfeasibleParameterError):
             Box((1.0, -2.0))
-        assert Box((1.0, 2.0)).center() == (0.5, 1.0)
-        assert Ball(1.0, 3).center() == (0.0, 0.0, 0.0)
+        for bad in (True, "1", 1j, None, Decimal("1")):
+            with pytest.raises(InfeasibleParameterError, match="real number"):
+                Ball(bad, 2)
+            with pytest.raises(InfeasibleParameterError, match="real number"):
+                Box((1.0, bad))
+        with pytest.raises(InfeasibleParameterError, match="positive"):
+            Ball(10 ** 400, 2)  # past the largest float
+        # sizes are stored as floats, so equal sizes draw and print alike
+        kw = dict(dt=1e-3, n_paths=10, t_grid=(0.0, 0.1), seed=3)
+        for given, plain in ((Ball(1, 2), Ball(1.0, 2)),
+                             (Ball(np.float32(1.0), 2), Ball(1.0, 2)),
+                             (Box((1, 1)), Box((1.0, 1.0))),
+                             (Box([np.float32(0.5), 2]), Box((0.5, 2.0)))):
+            sizes = given.sides if isinstance(given, Box) else (given.radius,)
+            assert given == plain and all(type(x) is float for x in sizes)
+            cfg = SimConfig(domain=given, **kw)
+            assert _survival(cfg) == _survival(SimConfig(domain=plain, **kw))

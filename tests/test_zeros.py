@@ -168,6 +168,27 @@ def test_later_zeros_follow_one_another(nu):
         zeros.append(zeros_mod.next_bessel_zero(nu, zeros[-1], k))
     assert zeros == pytest.approx(list(truth), rel=4e-15, abs=0.0)
 
+
+def test_a_later_zero_needs_proven_end_signs(monkeypatch):
+    # float signs alone leave the bracket with some odd number of zeros
+    import hotspots.specialfun as specialfun
+
+    j_1 = first_bessel_zero(99.0).value
+    zeros_mod.next_bessel_zero(99.0, j_1, 2)
+    monkeypatch.setattr(specialfun, "proven_sign", lambda s, terms: 0)
+    with pytest.raises(AccuracyError, match="one zero is not proven"):
+        zeros_mod.next_bessel_zero(99.0, j_1, 2)
+
+
+def test_a_later_zero_needs_a_bracket_under_two_spacings(monkeypatch):
+    # at a third of the spacing, three zeros could fit in the bracket
+    j_1 = first_bessel_zero(99.0).value
+    spacing = zeros_mod.zero_spacing
+    monkeypatch.setattr(zeros_mod, "zero_spacing", lambda nu: spacing(nu) / 3.0)
+    with pytest.raises(AccuracyError, match="one zero is not proven"):
+        zeros_mod.next_bessel_zero(99.0, j_1, 2)
+
+
 def test_p_root_is_stationary_point_of_scaled_bessel():
     # p minimizes no functional, but x^{1-d/2} J_{d/2}(x) peaks there: the
     # centered difference quotient must vanish to discretization order
