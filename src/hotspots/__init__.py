@@ -2,7 +2,7 @@
 
 Library layout:
 
-* specialfun — Bessel J_nu evaluation and log-gamma;
+* specialfun — Bessel J_nu evaluation;
 * zeros — first Bessel zeros j_{nu,1} and p-roots, squares proven by exact signs;
 * ratio — the ratio upper bound r(d) in its four kinds;
 * vfunction — Vogt / improved-Vogt exit-time prefactors, in log space;
@@ -26,7 +26,7 @@ from .errors import (
     InfeasibleParameterError,
 )
 from .ratio import RatioKind, ratio_upper_bound
-from .specialfun import bessel_j, log_gamma
+from .specialfun import bessel_j
 from .vfunction import VKind, load_custom_table, log_v
 from .zeros import BesselZeroRecord, RootFamily, first_bessel_zero, first_p_root
 
@@ -61,7 +61,6 @@ __all__ = [
     "first_bessel_zero",
     "first_p_root",
     "load_custom_table",
-    "log_gamma",
     "log_v",
     "optimal_a",
     "optimize_bound",

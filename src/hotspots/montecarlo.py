@@ -28,7 +28,7 @@ import functools
 import math
 import numbers
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -44,10 +44,10 @@ from .zeros import first_bessel_zero, next_bessel_zero, zero_spacing
 #: larger count fails at once instead of in numpy's allocator.
 _MAX_PATHS = 10 ** 8
 
-#: Most points verify-vbound's time grid may have.  A run holds under 600 B
-#: per grid point (the grid, the survival curve, its two limits and the
-#: bound as float tuples and lists, and the JSON text), so 1,500,001 points
-#: need under 1 GB; a larger count is refused before the grid is built.
+#: Most points default_t_grid may make.  A verify-vbound run holds under
+#: 600 B per grid point (the grid, the survival curve, its two limits and
+#: the bound as float tuples and lists, and the JSON text), so 1,500,001
+#: points need under 1 GB; a larger count is refused before the grid is built.
 _MAX_GRID_POINTS = 1_500_001
 
 #: default_t_grid ends at lambda_D * t = 12.
@@ -59,11 +59,12 @@ def _check_dim(dim: int) -> None:
         raise InfeasibleParameterError(f"dim must be an integer >= 1, got {dim!r}")
 
 
-def _length(value: float) -> float:
-    """A ball's radius or a box's side as a float, so that equal sizes print
-    alike; a bool or a non-real is refused, one past the floats reads inf."""
+def _real(value: float, what: str = "a domain size") -> float:
+    """A ball's radius, a box's side, dt or a grid time as a float, so that
+    equal values draw and print alike; a bool or a non-real is refused, one
+    past the floats reads inf."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InfeasibleParameterError(f"a domain size must be a real number, got {value!r}")
+        raise InfeasibleParameterError(f"{what} must be a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -79,7 +80,7 @@ class Ball(record("Ball", "radius dim")):
         _check_dim(dim)
         if dim > 222:  # first_bessel_zero finds zeros of J_nu for nu <= 110
             raise InfeasibleParameterError(f"a ball supports dim <= 222, got {dim}")
-        radius = _length(radius)
+        radius = _real(radius)
         if not (0.0 < radius < math.inf):
             raise InfeasibleParameterError(
                 f"ball needs a positive finite radius, got {radius!r}"
@@ -94,7 +95,9 @@ class Box(record("Box", "sides")):
     __slots__ = ()
 
     def __new__(cls, sides: tuple[float, ...]):
-        sides = tuple(map(_length, sides))
+        if not isinstance(sides, Iterable):
+            raise InfeasibleParameterError(f"box sides must be a sequence, got {sides!r}")
+        sides = tuple(map(_real, sides))
         _check_dim(len(sides))
         if not all(0.0 < s < math.inf for s in sides):
             raise InfeasibleParameterError("box sides must be positive and finite")
@@ -119,6 +122,7 @@ class SimConfig(record("SimConfig", "domain dt n_paths t_grid seed chunk_size"))
     dt is the resolution of the exit times: each is drawn from its exact
     law and reported rounded up to a whole number of steps dt, so a finer
     dt costs nothing.  t_grid holds finite times >= 0, strictly increasing.
+    dt and each time are stored as floats, as a domain's sizes are.
     Every path starts at the domain's centre, the start the V-bound needs.
     """
 
@@ -126,6 +130,7 @@ class SimConfig(record("SimConfig", "domain dt n_paths t_grid seed chunk_size"))
 
     def __new__(cls, domain: SimDomain, dt: float, n_paths: int,
                 t_grid: tuple[float, ...], seed: int, chunk_size: int = 65536):
+        dt = _real(dt, "dt")
         if not (dt > 0.0 and math.isfinite(dt)):
             raise InfeasibleParameterError(f"dt must be positive, got {dt!r}")
         # a float or bool would pass the range checks below, then run another
@@ -144,6 +149,9 @@ class SimConfig(record("SimConfig", "domain dt n_paths t_grid seed chunk_size"))
             raise InfeasibleParameterError("chunk_size must be >= 1")
         if not (0 <= seed < 2 ** 64):
             raise InfeasibleParameterError("seed must be a 64-bit unsigned integer")
+        if not isinstance(t_grid, Iterable):
+            raise InfeasibleParameterError(f"t_grid must be a sequence, got {t_grid!r}")
+        t_grid = tuple(_real(t, "a t_grid time") for t in t_grid)
         if not all(0.0 <= t < math.inf for t in t_grid):
             raise InfeasibleParameterError("t_grid times must be finite and >= 0")
         diffs = [b - a for a, b in zip(t_grid, t_grid[1:])]
@@ -240,12 +248,6 @@ def principal_eigenvalue(domain: SimDomain) -> float:
     return lam
 
 
-#: _table_inverse's guide has the fewest buckets, a power of two, that give
-#: each node at least four, but at least _GUIDE_MIN: 8,192 for the centre
-#: tables' 1,206 to 1,666 nodes.
-_GUIDE_MIN = 1 << 10
-
-
 def _table_inverse(t: np.ndarray, s: np.ndarray, c_1: float,
                    lam_1: float) -> Callable[[np.ndarray], np.ndarray]:
     """T with S(T(v)) = v, from S tabulated at ascending nodes t > 0.
@@ -263,12 +265,14 @@ def _table_inverse(t: np.ndarray, s: np.ndarray, c_1: float,
 
     j is found by a guide table, the indexed search of Chen & Asau
     (AIIE Trans. 6 (1974) 163-166; Devroye, Non-Uniform Random Variate
-    Generation (1986), III.2.4).  The m buckets [b/m, (b+1)/m), m a power
-    of two, each store the last j with s_up[j] <= b/m; bucket m holds
-    v = 1 alone.  v's bucket is floor(v m), and v m and b/m are exact.  A
-    bucket that holds no node gives j at once; one that holds one node
-    adds 1 where that node is <= v; in a bucket with more, j is found by
-    binary search.  That is 0.3-1.4% of draws on the tables measured.
+    Generation (1986), III.2.4).  The m buckets [b/m, (b+1)/m), m the least
+    power of two >= 4n for the n values of s_up (8,192 for every centre
+    table, with n = 1,207 to 1,667), each store the last j with
+    s_up[j] <= b/m; bucket m holds v = 1 alone.  v's bucket is floor(v m),
+    and v m and b/m are exact.  A bucket that holds no node gives j at
+    once; one that holds one node adds 1 where that node is <= v; in a
+    bucket with more, j is found by binary search.  That is 0.3-1.4% of
+    draws on the tables measured.
 
     So T(v) is numpy's interp(v, s_up, t_down), byte for byte.  interp
     takes the same j (its binary_search_with_guess returns the last node
@@ -285,7 +289,7 @@ def _table_inverse(t: np.ndarray, s: np.ndarray, c_1: float,
     slopes = np.zeros(n)  # 0 past the last node, and for tied pairs
     np.divide(np.diff(t_down), rise, out=slopes[:-1], where=rise > 0.0)
 
-    m = max(_GUIDE_MIN, 1 << (4 * n - 1).bit_length())
+    m = 1 << (4 * n - 1).bit_length()
     last = np.searchsorted(s_up, np.arange(m + 1) / m, "right") - 1
     lo = np.maximum(last, 0)  # a draw below s_up[0] takes the tail
     # the nodes in (b/m, (b+1)/m]; one at (b+1)/m is above every v of the
@@ -339,7 +343,7 @@ def _doob_floor(dim: int) -> float:
 
 #: _fixed_point_table's precision: each z_k = j_k^2 / 4 over 2^_ZERO_BITS,
 #: proven within z_k 2^-_ZERO_SLACK of the true zero; S_nu and S_nu+1
-#: summed with _EXTRA_BITS more fractional bits than `ascending_series`
+#: summed with _EXTRA_BITS more fractional bits than `bessel_j`
 #: takes; each term over 2^_TERM_BITS; decimal arithmetic at _DIGITS digits.
 _ZERO_BITS = 140
 _ZERO_SLACK = 120
@@ -364,7 +368,7 @@ def _refined_zero(nu: float, j: float):
     z = j^2 / 4 is taken exactly as an int over 2^140, and moved by two
     Newton steps on S_nu, whose derivative S_nu' = -S_nu+1 / (nu+1) needs
     only the float's precision: S_nu+1 is summed once, at j.  S_nu is
-    summed by `series_sum` with 80 bits more than `ascending_series` takes
+    summed by `series_sum` with 80 bits more than `bessel_j` takes
     for J_nu+1, at most 1 bit fewer than it takes for J_nu (their
     prefactors differ by 2 (nu+1) / j <= 2).  Where the sums prove
     S_nu(z -+ z 2^-120) of opposite signs (`proven_sign`), a zero lies
@@ -511,7 +515,7 @@ def _centre_table(dim: int) -> tuple[np.ndarray, np.ndarray, float, float]:
         S(t) = sum_k c_k exp(-j_k^2 t),
         c_k = 4 (nu+1) / (j_k^2 S_{nu+1}(j_k^2 / 4))
             = (j_k/2)^(nu-1) / (Gamma(nu+1) J_{nu+1}(j_k)),
-    with S_mu the normalised ascending series (`ascending_series`): the
+    with S_mu the normalised ascending series (`series_sum`): the
     Bessel eigen-series of the centre's exit law (Ciesielski & Taylor,
     Trans. AMS 103 (1962) 434-450).  Each float zero is refined, and its
     c_k computed, in fixed point (`_refined_zero`).  At dim = 1, the
@@ -984,11 +988,15 @@ def default_t_grid(lambda_d: float, points: int = 25) -> tuple[float, ...]:
 
     For a high-dimensional ball the grid ends before most paths exit: at
     d = 200, S(12/lambda_d) = 1 - 2e-22, so a check on this grid there
-    compares a survival curve of ones with the bound.  A domain so large
-    that a point of the grid overflows a float is rejected.
+    compares a survival curve of ones with the bound.  Fewer than 2 or more
+    than _MAX_GRID_POINTS points, or a domain so large that a point of the
+    grid overflows a float, are rejected.
     """
     if points < 2:
         raise InfeasibleParameterError("need at least 2 grid points")
+    if points > _MAX_GRID_POINTS:
+        raise InfeasibleParameterError(
+            f"grid_points={points} is too many; at most {_MAX_GRID_POINTS} are allowed")
     t_max = _GRID_DECAY / lambda_d
     if not math.isfinite(t_max * (points - 1)):
         raise InfeasibleParameterError(f"the time grid to 12 / lambda = {t_max!r} "

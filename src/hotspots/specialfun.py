@@ -1,4 +1,4 @@
-"""Bessel functions of the first kind and log-gamma.
+"""Bessel functions of the first kind.
 
 Evaluation of J_nu(x) for real order 0 <= nu <= 120 and 0 <= x <= MAX_ARG =
 700 to the value contract |error| <= 1e-12 |J_nu(x)| + 3e-14, which the test
@@ -57,36 +57,22 @@ MAX_ORDER = 120.0
 #: 2-core x86-64 host.  It covers the root search (x <= 164).
 MAX_ARG = 700.0
 
-#: Largest supported log-gamma argument.
-MAX_LOG_GAMMA_ARG = 500.0
-
 _LOG2 = math.log(2.0)
 
 #: Fractional bits of the sum beyond 60; the module doc proves them enough.
 _GUARD_BITS = 14
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for 0 < x <= 500.
-
-    Thin wrapper over math.lgamma (accurate to a couple of ulp, well inside
-    the 1e-12 relative contract) with explicit domain validation.
-    """
-    if not (x > 0.0):
-        raise InfeasibleParameterError(f"log_gamma requires x > 0, got {x!r}")
-    if x > MAX_LOG_GAMMA_ARG:
-        raise InfeasibleParameterError(
-            f"log_gamma supports x <= {MAX_LOG_GAMMA_ARG:g}, got {x!r}"
-        )
-    return math.lgamma(x)
-
-
 def bessel_j(nu: float, x: float, signs: dict[float, int] | None = None) -> float:
     """Evaluate J_nu(x) for 0 <= nu <= 120, 0 <= x <= 700 (see the module doc).
 
-    The prefactor (x/2)^nu / Gamma(nu+1) times the ascending series S(x^2/4),
-    which `ascending_series` sums in fixed point; signs, if given, gains the
-    sign of S at z = 0.25 * x * x where the sum proves it (`ascending_series`).
+    The prefactor (x/2)^nu / Gamma(nu+1) times the ascending series S(z),
+    z = x^2/4, which `series_sum` sums with the P = `series_bits` fractional
+    bits the prefactor needs: for nu <= 120 and x <= 700 the sum is off by
+    under 2^-62 / max(1, prefactor) before its final rounding (module doc).
+
+    signs, if given, maps z = 0.25 * x * x to the sign of S(z) where the
+    sum proves it (`proven_sign`), whatever the prefactor.
 
     Examples
     --------
@@ -108,29 +94,13 @@ def bessel_j(nu: float, x: float, signs: dict[float, int] | None = None) -> floa
     log_pref = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
     if log_pref < -745.0:
         return 0.0
-    return math.exp(log_pref) * ascending_series(nu, 0.25 * x * x, log_pref, signs)
-
-
-def ascending_series(nu: float, z: float, log_pref: float,
-                     signs: dict[float, int] | None = None) -> float:
-    """S_nu(z) = sum_k (-z)^k / (k! (nu+1)_k), to the precision that
-    J_nu = exp(log_pref) S_nu needs (module doc), rounded to a float.
-
-    With nu = p/q and z = a/2^e, t_0 = 2^P and
-    t_k = -floor(floor(t_{k-1} a q / 2^e) / (k (p + k q))), up to the first
-    t_k = 0.  log_pref is ln((x/2)^nu / Gamma(nu+1)) at z = x^2/4, and only
-    sets P.  For nu <= 120 and x <= 700 the sum is off by under
-    2^-62 / max(1, exp(log_pref)) before its final rounding (module doc).
-
-    signs, if given, maps z to the sign of S_nu(z) where the sum proves it
-    (`proven_sign`), whatever log_pref is.
-    """
     prec = series_bits(log_pref)
+    z = 0.25 * x * x
     a, b = z.as_integer_ratio()
     s, terms = series_sum(nu, a, b.bit_length() - 1, prec)
     if signs is not None and (sign := proven_sign(s, terms)):
         signs[z] = sign
-    return s / (1 << prec)
+    return math.exp(log_pref) * (s / (1 << prec))
 
 
 def series_bits(log_pref: float) -> int:
@@ -142,7 +112,8 @@ def series_bits(log_pref: float) -> int:
 def series_sum(nu: float, a: int, e: int, prec: int) -> tuple[int, int]:
     """(s, K): s / 2^prec is S_nu(a / 2^e), summed in fixed point with prec
     fractional bits over its K terms after t_0 (module doc), so it is off by
-    under 4K units of 2^-prec."""
+    under 4K units of 2^-prec: with nu = p/q, t_0 = 2^prec and
+    t_k = -floor(floor(t_{k-1} a q / 2^e) / (k (p + k q))) up to t_K = 0."""
     p, q = nu.as_integer_ratio()
     aq = a * q
     term = s = 1 << prec

@@ -23,7 +23,6 @@ import os
 from typing import Callable, Sequence
 
 from .errors import InfeasibleParameterError
-from .specialfun import log_gamma
 
 CustomTable = tuple[tuple[float, float], ...]
 
@@ -79,7 +78,7 @@ def log_v_curve(kind: VKind, d: int,
             0.25 * df
             + 0.5 * math.log(2.0)
             - 0.25 * df * math.log(2.0 * df)
-            + 0.5 * (log_gamma(df) - log_gamma(0.5 * df))
+            + 0.5 * (math.lgamma(df) - math.lgamma(0.5 * df))
         )
     elif kind is VKind.CUSTOM:
         return _interp_table(table)

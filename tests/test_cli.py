@@ -278,6 +278,19 @@ class TestAsymptotic:
             assert "--points" in res.output
 
 
+def _forbid_grid_and_paths(monkeypatch):
+    """Fail the test where `hotspots.montecarlo` makes a grid point or draws
+    a path: each grid point comes from its `range`, each path from
+    `sample_exit_times`, and neither runs before `default_t_grid`'s checks."""
+    import hotspots.montecarlo as mc
+
+    def forbidden(*args):
+        raise AssertionError("a grid point or a path was made")
+
+    monkeypatch.setattr(mc, "range", forbidden, raising=False)
+    monkeypatch.setattr(mc, "sample_exit_times", forbidden)
+
+
 class TestVerifyVBound:
     @requires_jsonschema
     def test_small_run_passes_schema(self, invoke):
@@ -374,6 +387,25 @@ class TestVerifyVBound:
         assert invoke(["verify-vbound", "--shape", "box", "--sides",
                        "1,x", "--dim", "2"]).exit_code == 2
 
+    def test_custom_v_refused_before_its_file_is_read(self, invoke, tmp_path):
+        # a missing file and a readable table get the same refusal, after the
+        # domain's own and before its eigenvalue's
+        table = tmp_path / "v.csv"
+        table.write_text("0.1,5.0\n1.0,0.5\n")
+        for path in ("/no/such/file", str(table)):
+            for domain in (["--dim", "2"], ["--radius", "1e300", "--dim", "2"]):
+                res = invoke(["verify-vbound", *domain, "--vfunction", f"custom:{path}"])
+                assert res.exit_code == 2, res.output
+                assert res.stdout == ""
+                assert res.stderr.endswith(
+                    "error: verify-vbound supports vogt|improved only\n"), res.stderr
+            res = invoke(["verify-vbound", "--radius", "0", "--dim", "2",
+                          "--vfunction", f"custom:{path}"])
+            assert res.exit_code == 3, res.output
+        res = invoke(["verify-vbound", "--dim", "2", "--vfunction", "custom"])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.endswith("error: custom V-function needs a file: custom:<file>\n")
+
     @pytest.mark.parametrize("domain", [
         ["--radius", "1e300"],
         ["--shape", "box", "--sides", "1e300,1e300"],
@@ -465,16 +497,14 @@ class TestVerifyVBound:
     def test_oversized_grid_rejected_before_it_is_built(self, invoke, monkeypatch):
         # a billion grid points cannot fit any dt the run uses; the check must
         # come before default_t_grid allocates them
-        import hotspots.montecarlo as mc
-        built = []
-        monkeypatch.setattr(mc, "default_t_grid",
-                            lambda lam, points: built.append(points))
+        _forbid_grid_and_paths(monkeypatch)
         for extra in ([], ["--dt", "-1"], ["--dt", "nan"]):
             for count in ("1000000000", _HUGE):
                 res = invoke(["verify-vbound", "--dim", "2", "--paths",
                               "100", "--grid-points", count] + extra)
                 assert res.exit_code == 3, (count, extra, res.output)
-        assert built == []
+                assert res.stderr == (f"error: grid_points={count} is too many; "
+                                      "at most 1500001 are allowed\n")
 
     @pytest.mark.parametrize("shape", [
         ["--dim", "2"],
@@ -485,10 +515,7 @@ class TestVerifyVBound:
         # a tiny dt fits a billion points' spacing, but the grid would not fit
         # the memory cap on grid points: the count is refused before the grid
         # exists
-        import hotspots.montecarlo as mc
-        built = []
-        monkeypatch.setattr(mc, "default_t_grid",
-                            lambda lam, points: built.append(points))
+        _forbid_grid_and_paths(monkeypatch)
         res = invoke(["verify-vbound"] + shape + ["--paths", "100",
                       "--grid-points", "1000000000", "--dt", "1e-12"])
         assert res.exit_code == 3, res.output
@@ -496,7 +523,6 @@ class TestVerifyVBound:
         assert res.stderr == (
             "error: grid_points=1000000000 is too many; at most 1500001 "
             "are allowed\n")
-        assert built == []
 
     @pytest.mark.parametrize("domain", [
         ["--dim", "37"], ["--dim", "40"],

@@ -250,6 +250,52 @@ def test_sim_config_refuses_a_nan_or_infinite_grid_time(grid):
         SimConfig(domain=dom, dt=1e-3, n_paths=1, t_grid=grid, seed=0)
 
 
+_FLOAT_KW = dict(domain=Ball(1.0, 2), dt=1e-3, n_paths=10, t_grid=(0.0, 0.1), seed=3)
+
+
+def test_sim_config_stores_a_numpy_dt_as_a_float():
+    # json cannot write a np.float32, and the fingerprint writes dt
+    cfg = SimConfig(**{**_FLOAT_KW, "dt": np.float32(1e-3)})
+    assert type(cfg.dt) is float
+    plain = SimConfig(**{**_FLOAT_KW, "dt": float(np.float32(1e-3))})
+    assert _survival(cfg) == _survival(plain)
+
+
+def test_sim_config_stores_numpy_and_int_grid_times_as_floats():
+    cfg = SimConfig(**{**_FLOAT_KW, "t_grid": [0.0, np.float32(0.1)]})
+    assert cfg.t_grid == (0.0, float(np.float32(0.1)))
+    assert all(type(t) is float for t in cfg.t_grid)
+    plain = SimConfig(**{**_FLOAT_KW, "t_grid": cfg.t_grid})
+    assert _survival(cfg) == _survival(plain)
+    # equal grids fingerprint alike: an int time prints as the float
+    ints = SimConfig(**{**_FLOAT_KW, "t_grid": (0, 1)})
+    assert ints.fingerprint() == SimConfig(**{**_FLOAT_KW, "t_grid": (0.0, 1.0)}).fingerprint()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dt", True, "dt must be a real number"),
+    ("dt", Decimal("1e-3"), "dt must be a real number"),
+    ("t_grid", (0.0, True), "a t_grid time must be a real number"),
+    ("t_grid", (0.0, "0.1"), "a t_grid time must be a real number"),
+    ("t_grid", 0.1, "t_grid must be a sequence"),
+], ids=["dt-bool", "dt-decimal", "time-bool", "time-str", "bare-grid"])
+def test_sim_config_refuses_a_bool_or_non_real_dt_or_time(field, value, message):
+    # a bool passes the range checks, and would fingerprint as true
+    with pytest.raises(InfeasibleParameterError, match=message):
+        SimConfig(**{**_FLOAT_KW, "t_grid": (0.0, 20.0), field: value})
+
+
+def test_default_grid_refuses_too_many_points_at_once(monkeypatch):
+    # the cap comes before any grid point is made
+    def no_grid(*args):
+        raise AssertionError("a grid point was made")
+
+    monkeypatch.setattr(mc, "range", no_grid, raising=False)
+    with pytest.raises(InfeasibleParameterError,
+                       match="^grid_points=1500002 is too many; at most 1500001 are allowed$"):
+        default_t_grid(1.0, 1_500_002)
+
+
 def test_default_grid_refuses_points_past_the_largest_float():
     # at radius 1e154, 12 / lambda overflows; at 9e153 it is 1.7e308, so the
     # grid's last point overflows unless the grid has only two
@@ -315,7 +361,7 @@ class TestTableLookup:
         # resolves without a search, on either side of its node, and only
         # buckets with at least two are searched
         n = s_up.size
-        m = max(mc._GUIDE_MIN, 1 << (4 * n - 1).bit_length())
+        m = 1 << (4 * n - 1).bit_length()
         b = np.floor(v * m)
         first = np.searchsorted(s_up, b / m, "left")
         nodes = np.searchsorted(s_up, (b + 1) / m, "right") - first
@@ -948,6 +994,8 @@ class TestPlumbing:
             Box(())
         with pytest.raises(InfeasibleParameterError):
             Box((1.0, -2.0))
+        with pytest.raises(InfeasibleParameterError, match="box sides must be a sequence"):
+            Box(1.0)  # a bare number
         for bad in (True, "1", 1j, None, Decimal("1")):
             with pytest.raises(InfeasibleParameterError, match="real number"):
                 Ball(bad, 2)

@@ -1,11 +1,11 @@
 """Static checks on the package: no module, and no test module, imports a name
-it never uses, no module defines a private name the package never reads, the
-package imports nothing beyond the standard library and numpy, only
-`montecarlo` imports numpy and no module imports `montecarlo` when it loads,
-no module imports `dataclasses`, the tests' exact-sign reference imports
-nothing from the package, a cold `import hotspots.cli` loads none of the
-modules it defers, and `hotspots.__all__` is sorted and names only what the
-package defines."""
+it never uses, no module defines a private name the package never reads, or
+loads only inside its own definition, the package imports nothing beyond the
+standard library and numpy, only `montecarlo` imports numpy and no module
+imports `montecarlo` when it loads, no module imports `dataclasses`, the
+tests' exact-sign reference imports nothing from the package, a cold
+`import hotspots.cli` loads none of the modules it defers, and
+`hotspots.__all__` is sorted and names only what the package defines."""
 
 import ast
 import os
@@ -84,6 +84,38 @@ def test_every_private_module_name_is_read():
     unread = {module: [(line, name) for line, name in found if name not in read]
               for module, found in defined.items()}
     assert {module: found for module, found in unread.items() if found} == {}
+
+
+def _unloaded_private_names(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each private module-level name that no Name or
+    attribute loads in any module but inside its own definition: the
+    module-level statement that binds it."""
+    loaded = {}  # name -> {(module, index of the top-level statement)}
+    for module, tree in trees.items():
+        for index, statement in enumerate(tree.body):
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.setdefault(node.id, set()).add((module, index))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.setdefault(node.attr, set()).add((module, index))
+    return [(module, line, name) for module, tree in trees.items()
+            for index, statement in enumerate(tree.body)
+            for line, name in _private_definitions(ast.Module([statement], []))
+            if not loaded.get(name, set()) - {(module, index)}]
+
+
+def test_every_private_module_name_is_loaded_outside_its_definition():
+    # stricter than the test above: an import, or a read inside the name's
+    # own definition (a recursive call), does not count, so a constant or
+    # helper that a deletion leaves behind is caught
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    assert sum(len(_private_definitions(tree)) for tree in trees.values()) >= 20
+    assert _unloaded_private_names(trees) == []
+    mutated = sources["zeros.py"] + "\n\ndef _left(n):\n    return _left(n - 1)\n"
+    trees["zeros.py"] = ast.parse(mutated)
+    assert _unloaded_private_names(trees) == [
+        ("zeros.py", mutated.count("\n") - 1, "_left")]
 
 
 def _imports(nodes) -> list[tuple[int, str]]:

@@ -1,4 +1,4 @@
-"""Bessel J and log-gamma: closed forms, recurrences, and oracle comparisons.
+"""Bessel J: closed forms, recurrences, and oracle comparisons.
 
 Reference values were frozen from a 40-digit multiprecision run (mpmath) and
 cross-checked against scipy.special.jv; the tolerances below leave room for
@@ -15,7 +15,7 @@ from exact_sign_reference import _exact_sign
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotspots import InfeasibleParameterError, RootFamily, bessel_j, log_gamma, specialfun
+from hotspots import InfeasibleParameterError, RootFamily, bessel_j, specialfun
 from hotspots.specialfun import MAX_ARG, MAX_ORDER
 
 # (nu, x, J_nu(x)) frozen at 20 significant digits.
@@ -37,26 +37,6 @@ X_GRID = [0.0, 0.25, 1.0, 4.0, 9.5, 20.0, 47.0, 83.0, 120.0, 200.0]
 def _contract(ref):
     """The value contract's absolute tolerance at a reference value."""
     return 1e-12 * abs(ref) + 3e-14
-
-
-class TestLogGamma:
-    def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-14)
-
-    def test_ten(self):
-        assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
-
-    def test_integers_one_two(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_upper_end(self):
-        assert math.isfinite(log_gamma(500.0))
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, 500.0001, math.nan])
-    def test_rejects_out_of_domain(self, x):
-        with pytest.raises(InfeasibleParameterError):
-            log_gamma(x)
 
 
 class TestBesselClosedForms:
