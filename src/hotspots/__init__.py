@@ -32,44 +32,6 @@ from .zeros import BesselZeroRecord, RootFamily, first_bessel_zero, first_p_root
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyError",
-    "Ball",
-    "BesselZeroRecord",
-    "BoundResult",
-    "Box",
-    "FiniteHorizonConstraintError",
-    "HotspotsError",
-    "InfeasibleParameterError",
-    "RatioKind",
-    "RootFamily",
-    "SimConfig",
-    "SimDomain",
-    "TailEstimate",
-    "VBoundReport",
-    "VKind",
-    "__version__",
-    "asymptotic_bound",
-    "bessel_j",
-    "bound_value",
-    "check_vbound",
-    "default_dt",
-    "default_t_grid",
-    "estimate_survival",
-    "feasible_threshold",
-    "finite_b_bound",
-    "first_bessel_zero",
-    "first_p_root",
-    "load_custom_table",
-    "log_v",
-    "optimal_a",
-    "optimize_bound",
-    "principal_eigenvalue",
-    "ratio_upper_bound",
-    "sample_exit_times",
-    "sweep",
-]
-
 #: served by `__getattr__` from `hotspots.montecarlo`, which imports numpy
 _MONTECARLO_NAMES = frozenset({
     "Ball",
@@ -85,6 +47,33 @@ _MONTECARLO_NAMES = frozenset({
     "principal_eigenvalue",
     "sample_exit_times",
 })
+
+__all__ = sorted([
+    "AccuracyError",
+    "BesselZeroRecord",
+    "BoundResult",
+    "FiniteHorizonConstraintError",
+    "HotspotsError",
+    "InfeasibleParameterError",
+    "RatioKind",
+    "RootFamily",
+    "VKind",
+    "__version__",
+    "asymptotic_bound",
+    "bessel_j",
+    "bound_value",
+    "feasible_threshold",
+    "finite_b_bound",
+    "first_bessel_zero",
+    "first_p_root",
+    "load_custom_table",
+    "log_v",
+    "optimal_a",
+    "optimize_bound",
+    "ratio_upper_bound",
+    "sweep",
+    *_MONTECARLO_NAMES,
+])
 
 
 def __getattr__(name: str):

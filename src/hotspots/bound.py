@@ -99,11 +99,9 @@ def optimize_bound(d: int, r: float, vkind: VKind, tolerance: float = 1e-9,
     """Minimize the bound over A_d: analytic inner a, golden-section on eps.
 
     Each step of the search is one call of the inner `point(eps)`: ln V from
-    the curve built once per query, a*(eps) = ln V / (1 - eps) as
-    `optimal_a` computes it, and `_objective`.  `optimal_a` is called only
-    to raise its refusal of a negative ln V, at the step that meets it; its
-    feasibility check on eps always holds inside the search interval.  The
-    float operations and their order are those of `optimal_a` and
+    the curve built once per query (never below 0, as a table is checked
+    when its curve is built), a*(eps) = ln V / (1 - eps), and `_objective`.
+    The float operations and their order are those of `optimal_a` and
     `_objective`, so every result is the same to the bit as theirs.
 
     Examples
@@ -119,8 +117,10 @@ def optimize_bound(d: int, r: float, vkind: VKind, tolerance: float = 1e-9,
         raise InfeasibleParameterError(
             f"tolerance must lie in [1e-12, 1e-2], got {tolerance!r}"
         )
-    if vkind is VKind.CUSTOM and not vtable:
-        raise InfeasibleParameterError("custom V kind needs a table")
+    # what depends on d and r only: once per query, not once per step.  The
+    # curve refuses a missing or invalid table, and checks a plain one once
+    curve = log_v_curve(vkind, d, vtable)
+    log_r = math.log(r)
     evals = 0
 
     def point(eps: float) -> tuple[float, float]:
@@ -128,8 +128,6 @@ def optimize_bound(d: int, r: float, vkind: VKind, tolerance: float = 1e-9,
         nonlocal evals
         evals += 1
         lv = curve(eps)  # eps lies in (0, 1 - r), as log_v would check
-        if lv < 0.0:
-            optimal_a(eps, r, lv)  # raises its refusal
         a = lv / (1.0 - eps)  # optimal_a's arithmetic
         return a, _objective(r, log_r, eps, a, lv)
 
@@ -137,17 +135,15 @@ def optimize_bound(d: int, r: float, vkind: VKind, tolerance: float = 1e-9,
     hi = 1.0 - r - _EPS_EDGE
     custom = vkind is VKind.CUSTOM
     if custom:
-        # log_v refuses to extrapolate a table, so search only its range
-        lo = max(lo, vtable[0][0])
-        hi = min(hi, vtable[-1][0])
+        # log_v refuses to extrapolate a table, so search only its range;
+        # float() gives the value the checked table stores
+        lo = max(lo, float(vtable[0][0]))
+        hi = min(hi, float(vtable[-1][0]))
     if hi <= lo:
         raise InfeasibleParameterError(
             f"feasible epsilon interval is empty for r={r:g}"
             + (" inside the V table's epsilon range" if custom else "")
         )
-    # what depends on d and r only: once per query, not once per step
-    curve = log_v_curve(vkind, d, vtable)
-    log_r = math.log(r)
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = point(x1)[1], point(x2)[1]

@@ -16,9 +16,13 @@ class InfeasibleParameterError(HotspotsError):
 class AccuracyError(HotspotsError):
     """A computed quantity could not be certified (CLI exit code 4).
 
-    Raised when a root search finds no sign change, or when the exact-sign
-    certificate of a root's directed squares still fails after its bracket
-    has been widened the allowed number of times.
+    Raised by each certificate that fails: a root bracket without a sign
+    change, or a root's directed squares or first-root proof (`zeros`); the
+    proof that a later zero is the k-th or that a refined zero changes sign
+    (`zeros.next_bessel_zero`, `montecarlo._refined_zero`); an exit-time
+    table's step or error bound (`montecarlo._fixed_point_table`); a
+    Clopper-Pearson limit that does not converge; and a tail estimate that
+    fails its own checks (`TailEstimate`).
     """
 
 

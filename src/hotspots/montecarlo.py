@@ -60,9 +60,9 @@ def _check_dim(dim: int) -> None:
 
 
 def _real(value: float, what: str = "a domain size") -> float:
-    """A ball's radius, a box's side, dt or a grid time as a float, so that
-    equal values draw and print alike; a bool or a non-real is refused, one
-    past the floats reads inf."""
+    """A ball's radius, a box's side, dt, a grid time or lambda as a float,
+    so that equal values draw and print alike; a bool or a non-real is
+    refused, one past the floats reads inf."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InfeasibleParameterError(f"{what} must be a real number, got {value!r}")
     try:
@@ -988,15 +988,22 @@ def default_t_grid(lambda_d: float, points: int = 25) -> tuple[float, ...]:
 
     For a high-dimensional ball the grid ends before most paths exit: at
     d = 200, S(12/lambda_d) = 1 - 2e-22, so a check on this grid there
-    compares a survival curve of ones with the bound.  Fewer than 2 or more
-    than _MAX_GRID_POINTS points, or a domain so large that a point of the
-    grid overflows a float, are rejected.
+    compares a survival curve of ones with the bound.  A point count that is
+    not an int (a bool included), fewer than 2 or more than _MAX_GRID_POINTS
+    points, a lambda_d that is not a positive finite real, and a domain so
+    large that a point of the grid overflows a float are rejected.
     """
+    if not isinstance(points, int) or isinstance(points, bool):
+        raise InfeasibleParameterError(f"grid points must be an integer, got {points!r}")
     if points < 2:
         raise InfeasibleParameterError("need at least 2 grid points")
     if points > _MAX_GRID_POINTS:
         raise InfeasibleParameterError(
             f"grid_points={points} is too many; at most {_MAX_GRID_POINTS} are allowed")
+    lambda_d = _real(lambda_d, "lambda_d")
+    if not 0.0 < lambda_d < math.inf:
+        raise InfeasibleParameterError(
+            f"lambda_d must be a positive finite float, got {lambda_d!r}")
     t_max = _GRID_DECAY / lambda_d
     if not math.isfinite(t_max * (points - 1)):
         raise InfeasibleParameterError(f"the time grid to 12 / lambda = {t_max!r} "

@@ -81,11 +81,11 @@ def bessel_j(nu: float, x: float, signs: dict[float, int] | None = None) -> floa
     >>> abs(bessel_j(0.5, math.pi)) < 1e-12
     True
     """
-    if math.isnan(nu) or nu < 0.0 or nu > MAX_ORDER:
+    if isinstance(nu, bool) or math.isnan(nu) or nu < 0.0 or nu > MAX_ORDER:
         raise InfeasibleParameterError(
             f"bessel_j supports orders 0 <= nu <= {MAX_ORDER:g}, got {nu!r}"
         )
-    if not 0.0 <= x <= MAX_ARG:
+    if isinstance(x, bool) or not 0.0 <= x <= MAX_ARG:
         raise InfeasibleParameterError(
             f"bessel_j supports arguments 0 <= x <= {MAX_ARG:g}, got {x!r}"
         )

@@ -20,14 +20,44 @@ import bisect
 import enum
 import math
 import os
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InfeasibleParameterError
 
-CustomTable = tuple[tuple[float, float], ...]
-
 _MAX_D_VOGT = 10 ** 9
 _MAX_D_IMPROVED = 200
+
+
+class CustomTable(tuple):
+    """The (epsilon, log V) rows of a custom V, checked when built: at least 2
+    rows, epsilon strictly increasing in (0, 1], and log V >= 0, as V >= 1
+    for any domain (a path started inside survives t = 0).  Each cell is
+    stored as float(cell), so CSV strings are accepted."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: Iterable[Sequence]) -> CustomTable:
+        table: list[tuple[float, float]] = []
+        for row in rows:
+            try:
+                eps, lv = row
+            except (TypeError, ValueError):
+                raise InfeasibleParameterError(
+                    f"custom V table rows need 2 columns, got {row!r}")
+            try:
+                eps, lv = float(eps), float(lv)
+            except (TypeError, ValueError):
+                raise InfeasibleParameterError(f"custom V table row is not numeric: {row!r}")
+            if not (0.0 < eps <= 1.0):
+                raise InfeasibleParameterError(f"table epsilon out of (0, 1]: {eps!r}")
+            if not lv >= 0.0:
+                raise InfeasibleParameterError(f"table log V must be >= 0, got {lv!r}")
+            if table and eps <= table[-1][0]:
+                raise InfeasibleParameterError("table epsilons must strictly increase")
+            table.append((eps, lv))
+        if len(table) < 2:
+            raise InfeasibleParameterError("custom V table needs at least 2 rows")
+        return super().__new__(cls, table)
 
 
 class VKind(enum.Enum):
@@ -97,9 +127,13 @@ def log_v_curve(kind: VKind, d: int,
 
 
 def _interp_table(table: CustomTable | None) -> Callable[[float], float]:
-    """Linear interpolation in the table; extrapolation is refused."""
+    """Linear interpolation in the table, checked unless it is a CustomTable;
+    extrapolation is refused.  Rounding keeps each value between the ln V of
+    its two rows, so the curve is never below 0."""
     if not table:
         raise InfeasibleParameterError("custom V kind needs a (epsilon, log V) table")
+    if not isinstance(table, CustomTable):
+        table = CustomTable(table)
     eps_vals = [row[0] for row in table]
 
     def curve(epsilon: float) -> float:
@@ -108,53 +142,22 @@ def _interp_table(table: CustomTable | None) -> Callable[[float], float]:
                 f"epsilon={epsilon!r} outside the tabulated range "
                 f"[{eps_vals[0]:g}, {eps_vals[-1]:g}]; extrapolation is refused"
             )
-        # the first i >= 1 with epsilon <= eps_vals[i]
+        # the first i >= 1 with epsilon <= eps_vals[i]: 1 <= i < len(table)
         i = bisect.bisect_left(eps_vals, epsilon, 1)
-        if i == len(table):  # a one-row table
-            return table[-1][1]
         e0, v0 = table[i - 1]
         e1, v1 = table[i]
-        if e1 == e0:
-            return v0
         w = (epsilon - e0) / (e1 - e0)
         return v0 + w * (v1 - v0)
 
     return curve
 
 
-def load_custom_table(rows: Sequence[Sequence[str]] | str | os.PathLike) -> CustomTable:
-    """Build a custom V table from a CSV path or pre-split rows.
+def load_custom_table(path: str | os.PathLike) -> CustomTable:
+    """The CustomTable of a CSV file: two columns per line, epsilon and
+    log V; lines starting with # and blank lines are skipped."""
+    import csv
 
-    The file format is two columns per line: epsilon, log V.  Rows must have
-    strictly increasing epsilon inside (0, 1] and nonnegative log V.
-    """
-    if isinstance(rows, (str, os.PathLike)):
-        import csv
-
-        with open(rows, newline="") as fh:
-            raw = [row for row in csv.reader(fh) if row and not
-                   row[0].lstrip().startswith("#")]
-    else:
-        raw = [list(r) for r in rows]
-    table: list[tuple[float, float]] = []
-    for row in raw:
-        if len(row) != 2:
-            raise InfeasibleParameterError(
-                f"custom V table rows need 2 columns, got {row!r}"
-            )
-        try:
-            eps, lv = float(row[0]), float(row[1])
-        except ValueError:
-            raise InfeasibleParameterError(
-                f"custom V table row is not numeric: {row!r}"
-            )
-        if not (0.0 < eps <= 1.0):
-            raise InfeasibleParameterError(f"table epsilon out of (0, 1]: {eps!r}")
-        if not lv >= 0.0:
-            raise InfeasibleParameterError(f"table log V must be >= 0, got {lv!r}")
-        if table and eps <= table[-1][0]:
-            raise InfeasibleParameterError("table epsilons must strictly increase")
-        table.append((eps, lv))
-    if len(table) < 2:
-        raise InfeasibleParameterError("custom V table needs at least 2 rows")
-    return tuple(table)
+    with open(path, newline="") as fh:  # read whole: a read error comes first
+        rows = [row for row in csv.reader(fh)
+                if row and not row[0].lstrip().startswith("#")]
+    return CustomTable(rows)

@@ -279,7 +279,7 @@ def first_bessel_zero(nu: float) -> BesselZeroRecord:
     >>> abs(rec.value - math.pi) < 1e-10
     True
     """
-    if math.isnan(nu) or nu < 0.0 or nu > 110.0:
+    if isinstance(nu, bool) or math.isnan(nu) or nu < 0.0 or nu > 110.0:
         raise InfeasibleParameterError(
             f"first_bessel_zero supports 0 <= nu <= 110, got {nu!r}"
         )

@@ -179,10 +179,20 @@ class TestOptimize:
         with pytest.raises(InfeasibleParameterError, match="V table"):
             optimize_bound(5, 0.95, VKind.CUSTOM, vtable=((0.1, 1.0), (0.9, 2.0)))
 
+    @pytest.mark.parametrize("vkind, d, message", [
+        (VKind.CUSTOM, 5, "custom V kind needs a (epsilon, log V) table"),
+        (VKind.IMPROVED_VOGT, 201, "improved Vogt V supports d <= 200, got 201"),
+    ], ids=["missing-table", "improved-d201"])
+    def test_the_v_curve_is_refused_before_an_empty_interval(self, vkind, d, message):
+        # r = 0.999999 leaves no epsilon to search, but the curve comes first
+        with pytest.raises(InfeasibleParameterError) as info:
+            optimize_bound(d, 0.999999, vkind)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("table, message", [
-        # ln V at the first golden-section point, x1 = hi - (hi - lo)/phi:
-        # the sign check comes before the objective, at the first step
-        (((0.1, -1.0), (0.9, -0.5)), "ln V must be >= 0, got -0.8567629845099677"),
+        # a negative ln V is refused by the table check, before the search
+        # takes its first step
+        (((0.1, -1.0), (0.9, -0.5)), "table log V must be >= 0, got -1.0"),
         (((0.1, 1e6), (0.9, 1e6)), "r*a too large; e^{ra} overflows"),
     ], ids=["negative-log-v", "overflowing-ra"])
     def test_refusals_inside_the_search(self, table, message):

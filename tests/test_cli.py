@@ -1014,6 +1014,37 @@ class TestGoldenCli:
              "--paths", "500"],
         ]) == "77943c5b3f517fcd869addeefe1bf2ae94b49cb466af71d16bc0e1428efd2dce"
 
+    _REFUSED_V_FILES = {
+        "one_row": "0.5,1\n",
+        "out_of_order": "0.9,1\n0.1,2\n",
+        "tied": "0.1,1\n0.1,2\n0.9,3\n",
+        "negative": "0.1,-1\n0.9,2\n",
+        "nan": "0.1,nan\n0.9,2\n",
+        "not_numeric": "eps,logv\n0.5,2\n",
+        "three_columns": "0.1,1,3\n0.5,2\n",
+        "epsilon_zero": "0,1\n0.5,2\n",
+        "epsilon_above_one": "0.1,1\n1.5,2\n",
+        "missing": None,
+        "not_utf8": b"\xff\xfe\x00\x01",
+    }
+
+    def test_refused_v_files(self, invoke, tmp_path):
+        # each kind of V file the command line refuses: the exit code and the
+        # stderr line of each, with the temporary directory written as <tmp>
+        h = hashlib.sha256()
+        for name, body in self._REFUSED_V_FILES.items():
+            path = tmp_path / f"{name}.csv"
+            if isinstance(body, bytes):
+                path.write_bytes(body)
+            elif body is not None:
+                path.write_text(body)
+            res = invoke(["bound", "--dim", "7", "--vfunction", f"custom:{path}"])
+            assert res.exit_code in (2, 3) and res.stdout == "", (name, res.output)
+            stderr = res.stderr.replace(str(tmp_path), "<tmp>")
+            h.update(canonical_json([name, res.stdout, stderr, res.exit_code]).encode())
+        assert h.hexdigest() == (
+            "45f9ff4a8bf26c766b7903041bf032eb581ebf897679ad46adc6e75255615f92")
+
     def test_usage_and_infeasible_errors(self, invoke):
         assert self._digest(invoke, [
             ["table", "--dims", "2,x"],  # exit 2

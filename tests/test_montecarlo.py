@@ -306,6 +306,24 @@ def test_default_grid_refuses_points_past_the_largest_float():
     assert default_t_grid(principal_eigenvalue(Ball(9e153, 2)), 2)[-1] < math.inf
 
 
+@pytest.mark.parametrize("lam, points, message", [
+    (1.0, 3.0, "grid points must be an integer, got 3.0"),
+    (1.0, True, "grid points must be an integer, got True"),
+    (1.0, np.int64(3), "grid points must be an integer, got np.int64(3)"),
+    (0.0, 25, "lambda_d must be a positive finite float, got 0.0"),
+    (-1.0, 3, "lambda_d must be a positive finite float, got -1.0"),
+    (math.nan, 25, "lambda_d must be a positive finite float, got nan"),
+    (math.inf, 25, "lambda_d must be a positive finite float, got inf"),
+    (True, 25, "lambda_d must be a real number, got True"),
+    ("1", 25, "lambda_d must be a real number, got '1'"),
+], ids=["float-count", "bool-count", "numpy-count", "zero-lambda", "negative-lambda",
+        "nan-lambda", "inf-lambda", "bool-lambda", "str-lambda"])
+def test_default_grid_refuses_bad_input(lam, points, message):
+    with pytest.raises(InfeasibleParameterError) as info:
+        default_t_grid(lam, points)
+    assert str(info.value) == message
+
+
 class TestStepKernel:
     """The kernel every exit time comes from: an exact table, inverted, and
     its time reported in whole steps dt."""

@@ -123,6 +123,17 @@ class TestBesselAccuracy:
         with pytest.raises(InfeasibleParameterError):
             bessel_j(nu, x)
 
+    @pytest.mark.parametrize("nu, x, message", [
+        (True, 2.0, "bessel_j supports orders 0 <= nu <= 120, got True"),
+        (False, 2.0, "bessel_j supports orders 0 <= nu <= 120, got False"),
+        (1.0, True, "bessel_j supports arguments 0 <= x <= 700, got True"),
+    ], ids=["true-order", "false-order", "true-argument"])
+    def test_rejects_bools(self, nu, x, message):
+        # a bool is not a number here, as for Ball, Box and SimConfig
+        with pytest.raises(InfeasibleParameterError) as info:
+            bessel_j(nu, x)
+        assert str(info.value) == message
+
     def test_deep_underflow_is_graceful(self):
         # far below the turning point: (x/2)^nu / Gamma(nu+1) ~ 1e-272
         assert 0.0 <= bessel_j(120.0, 0.5) < 1e-260

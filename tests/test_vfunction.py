@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotspots import InfeasibleParameterError, VKind, load_custom_table, log_v
+from hotspots import (
+    InfeasibleParameterError,
+    VKind,
+    bound_value,
+    finite_b_bound,
+    load_custom_table,
+    log_v,
+    optimize_bound,
+)
+from hotspots.vfunction import CustomTable
 
 
 def test_vogt_at_eps_one_is_fourth_root_of_two():
@@ -135,5 +144,69 @@ class TestCustomTable:
         bad3.write_text("0.1,1.0\n")
         with pytest.raises(InfeasibleParameterError):
             load_custom_table(bad3)
+        bad4 = tmp_path / "bad4.csv"
+        bad4.write_text("0.1,nan\n0.5,1.0\n")
         with pytest.raises(InfeasibleParameterError):
-            load_custom_table([["0.1", "nan"], ["0.5", "1.0"]])
+            load_custom_table(bad4)
+
+    def test_a_checked_table_is_an_immutable_tuple_of_floats(self):
+        table = CustomTable([["0.1", " 2"], (0.5, 1), [1, 0.25]])
+        assert table == self.ROWS and isinstance(table, tuple)
+        assert all(type(cell) is float for row in table for cell in row)
+        with pytest.raises(AttributeError):
+            table.extra = 1
+
+    @pytest.mark.parametrize("rows, message", [
+        ([0.1, 0.5], "custom V table rows need 2 columns, got 0.1"),
+        ([(0.1, None), (0.5, 1.0)], "custom V table row is not numeric: (0.1, None)"),
+        ([], "custom V table needs at least 2 rows"),
+    ], ids=["flat", "none", "empty"])
+    def test_constructor_refusals(self, rows, message):
+        with pytest.raises(InfeasibleParameterError) as info:
+            CustomTable(rows)
+        assert str(info.value) == message
+
+    def test_a_checked_table_is_not_checked_again(self, monkeypatch):
+        table = CustomTable(self.ROWS)
+
+        def check(cls, rows):
+            raise AssertionError("table checked again")
+
+        monkeypatch.setattr(CustomTable, "__new__", check)
+        assert log_v(VKind.CUSTOM, 0.3, 7, table=table) == pytest.approx(1.5, rel=1e-12)
+        assert optimize_bound(7, 0.3, VKind.CUSTOM, vtable=table).bound > 1.0
+
+    def test_loader_returns_a_checked_table(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("\n# comment\n0.1,2.0\n\n1.0,0.25\n")
+        table = load_custom_table(str(path))
+        assert type(table) is CustomTable and table == ((0.1, 2.0), (1.0, 0.25))
+
+
+# Library tables that no V file could be: each entry point refuses them with
+# the loader's message, before it evaluates anything
+_BAD_TABLES = {
+    "out-of-order": (((0.1, 1.0), (0.9, 2.0), (0.5, 3.0)),
+                     "table epsilons must strictly increase"),
+    "tied-epsilon": (((0.1, 1.0), (0.1, 2.0), (0.9, 3.0)),
+                     "table epsilons must strictly increase"),
+    "one-row": (((0.3, 1.0),), "custom V table needs at least 2 rows"),
+    "nan": (((0.1, math.nan), (0.9, 2.0)), "table log V must be >= 0, got nan"),
+    "negative": (((0.1, -2.0), (0.9, -1.0)), "table log V must be >= 0, got -2.0"),
+}
+_ENTRY_POINTS = {
+    "log_v": lambda table: log_v(VKind.CUSTOM, 0.3, 5, table=table),
+    "bound_value": lambda table: bound_value(5, 0.3, VKind.CUSTOM, 0.3, 1.0, vtable=table),
+    "optimize_bound": lambda table: optimize_bound(5, 0.3, VKind.CUSTOM, vtable=table),
+    "finite_b_bound": lambda table: finite_b_bound(5, 0.3, VKind.CUSTOM, 0.3, 0.5, 1.0,
+                                                   50.0, vtable=table),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", sorted(_BAD_TABLES))
+def test_library_tables_are_checked(entry, bad):
+    table, message = _BAD_TABLES[bad]
+    with pytest.raises(InfeasibleParameterError) as info:
+        _ENTRY_POINTS[entry](table)
+    assert str(info.value) == message

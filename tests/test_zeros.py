@@ -239,6 +239,13 @@ def test_first_zero_rejects_bad_orders(nu):
         first_bessel_zero(nu)
 
 
+@pytest.mark.parametrize("nu", [True, False])
+def test_first_zero_rejects_bool_orders(nu):
+    with pytest.raises(InfeasibleParameterError) as info:
+        first_bessel_zero(nu)
+    assert str(info.value) == f"first_bessel_zero supports 0 <= nu <= 110, got {nu!r}"
+
+
 @pytest.mark.parametrize("d", [1, 0, -3, 201, 2.5, True])
 def test_p_root_rejects_bad_dimensions(d):
     with pytest.raises(InfeasibleParameterError):
