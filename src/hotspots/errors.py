@@ -17,7 +17,8 @@ class AccuracyError(HotspotsError):
     """A computed quantity could not be certified (CLI exit code 4).
 
     Raised by each certificate that fails: a root bracket without a sign
-    change, or a root's directed squares or first-root proof (`zeros`); the
+    change, or a root's one-attempt directed squares or first-root proof
+    (`zeros`, at the first grid margin, never retried on a wider one); the
     proof that a later zero is the k-th or that a refined zero changes sign
     (`zeros.next_bessel_zero`, `montecarlo._refined_zero`); an exit-time
     table's step or error bound (`montecarlo._fixed_point_table`); a

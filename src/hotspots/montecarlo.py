@@ -958,18 +958,26 @@ def vbound_log_v(vkind: VKind, epsilon: float, dim: int) -> float:
     return lv
 
 
+def _eigenvalue(lambda_d: float) -> float:
+    """lambda_d as a float; refused unless it is a positive finite real."""
+    lambda_d = _real(lambda_d, "lambda_d")
+    if not 0.0 < lambda_d < math.inf:
+        raise InfeasibleParameterError(
+            f"lambda_d must be a positive finite float, got {lambda_d!r}")
+    return lambda_d
+
+
 def check_vbound(estimate: TailEstimate, vkind: VKind, epsilon: float,
                  lambda_d: float, dim: int) -> VBoundReport:
     """Compare the estimate's lower confidence limits against the V-bound.
 
     Passes iff no grid point's lower confidence limit exceeds
     V(eps, dim) * exp(-(1-eps) * lambda_d * t).  The worst margin is the
-    smallest bound - ci_low over the grid (negative means failure).
+    smallest bound - ci_low over the grid (negative means failure).  A
+    lambda_d that default_t_grid refuses is refused here too.
     """
     lv = vbound_log_v(vkind, epsilon, dim)
-    if not lambda_d > 0.0:
-        raise InfeasibleParameterError("lambda_d must be positive")
-    rate = (1.0 - epsilon) * lambda_d
+    rate = (1.0 - epsilon) * _eigenvalue(lambda_d)
     bound = tuple(math.exp(lv - rate * t) for t in estimate.t_grid)
     margins = [b - lo for b, lo in zip(bound, estimate.ci_low)]
     worst_index = int(np.argmin(margins)) if margins else 0
@@ -1000,11 +1008,7 @@ def default_t_grid(lambda_d: float, points: int = 25) -> tuple[float, ...]:
     if points > _MAX_GRID_POINTS:
         raise InfeasibleParameterError(
             f"grid_points={points} is too many; at most {_MAX_GRID_POINTS} are allowed")
-    lambda_d = _real(lambda_d, "lambda_d")
-    if not 0.0 < lambda_d < math.inf:
-        raise InfeasibleParameterError(
-            f"lambda_d must be a positive finite float, got {lambda_d!r}")
-    t_max = _GRID_DECAY / lambda_d
+    t_max = _GRID_DECAY / _eigenvalue(lambda_d)
     if not math.isfinite(t_max * (points - 1)):
         raise InfeasibleParameterError(f"the time grid to 12 / lambda = {t_max!r} "
                                        "overflows a float: its size is out of range")

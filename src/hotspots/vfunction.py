@@ -30,8 +30,8 @@ _MAX_D_IMPROVED = 200
 
 class CustomTable(tuple):
     """The (epsilon, log V) rows of a custom V, checked when built: at least 2
-    rows, epsilon strictly increasing in (0, 1], and log V >= 0, as V >= 1
-    for any domain (a path started inside survives t = 0).  Each cell is
+    rows, epsilon strictly increasing in (0, 1], and log V finite and >= 0, as
+    V >= 1 for any domain (a path started inside survives t = 0).  Each cell is
     stored as float(cell), so CSV strings are accepted."""
 
     __slots__ = ()
@@ -52,6 +52,8 @@ class CustomTable(tuple):
                 raise InfeasibleParameterError(f"table epsilon out of (0, 1]: {eps!r}")
             if not lv >= 0.0:
                 raise InfeasibleParameterError(f"table log V must be >= 0, got {lv!r}")
+            if lv == math.inf:
+                raise InfeasibleParameterError(f"table log V must be finite, got {lv!r}")
             if table and eps <= table[-1][0]:
                 raise InfeasibleParameterError("table epsilons must strictly increase")
             table.append((eps, lv))

@@ -25,18 +25,17 @@ and raises AccuracyError.  The brackets:
   not cancel).
 
 `_record` then certifies directed squares sq_down < sq_up on a grid around
-root^2: S is proven positive at some z in [sq_down/4, root^2/4] and negative
-at some z in [root^2/4, sq_up/4], so a root of S lies between them, and one
-more exact test proves it the first: Sturm spacing for the j-zero
-(`_first_zero_is_bracketed`), the fall of S for the p-root
-(`_p_series_falls_to`).  The j-zero takes both signs from Brent's own J
-evaluations: `bessel_j` sums S in fixed point with a proven error (the
-`specialfun` module doc) and reports the sign of S at each z = fl(x^2)/4
-where the sum exceeds that error.  Where those signs do not bracket root^2
-within the grid margin, and always for the p-root, whose Brent runs on the
-float `_p_series`, `_series_sign` proves the signs at sq_down/4 and
-sq_up/4 from the same fixed-point sums instead: of S_nu for the j-zero, and
-of S_nu and S_nu+1, combined exactly on their ints, for the p-root.
+root^2, in one attempt: S is proven positive at some z in [sq_down/4,
+root^2/4] and negative at some z in [root^2/4, sq_up/4], so a root of S lies
+between them, and one more exact test proves it the first; else it raises
+AccuracyError.  The j-zero takes both signs from Brent's own J evaluations:
+`bessel_j` sums S in fixed point with a proven error (the `specialfun`
+module doc) and reports the sign of S at each z = fl(x^2)/4 where the sum
+exceeds that error; Sturm spacing (`_first_zero_is_bracketed`) proves the
+root the first.  The p-root's Brent runs on the float `_p_series`, so
+`_p_sign` proves its signs at sq_down/4 and sq_up/4 from the fixed-point
+sums of S_nu and S_nu+1, combined exactly on their ints; the fall of S
+(`_p_series_falls_to`) proves the root the first.
 
 `next_bessel_zero` finds the later zeros j_{nu,k}, k >= 2, one from the
 last, on a bracket from the same Sturm comparison, proven by `bessel_j`'s
@@ -55,8 +54,6 @@ from .specialfun import bessel_j, proven_sign, series_bits, series_sum
 
 #: the directed squares sit on a grid of 2^-_GRID_BITS relative spacing
 _GRID_BITS = 44
-#: how often a failed sign may widen the bracket (16x each time)
-_WIDEN_TRIES = 4
 
 
 class RootFamily(enum.Enum):
@@ -88,23 +85,21 @@ class BesselZeroRecord(record("BesselZeroRecord",
                                value_squared_down)
 
 
-def _series_sign(nu: float, z: float, family: RootFamily) -> int:
-    """Sign of S(z) (module doc) that `series_sum` proves, or 0 (`proven_sign`),
-    with the bits that `series_bits` gives J_nu at x = 2 sqrt(z).
+def _p_sign(nu: float, z: float) -> int:
+    """Sign of the p-root's S(z) (module doc) that `series_sum` proves, or 0
+    (`proven_sign`), with the bits that `series_bits` gives J_nu at x = 2 sqrt(z).
 
-    The p-root's S is S_nu(z) - 2z S_nu+1(z) / (nu+1) (S_nu' = -S_nu+1 / (nu+1)),
-    so with nu = p/q, z = a/2^e it has the sign of (p+q) 2^e s_nu - 2aq s_nu+1.
+    S is S_nu(z) - 2z S_nu+1(z) / (nu+1) (S_nu' = -S_nu+1 / (nu+1)), so with
+    nu = p/q, z = a/2^e it has the sign of (p+q) 2^e s_nu - 2aq s_nu+1.
     """
     prec = series_bits(nu * math.log(math.sqrt(z)) - math.lgamma(nu + 1.0))
     a, b = z.as_integer_ratio()
     e = b.bit_length() - 1
+    p, q = nu.as_integer_ratio()
     s, terms = series_sum(nu, a, e, prec)
-    if family is RootFamily.P_ROOT:
-        p, q = nu.as_integer_ratio()
-        s_up, terms_up = series_sum(nu + 1.0, a, e, prec)
-        scale, weight = (p + q) << e, 2 * a * q
-        s, terms = scale * s - weight * s_up, scale * terms + weight * terms_up
-    return proven_sign(s, terms)
+    s_up, terms_up = series_sum(nu + 1.0, a, e, prec)
+    scale, weight = (p + q) << e, 2 * a * q
+    return proven_sign(scale * s - weight * s_up, scale * terms + weight * terms_up)
 
 
 def _p_series(nu: float, z: float) -> float:
@@ -232,38 +227,34 @@ def _record(nu: float, family: RootFamily, root: float,
             signs: dict[float, int]) -> BesselZeroRecord:
     """Directed squares on the 2^-44 grid around root^2, proven by signs of S.
 
-    signs maps z to a sign of S(z) already proven (by `bessel_j`).  The
-    bracket [sq_down, sq_up] is the pair of grid points around
+    The bracket [sq_down, sq_up] is the pair of grid points around
     sq = fl(root^2), each moved two grid units outward.  It holds a root of
-    S if signs has a positive z with sq_down <= 4z <= sq and a negative z
-    with sq <= 4z <= sq_up (sq only orders the two), or else if `_series_sign`
-    proves S(sq_down/4) > 0 > S(sq_up/4).  That root is the first one for J
-    by `_first_zero_is_bracketed` and for p by `_p_series_falls_to`.  Failing
-    both sign proofs widens the bracket 16-fold; a failed p fall cannot be
-    mended by a wider bracket and raises AccuracyError at once.
+    S if S is proven positive at some z with sq_down <= 4z <= sq and
+    negative at some z with sq <= 4z <= sq_up (sq only orders the two).
+    signs maps z to such a proven sign: for the j-zero the ones that Brent's
+    `bessel_j` calls proved; for the p-root, which passes none, `_p_sign`'s
+    at sq_down/4 and sq_up/4.  That root is the first one for J by
+    `_first_zero_is_bracketed` and for p by `_p_series_falls_to`.  Any
+    failed proof raises AccuracyError.
     """
     sq = root * root
     exp = math.frexp(sq)[1] - _GRID_BITS
     grid = math.floor(math.ldexp(sq, -exp))
-    for tries in range(_WIDEN_TRIES):
-        margin = 2 * 16 ** tries
-        sq_down = math.ldexp(grid - margin, exp)
-        sq_up = math.ldexp(grid + 1 + margin, exp)
-        proven = (any(sign > 0 and sq_down <= 4.0 * z <= sq for z, sign in signs.items())
-                  and any(sign < 0 and sq <= 4.0 * z <= sq_up for z, sign in signs.items()))
-        if ((proven or (_series_sign(nu, 0.25 * sq_up, family) < 0
-                        and _series_sign(nu, 0.25 * sq_down, family) > 0))
-                and (family is RootFamily.P_ROOT
-                     or _first_zero_is_bracketed(nu, sq_up))):
-            if family is RootFamily.P_ROOT and not _p_series_falls_to(nu, sq_up):
-                raise AccuracyError(
-                    f"proot nu={nu:g}: S is not proven to fall on "
-                    f"[0, {sq_up!r}/4], so {root!r} may not be the first root")
-            return BesselZeroRecord(nu=nu, family=family, value=root,
-                                    value_squared_up=sq_up,
-                                    value_squared_down=sq_down)
-    raise AccuracyError(
-        f"{family.value} nu={nu:g}: no exact sign change around {root!r}")
+    sq_down = math.ldexp(grid - 2, exp)
+    sq_up = math.ldexp(grid + 3, exp)
+    if family is RootFamily.P_ROOT:
+        signs = {z: _p_sign(nu, z) for z in (0.25 * sq_down, 0.25 * sq_up)}
+    if not (any(sign > 0 and sq_down <= 4.0 * z <= sq for z, sign in signs.items())
+            and any(sign < 0 and sq <= 4.0 * z <= sq_up for z, sign in signs.items())
+            and (family is RootFamily.P_ROOT or _first_zero_is_bracketed(nu, sq_up))):
+        raise AccuracyError(
+            f"{family.value} nu={nu:g}: no exact sign change around {root!r}")
+    if family is RootFamily.P_ROOT and not _p_series_falls_to(nu, sq_up):
+        raise AccuracyError(
+            f"proot nu={nu:g}: S is not proven to fall on "
+            f"[0, {sq_up!r}/4], so {root!r} may not be the first root")
+    return BesselZeroRecord(nu=nu, family=family, value=root,
+                            value_squared_up=sq_up, value_squared_down=sq_down)
 
 
 def first_bessel_zero(nu: float) -> BesselZeroRecord:

@@ -92,9 +92,8 @@ class TestZeros:
         assert "--nu" in res.stderr
 
     def test_uncertified_root_exit_four(self, invoke, monkeypatch):
-        # neither J's proven signs nor those at the bracket's ends bracket the root
+        # J proves no sign, and nothing else may certify the j-zero
         monkeypatch.setattr(zeros_mod, "bessel_j", lambda nu, x, signs=None: bessel_j(nu, x))
-        monkeypatch.setattr(zeros_mod, "_series_sign", lambda nu, z, family: 0)
         res = invoke(["zeros", "--nu", "1"])
         assert res.exit_code == 4
         assert "no exact sign change" in res.stderr
@@ -1044,6 +1043,19 @@ class TestGoldenCli:
             h.update(canonical_json([name, res.stdout, stderr, res.exit_code]).encode())
         assert h.hexdigest() == (
             "45f9ff4a8bf26c766b7903041bf032eb581ebf897679ad46adc6e75255615f92")
+
+    def test_infinite_log_v_files(self, invoke, tmp_path):
+        # 1e400 parses to inf; an infinite ln V is refused when the file is
+        # read, in whichever row it stands
+        for name, body in [("inf_first", "0.1,inf\n0.9,2\n"),
+                           ("huge_first", "0.1,1e400\n0.9,2\n"),
+                           ("inf_last", "0.1,1\n0.9,inf\n")]:
+            path = tmp_path / f"{name}.csv"
+            path.write_text(body)
+            res = invoke(["bound", "--dim", "5", "--ratio", "custom:0.3",
+                          "--vfunction", f"custom:{path}"])
+            assert res.exit_code == 3 and res.stdout == "", name
+            assert res.stderr == "error: table log V must be finite, got inf\n", name
 
     def test_usage_and_infeasible_errors(self, invoke):
         assert self._digest(invoke, [

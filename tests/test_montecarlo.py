@@ -306,22 +306,37 @@ def test_default_grid_refuses_points_past_the_largest_float():
     assert default_t_grid(principal_eigenvalue(Ball(9e153, 2)), 2)[-1] < math.inf
 
 
-@pytest.mark.parametrize("lam, points, message", [
-    (1.0, 3.0, "grid points must be an integer, got 3.0"),
-    (1.0, True, "grid points must be an integer, got True"),
-    (1.0, np.int64(3), "grid points must be an integer, got np.int64(3)"),
-    (0.0, 25, "lambda_d must be a positive finite float, got 0.0"),
-    (-1.0, 3, "lambda_d must be a positive finite float, got -1.0"),
-    (math.nan, 25, "lambda_d must be a positive finite float, got nan"),
-    (math.inf, 25, "lambda_d must be a positive finite float, got inf"),
-    (True, 25, "lambda_d must be a real number, got True"),
-    ("1", 25, "lambda_d must be a real number, got '1'"),
-], ids=["float-count", "bool-count", "numpy-count", "zero-lambda", "negative-lambda",
-        "nan-lambda", "inf-lambda", "bool-lambda", "str-lambda"])
-def test_default_grid_refuses_bad_input(lam, points, message):
+_GRID_REFUSALS = {  # case -> (lambda_d, points, message)
+    "float-count": (1.0, 3.0, "grid points must be an integer, got 3.0"),
+    "bool-count": (1.0, True, "grid points must be an integer, got True"),
+    "numpy-count": (1.0, np.int64(3), "grid points must be an integer, got np.int64(3)"),
+    "zero-lambda": (0.0, 25, "lambda_d must be a positive finite float, got 0.0"),
+    "negative-lambda": (-1.0, 3, "lambda_d must be a positive finite float, got -1.0"),
+    "nan-lambda": (math.nan, 25, "lambda_d must be a positive finite float, got nan"),
+    "inf-lambda": (math.inf, 25, "lambda_d must be a positive finite float, got inf"),
+    "bool-lambda": (True, 25, "lambda_d must be a real number, got True"),
+    "str-lambda": ("1", 25, "lambda_d must be a real number, got '1'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_GRID_REFUSALS))
+def test_default_grid_refuses_bad_input(case):
+    lam, points, message = _GRID_REFUSALS[case]
     with pytest.raises(InfeasibleParameterError) as info:
         default_t_grid(lam, points)
     assert str(info.value) == message
+
+
+def test_vbound_check_refuses_the_grids_bad_lambdas():
+    # check_vbound refuses each lambda_d that default_t_grid refuses, with
+    # the same message
+    est = TailEstimate(t_grid=(0.0, 1.0), survival=(1.0, 0.5), ci_low=(0.9, 0.4),
+                       ci_high=(1.0, 0.6), n_paths=10, config_fingerprint="0" * 64)
+    for case, (lam, _, message) in _GRID_REFUSALS.items():
+        if case.endswith("-lambda"):
+            with pytest.raises(InfeasibleParameterError) as info:
+                check_vbound(est, VKind.VOGT, 0.5, lam, 2)
+            assert str(info.value) == message, case
 
 
 class TestStepKernel:

@@ -183,8 +183,8 @@ class TestCustomTable:
         assert type(table) is CustomTable and table == ((0.1, 2.0), (1.0, 0.25))
 
 
-# Library tables that no V file could be: each entry point refuses them with
-# the loader's message, before it evaluates anything
+# Bad library tables, some of which no V file could be: each entry point
+# refuses them with the loader's message, before it evaluates anything
 _BAD_TABLES = {
     "out-of-order": (((0.1, 1.0), (0.9, 2.0), (0.5, 3.0)),
                      "table epsilons must strictly increase"),
@@ -193,6 +193,8 @@ _BAD_TABLES = {
     "one-row": (((0.3, 1.0),), "custom V table needs at least 2 rows"),
     "nan": (((0.1, math.nan), (0.9, 2.0)), "table log V must be >= 0, got nan"),
     "negative": (((0.1, -2.0), (0.9, -1.0)), "table log V must be >= 0, got -2.0"),
+    "infinite-first": (((0.1, math.inf), (0.9, 2.0)), "table log V must be finite, got inf"),
+    "infinite-last": (((0.1, 1.0), (0.9, math.inf)), "table log V must be finite, got inf"),
 }
 _ENTRY_POINTS = {
     "log_v": lambda table: log_v(VKind.CUSTOM, 0.3, 5, table=table),

@@ -8,6 +8,7 @@ comparisons.
 import functools
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -511,54 +512,39 @@ class TestExactSign:
         assert _p_series_falls_to(1.0, below)
         assert not _p_series_falls_to(1.0, 7.2)
 
-    def test_failed_sign_widens_then_raises(self, monkeypatch):
-        narrow = first_bessel_zero(3.0)
-        # J proves no sign, so the signs at the bracket's ends decide it
-        monkeypatch.setattr(zeros_mod, "bessel_j", _unproven_j)
-        undecided = [2]
-        series_sign = zeros_mod._series_sign
+    def test_failed_sign_raises_at_once(self, monkeypatch):
+        # one attempt at the first margin: a j-zero whose J proves no
+        # positive sign, or a p-root with either end sign unproven, is
+        # refused, and no wider bracket is tried
+        def negative_only(nu, x, signs=None):
+            proven = {}
+            value = bessel_j(nu, x, proven)
+            if signs is not None:
+                signs.update((z, sign) for z, sign in proven.items() if sign < 0)
+            return value
 
-        def flaky(nu, z, family):
-            if undecided[0]:
-                undecided[0] -= 1
-                return 0
-            return series_sign(nu, z, family)
-
-        monkeypatch.setattr(zeros_mod, "_series_sign", flaky)
-        wide = first_bessel_zero(3.0)
-        assert wide.value == narrow.value
-        assert wide.value_squared_down < narrow.value_squared_down
-        assert wide.value_squared_up > narrow.value_squared_up
-
-        monkeypatch.setattr(zeros_mod, "_series_sign", lambda nu, z, family: 0)
-        with pytest.raises(AccuracyError):
+        monkeypatch.setattr(zeros_mod, "bessel_j", negative_only)
+        with pytest.raises(AccuracyError, match="no exact sign change"):
             first_bessel_zero(3.0)
-        with pytest.raises(AccuracyError):
-            first_p_root(7)
+
+        p_sign = zeros_mod._p_sign
+        for failed in (0, 1):  # the lower end's sign, then the upper end's
+            calls = []
+
+            def flaky(nu, z):
+                calls.append(z)
+                return 0 if len(calls) - 1 == failed else p_sign(nu, z)
+
+            monkeypatch.setattr(zeros_mod, "_p_sign", flaky)
+            with pytest.raises(AccuracyError, match="no exact sign change"):
+                first_p_root(7)
+            assert len(calls) == 2, failed
 
 
 class TestProvenSigns:
-    """The j-zero's squares rest on the signs that Brent's own J evaluations
-    prove, and fall back on `_series_sign` at the bracket's ends only where
-    those do not bracket the root; the p-root's always take that fallback."""
-
-    @staticmethod
-    def _counted_series_sign(monkeypatch):
-        calls = []
-        series_sign = zeros_mod._series_sign
-
-        def counting(nu, z, family):
-            calls.append(z)
-            return series_sign(nu, z, family)
-
-        monkeypatch.setattr(zeros_mod, "_series_sign", counting)
-        return calls
-
-    def test_j_zeros_take_no_exact_sign(self, monkeypatch):
-        calls = self._counted_series_sign(monkeypatch)
-        for nu in [d / 2 - 1 for d in range(2, 201)] + TWENTIETHS:
-            first_bessel_zero(nu)
-        assert calls == []
+    """The j-zero's squares rest only on the signs that Brent's own J
+    evaluations prove; the p-root's on the two that `_p_sign` proves at the
+    bracket's ends."""
 
     def test_reported_signs_are_exact(self, monkeypatch):
         reported = []
@@ -576,43 +562,65 @@ class TestProvenSigns:
         for nu, z, sign in checked:
             assert _exact_sign(nu, z, RootFamily.J_ZERO) == sign, (nu, z)
 
-    def test_unproven_signs_give_the_same_records(self, monkeypatch):
-        orders = [d / 2 - 1 for d in range(2, 201)]
-        proven = [first_bessel_zero(nu) for nu in orders]
+    def test_unproven_signs_raise(self, monkeypatch):
+        # nothing rescues a j-zero whose own J evaluations prove no sign
         monkeypatch.setattr(zeros_mod, "bessel_j", _unproven_j)
-        calls = self._counted_series_sign(monkeypatch)
-        assert [first_bessel_zero(nu) for nu in orders] == proven
-        assert len(calls) == 2 * len(orders)  # both ends, at the first margin
+        for d in range(2, 201):
+            with pytest.raises(AccuracyError, match="no exact sign change"):
+                first_bessel_zero(d / 2 - 1)
 
-    def test_signs_must_lie_in_the_bracket(self, monkeypatch):
+    def test_signs_must_lie_in_the_bracket(self):
         rec = first_bessel_zero(3.0)
         sq = rec.value * rec.value
         down, up = rec.value_squared_down, rec.value_squared_up
-        cases = [  # 4z of the positive sign, 4z of the negative one, exact calls
-            (down, up, 0),  # the bracket's own ends
-            (sq, math.nextafter(sq, math.inf), 0),  # the positive one at root^2
-            (math.nextafter(down, 0.0), up, 2),  # the positive one below sq_down
-            (down, math.nextafter(up, math.inf), 2),  # the negative one above sq_up
-            (math.nextafter(sq, math.inf), math.nextafter(sq, 0.0), 2),  # swapped
-            (math.nextafter(sq, 0.0), down, 2),  # both below root^2
-            (up, math.nextafter(sq, math.inf), 2),  # both above root^2
+        inside = [  # 4z of the positive sign, 4z of the negative one
+            (down, up),  # the bracket's own ends
+            (sq, math.nextafter(sq, math.inf)),  # the positive one at root^2
         ]
-        calls = self._counted_series_sign(monkeypatch)
-        for positive, negative, exact_calls in cases:
-            calls.clear()
+        outside = [
+            (math.nextafter(down, 0.0), up),  # the positive one below sq_down
+            (down, math.nextafter(up, math.inf)),  # the negative one above sq_up
+            (math.nextafter(sq, math.inf), math.nextafter(sq, 0.0)),  # swapped
+            (math.nextafter(sq, 0.0), down),  # both below root^2
+            (up, math.nextafter(sq, math.inf)),  # both above root^2
+        ]
+        for positive, negative in inside:
             signs = {0.25 * positive: 1, 0.25 * negative: -1}
             assert zeros_mod._record(3.0, RootFamily.J_ZERO, rec.value, signs) == rec
-            assert len(calls) == exact_calls, (positive, negative)
+        for positive, negative in outside:
+            signs = {0.25 * positive: 1, 0.25 * negative: -1}
+            with pytest.raises(AccuracyError, match="no exact sign change"):
+                zeros_mod._record(3.0, RootFamily.J_ZERO, rec.value, signs)
 
-    @pytest.mark.parametrize("family", list(RootFamily))
-    def test_fallback_signs_match_the_reference(self, family):
-        # the fallback proves both ends of every record, at its first
-        # margin, with the signs the reference's exact sums give
-        find = (first_p_root if family is RootFamily.P_ROOT
-                else lambda d: first_bessel_zero(0.5 * d - 1.0))
+    def test_one_rule_certifies_sampled_orders(self):
+        # seeded orders across [0, 110], the extremes of the float range
+        # and orders just off the integers: each j-zero's own signs
+        # bracket it at the first margin
+        rng = random.Random(40)
+        orders = [rng.uniform(0.0, 110.0) for _ in range(2000)]
+        orders += [5e-324, 1e-300, math.nextafter(110.0, 0.0)]
+        orders += [k + 1e-12 for k in range(110)] + [k - 1e-12 for k in range(1, 111)]
+        for nu in orders:
+            rec = first_bessel_zero(nu)
+            sq = rec.value * rec.value
+            assert rec.value_squared_down < sq < rec.value_squared_up, nu
+            assert rec.value_squared_up - rec.value_squared_down <= 1e-12 * sq, nu
+
+    def test_p_end_signs_match_the_reference(self, monkeypatch):
+        # each p-root is proven by one _p_sign call at each end of its
+        # bracket, with the signs the reference's exact sums give
+        proven = []
+        p_sign = zeros_mod._p_sign
+
+        def keeping(nu, z):
+            proven.append((z, p_sign(nu, z)))
+            return proven[-1][1]
+
+        monkeypatch.setattr(zeros_mod, "_p_sign", keeping)
         for d in range(2, 201):
-            rec = find(d)
-            for sq, sign in ((rec.value_squared_down, 1), (rec.value_squared_up, -1)):
-                z = 0.25 * sq
-                assert zeros_mod._series_sign(rec.nu, z, family) == sign, (d, sq)
-                assert _exact_sign(rec.nu, z, family) == sign, (d, sq)
+            proven.clear()
+            rec = first_p_root(d)
+            assert proven == [(0.25 * rec.value_squared_down, 1),
+                              (0.25 * rec.value_squared_up, -1)], d
+            for z, sign in proven:
+                assert _exact_sign(rec.nu, z, RootFamily.P_ROOT) == sign, (d, z)
